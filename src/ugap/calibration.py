@@ -10,8 +10,8 @@ and net of public benefits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
+from . import config
 from .errors import ConfigError, DomainError
 
 
@@ -237,18 +237,12 @@ class CalibrationProfile:
 
     @classmethod
     def from_file(cls, path) -> CalibrationProfile:
-        from .config import parse_kv_text
-
         with open(path, encoding="utf-8") as fh:
-            flat = parse_kv_text(fh.read())
+            flat = config.parse_kv_text(fh.read())
         # profile files are flat; tolerate a [calibration] section prefix
         values = {k.split(".", 1)[-1]: v for k, v in flat.items()}
         return cls.from_mapping(values)
 
 
 def default_profile() -> CalibrationProfile:
-    text = resources.files("ugap").joinpath("data/calibration_default.cfg").read_text()
-    from .config import parse_kv_text
-
-    values = {k.split(".", 1)[-1]: v for k, v in parse_kv_text(text).items()}
-    return CalibrationProfile.from_mapping(values)
+    return CalibrationProfile.from_file(config.bundled_data_dir() / "calibration_default.cfg")

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands: ingest, fit, gap, sensitivity, simulate, report. Exit codes
-are a stable contract for scripting: 0 success, 1 a verified property
-failed, 2 bad input or configuration. All outputs are deterministic
-given the config and inputs, so repeated runs are byte-identical.
+Subcommands: ingest, fit, gap, sensitivity, simulate, report. Each
+invocation builds one lazy `Run`, and every command renders from it, so
+`report --recompute` parses the series, fits the regimes and builds the
+schedule once for all four steps. Exit codes are a stable contract for
+scripting: 0 success, 1 a verified property failed, 2 bad input or
+configuration. All outputs are deterministic given the config and
+inputs, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,13 +16,16 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, fields
+from functools import cached_property
 from pathlib import Path
 
 from . import gap as gap_mod
 from .calibration import CalibrationProfile, SufficientStats
-from .config import RunConfig, load_config, parse_kv_text
+from .config import RunConfig, load_config, parse_kv_text, parse_table, parse_zeta_list
 from .errors import ConfigError, InputError, ParseError, PropertyViolation
-from .fitting import fit_all, fit_elasticity, write_estimates_csv
+from .fitting import ElasticityEstimate, fit_all, fit_elasticity, write_estimates_csv
 from .ingest import (
     LaborMarketPanel,
     build_panel,
@@ -38,10 +44,8 @@ from .planner import (
     synth_panel,
 )
 from .quarters import Quarter
-from .regimes import RegimeTable, build_schedule
+from .regimes import ElasticitySchedule, RegimeTable, build_schedule
 from .svgfig import scatter_fit_svg, timeseries_svg
-
-_ZETA_TAG = gap_mod._zeta_tag
 
 
 def _round_floats(obj):
@@ -65,41 +69,94 @@ def _update_summary(out_dir: Path, section: str, payload: dict) -> None:
     _write_json(path, existing)
 
 
-def _read_series(path: Path, unit: str):
-    with open(path, encoding="utf-8") as fh:
-        points = parse_series_csv(fh.read(), unit)
-    quarterly, dropped = to_quarterly(points)
-    return quarterly, dropped
+def _recession_bands(path: Path | None, quarters: list[Quarter]) -> list[tuple[int, int]]:
+    """(first, last) panel indices covered by each recession, for figure shading."""
+    if path is None:
+        return []
+    bands = []
+    text = Path(path).read_text(encoding="utf-8")
+    for _, (start, end) in parse_table(text, ("start", "end"), "recessions"):
+        lo = bisect_left(quarters, Quarter.parse(start))
+        hi = bisect_right(quarters, Quarter.parse(end))
+        if lo < hi:
+            bands.append((lo, hi - 1))
+    return sorted(bands)
 
 
-def _load_panel(cfg: RunConfig) -> tuple[LaborMarketPanel, dict]:
-    u_q, u_dropped = _read_series(cfg.u_series, cfg.unit)
-    pre_q, pre_dropped = _read_series(cfg.v_pre, cfg.unit)
-    post_q, post_dropped = _read_series(cfg.v_post, cfg.unit)
-    v_q = splice_vacancy(pre_q, post_q, cfg.cutover)
-    pre_val, post_val = splice_jump(pre_q, post_q, cfg.cutover)
-    panel = build_panel(u_q, v_q)
-    audit = {
-        "dropped": {
-            "u": [f"{q} ({n} months)" for q, n in u_dropped],
-            "v_pre": [f"{q} ({n} months)" for q, n in pre_dropped],
-            "v_post": [f"{q} ({n} months)" for q, n in post_dropped],
-        },
-        "splice": {
-            "cutover": str(cfg.cutover),
-            "last_pre_value": pre_val,
-            "first_post_value": post_val,
-            "relative_jump": post_val / pre_val - 1.0,
-        },
-    }
-    return panel, audit
+class Run:
+    """The artifacts of one invocation, each built on first use and then kept."""
 
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
 
-def _calibration(cfg: RunConfig) -> tuple[float, float, CalibrationProfile]:
-    profile = CalibrationProfile.from_file(cfg.calibration)
-    kappa = cfg.kappa if cfg.kappa is not None else profile.kappa()
-    zeta = cfg.zeta if cfg.zeta is not None else profile.zeta
-    return kappa, zeta, profile
+    @cached_property
+    def ingested(self) -> tuple[LaborMarketPanel, dict]:
+        """The aligned panel and the audit of dropped quarters and the splice."""
+        cfg = self.cfg
+        series = {}
+        for name, path in (("u", cfg.u_series), ("v_pre", cfg.v_pre), ("v_post", cfg.v_post)):
+            with open(path, encoding="utf-8") as fh:
+                series[name] = to_quarterly(parse_series_csv(fh.read(), cfg.unit))
+        (u_q, _), (pre_q, _), (post_q, _) = series.values()
+        v_q = splice_vacancy(pre_q, post_q, cfg.cutover)
+        pre_val, post_val = splice_jump(pre_q, post_q, cfg.cutover)
+        audit = {
+            "dropped": {
+                name: [f"{q} ({n} months)" for q, n in dropped]
+                for name, (_, dropped) in series.items()
+            },
+            "splice": {
+                "cutover": str(cfg.cutover),
+                "last_pre_value": pre_val,
+                "first_post_value": post_val,
+                "relative_jump": post_val / pre_val - 1.0,
+            },
+        }
+        return build_panel(u_q, v_q), audit
+
+    @property
+    def panel(self) -> LaborMarketPanel:
+        return self.ingested[0]
+
+    @cached_property
+    def table(self) -> RegimeTable:
+        return RegimeTable.from_file(self.cfg.regimes)
+
+    @cached_property
+    def fits(self) -> tuple[list[ElasticityEstimate], list[tuple[str, InputError]]]:
+        return fit_all(self.panel, self.table)
+
+    @cached_property
+    def schedule(self) -> ElasticitySchedule:
+        estimates, failures = self.fits
+        if failures:
+            label, exc = failures[0]
+            raise type(exc)(f"regime {label!r}: {exc}")
+        return build_schedule(self.table, estimates, self.panel.quarters())
+
+    @cached_property
+    def calibration(self) -> tuple[float, float]:
+        """(kappa, zeta): config values where set, else the calibration profile's."""
+        profile = CalibrationProfile.from_file(self.cfg.calibration)
+        kappa = self.cfg.kappa if self.cfg.kappa is not None else profile.kappa()
+        zeta = self.cfg.zeta if self.cfg.zeta is not None else profile.zeta
+        return kappa, zeta
+
+    @cached_property
+    def axis(self) -> tuple[list[int], list[str], list[tuple[int, int]]]:
+        """Decade tick positions, their labels and the recession bands of the panel."""
+        quarters = self.panel.quarters()
+        ticks = [i for i, q in enumerate(quarters) if q.q == 1 and q.year % 10 == 0]
+        labels = [str(quarters[i].year) for i in ticks]
+        return ticks, labels, _recession_bands(self.cfg.recessions, quarters)
+
+    def timeseries(self, title: str, series: list) -> str:
+        """A percent-of-labor-force time-series figure over the panel quarters."""
+        ticks, labels, bands = self.axis
+        return timeseries_svg(
+            title, ticks, labels, len(self.panel), series, bands=bands,
+            ylabel="percent of labor force",
+        )
 
 
 def _kappa_overrides(cfg: RunConfig, table: RegimeTable) -> dict[str, float] | None:
@@ -108,53 +165,18 @@ def _kappa_overrides(cfg: RunConfig, table: RegimeTable) -> dict[str, float] | N
         return None
     labels = {regime.label for regime in table}
     overrides: dict[str, float] = {}
-    lines = Path(cfg.kappa_file).read_text(encoding="utf-8").splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower().startswith("regime"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise ParseError(f"kappa file line {lineno}: expected 'regime,kappa'")
+    text = Path(cfg.kappa_file).read_text(encoding="utf-8")
+    for lineno, (label, raw) in parse_table(text, ("regime", "kappa"), "kappa file"):
         try:
-            label, value = parts[0], float(parts[1])
+            value = float(raw)
         except ValueError:
-            raise ParseError(f"kappa file line {lineno}: bad kappa {parts[1]!r}") from None
+            raise ParseError(f"kappa file line {lineno}: bad kappa {raw!r}") from None
         if label not in labels:
             raise ConfigError(f"kappa file line {lineno}: unknown regime {label!r}")
         if value <= 0.0:
             raise ConfigError(f"kappa file line {lineno}: kappa must be positive")
         overrides[label] = value
     return overrides or None
-
-
-def _recession_bands(cfg: RunConfig, quarters) -> list[tuple[int, int]]:
-    if cfg.recessions is None or not Path(cfg.recessions).is_file():
-        return []
-    index = {q: i for i, q in enumerate(quarters)}
-    bands = []
-    lines = Path(cfg.recessions).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.lower().startswith("start"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise ParseError(f"recessions line {lineno}: expected 'start,end'")
-        start, end = Quarter.parse(parts[0]), Quarter.parse(parts[1])
-        covered = [index[q] for q in index if start <= q <= end]
-        if covered:
-            bands.append((min(covered), max(covered)))
-    return sorted(bands)
-
-
-def _decade_ticks(quarters) -> tuple[list[int], list[str]]:
-    positions, labels = [], []
-    for i, q in enumerate(quarters):
-        if q.q == 1 and q.year % 10 == 0:
-            positions.append(i)
-            labels.append(str(q.year))
-    return positions, labels
 
 
 def _out_dirs(cfg: RunConfig) -> tuple[Path, Path]:
@@ -164,9 +186,9 @@ def _out_dirs(cfg: RunConfig) -> tuple[Path, Path]:
     return out, figures
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    out, figures = _out_dirs(cfg)
-    panel, audit = _load_panel(cfg)
+def cmd_ingest(run: Run) -> int:
+    out, figures = _out_dirs(run.cfg)
+    panel, audit = run.ingested
     with open(out / "panel.csv", "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
     for series, dropped in audit["dropped"].items():
@@ -181,46 +203,29 @@ def cmd_ingest(cfg: RunConfig) -> int:
             jump=splice["relative_jump"],
         )
     )
-    quarters = panel.quarters()
-    ticks, labels = _decade_ticks(quarters)
-    bands = _recession_bands(cfg, quarters)
-    svg = timeseries_svg(
+    svg = run.timeseries(
         "Unemployment and vacancy rates",
-        ticks,
-        labels,
-        len(quarters),
         [
             ("unemployment", [100.0 * r.u for r in panel]),
             ("vacancies", [100.0 * r.v for r in panel]),
         ],
-        bands=bands,
-        ylabel="percent of labor force",
     )
     (figures / "rates_timeseries.svg").write_text(svg)
     _update_summary(out, "ingest", {"n_quarters": len(panel), "splice": splice})
+    quarters = panel.quarters()
     print(f"panel: {len(panel)} quarters {quarters[0]}..{quarters[-1]} -> {out / 'panel.csv'}")
     return 0
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    out, figures = _out_dirs(cfg)
-    panel, _ = _load_panel(cfg)
-    table = RegimeTable.from_file(cfg.regimes)
-    estimates = []
-    failures = []
-    # fit each regime on its own so one bad regime does not hide the rest
-    for regime in table:
-        rows = [r for r in panel if regime.contains(r.quarter)]
-        try:
-            estimates.append(fit_elasticity(rows, label=regime.label))
-        except InputError as exc:
-            failures.append((regime.label, exc))
-            continue
-    fitted = RegimeTable(tuple(r for r in table if r.label in {e.label for e in estimates}))
+def cmd_fit(run: Run) -> int:
+    out, figures = _out_dirs(run.cfg)
+    estimates, failures = run.fits
+    labels = {e.label for e in estimates}
+    fitted = RegimeTable(tuple(r for r in run.table if r.label in labels))
     with open(out / "estimates.csv", "w", encoding="utf-8") as fh:
         write_estimates_csv(estimates, fitted, fh)
     for regime, est in zip(fitted, estimates):
-        rows = [r for r in panel if regime.contains(r.quarter)]
+        rows = run.panel.between(regime.start, regime.end).rows
         svg = scatter_fit_svg(
             f"Beveridge curve {regime.label}",
             [math.log(r.u) for r in rows],
@@ -239,21 +244,14 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 2 if failures else 0
 
 
-def _gap_points(cfg: RunConfig):
-    panel, _ = _load_panel(cfg)
-    table = RegimeTable.from_file(cfg.regimes)
-    estimates = fit_all(panel, table)
-    schedule = build_schedule(table, estimates, panel.quarters())
-    return panel, table, estimates, schedule
-
-
-def cmd_gap(cfg: RunConfig) -> int:
+def cmd_gap(run: Run) -> int:
+    cfg = run.cfg
     out, figures = _out_dirs(cfg)
-    panel, table, _estimates, schedule = _gap_points(cfg)
-    kappa, zeta, _ = _calibration(cfg)
-    overrides = _kappa_overrides(cfg, table)
+    schedule = run.schedule
+    kappa, zeta = run.calibration
+    overrides = _kappa_overrides(cfg, run.table)
     points = gap_mod.gap_series(
-        panel, schedule, kappa, zeta, tol=cfg.tolerance, kappa_by_regime=overrides
+        run.panel, schedule, kappa, zeta, tol=cfg.tolerance, kappa_by_regime=overrides
     )
     with open(out / "gap.csv", "w", encoding="utf-8") as fh:
         gap_mod.write_gap_csv(points, fh)
@@ -271,20 +269,12 @@ def cmd_gap(cfg: RunConfig) -> int:
     }
     _update_summary(out, "gap", payload)
 
-    quarters = panel.quarters()
-    ticks, labels = _decade_ticks(quarters)
-    bands = _recession_bands(cfg, quarters)
-    svg = timeseries_svg(
+    svg = run.timeseries(
         "Actual and efficient unemployment rate",
-        ticks,
-        labels,
-        len(quarters),
         [
             ("unemployment", [100.0 * p.u for p in points]),
             ("efficient rate", [100.0 * p.u_star for p in points]),
         ],
-        bands=bands,
-        ylabel="percent of labor force",
     )
     (figures / "gap_unemployment.svg").write_text(svg)
 
@@ -304,40 +294,33 @@ def cmd_gap(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sensitivity(cfg: RunConfig) -> int:
+def cmd_sensitivity(run: Run) -> int:
+    cfg = run.cfg
     out, figures = _out_dirs(cfg)
-    panel, _table, _estimates, schedule = _gap_points(cfg)
-    kappa, _zeta, _ = _calibration(cfg)
+    panel, schedule = run.panel, run.schedule
+    kappa, _zeta = run.calibration
     band = gap_mod.sensitivity(panel, schedule, kappa, cfg.zeta_list)
     with open(out / "sensitivity.csv", "w", encoding="utf-8") as fh:
         gap_mod.write_sensitivity_csv(band, fh)
 
     n = len(band.quarters)
+    tag = gap_mod.zeta_tag
     payload = {
         "zetas": list(band.zetas),
         "baseline_zeta": band.baseline_zeta,
-        "mean_u_star": {_ZETA_TAG(z): sum(band.u_star[z]) / n for z in band.zetas},
-        "mean_shift_vs_baseline": {_ZETA_TAG(z): band.mean_shift[z] for z in band.zetas},
-        "min_u_star": {_ZETA_TAG(z): min(band.u_star[z]) for z in band.zetas},
+        "mean_u_star": {tag(z): sum(band.u_star[z]) / n for z in band.zetas},
+        "mean_shift_vs_baseline": {tag(z): band.mean_shift[z] for z in band.zetas},
+        "min_u_star": {tag(z): min(band.u_star[z]) for z in band.zetas},
         "width_pair": list(band.width_pair),
         "mean_width": band.mean_width,
     }
 
-    quarters = list(band.quarters)
-    ticks, labels = _decade_ticks(quarters)
-    bands = _recession_bands(cfg, quarters)
     series = [("unemployment", [100.0 * x for x in band.u])]
     series += [
         (f"u* (zeta={z:g})", [100.0 * x for x in band.u_star[z]]) for z in band.zetas
     ]
-    svg = timeseries_svg(
-        "Efficient unemployment under alternative social values of nonwork",
-        ticks,
-        labels,
-        n,
-        series,
-        bands=bands,
-        ylabel="percent of labor force",
+    svg = run.timeseries(
+        "Efficient unemployment under alternative social values of nonwork", series
     )
     (figures / "sensitivity.svg").write_text(svg)
 
@@ -365,29 +348,26 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     return 0
 
 
+def _number(raw: str, kind, what: str):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{what} is not a number: {raw!r}") from None
+
+
 def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
     if cfg.scenario is None:
         raise ConfigError("simulate needs a scenario file (simulate.scenario)")
     path = Path(cfg.scenario)
     values = parse_kv_text(path.read_text(encoding="utf-8"))
 
-    def econ_value(key: str) -> float:
-        try:
-            return float(values[f"economy.{key}"])
-        except KeyError:
-            raise ConfigError(f"scenario is missing economy.{key}") from None
-        except ValueError:
-            raise ConfigError(f"scenario economy.{key} is not a number") from None
+    def number(key: str, kind=float, default: str | None = None):
+        raw = values.get(key, default)
+        if raw is None:
+            raise ConfigError(f"scenario is missing {key}")
+        return _number(raw, kind, f"scenario {key}")
 
-    econ = DmpEconomy(
-        alpha=econ_value("alpha"),
-        mu=econ_value("mu"),
-        s=econ_value("s"),
-        p=econ_value("p"),
-        z=econ_value("z"),
-        c=econ_value("c"),
-        labor_force=econ_value("labor_force"),
-    )
+    econ = DmpEconomy(**{f.name: number(f"economy.{f.name}") for f in fields(DmpEconomy)})
     shocks_file = values.get("shocks.path")
     if shocks_file is None:
         raise ConfigError("scenario is missing shocks.path")
@@ -395,33 +375,28 @@ def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
     if not shocks_path.is_absolute():
         shocks_path = path.parent / shocks_path
     shock_path = []
-    lines = shocks_path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.lower().startswith("quarter"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ParseError(f"shock line {lineno}: expected quarter,s_multiplier,mu_multiplier")
+    text = shocks_path.read_text(encoding="utf-8")
+    columns = ("quarter", "s_multiplier", "mu_multiplier")
+    for lineno, row in parse_table(text, columns, "shock"):
         try:
-            shock_path.append((Quarter.parse(parts[0]), float(parts[1]), float(parts[2])))
+            shock_path.append((Quarter.parse(row[0]), float(row[1]), float(row[2])))
         except ValueError:
-            raise ParseError(f"shock line {lineno}: bad multiplier in {line!r}") from None
+            raise ParseError(f"shock line {lineno}: bad multiplier in {','.join(row)!r}") from None
 
     noise = cfg.noise_scale
     if noise is None:
-        noise = float(values.get("shocks.noise_scale", "0"))
+        noise = number("shocks.noise_scale", default="0")
     seed = cfg.seed
     if seed is None and "TOOLKIT_SEED" in os.environ:
-        seed = int(os.environ["TOOLKIT_SEED"])
+        seed = _number(os.environ["TOOLKIT_SEED"], int, "TOOLKIT_SEED")
     if seed is None:
-        seed = int(values.get("shocks.seed", "0"))
+        seed = number("shocks.seed", int, default="0")
     return econ, shock_path, noise, seed
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    out, _figures = _out_dirs(cfg)
-    econ, shock_path, noise, seed = _load_scenario(cfg)
+def cmd_simulate(run: Run) -> int:
+    out, _figures = _out_dirs(run.cfg)
+    econ, shock_path, noise, seed = _load_scenario(run.cfg)
     panel = synth_panel(econ, shock_path, noise_scale=noise, seed=seed)
     with open(out / "synthetic_panel.csv", "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
@@ -445,15 +420,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
 
     report = {
-        "economy": {
-            "alpha": econ.alpha,
-            "mu": econ.mu,
-            "s": econ.s,
-            "p": econ.p,
-            "z": econ.z,
-            "c": econ.c,
-            "labor_force": econ.labor_force,
-        },
+        "economy": asdict(econ),
         "seed": seed,
         "noise_scale": noise,
         "n_quarters": len(panel),
@@ -495,16 +462,15 @@ def _markdown_table(csv_text: str) -> list[str]:
     return lines
 
 
-def cmd_report(cfg: RunConfig, recompute: bool = False) -> int:
-    out, _figures = _out_dirs(cfg)
+def cmd_report(run: Run, recompute: bool = False) -> int:
+    out, _figures = _out_dirs(run.cfg)
     if recompute:
-        cmd_ingest(cfg)
-        cmd_fit(cfg)
-        cmd_gap(cfg)
-        cmd_sensitivity(cfg)
+        cmd_ingest(run)
+        cmd_fit(run)
+        cmd_gap(run)
+        cmd_sensitivity(run)
 
-    table = RegimeTable.from_file(cfg.regimes)
-    last_label = table.regimes[-1].label
+    last_label = run.table.regimes[-1].label
     required = [
         out / "estimates.csv",
         out / "gap.csv",
@@ -577,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, default=None, help="run config (default: bundled)")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--out", dest="out_dir", type=Path, default=None, help="output directory")
         p.add_argument("--u-series", type=Path, default=None)
         p.add_argument("--v-pre", type=Path, default=None)
         p.add_argument("--v-post", type=Path, default=None)
@@ -590,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa-file", type=Path, default=None)
         p.add_argument("--zeta", type=float, default=None)
         p.add_argument("--zeta-list", type=str, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", dest="tolerance", type=float, default=None)
         p.add_argument("--exclude-gap-quarters", action="store_true", default=None)
         p.add_argument("--implied-zeta", action="store_true", default=None)
         p.add_argument("--scenario", type=Path, default=None)
@@ -606,31 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "u_series": args.u_series,
-        "v_pre": args.v_pre,
-        "v_post": args.v_post,
-        "cutover": Quarter.parse(args.cutover) if args.cutover else None,
-        "unit": args.unit,
-        "regimes": args.regimes,
-        "recessions": args.recessions,
-        "calibration": args.calibration,
-        "kappa": args.kappa,
-        "kappa_file": args.kappa_file,
-        "zeta": args.zeta,
-        "zeta_list": None,
-        "tolerance": args.tol,
-        "exclude_gap_quarters": args.exclude_gap_quarters,
-        "implied_zeta": args.implied_zeta,
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "noise_scale": args.noise_scale,
-        "out_dir": args.out,
-    }
-    if args.zeta_list:
-        from .config import _parse_zeta_list
-
-        overrides["zeta_list"] = _parse_zeta_list(args.zeta_list)
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    overrides["cutover"] = Quarter.parse(args.cutover) if args.cutover else None
+    overrides["zeta_list"] = parse_zeta_list(args.zeta_list) if args.zeta_list else None
     return load_config(args.config, overrides)
 
 
@@ -644,10 +588,10 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": cmd_simulate,
     }
     try:
-        cfg = _config_from_args(args)
+        run = Run(_config_from_args(args))
         if args.command == "report":
-            return cmd_report(cfg, recompute=args.recompute)
-        return handlers[args.command](cfg)
+            return cmd_report(run, recompute=args.recompute)
+        return handlers[args.command](run)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .quarters import Quarter
 
 
@@ -34,6 +35,28 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return values
 
 
+def parse_table(
+    text: str | Iterable[str], columns: Sequence[str], what: str
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (lineno, fields) for each data row of a small comma-separated table.
+
+    Blank lines, `#` comments and the header row (first field equal to
+    columns[0], in any case) are skipped; every other row must have
+    exactly len(columns) fields.
+    """
+    lines = text.splitlines() if isinstance(text, str) else text
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if fields[0].lower() == columns[0]:
+            continue
+        if len(fields) != len(columns):
+            raise ParseError(f"{what} line {lineno}: expected '{','.join(columns)}'")
+        yield lineno, fields
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1", "on"):
@@ -43,7 +66,7 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_zeta_list(text: str) -> tuple[float, ...]:
+def parse_zeta_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError:
@@ -115,6 +138,15 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
         p = Path(raw)
         return p if p.is_absolute() else (base / p)
 
+    def number(key: str, kind=float, default: str | None = None):
+        raw = flat.get(key, default)
+        if raw is None:
+            return None
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} is not a number: {raw!r}") from None
+
     unit = get("data.unit", "fraction")
     if unit not in ("fraction", "percent"):
         raise ConfigError(f"data.unit must be fraction or percent, got {unit!r}")
@@ -128,16 +160,16 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
         regimes=path_of("data.regimes", required=True),
         recessions=path_of("data.recessions", required=False),
         calibration=path_of("calibration.profile", required=True),
-        kappa=float(flat["gap.kappa"]) if "gap.kappa" in flat else None,
+        kappa=number("gap.kappa"),
         kappa_file=path_of("gap.kappa_file", required=False),
-        zeta=float(flat["gap.zeta"]) if "gap.zeta" in flat else None,
-        zeta_list=_parse_zeta_list(get("sensitivity.zeta_list", "0 0.25 0.5 0.96")),
-        tolerance=float(get("gap.tolerance", "0.01")),
+        zeta=number("gap.zeta"),
+        zeta_list=parse_zeta_list(get("sensitivity.zeta_list", "0 0.25 0.5 0.96")),
+        tolerance=number("gap.tolerance", default="0.01"),
         exclude_gap_quarters=_parse_bool(get("gap.exclude_gap_quarters", "false")),
         implied_zeta=_parse_bool(get("sensitivity.implied_zeta", "false")),
         scenario=path_of("simulate.scenario", required=False),
-        seed=int(flat["simulate.seed"]) if "simulate.seed" in flat else None,
-        noise_scale=float(flat["simulate.noise_scale"]) if "simulate.noise_scale" in flat else None,
+        seed=number("simulate.seed", int),
+        noise_scale=number("simulate.noise_scale"),
         out_dir=path_of("output.out_dir", required=False) or Path("out"),
     )
 
@@ -145,4 +177,6 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
         applied = {k: v for k, v in overrides.items() if v is not None}
         if applied:
             cfg = replace(cfg, **applied)
+    if not cfg.tolerance >= 0.0:
+        raise ConfigError(f"gap tolerance must be non-negative, got {cfg.tolerance}")
     return cfg

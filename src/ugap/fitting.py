@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, SampleSizeError
+from .errors import DegenerateDataError, DomainError, InputError, SampleSizeError
 
 if TYPE_CHECKING:
     from .ingest import LaborMarketPanel, PanelRow
@@ -68,16 +68,22 @@ def fit_elasticity(rows: Sequence["PanelRow"], label: str = "") -> ElasticityEst
     return ElasticityEstimate(label, -slope, intercept, se, r_squared, n)
 
 
-def fit_all(panel: "LaborMarketPanel", table: "RegimeTable") -> list[ElasticityEstimate]:
-    """One estimate per regime, in regime order."""
-    estimates = []
+def fit_all(
+    panel: "LaborMarketPanel", table: "RegimeTable"
+) -> tuple[list[ElasticityEstimate], list[tuple[str, InputError]]]:
+    """Fit each regime on its own, so one bad regime does not hide the rest.
+
+    Returns the estimates in regime order and a (regime label, error) pair
+    for every regime that failed to fit.
+    """
+    estimates, failures = [], []
     for regime in table:
-        rows = [r for r in panel if regime.contains(r.quarter)]
+        rows = panel.between(regime.start, regime.end).rows
         try:
             estimates.append(fit_elasticity(rows, label=regime.label))
         except (SampleSizeError, DegenerateDataError) as exc:
-            raise type(exc)(f"regime {regime.label!r}: {exc}") from None
-    return estimates
+            failures.append((regime.label, exc))
+    return estimates, failures
 
 
 def predicted_vacancy(log_v0: float, epsilon: float, u: float) -> float:

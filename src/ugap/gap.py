@@ -205,18 +205,19 @@ def sensitivity(
         if not z < 1.0:
             raise DomainError(f"zeta must be below 1, got {z}")
 
-    def u_star_column(z: float) -> tuple[float, ...]:
-        return tuple(p.u_star for p in gap_series(panel, schedule, kappa, z))
-
-    columns = {z: u_star_column(z) for z in zetas}
-    base = u_star_column(baseline_zeta)
-    lo_col, hi_col = u_star_column(width_pair[0]), u_star_column(width_pair[1])
+    # one gap pass per distinct zeta, shared by the sweep, baseline and width pair
+    columns = {
+        z: tuple(p.u_star for p in gap_series(panel, schedule, kappa, z))
+        for z in dict.fromkeys((*zetas, baseline_zeta, *width_pair))
+    }
+    base = columns[baseline_zeta]
+    lo_col, hi_col = columns[width_pair[0]], columns[width_pair[1]]
     n = len(panel)
     return SensitivityBand(
         zetas=tuple(zetas),
         quarters=tuple(panel.quarters()),
         u=tuple(r.u for r in panel),
-        u_star=columns,
+        u_star={z: columns[z] for z in zetas},
         baseline_zeta=baseline_zeta,
         mean_shift={z: sum(c - b for c, b in zip(columns[z], base)) / n for z in zetas},
         width_pair=width_pair,
@@ -245,12 +246,12 @@ def write_gap_csv(points: Sequence[GapPoint], stream: TextIO) -> None:
         )
 
 
-def _zeta_tag(z: float) -> str:
+def zeta_tag(z: float) -> str:
     return f"z{100.0 * z:g}"
 
 
 def write_sensitivity_csv(band: SensitivityBand, stream: TextIO) -> None:
-    tags = ",".join(f"u_star_{_zeta_tag(z)}" for z in band.zetas)
+    tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
     stream.write(f"quarter,u,{tags}\n")
     for i, q in enumerate(band.quarters):
         cols = ",".join(f"{band.u_star[z][i]:.8g}" for z in band.zetas)

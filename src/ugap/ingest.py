@@ -10,9 +10,12 @@ from __future__ import annotations
 import csv
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence, TextIO
 
+from .config import parse_table
 from .errors import (
     AlignmentError,
     CoverageError,
@@ -67,7 +70,10 @@ class LaborMarketPanel:
         return [r.quarter for r in self.rows]
 
     def between(self, start: Quarter, end: Quarter) -> LaborMarketPanel:
-        return LaborMarketPanel(tuple(r for r in self.rows if start <= r.quarter <= end))
+        """The rows from start to end inclusive."""
+        lo = bisect_left(self.rows, start, key=attrgetter("quarter"))
+        hi = bisect_right(self.rows, end, key=attrgetter("quarter"))
+        return LaborMarketPanel(self.rows[lo:hi])
 
     def to_csv(self, stream: TextIO) -> None:
         stream.write("quarter,u,v,theta,n\n")
@@ -211,17 +217,7 @@ def build_panel(
 def panel_from_csv(lines: str | Iterable[str]) -> LaborMarketPanel:
     """Read a panel back from its export format (quarter,u,v,theta,n)."""
     rows: list[PanelRow] = []
-    it = iter(lines.splitlines() if isinstance(lines, str) else lines)
-    header = next(it, None)
-    if header is None or header.strip() != "quarter,u,v,theta,n":
-        raise ParseError("expected panel header 'quarter,u,v,theta,n'")
-    for lineno, line in enumerate(it, start=2):
-        if not line.strip():
-            continue
-        fields = line.strip().split(",")
-        if len(fields) != 5:
-            raise ParseError(f"line {lineno}: expected 5 panel columns")
-        q = Quarter.parse(fields[0])
+    for _, fields in parse_table(lines, ("quarter", "u", "v", "theta", "n"), "panel"):
         u, v = float(fields[1]), float(fields[2])
-        rows.append(PanelRow(q, u, v, v / u, 1.0 - u))
+        rows.append(PanelRow(Quarter.parse(fields[0]), u, v, v / u, 1.0 - u))
     return LaborMarketPanel(tuple(rows))

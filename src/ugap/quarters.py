@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .errors import ParseError
 
 _QUARTER_RE = re.compile(r"^(\d{4})[Qq]([1-4])$")
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Quarter:
     """A calendar quarter, ordered lexicographically by (year, q)."""
 
@@ -41,9 +39,6 @@ class Quarter:
 
     def prev(self) -> Quarter:
         return Quarter(self.year - 1, 4) if self.q == 1 else Quarter(self.year, self.q - 1)
-
-    def __lt__(self, other: Quarter) -> bool:
-        return (self.year, self.q) < (other.year, other.q)
 
     def __str__(self) -> str:
         return f"{self.year}Q{self.q}"

@@ -6,11 +6,12 @@ be replaced by a plain-text file when new data vintages move the breaks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, ParseError
+from .config import bundled_data_dir, parse_table
+from .errors import ConfigError
 from .fitting import ElasticityEstimate
 from .quarters import Quarter
 
@@ -24,9 +25,6 @@ class Regime:
     def __post_init__(self):
         if self.end < self.start:
             raise ConfigError(f"regime {self.label!r} ends before it starts")
-
-    def contains(self, q: Quarter) -> bool:
-        return self.start <= q <= self.end
 
 
 @dataclass(frozen=True)
@@ -50,15 +48,10 @@ class RegimeTable:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> RegimeTable:
         """Parse `label,start,end` lines with quarters as YYYYQn."""
-        regimes = []
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ParseError(f"regime line {lineno}: expected 'label,start,end'")
-            regimes.append(Regime(parts[0], Quarter.parse(parts[1]), Quarter.parse(parts[2])))
+        regimes = [
+            Regime(label, Quarter.parse(start), Quarter.parse(end))
+            for _, (label, start, end) in parse_table(lines, ("label", "start", "end"), "regime")
+        ]
         if not regimes:
             raise ConfigError("regime table is empty")
         return cls(tuple(regimes))
@@ -71,16 +64,19 @@ class RegimeTable:
 
 def default_regime_table() -> RegimeTable:
     """The bundled seven-subperiod table for the 1951-2019 US sample."""
-    text = resources.files("ugap").joinpath("data/regimes_default.csv").read_text()
-    return RegimeTable.from_lines(text.splitlines())
+    return RegimeTable.from_file(bundled_data_dir() / "regimes_default.csv")
+
+
+def _latest_start(q: Quarter, table: RegimeTable) -> Regime | None:
+    """The last regime starting at or before q, or None when q precedes them all."""
+    i = bisect_right(table.regimes, q, key=lambda r: r.start)
+    return table.regimes[i - 1] if i else None
 
 
 def assign_regime(q: Quarter, table: RegimeTable) -> Regime | None:
     """Regime containing q, or None for shift quarters outside every regime."""
-    for regime in table:
-        if regime.contains(q):
-            return regime
-    return None
+    regime = _latest_start(q, table)
+    return regime if regime is not None and q <= regime.end else None
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,6 @@ class ElasticitySchedule:
             return self.entries[q]
         except KeyError:
             raise ConfigError(f"schedule does not cover quarter {q}") from None
-
-    def __contains__(self, q: Quarter) -> bool:
-        return q in self.entries
 
 
 def build_schedule(
@@ -126,13 +119,11 @@ def build_schedule(
 
     entries: dict[Quarter, ScheduleEntry] = {}
     for q in quarters:
-        regime = assign_regime(q, table)
-        if regime is not None:
-            est = by_label[regime.label]
-            entries[q] = ScheduleEntry(est.epsilon, est.log_v0, regime.label, False)
-            continue
-        preceding = [r for r in table if r.end < q]
-        source = preceding[-1] if preceding else table.regimes[0]
+        # the latest regime starting at or before q either contains q or
+        # is the most recent one that ended before it
+        source = _latest_start(q, table)
+        is_gap = source is None or source.end < q
+        source = source or table.regimes[0]
         est = by_label[source.label]
-        entries[q] = ScheduleEntry(est.epsilon, est.log_v0, source.label, True)
+        entries[q] = ScheduleEntry(est.epsilon, est.log_v0, source.label, is_gap)
     return ElasticitySchedule(entries)

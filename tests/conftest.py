@@ -29,7 +29,9 @@ def regime_table():
 
 @pytest.fixture(scope="session")
 def estimates(panel, regime_table):
-    return fit_all(panel, regime_table)
+    estimates, failures = fit_all(panel, regime_table)
+    assert failures == []
+    return estimates
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,14 @@
 import json
+import shutil
 
 import pytest
 
 from conftest import bundled_text
 from ugap.cli import main
+from ugap.config import bundled_data_dir
+from ugap.errors import ParseError
+from ugap.ingest import panel_from_csv
+from ugap.regimes import RegimeTable
 
 
 def run(*args) -> int:
@@ -229,3 +234,100 @@ def test_repeated_runs_are_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     for svg in sorted(p.name for p in (a / "figures").glob("*.svg")):
         assert (a / "figures" / svg).read_bytes() == (b / "figures" / svg).read_bytes(), svg
+
+
+@pytest.fixture
+def config_copy(tmp_path):
+    """A writable copy of the bundled config, next to a copy of its data."""
+    data = tmp_path / "data"
+    shutil.copytree(bundled_data_dir(), data)
+    return data / "default.cfg"
+
+
+class TestBadConfigExits2:
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("gap", "kappa"),
+            ("gap", "zeta"),
+            ("gap", "tolerance"),
+            ("simulate", "seed"),
+            ("simulate", "noise_scale"),
+        ],
+    )
+    def test_non_numeric_config_number(self, config_copy, tmp_path, capsys, section, key):
+        with open(config_copy, "a", encoding="utf-8") as fh:
+            fh.write(f"\n[{section}]\n{key} = abc\n")
+        assert run("gap", "--config", config_copy, "--out", tmp_path / "out") == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_non_numeric_env_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TOOLKIT_SEED", "abc")
+        assert run("simulate", "--out", tmp_path) == 2
+        assert "TOOLKIT_SEED" in capsys.readouterr().err
+
+    def test_negative_tolerance_flag(self, tmp_path, capsys):
+        assert run("gap", "--out", tmp_path, "--tol", "-0.1") == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_negative_tolerance_in_config(self, config_copy, tmp_path):
+        with open(config_copy, "a", encoding="utf-8") as fh:
+            fh.write("\n[gap]\ntolerance = -0.1\n")
+        assert run("gap", "--config", config_copy, "--out", tmp_path / "out") == 2
+
+    def test_missing_recessions_file(self, tmp_path, capsys):
+        assert run("ingest", "--out", tmp_path, "--recessions", tmp_path / "nope.csv") == 2
+        assert "nope.csv" in capsys.readouterr().err
+
+    def test_failing_regime_stops_gap_with_its_label(self, tmp_path, capsys):
+        regimes = tmp_path / "mixed.csv"
+        regimes.write_text("modern,2010Q1,2019Q4\nfuture,2040Q1,2049Q4\n")
+        assert run("gap", "--out", tmp_path, "--regimes", regimes) == 2
+        assert "regime 'future': need at least 3 rows" in capsys.readouterr().err
+
+
+def shock_scenario(tmp_path, shocks_path) -> list:
+    """argv simulating the bundled scenario with its shock path read from shocks_path."""
+    text = (bundled_data_dir() / "scenario_default.cfg").read_text()
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(text.replace("shocks_default.csv", str(shocks_path)))
+    return ["simulate", "--scenario", scenario]
+
+
+# table: (file text with a short row on line 3, CLI argv reading that file)
+SHORT_ROWS = {
+    "kappa file": (
+        "regime,kappa\n1951Q1-1959Q2,0.8\n2010Q1-2019Q4\n",
+        lambda tmp, path: ["gap", "--kappa-file", path],
+    ),
+    "recessions": (
+        "start,end\n1953Q2,1954Q2\n1957Q3\n",
+        lambda tmp, path: ["ingest", "--recessions", path],
+    ),
+    "shock": (
+        "quarter,s_multiplier,mu_multiplier\n2000Q1,1.0,1.0\n2000Q2,1.0\n",
+        shock_scenario,
+    ),
+    "regime": (
+        "# label,start,end\nmodern,2010Q1,2019Q4\nfuture,2040Q1\n",
+        lambda tmp, path: ["fit", "--regimes", path],
+    ),
+    "panel": ("quarter,u,v,theta,n\n1951Q1,0.03,0.02,0.6,0.97\n1951Q2,0.03,0.02\n", None),
+}
+
+
+@pytest.mark.parametrize("what", sorted(SHORT_ROWS))
+def test_wrong_column_count_names_the_line(tmp_path, capsys, what):
+    text, argv = SHORT_ROWS[what]
+    message = f"{what} line 3: expected"
+    if what == "panel":
+        with pytest.raises(ParseError, match=message):
+            panel_from_csv(text)
+        return
+    if what == "regime":
+        with pytest.raises(ParseError, match=message):
+            RegimeTable.from_lines(text.splitlines())
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    assert run(*argv(tmp_path, path), "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err

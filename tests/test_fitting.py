@@ -155,5 +155,7 @@ class TestFitAll:
 
     def test_error_carries_regime_label(self, panel):
         sparse = RegimeTable((Regime("tiny", Quarter(1951, 1), Quarter(1951, 2)),))
-        with pytest.raises(SampleSizeError, match="tiny"):
-            fit_all(panel, sparse)
+        estimates, failures = fit_all(panel, sparse)
+        assert estimates == []
+        [(label, exc)] = failures
+        assert label == "tiny" and isinstance(exc, SampleSizeError)

@@ -1,0 +1,111 @@
+"""Byte-for-byte pins on every artifact and stdout line of the bundled run.
+
+The table below holds the sha256 of each file the six commands write on
+the bundled data and config, and of each command's stdout with the output
+directory replaced by OUT. Any change to an output byte fails here; update
+a digest only for a change that is meant to alter that output.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from ugap.cli import main
+
+STEPS = (
+    ("ingest",),
+    ("fit",),
+    ("gap",),
+    ("sensitivity", "--implied-zeta"),
+    ("report",),
+    ("simulate",),
+)
+SIMULATE_FILES = {"synthetic_panel.csv", "simulation_report.json"}
+
+GOLDEN_FILES = {
+    "estimates.csv": "5d7054c4d6a8f7f2a6f88316df2832e70f43e59f2797873d373b86f43ca44598",
+    "figures/fit_1951Q1-1959Q2.svg": "053074c53a57089bbb9660b841d242ffe93a81d6f04dafefe4d48828fecbecd4",
+    "figures/fit_1959Q4-1971Q1.svg": "b7c4620b6f7ce546702f20c57aa5956631ff5f83607fff4085aa3ce994d9fa50",
+    "figures/fit_1971Q3-1975Q1.svg": "ac7e8db5bec932368c06a20ebd7b6e5a7e9d34800ddb50391b0eea8a8bef83f5",
+    "figures/fit_1975Q3-1987Q3.svg": "5c38f088725c349d3c37da90cb3e16b396d83dad164974cc0634165039d73a48",
+    "figures/fit_1990Q1-1999Q1.svg": "9057f601d4feb32c35fdda3cabff14c93f85d99da958f404309979d99cb6b749",
+    "figures/fit_2001Q1-2009Q3.svg": "5d9959031265c4c6843425b3c0c6b560bea609ced2f0d10073a3f63bdeb5d074",
+    "figures/fit_2010Q1-2019Q4.svg": "475e0b2891dbcbdada305dfa5b198aadf82d118e433137a00c3313230b5ec8d6",
+    "figures/gap_unemployment.svg": "2337a18a80c177d1241a14a524ed167e0f31e5790bca1eff7c78268668c23899",
+    "figures/rates_timeseries.svg": "4e6ff7538cfa47450101136aedd3d379bee8522bac673b9102e43560efbc875f",
+    "figures/sensitivity.svg": "3f0b27dbfb1fbf6aa2029c5a6146530de3374e2a00116851fef403216cd406c8",
+    "gap.csv": "c4c23054cf0f25f19b2b22b018612577786f5ecfcc94dc78bbde05d919d02bf2",
+    "implied_zeta.csv": "6c2a4c9b2ec55542ab4a55c29c1e6c439eccf75d1d2382e0644994c0a6220a07",
+    "panel.csv": "467a0223e372fcaf3678e751aeef011107602d6ce35ceab3bcd236f974562417",
+    "report.md": "c488af6439a59d75b6b60a8b8344a9cce9ee83a1f8c335eb00f9cbd450f94d3e",
+    "sensitivity.csv": "7c0d8c43f8abdaae993026c4722ce7b1dbc08342b808d06e921d39e769fde2cf",
+    "simulation_report.json": "25c1ff7cec22d5ce95e270da625a4efa8ea694316ab30b90e4c1d73048c653a0",
+    "summary.json": "913fd56e18310d1598bb22a527a68657d0cdba44ca9d4e11c5b8a528e8d2be8f",
+    "synthetic_panel.csv": "ab895f5e3d8572f779a3db2c71b14f2c3a7970c2fe286b2ecfc58bb586b8a540",
+}
+
+GOLDEN_STDOUT = {
+    "ingest": "5c8b9623c12fb0a9e69e028b1ee37a6d0640d55a43e65e9e056f2f63a1d7c352",
+    "fit": "9605aab75c9254d69e79b8953b4140e22f1b6d4e6438d10b7852eb399256a274",
+    "gap": "e0cedba650be41a3da7feb8d1bcad9d625af1113cc25dd1ccb845146e3f6cf11",
+    "sensitivity": "826bf0d9df121fc30a429b03475c06a4c35c569dd774949c1866be4785eab96a",
+    "report": "a3cb91481f1be04adc63325b386569ecb9c01e65bf6526dbc372b4cb62e4314e",
+    "simulate": "89fb1ccbdbc7881272778e5272e2f4c9dc3248a3b70ac3a8c7cff48cd0b1d088",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_steps(out, steps) -> tuple[dict[str, str], dict[str, str]]:
+    """Run each step into `out`; (file digests by relative path, stdout by step)."""
+    printed = {}
+    for step in steps:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([*step, "--out", str(out)]) == 0
+        printed[step[0]] = buf.getvalue().replace(str(out), "OUT")
+    files = {
+        p.relative_to(out).as_posix(): sha256(p.read_bytes())
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    return files, printed
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("TOOLKIT_SEED", raising=False)
+        return run_steps(tmp_path_factory.mktemp("fresh"), STEPS)
+
+
+@pytest.fixture(scope="module")
+def recomputed(tmp_path_factory):
+    return run_steps(tmp_path_factory.mktemp("recompute"), [("report", "--recompute", "--implied-zeta")])
+
+
+def test_artifact_set(fresh):
+    files, printed = fresh
+    assert sorted(files) == sorted(GOLDEN_FILES)
+    assert sorted(printed) == sorted(GOLDEN_STDOUT)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FILES))
+def test_artifact_bytes(fresh, name):
+    assert fresh[0][name] == GOLDEN_FILES[name]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_stdout_bytes(fresh, command):
+    assert sha256(fresh[1][command].encode()) == GOLDEN_STDOUT[command]
+
+
+def test_recompute_matches_the_commands_run_one_by_one(fresh, recomputed):
+    files, printed = recomputed
+    assert files == {k: v for k, v in GOLDEN_FILES.items() if k not in SIMULATE_FILES}
+    steps = ("ingest", "fit", "gap", "sensitivity", "report")
+    assert printed["report"] == "".join(fresh[1][s] for s in steps)

@@ -179,3 +179,12 @@ def test_panel_csv_roundtrip(panel):
     for a, b in zip(again, panel):
         assert a.u == pytest.approx(b.u, rel=1e-7)
         assert a.v == pytest.approx(b.v, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "start,end",
+    [("1950Q1", "1951Q2"), ("1959Q3", "1959Q3"), ("2019Q1", "2030Q1"), ("1980Q1", "1979Q4")],
+)
+def test_between_matches_a_scan(panel, start, end):
+    s, e = Quarter.parse(start), Quarter.parse(end)
+    assert panel.between(s, e).rows == tuple(r for r in panel if s <= r.quarter <= e)
