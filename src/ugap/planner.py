@@ -8,10 +8,19 @@ slope, the optimum can optionally be polished by bisecting the tangency
 condition kappa * (-v'(u)) = 1 - zeta; welfare comparisons alone hit a
 noise floor near sqrt(machine epsilon) and cannot certify the tightest
 tolerances used by the comparative-statics checks.
+
+There are two copies of the search. The scalar one serves single solves
+and sequential chains (the compensated-v0 bisection, synthetic panels,
+the simulate command): there the fixed cost of numpy calls dominates,
+and a one-lane numpy search takes about 40 times as long as the scalar
+one. The oracle grid instead runs every grid point as one lane of a
+lockstep numpy search; each lane takes the steps the scalar search
+would take on it alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol, Sequence
@@ -23,6 +32,7 @@ from .ingest import LaborMarketPanel, PanelRow
 from .quarters import Quarter
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET = (1e-4, 0.5)
 
 
 class BeveridgeCurve(Protocol):
@@ -39,8 +49,8 @@ class IsoelasticCurve:
     epsilon: float
 
     def __post_init__(self):
-        if self.v0 <= 0.0 or self.epsilon <= 0.0:
-            raise DomainError("isoelastic curve needs positive v0 and epsilon")
+        if not (0.0 < self.v0 < math.inf and 0.0 < self.epsilon < math.inf):
+            raise DomainError("isoelastic curve needs positive finite v0 and epsilon")
 
     def value(self, u: float) -> float:
         if u <= 0.0:
@@ -152,11 +162,48 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return 0.5 * (a + b)
 
 
+def _golden_lanes(
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
+) -> np.ndarray:
+    """Lockstep _golden_max with one lane per element of the brackets lo, hi.
+
+    f maps an array of points, one per lane, to their values. Each lane
+    keeps its own bracket [a, b] and stops moving once b - a is down to
+    tol, so it ends where the scalar search would end on it alone. The
+    interior points of a stopped lane keep moving inside its frozen
+    bracket; they no longer feed the result.
+    """
+    a, b = lo, hi
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc, fd = f(c), f(d)
+    active = h > tol
+    while active.any():
+        up = fc > fd
+        b = np.where(active & up, d, b)
+        a = np.where(active & ~up, c, a)
+        h = b - a
+        x = np.where(up, b - _INV_PHI * h, a + _INV_PHI * h)
+        fx = f(x)
+        c, d = np.where(up, x, d), np.where(up, c, x)
+        fc, fd = np.where(up, fx, fd), np.where(up, fc, fx)
+        active = h > tol
+    return 0.5 * (a + b)
+
+
+def _check_planner_stats(zeta: float, kappa: float) -> None:
+    if not -math.inf < zeta < 1.0:
+        raise DomainError(f"zeta must be finite and below 1, got {zeta}")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"kappa must be positive and finite, got {kappa}")
+
+
 def solve_planner_numeric(
     curve: BeveridgeCurve,
     zeta: float,
     kappa: float,
-    bracket: tuple[float, float] = (1e-4, 0.5),
+    bracket: tuple[float, float] = _BRACKET,
     tol: float = 1e-9,
     polish: bool = True,
 ) -> PlannerSolution:
@@ -171,10 +218,7 @@ def solve_planner_numeric(
     A boundary_warning on the solution means the maximizer sits against
     the bracket, i.e. welfare was not interior-peaked.
     """
-    if not zeta < 1.0:
-        raise DomainError(f"zeta must be below 1, got {zeta}")
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    _check_planner_stats(zeta, kappa)
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise DomainError(f"bad bracket {bracket}")
@@ -349,7 +393,13 @@ def synth_panel(
         raise DomainError("shock path is empty")
     curve = DmpCurve(econ)
     stats = dmp_stats(econ)
-    theta_ref = solve_planner_numeric(curve, stats.zeta, stats.kappa).theta_star
+    ref = solve_planner_numeric(curve, stats.zeta, stats.kappa)
+    if ref.boundary_warning:
+        raise DomainError(
+            f"the economy's efficient unemployment {ref.u_star:.6g} is at the edge of "
+            f"the planner's search bracket {_BRACKET}; no interior optimum to simulate around"
+        )
+    theta_ref = ref.theta_star
     finding = econ.mu * theta_ref ** (1.0 - econ.alpha)
 
     rng = np.random.default_rng(seed)
@@ -384,39 +434,69 @@ def oracle_grid_check(
     is compared against the sufficient-statistic formula evaluated at an
     arbitrary on-curve point, and the curve slope at the optimum against
     the isowelfare slope -(1-zeta)/kappa. Returns one record per grid
-    point; raises PropertyViolation on the first disagreement.
+    point, in itertools.product order; raises DomainError for the first
+    invalid point and PropertyViolation on the first boundary hit or
+    disagreement.
+
+    All grid points are searched at once by _golden_lanes, the numpy
+    twin of the scalar search in solve_planner_numeric (polish=False).
+    numpy's power can differ from libm's pow in the last ulp, which may
+    flip a near-tie comparison and move a lane's optimum by a few 1e-9;
+    that is far inside u_tol. The formula side stays the scalar
+    gap.efficient_unemployment that the CLI uses.
     """
     from .calibration import SufficientStats
     from .gap import efficient_unemployment
 
+    axes = [np.asarray(x, dtype=float) for x in (epsilons, zetas, kappas, v0s)]
+    eps, zeta, kappa, v0 = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+    ok = (
+        (0.0 < v0) & (v0 < np.inf) & (0.0 < eps) & (eps < np.inf)
+        & (-np.inf < zeta) & (zeta < 1.0) & (0.0 < kappa) & (kappa < np.inf)
+    )
+    if not ok.all():
+        # the scalar checks, run on the first bad point, raise its error
+        i = int(np.argmin(ok))
+        IsoelasticCurve(float(v0[i]), float(eps[i]))
+        _check_planner_stats(float(zeta[i]), float(kappa[i]))
+
+    lo, hi = _BRACKET
+    tol = 1e-9
+    u_star = _golden_lanes(
+        lambda u: (1.0 - u) + zeta * u - kappa * (v0 * u ** (-eps)),
+        np.full(eps.shape, lo),
+        np.full(eps.shape, hi),
+        tol,
+    )
+    boundary = (u_star - lo < 10.0 * tol) | (hi - u_star < 10.0 * tol)
+    slope = -eps * (v0 * u_star ** (-eps)) / u_star
+    iso_slope = -(1.0 - zeta) / kappa
+    tangency = np.abs(slope - iso_slope) / np.abs(iso_slope)
+
+    u_pt = 0.08
     records = []
-    for eps in epsilons:
-        for zeta in zetas:
-            for kappa in kappas:
-                for v0 in v0s:
-                    curve = IsoelasticCurve(v0, eps)
-                    sol = solve_planner_numeric(curve, zeta, kappa, polish=False)
-                    u_pt = 0.08
-                    u_formula = efficient_unemployment(
-                        u_pt, curve.value(u_pt), SufficientStats(eps, kappa, zeta)
-                    )
-                    gap_err = abs(sol.u_star - u_formula)
-                    iso_slope = -(1.0 - zeta) / kappa
-                    tang_err = abs(sol.curve_slope - iso_slope) / abs(iso_slope)
-                    rec = {
-                        "epsilon": eps,
-                        "zeta": zeta,
-                        "kappa": kappa,
-                        "v0": v0,
-                        "u_star_numeric": sol.u_star,
-                        "u_star_formula": u_formula,
-                        "u_error": gap_err,
-                        "tangency_residual": tang_err,
-                        "boundary_warning": sol.boundary_warning,
-                    }
-                    records.append(rec)
-                    if sol.boundary_warning:
-                        raise PropertyViolation(f"planner hit bracket boundary at {rec}")
-                    if gap_err >= u_tol or tang_err >= tangency_tol:
-                        raise PropertyViolation(f"oracle disagreement at {rec}")
+    for (e, z, k, v), u, tang_err, hit in zip(
+        itertools.product(epsilons, zetas, kappas, v0s),
+        u_star.tolist(),
+        tangency.tolist(),
+        boundary.tolist(),
+    ):
+        u_formula = efficient_unemployment(u_pt, v * u_pt ** (-e), SufficientStats(e, k, z))
+        gap_err = abs(u - u_formula)
+        rec = {
+            "epsilon": e,
+            "zeta": z,
+            "kappa": k,
+            "v0": v,
+            "u_star_numeric": u,
+            "u_star_formula": u_formula,
+            "u_error": gap_err,
+            "tangency_residual": tang_err,
+            "boundary_warning": hit,
+        }
+        records.append(rec)
+        if hit:
+            raise PropertyViolation(f"planner hit bracket boundary at {rec}")
+        if gap_err >= u_tol or tang_err >= tangency_tol:
+            raise PropertyViolation(f"oracle disagreement at {rec}")
     return records

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -201,6 +202,19 @@ class TestSimulate:
         assert run("simulate", "--out", tmp_path, "--seed", "3") == 0
         report = json.loads((tmp_path / "simulation_report.json").read_text())
         assert report["seed"] == 3
+
+    def test_optimum_on_bracket_edge_exits_2(self, tmp_path, capsys):
+        # the planner's u* for this economy pins at the bracket's upper edge,
+        # so no property can be verified around it
+        text = (bundled_data_dir() / "scenario_default.cfg").read_text()
+        for key, value in (("mu", "0.05"), ("s", "0.5"), ("z", "0.7"), ("c", "0.01")):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        scenario = tmp_path / "edge.cfg"
+        scenario.write_text(text.replace("shocks_default.csv", str(bundled_data_dir() / "shocks_default.csv")))
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path / "out") == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and "bracket (0.0001, 0.5)" in captured.err
+        assert "FAIL" not in captured.out
 
 
 class TestReport:

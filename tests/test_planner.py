@@ -1,17 +1,20 @@
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ugap.calibration import SufficientStats
-from ugap.errors import DomainError
+from ugap.errors import DomainError, PropertyViolation
 from ugap.fitting import dmp_elasticity, fit_elasticity
 from ugap.gap import efficient_unemployment
 from ugap.planner import (
     DmpCurve,
     DmpEconomy,
     IsoelasticCurve,
+    _golden_lanes,
+    _golden_max,
     comparative_statics_check,
     dmp_beveridge,
     dmp_stats,
@@ -158,6 +161,81 @@ def test_oracle_grid_agrees_with_formula():
     assert len(records) == 81
     assert max(r["u_error"] for r in records) < 1e-6
     assert max(r["tangency_residual"] for r in records) < 1e-6
+
+
+ORACLE_KEYS = [
+    "epsilon", "zeta", "kappa", "v0", "u_star_numeric", "u_star_formula",
+    "u_error", "tangency_residual", "boundary_warning",
+]
+
+
+def random_oracle_axes(seed=2019, n=5):
+    rng = np.random.default_rng(seed)
+    return (
+        sorted(rng.uniform(0.8, 1.25, n).tolist()),
+        sorted(rng.uniform(0.0, 0.5, n).tolist()),
+        sorted(rng.uniform(0.3, 1.0, n).tolist()),
+        sorted(np.exp(rng.uniform(math.log(3e-4), math.log(3e-2), n)).tolist()),
+    )
+
+
+class TestOracleLockstep:
+    """The lockstep oracle against one scalar search per grid point."""
+
+    @pytest.mark.parametrize(
+        "axes",
+        [((0.8, 1.0, 1.25), (0.0, 0.25, 0.5), (0.3, 0.72, 1.0), (3e-4, 3e-3, 3e-2)), random_oracle_axes()],
+        ids=["default", "random"],
+    )
+    def test_matches_scalar_search(self, axes):
+        records = oracle_grid_check(*axes)
+        points = list(itertools.product(*axes))
+        assert [(r["epsilon"], r["zeta"], r["kappa"], r["v0"]) for r in records] == points
+        for rec, (eps, zeta, kappa, v0) in zip(records, points):
+            assert list(rec) == ORACLE_KEYS
+            sol = solve_planner_numeric(IsoelasticCurve(v0, eps), zeta, kappa, polish=False)
+            assert abs(rec["u_star_numeric"] - sol.u_star) < 1e-8
+            assert rec["boundary_warning"] is sol.boundary_warning
+
+    def test_lanes_take_the_scalar_steps(self):
+        # -(u - m)^2 needs only correctly rounded operations, so every lane must
+        # match the scalar search bit for bit; the brackets differ in width, so
+        # lanes stop at different iterations, and some peaks sit outside them
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(0.0, 0.2, 64)
+        hi = lo + np.exp(rng.uniform(-8.0, 0.0, 64))
+        peaks = rng.uniform(-0.1, 1.2, 64)
+        lanes = _golden_lanes(lambda u: -(u - peaks) * (u - peaks), lo, hi, 1e-9)
+        scalar = [
+            _golden_max(lambda u, m=m: -(u - m) * (u - m), a, b, 1e-9)
+            for m, a, b in zip(peaks.tolist(), lo.tolist(), hi.tolist())
+        ]
+        assert lanes.tolist() == scalar
+
+    def test_empty_axis(self):
+        assert oracle_grid_check(zetas=()) == []
+
+    def test_boundary_hit_raises(self):
+        with pytest.raises(PropertyViolation, match="planner hit bracket boundary"):
+            oracle_grid_check(v0s=(10.0,))
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"v0s": (math.nan,)}, "isoelastic curve"),
+            ({"v0s": (math.inf,)}, "isoelastic curve"),
+            ({"epsilons": (math.nan,)}, "isoelastic curve"),
+            ({"epsilons": (math.inf,)}, "isoelastic curve"),
+            ({"zetas": (0.25, 1.0)}, "zeta must be finite and below 1"),
+            ({"zetas": (-math.inf,)}, "zeta must be finite and below 1"),
+            ({"kappas": (0.0,)}, "kappa must be positive and finite"),
+            ({"kappas": (math.nan,)}, "kappa must be positive and finite"),
+            ({"kappas": (math.inf,)}, "kappa must be positive and finite"),
+        ],
+    )
+    def test_bad_parameters_are_input_errors(self, grid, message):
+        with pytest.raises(DomainError, match=message):
+            oracle_grid_check(**grid)
 
 
 class TestComparativeStatics:
