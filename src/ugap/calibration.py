@@ -9,6 +9,7 @@ and net of public benefits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import config
@@ -26,8 +27,8 @@ class SufficientStats:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise DomainError(f"elasticity must be positive, got {self.epsilon}")
-        if not self.kappa > 0.0:
-            raise DomainError(f"recruiting cost must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < math.inf:
+            raise DomainError(f"recruiting cost must be positive and finite, got {self.kappa}")
         if not self.zeta < 1.0:
             raise DomainError(f"social value of nonwork must be below 1, got {self.zeta}")
 

@@ -2,11 +2,11 @@
 
 Subcommands: ingest, fit, gap, sensitivity, simulate, report. Each
 invocation builds one lazy `Run`, and every command renders from it, so
-`report --recompute` parses the series, fits the regimes and builds the
-schedule once for all four steps. Exit codes are a stable contract for
-scripting: 0 success, 1 a verified property failed, 2 bad input or
-configuration. All outputs are deterministic given the config and
-inputs, so repeated runs are byte-identical.
+`report --recompute` parses the series, fits the regimes, builds the
+schedule and reads the kappa file once for all four steps. Exit codes
+are a stable contract for scripting: 0 success, 1 a verified property
+failed, 2 bad input or configuration. All outputs are deterministic
+given the config and inputs, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .planner import (
     synth_panel,
 )
 from .quarters import Quarter
-from .regimes import ElasticitySchedule, RegimeTable, build_schedule
+from .regimes import RegimeTable, ScheduleEntry, build_schedule
 from .svgfig import scatter_fit_svg, timeseries_svg
 
 
@@ -127,7 +127,7 @@ class Run:
         return fit_all(self.panel, self.table)
 
     @cached_property
-    def schedule(self) -> ElasticitySchedule:
+    def schedule(self) -> tuple[ScheduleEntry, ...]:
         estimates, failures = self.fits
         if failures:
             label, exc = failures[0]
@@ -141,6 +141,26 @@ class Run:
         kappa = self.cfg.kappa if self.cfg.kappa is not None else profile.kappa()
         zeta = self.cfg.zeta if self.cfg.zeta is not None else profile.zeta
         return kappa, zeta
+
+    @cached_property
+    def kappa_overrides(self) -> dict[str, float]:
+        """Per-regime recruiting-cost overrides for robustness runs, from the kappa file."""
+        if self.cfg.kappa_file is None:
+            return {}
+        labels = {regime.label for regime in self.table}
+        overrides: dict[str, float] = {}
+        text = Path(self.cfg.kappa_file).read_text(encoding="utf-8")
+        for lineno, (label, raw) in parse_table(text, ("regime", "kappa"), "kappa file"):
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ParseError(f"kappa file line {lineno}: bad kappa {raw!r}") from None
+            if label not in labels:
+                raise ConfigError(f"kappa file line {lineno}: unknown regime {label!r}")
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"kappa file line {lineno}: kappa must be positive and finite")
+            overrides[label] = value
+        return overrides
 
     @cached_property
     def axis(self) -> tuple[list[int], list[str], list[tuple[int, int]]]:
@@ -157,26 +177,6 @@ class Run:
             title, ticks, labels, len(self.panel), series, bands=bands,
             ylabel="percent of labor force",
         )
-
-
-def _kappa_overrides(cfg: RunConfig, table: RegimeTable) -> dict[str, float] | None:
-    """Per-regime recruiting-cost overrides for robustness runs."""
-    if cfg.kappa_file is None:
-        return None
-    labels = {regime.label for regime in table}
-    overrides: dict[str, float] = {}
-    text = Path(cfg.kappa_file).read_text(encoding="utf-8")
-    for lineno, (label, raw) in parse_table(text, ("regime", "kappa"), "kappa file"):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"kappa file line {lineno}: bad kappa {raw!r}") from None
-        if label not in labels:
-            raise ConfigError(f"kappa file line {lineno}: unknown regime {label!r}")
-        if value <= 0.0:
-            raise ConfigError(f"kappa file line {lineno}: kappa must be positive")
-        overrides[label] = value
-    return overrides or None
 
 
 def _out_dirs(cfg: RunConfig) -> tuple[Path, Path]:
@@ -249,7 +249,7 @@ def cmd_gap(run: Run) -> int:
     out, figures = _out_dirs(cfg)
     schedule = run.schedule
     kappa, zeta = run.calibration
-    overrides = _kappa_overrides(cfg, run.table)
+    overrides = run.kappa_overrides
     points = gap_mod.gap_series(
         run.panel, schedule, kappa, zeta, tol=cfg.tolerance, kappa_by_regime=overrides
     )
@@ -260,12 +260,12 @@ def cmd_gap(run: Run) -> int:
     summary_core = gap_mod.summarize(points, exclude_gap_quarters=True)
     payload = {
         "kappa": kappa,
-        "kappa_overrides": overrides or {},
+        "kappa_overrides": overrides,
         "zeta": zeta,
         "n_gap_quarters": sum(p.is_gap_quarter for p in points),
         "n_out_of_range": sum(p.u_star_out_of_range for p in points),
-        "all_quarters": summary_all.to_dict(),
-        "excluding_gap_quarters": summary_core.to_dict(),
+        "all_quarters": asdict(summary_all),
+        "excluding_gap_quarters": asdict(summary_core),
     }
     _update_summary(out, "gap", payload)
 
@@ -299,23 +299,24 @@ def cmd_sensitivity(run: Run) -> int:
     out, figures = _out_dirs(cfg)
     panel, schedule = run.panel, run.schedule
     kappa, _zeta = run.calibration
-    band = gap_mod.sensitivity(panel, schedule, kappa, cfg.zeta_list)
+    overrides = run.kappa_overrides
+    band = gap_mod.sensitivity(panel, schedule, kappa, cfg.zeta_list, kappa_by_regime=overrides)
     with open(out / "sensitivity.csv", "w", encoding="utf-8") as fh:
-        gap_mod.write_sensitivity_csv(band, fh)
+        gap_mod.write_sensitivity_csv(band, panel, fh)
 
-    n = len(band.quarters)
+    n = len(panel)
     tag = gap_mod.zeta_tag
     payload = {
         "zetas": list(band.zetas),
-        "baseline_zeta": band.baseline_zeta,
+        "baseline_zeta": gap_mod.BASELINE_ZETA,
         "mean_u_star": {tag(z): sum(band.u_star[z]) / n for z in band.zetas},
         "mean_shift_vs_baseline": {tag(z): band.mean_shift[z] for z in band.zetas},
         "min_u_star": {tag(z): min(band.u_star[z]) for z in band.zetas},
-        "width_pair": list(band.width_pair),
+        "width_pair": list(gap_mod.WIDTH_PAIR),
         "mean_width": band.mean_width,
     }
 
-    series = [("unemployment", [100.0 * x for x in band.u])]
+    series = [("unemployment", [100.0 * r.u for r in panel])]
     series += [
         (f"u* (zeta={z:g})", [100.0 * x for x in band.u_star[z]]) for z in band.zetas
     ]
@@ -325,7 +326,7 @@ def cmd_sensitivity(run: Run) -> int:
     (figures / "sensitivity.svg").write_text(svg)
 
     if cfg.implied_zeta:
-        rows = gap_mod.implied_zeta_series(panel, schedule, kappa)
+        rows = gap_mod.implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
         with open(out / "implied_zeta.csv", "w", encoding="utf-8") as fh:
             gap_mod.write_implied_zeta_csv(rows, fh)
         lo = min(rows, key=lambda r: r[3])
@@ -341,7 +342,7 @@ def cmd_sensitivity(run: Run) -> int:
     _update_summary(out, "sensitivity", payload)
     print(
         "sensitivity: mean width between zeta={:g} and {:g} is {:.2f}pp".format(
-            band.width_pair[0], band.width_pair[1], 100.0 * band.mean_width
+            *gap_mod.WIDTH_PAIR, 100.0 * band.mean_width
         )
     )
     print(f"band -> {out / 'sensitivity.csv'}")

@@ -2,19 +2,21 @@
 
 Everything here is closed-form arithmetic on (u, v) and the statistics
 triple; the numerical planner in ``planner`` provides the independent
-cross-check of these formulas.
+cross-check of these formulas. The series builders walk the panel and
+its aligned schedule through one generator, _quarter_stats, which is
+the only place that decides each quarter's (epsilon, kappa, zeta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 from .calibration import SufficientStats
 from .errors import DomainError
-from .ingest import LaborMarketPanel
+from .ingest import LaborMarketPanel, PanelRow
 from .quarters import Quarter
-from .regimes import ElasticitySchedule
+from .regimes import ScheduleEntry
 
 INEFFICIENTLY_SLACK = "inefficiently_slack"
 INEFFICIENTLY_TIGHT = "inefficiently_tight"
@@ -79,9 +81,32 @@ class GapPoint:
     u_star_out_of_range: bool
 
 
+def _quarter_stats(
+    panel: LaborMarketPanel,
+    schedule: Sequence[ScheduleEntry],
+    kappa: float,
+    kappa_by_regime: Mapping[str, float] | None,
+    zetas: Sequence[float],
+) -> Iterator[tuple[PanelRow, ScheduleEntry, list[SufficientStats]]]:
+    """Each panel row, its schedule entry and its statistics under each zeta.
+
+    A quarter gets its regime's kappa from kappa_by_regime where that
+    names the regime, else the global kappa. The schedule must be aligned
+    with the panel rows; a length mismatch raises ValueError.
+    """
+    overrides = kappa_by_regime or {}
+    for row, entry in zip(panel, schedule, strict=True):
+        k = overrides.get(entry.regime_label, kappa)
+        try:
+            stats = [SufficientStats(entry.epsilon, k, z) for z in zetas]
+        except DomainError as exc:
+            raise DomainError(f"{row.quarter}: {exc}") from None
+        yield row, entry, stats
+
+
 def gap_series(
     panel: LaborMarketPanel,
-    schedule: ElasticitySchedule,
+    schedule: Sequence[ScheduleEntry],
     kappa: float,
     zeta: float,
     tol: float = 0.01,
@@ -93,15 +118,9 @@ def gap_series(
     regime labels (robustness runs); other quarters keep the global kappa.
     """
     points = []
-    for row in panel:
-        entry = schedule[row.quarter]
-        k = kappa if kappa_by_regime is None else kappa_by_regime.get(entry.regime_label, kappa)
-        try:
-            stats = SufficientStats(entry.epsilon, k, zeta)
-            theta_star = efficient_tightness(stats)
-            u_star = efficient_unemployment(row.u, row.v, stats)
-        except DomainError as exc:
-            raise DomainError(f"{row.quarter}: {exc}") from None
+    for row, entry, (stats,) in _quarter_stats(panel, schedule, kappa, kappa_by_regime, (zeta,)):
+        theta_star = efficient_tightness(stats)
+        u_star = efficient_unemployment(row.u, row.v, stats)
         points.append(
             GapPoint(
                 quarter=row.quarter,
@@ -134,21 +153,6 @@ class GapSummary:
     n_tight: int
     n_efficient: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n_quarters": self.n_quarters,
-            "mean_u": self.mean_u,
-            "mean_u_star": self.mean_u_star,
-            "mean_gap": self.mean_gap,
-            "max_gap": self.max_gap,
-            "max_gap_quarter": self.max_gap_quarter,
-            "min_gap": self.min_gap,
-            "min_gap_quarter": self.min_gap_quarter,
-            "n_slack": self.n_slack,
-            "n_tight": self.n_tight,
-            "n_efficient": self.n_efficient,
-        }
-
 
 def summarize(points: Sequence[GapPoint], exclude_gap_quarters: bool = False) -> GapSummary:
     """Unweighted quarterly averages, optionally dropping flagged quarters."""
@@ -173,67 +177,61 @@ def summarize(points: Sequence[GapPoint], exclude_gap_quarters: bool = False) ->
     )
 
 
+# Mean shifts are quoted against BASELINE_ZETA and the band width between
+# the WIDTH_PAIR values, whether or not those are members of the sweep.
+BASELINE_ZETA = 0.25
+WIDTH_PAIR = (0.0, 0.5)
+
+
 @dataclass(frozen=True)
 class SensitivityBand:
-    """u* series under each zeta in a sweep, plus summary deltas."""
+    """u* series under each zeta in a sweep, aligned with the panel rows, plus summary deltas."""
 
     zetas: tuple[float, ...]
-    quarters: tuple[Quarter, ...]
-    u: tuple[float, ...]
-    u_star: dict[float, tuple[float, ...]]
-    baseline_zeta: float
+    u_star: dict[float, list[float]]
     mean_shift: dict[float, float]
-    width_pair: tuple[float, float]
     mean_width: float
 
 
 def sensitivity(
     panel: LaborMarketPanel,
-    schedule: ElasticitySchedule,
+    schedule: Sequence[ScheduleEntry],
     kappa: float,
     zetas: Sequence[float],
-    baseline_zeta: float = 0.25,
-    width_pair: tuple[float, float] = (0.0, 0.5),
+    kappa_by_regime: Mapping[str, float] | None = None,
 ) -> SensitivityBand:
     """Sweep the social value of nonwork over a list of values.
 
-    Mean shifts are quoted against the baseline zeta and the band width
-    against the given (low, high) pair, whether or not those values are
-    members of the sweep list.
+    One pass over the panel builds a u* column for each distinct zeta of
+    the sweep, BASELINE_ZETA and WIDTH_PAIR.
     """
-    for z in zetas:
-        if not z < 1.0:
-            raise DomainError(f"zeta must be below 1, got {z}")
-
-    # one gap pass per distinct zeta, shared by the sweep, baseline and width pair
-    columns = {
-        z: tuple(p.u_star for p in gap_series(panel, schedule, kappa, z))
-        for z in dict.fromkeys((*zetas, baseline_zeta, *width_pair))
-    }
-    base = columns[baseline_zeta]
-    lo_col, hi_col = columns[width_pair[0]], columns[width_pair[1]]
+    columns: dict[float, list[float]] = {z: [] for z in (*zetas, BASELINE_ZETA, *WIDTH_PAIR)}
+    for row, _entry, stats in _quarter_stats(panel, schedule, kappa, kappa_by_regime, list(columns)):
+        for column, s in zip(columns.values(), stats):
+            column.append(efficient_unemployment(row.u, row.v, s))
+    base = columns[BASELINE_ZETA]
+    lo_col, hi_col = columns[WIDTH_PAIR[0]], columns[WIDTH_PAIR[1]]
     n = len(panel)
     return SensitivityBand(
         zetas=tuple(zetas),
-        quarters=tuple(panel.quarters()),
-        u=tuple(r.u for r in panel),
         u_star={z: columns[z] for z in zetas},
-        baseline_zeta=baseline_zeta,
         mean_shift={z: sum(c - b for c, b in zip(columns[z], base)) / n for z in zetas},
-        width_pair=width_pair,
         mean_width=sum(h - l for h, l in zip(hi_col, lo_col)) / n,
     )
 
 
 def implied_zeta_series(
-    panel: LaborMarketPanel, schedule: ElasticitySchedule, kappa: float
+    panel: LaborMarketPanel,
+    schedule: Sequence[ScheduleEntry],
+    kappa: float,
+    kappa_by_regime: Mapping[str, float] | None = None,
 ) -> list[tuple[Quarter, float, float, float]]:
     """(quarter, theta, epsilon, zeta*) rows for the implied-zeta export."""
-    out = []
-    for row in panel:
-        entry = schedule[row.quarter]
-        out.append((row.quarter, row.theta, entry.epsilon, implied_zeta(row.theta, kappa, entry.epsilon)))
-    return out
+    # zeta* does not depend on zeta, so the statistics are resolved at 0
+    return [
+        (row.quarter, row.theta, s.epsilon, implied_zeta(row.theta, s.kappa, s.epsilon))
+        for row, _entry, (s,) in _quarter_stats(panel, schedule, kappa, kappa_by_regime, (0.0,))
+    ]
 
 
 def write_gap_csv(points: Sequence[GapPoint], stream: TextIO) -> None:
@@ -250,12 +248,12 @@ def zeta_tag(z: float) -> str:
     return f"z{100.0 * z:g}"
 
 
-def write_sensitivity_csv(band: SensitivityBand, stream: TextIO) -> None:
+def write_sensitivity_csv(band: SensitivityBand, panel: LaborMarketPanel, stream: TextIO) -> None:
     tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
     stream.write(f"quarter,u,{tags}\n")
-    for i, q in enumerate(band.quarters):
+    for i, row in enumerate(panel):
         cols = ",".join(f"{band.u_star[z][i]:.8g}" for z in band.zetas)
-        stream.write(f"{q},{band.u[i]:.8g},{cols}\n")
+        stream.write(f"{row.quarter},{row.u:.8g},{cols}\n")
 
 
 def write_implied_zeta_csv(

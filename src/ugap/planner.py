@@ -83,10 +83,11 @@ class DmpEconomy:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"matching elasticity must be in (0,1), got {self.alpha}")
         for name in ("mu", "s", "p", "labor_force"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be positive")
-        if self.c < 0.0 or self.z < 0.0:
-            raise DomainError("c and z must be nonnegative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("c", "z"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         if not self.z < self.p:
             raise DomainError("unemployed productivity must be below employed productivity")
 
@@ -462,14 +463,17 @@ def oracle_grid_check(
 
     lo, hi = _BRACKET
     tol = 1e-9
-    u_star = _golden_lanes(
-        lambda u: (1.0 - u) + zeta * u - kappa * (v0 * u ** (-eps)),
-        np.full(eps.shape, lo),
-        np.full(eps.shape, hi),
-        tol,
-    )
+    # a curve value that overflows is -inf welfare to the search and an
+    # infinite tangency residual, which the checks below report
+    with np.errstate(over="ignore"):
+        u_star = _golden_lanes(
+            lambda u: (1.0 - u) + zeta * u - kappa * (v0 * u ** (-eps)),
+            np.full(eps.shape, lo),
+            np.full(eps.shape, hi),
+            tol,
+        )
+        slope = -eps * (v0 * u_star ** (-eps)) / u_star
     boundary = (u_star - lo < 10.0 * tol) | (hi - u_star < 10.0 * tol)
-    slope = -eps * (v0 * u_star ** (-eps)) / u_star
     iso_slope = -(1.0 - zeta) / kappa
     tangency = np.abs(slope - iso_slope) / np.abs(iso_slope)
 
@@ -481,7 +485,10 @@ def oracle_grid_check(
         tangency.tolist(),
         boundary.tolist(),
     ):
-        u_formula = efficient_unemployment(u_pt, v * u_pt ** (-e), SufficientStats(e, k, z))
+        try:
+            u_formula = efficient_unemployment(u_pt, v * u_pt ** (-e), SufficientStats(e, k, z))
+        except OverflowError:
+            raise DomainError(f"formula overflows at epsilon={e}, zeta={z}, kappa={k}, v0={v}") from None
         gap_err = abs(u - u_formula)
         rec = {
             "epsilon": e,

@@ -2,13 +2,15 @@
 
 Regime dates are configuration, not code: the bundled default table can
 be replaced by a plain-text file when new data vintages move the breaks.
+The schedule is a tuple aligned with the panel rows: entry i belongs to
+the panel's i-th quarter.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .config import bundled_data_dir, parse_table
 from .errors import ConfigError
@@ -82,28 +84,16 @@ def assign_regime(q: Quarter, table: RegimeTable) -> Regime | None:
 @dataclass(frozen=True)
 class ScheduleEntry:
     epsilon: float
-    log_v0: float
     regime_label: str
     is_gap_quarter: bool
-
-
-@dataclass(frozen=True)
-class ElasticitySchedule:
-    entries: Mapping[Quarter, ScheduleEntry]
-
-    def __getitem__(self, q: Quarter) -> ScheduleEntry:
-        try:
-            return self.entries[q]
-        except KeyError:
-            raise ConfigError(f"schedule does not cover quarter {q}") from None
 
 
 def build_schedule(
     table: RegimeTable,
     estimates: Sequence[ElasticityEstimate],
     quarters: Sequence[Quarter],
-) -> ElasticitySchedule:
-    """Map every panel quarter to curve parameters.
+) -> tuple[ScheduleEntry, ...]:
+    """Curve parameters for every quarter, in the order of `quarters`.
 
     Quarters inside a regime use that regime's estimate. Shift quarters
     between regimes carry forward the most recent preceding regime's
@@ -117,13 +107,12 @@ def build_schedule(
         if regime.label not in by_label:
             raise ConfigError(f"no elasticity estimate for regime {regime.label!r}")
 
-    entries: dict[Quarter, ScheduleEntry] = {}
+    entries = []
     for q in quarters:
         # the latest regime starting at or before q either contains q or
         # is the most recent one that ended before it
         source = _latest_start(q, table)
         is_gap = source is None or source.end < q
         source = source or table.regimes[0]
-        est = by_label[source.label]
-        entries[q] = ScheduleEntry(est.epsilon, est.log_v0, source.label, is_gap)
-    return ElasticitySchedule(entries)
+        entries.append(ScheduleEntry(by_label[source.label].epsilon, source.label, is_gap))
+    return tuple(entries)

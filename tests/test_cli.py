@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,13 @@ class TestGapCommand:
         kfile.write_text("regime,kappa\nnot-a-regime,0.9\n")
         assert run("gap", "--out", tmp_path, "--kappa-file", kfile) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_kappa_file_non_finite_exits_2(self, tmp_path, capsys, value):
+        kfile = tmp_path / "kappa.csv"
+        kfile.write_text(f"regime,kappa\n1951Q1-1959Q2,0.8\n2010Q1-2019Q4,{value}\n")
+        assert run("gap", "--out", tmp_path, "--kappa-file", kfile) == 2
+        assert "kappa file line 3: kappa must be positive and finite" in capsys.readouterr().err
+
 
 class TestSensitivity:
     def test_default_band(self, tmp_path):
@@ -172,6 +180,40 @@ class TestSensitivity:
         assert len(rows) == 277
         summary = json.loads((tmp_path / "summary.json").read_text())["sensitivity"]
         assert summary["implied_zeta"]["min"] < 0.0 < summary["implied_zeta"]["max"]
+
+    def test_kappa_file_reaches_band_and_implied_zeta(self, tmp_path):
+        kfile = tmp_path / "kappa.csv"
+        kfile.write_text("regime,kappa\n2010Q1-2019Q4,2.0\n")
+        base, robust = tmp_path / "base", tmp_path / "robust"
+        args = ["--implied-zeta", "--zeta-list", "0.25"]
+        assert run("sensitivity", "--out", base, *args) == 0
+        assert run("gap", "--out", robust, "--kappa-file", kfile) == 0
+        assert run("sensitivity", "--out", robust, *args, "--kappa-file", kfile) == 0
+        gap_col = [line.split(",")[5] for line in (robust / "gap.csv").read_text().splitlines()[1:]]
+        band_col = [
+            line.split(",")[2] for line in (robust / "sensitivity.csv").read_text().splitlines()[1:]
+        ]
+        assert band_col == gap_col
+        base_rows = (base / "implied_zeta.csv").read_text().splitlines()[1:]
+        robust_rows = (robust / "implied_zeta.csv").read_text().splitlines()[1:]
+        assert len(base_rows) == len(robust_rows) == 276
+        for b, r in zip(base_rows, robust_rows):
+            fb, fr = b.split(","), r.split(",")
+            assert fr[:3] == fb[:3]
+            if fb[0].startswith("201"):
+                assert float(fr[3]) < float(fb[3])  # higher kappa lowers zeta*
+            else:
+                assert fr[3] == fb[3]
+
+
+def edited_scenario(tmp_path, **economy) -> Path:
+    """A copy of the bundled scenario with the given economy values replaced."""
+    text = (bundled_data_dir() / "scenario_default.cfg").read_text()
+    for key, value in economy.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    scenario = tmp_path / "edited.cfg"
+    scenario.write_text(text.replace("shocks_default.csv", str(bundled_data_dir() / "shocks_default.csv")))
+    return scenario
 
 
 class TestSimulate:
@@ -206,15 +248,22 @@ class TestSimulate:
     def test_optimum_on_bracket_edge_exits_2(self, tmp_path, capsys):
         # the planner's u* for this economy pins at the bracket's upper edge,
         # so no property can be verified around it
-        text = (bundled_data_dir() / "scenario_default.cfg").read_text()
-        for key, value in (("mu", "0.05"), ("s", "0.5"), ("z", "0.7"), ("c", "0.01")):
-            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        scenario = tmp_path / "edge.cfg"
-        scenario.write_text(text.replace("shocks_default.csv", str(bundled_data_dir() / "shocks_default.csv")))
+        scenario = edited_scenario(tmp_path, mu="0.05", s="0.5", z="0.7", c="0.01")
         assert run("simulate", "--scenario", scenario, "--out", tmp_path / "out") == 2
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and "bracket (0.0001, 0.5)" in captured.err
         assert "FAIL" not in captured.out
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("mu", "nan"), ("s", "nan"), ("p", "inf"), ("labor_force", "nan"),
+         ("labor_force", "inf"), ("c", "nan"), ("z", "inf")],
+    )
+    def test_non_finite_economy_exits_2(self, tmp_path, capsys, key, value):
+        scenario = edited_scenario(tmp_path, **{key: value})
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path / "out") == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "simulation_report.json").exists()
 
 
 class TestReport:

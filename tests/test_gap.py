@@ -19,7 +19,7 @@ from ugap.gap import (
 )
 from ugap.ingest import LaborMarketPanel, PanelRow
 from ugap.quarters import Quarter
-from ugap.regimes import ElasticitySchedule, ScheduleEntry
+from ugap.regimes import ScheduleEntry
 
 BASELINE = SufficientStats(epsilon=1.0, kappa=0.72, zeta=0.25)
 
@@ -28,10 +28,8 @@ def single_quarter_panel(u, v):
     return LaborMarketPanel((PanelRow(Quarter(2000, 1), u, v, v / u, 1.0 - u),))
 
 
-def constant_schedule(quarters, epsilon, log_v0=-6.0, is_gap=False):
-    return ElasticitySchedule(
-        {q: ScheduleEntry(epsilon, log_v0, "test", is_gap) for q in quarters}
-    )
+def constant_schedule(panel, epsilon, is_gap=False):
+    return (ScheduleEntry(epsilon, "test", is_gap),) * len(panel)
 
 
 class TestEfficientTightness:
@@ -173,7 +171,7 @@ class TestGapSeries:
         theta_star = efficient_tightness(BASELINE)
         u = 0.05
         panel = single_quarter_panel(u, theta_star * u)
-        schedule = constant_schedule(panel.quarters(), BASELINE.epsilon)
+        schedule = constant_schedule(panel, BASELINE.epsilon)
         (point,) = gap_series(panel, schedule, BASELINE.kappa, BASELINE.zeta)
         assert point.gap == pytest.approx(0.0, abs=1e-15)
         assert point.classification == EFFICIENT
@@ -181,14 +179,14 @@ class TestGapSeries:
 
     def test_out_of_range_flagged_not_fatal(self):
         panel = single_quarter_panel(0.4, 0.39)
-        schedule = constant_schedule(panel.quarters(), 1.0)
+        schedule = constant_schedule(panel, 1.0)
         (point,) = gap_series(panel, schedule, 0.72, 0.99)
         assert point.u_star >= 1.0
         assert point.u_star_out_of_range
 
     def test_quarter_label_on_domain_error(self):
         panel = single_quarter_panel(0.05, 0.03)
-        schedule = constant_schedule(panel.quarters(), 1.0)
+        schedule = constant_schedule(panel, 1.0)
         with pytest.raises(DomainError, match="2000Q1"):
             gap_series(panel, schedule, kappa=-1.0, zeta=0.25)
 
@@ -217,7 +215,7 @@ class TestSummaries:
 class TestSensitivity:
     def test_u_star_strictly_increasing_in_zeta(self, panel, schedule):
         band = sensitivity(panel, schedule, 0.72, (0.0, 0.25, 0.5, 0.96))
-        for i in range(len(band.quarters)):
+        for i in range(len(panel)):
             column = [band.u_star[z][i] for z in band.zetas]
             assert all(a < b for a, b in zip(column, column[1:]))
 
@@ -229,6 +227,13 @@ class TestSensitivity:
     def test_zeta_must_be_below_one(self, panel, schedule):
         with pytest.raises(DomainError):
             sensitivity(panel, schedule, 0.72, (0.25, 1.0))
+
+    def test_kappa_overrides_match_gap_series(self, panel, schedule):
+        overrides = {"2010Q1-2019Q4": 2.0}
+        band = sensitivity(panel, schedule, 0.72, (0.25,), kappa_by_regime=overrides)
+        points = gap_series(panel, schedule, 0.72, 0.25, kappa_by_regime=overrides)
+        assert band.u_star[0.25] == [p.u_star for p in points]
+        assert band.u_star[0.25] != sensitivity(panel, schedule, 0.72, (0.25,)).u_star[0.25]
 
     def test_mean_shift_signs(self, panel, schedule):
         band = sensitivity(panel, schedule, 0.72, (0.0, 0.5))
@@ -242,3 +247,10 @@ def test_implied_zeta_series_matches_pointwise(panel, schedule):
     for (q, theta, eps, z_star), row in zip(rows, panel):
         assert q == row.quarter
         assert z_star == pytest.approx(1.0 - 0.72 * eps * theta, abs=1e-12)
+
+
+def test_implied_zeta_series_takes_regime_kappa(panel, schedule):
+    rows = implied_zeta_series(panel, schedule, 0.72, kappa_by_regime={"2010Q1-2019Q4": 2.0})
+    for (_q, theta, eps, z_star), entry in zip(rows, schedule):
+        kappa = 2.0 if entry.regime_label == "2010Q1-2019Q4" else 0.72
+        assert z_star == 1.0 - kappa * eps * theta

@@ -231,6 +231,7 @@ class TestOracleLockstep:
             ({"kappas": (0.0,)}, "kappa must be positive and finite"),
             ({"kappas": (math.nan,)}, "kappa must be positive and finite"),
             ({"kappas": (math.inf,)}, "kappa must be positive and finite"),
+            ({"epsilons": (1e300,)}, r"formula overflows at epsilon=1e\+300, zeta=0.0"),
         ],
     )
     def test_bad_parameters_are_input_errors(self, grid, message):

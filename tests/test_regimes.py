@@ -2,6 +2,8 @@ import pytest
 
 from ugap.errors import ConfigError
 from ugap.fitting import ElasticityEstimate
+from ugap.gap import gap_series, implied_zeta_series, sensitivity
+from ugap.ingest import LaborMarketPanel, PanelRow
 from ugap.quarters import Quarter, quarter_range
 from ugap.regimes import Regime, RegimeTable, assign_regime, build_schedule
 
@@ -72,66 +74,81 @@ class TestSchedule:
     def estimates(self):
         return [make_estimate("early", 0.9, -6.1), make_estimate("late", 1.1, -6.5)]
 
-    def test_gap_quarter_carries_forward(self, table, estimates):
+    def test_one_entry_per_quarter_in_order(self, table, estimates):
         quarters = quarter_range(Quarter(1959, 1), Quarter(1960, 1))
         schedule = build_schedule(table, estimates, quarters)
-        gap = schedule[Quarter(1959, 3)]
+        assert [(e.regime_label, e.is_gap_quarter) for e in schedule] == [
+            ("early", False),  # 1959Q1
+            ("early", False),  # 1959Q2
+            ("early", True),  # 1959Q3, between the regimes
+            ("late", False),  # 1959Q4
+            ("late", False),  # 1960Q1
+        ]
+
+    def test_gap_quarter_carries_forward(self, table, estimates):
+        quarters = quarter_range(Quarter(1959, 1), Quarter(1960, 1))
+        _, last_inside, gap, _, _ = build_schedule(table, estimates, quarters)
         assert gap.is_gap_quarter
         assert gap.epsilon == 0.9 and gap.regime_label == "early"
         # carry-forward equals the last in-regime quarter's entry
-        prev = schedule[Quarter(1959, 2)]
-        assert (gap.epsilon, gap.log_v0) == (prev.epsilon, prev.log_v0)
+        assert (gap.epsilon, gap.regime_label) == (last_inside.epsilon, last_inside.regime_label)
 
     def test_interior_quarter_not_flagged(self, table, estimates):
-        schedule = build_schedule(table, estimates, [Quarter(1960, 1)])
-        entry = schedule[Quarter(1960, 1)]
+        (entry,) = build_schedule(table, estimates, [Quarter(1960, 1)])
         assert not entry.is_gap_quarter
         assert entry.epsilon == 1.1
 
     def test_quarters_before_first_regime_borrow_and_flag(self, table, estimates):
-        schedule = build_schedule(table, estimates, [Quarter(1950, 1)])
-        entry = schedule[Quarter(1950, 1)]
+        (entry,) = build_schedule(table, estimates, [Quarter(1950, 1)])
         assert entry.is_gap_quarter and entry.epsilon == 0.9
 
     def test_single_regime_schedule_is_constant(self, estimates):
         table = RegimeTable((Regime("early", Quarter(1951, 1), Quarter(1959, 2)),))
         quarters = quarter_range(Quarter(1951, 1), Quarter(1952, 4))
         schedule = build_schedule(table, estimates[:1], quarters)
-        values = {(schedule[q].epsilon, schedule[q].log_v0) for q in quarters}
-        assert values == {(0.9, -6.1)}
+        assert len(schedule) == len(quarters)
+        assert {(e.epsilon, e.regime_label) for e in schedule} == {(0.9, "early")}
 
     def test_missing_estimate_rejected(self, table):
         with pytest.raises(ConfigError, match="late"):
             build_schedule(table, [make_estimate("early")], [Quarter(1951, 1)])
 
-    def test_uncovered_quarter_lookup_fails(self, table, estimates):
-        schedule = build_schedule(table, estimates, [Quarter(1951, 1)])
-        with pytest.raises(ConfigError):
-            schedule[Quarter(1999, 1)]
+    def test_misaligned_schedule_fails(self, table, estimates):
+        quarters = [Quarter(1951, 1), Quarter(1951, 2)]
+        panel = LaborMarketPanel(tuple(PanelRow(q, 0.05, 0.03, 0.6, 0.95) for q in quarters))
+        for n_entries in (1, 3):
+            schedule = build_schedule(
+                table, estimates, quarter_range(Quarter(1951, 1), Quarter(1951, n_entries))
+            )
+            for series in (
+                lambda: gap_series(panel, schedule, 0.72, 0.25),
+                lambda: sensitivity(panel, schedule, 0.72, (0.25,)),
+                lambda: implied_zeta_series(panel, schedule, 0.72),
+            ):
+                with pytest.raises(ValueError, match="zip"):
+                    series()
 
 
 def test_schedule_equals_estimate_inside_regimes(panel, regime_table, estimates, schedule):
     by_label = {e.label: e for e in estimates}
-    for q in panel.quarters():
-        entry = schedule[q]
-        regime = assign_regime(q, regime_table)
+    assert len(schedule) == len(panel)
+    for row, entry in zip(panel, schedule):
+        regime = assign_regime(row.quarter, regime_table)
         if regime is None:
             continue
-        est = by_label[regime.label]
-        assert entry.epsilon == est.epsilon
-        assert entry.log_v0 == est.log_v0
+        assert entry.epsilon == by_label[regime.label].epsilon
         assert entry.regime_label == regime.label
 
 
 def test_bundled_schedule_flags_shift_quarters(panel, schedule):
-    flagged = [q for q in panel.quarters() if schedule[q].is_gap_quarter]
+    quarters = panel.quarters()
+    flagged = [q for q, entry in zip(quarters, schedule) if entry.is_gap_quarter]
     # 1959Q3, 1971Q2, 1975Q2, 1987Q4-1989Q4, 1999Q2-2000Q4, 2009Q4
     assert len(flagged) == 1 + 1 + 1 + 9 + 7 + 1
     assert Quarter(1959, 3) in flagged and Quarter(2009, 4) in flagged
-    for q in panel.quarters():
-        entry = schedule[q]
+    last_inside = None
+    for entry in schedule:
         if not entry.is_gap_quarter:
-            continue
-        preceding = [x for x in panel.quarters() if x < q and not schedule[x].is_gap_quarter]
-        if preceding:
-            assert schedule[preceding[-1]].epsilon == entry.epsilon
+            last_inside = entry
+        elif last_inside is not None:
+            assert entry.epsilon == last_inside.epsilon
