@@ -10,7 +10,7 @@ and net of public benefits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import config
 from .errors import ConfigError, DomainError
@@ -29,8 +29,8 @@ class SufficientStats:
             raise DomainError(f"elasticity must be positive, got {self.epsilon}")
         if not 0.0 < self.kappa < math.inf:
             raise DomainError(f"recruiting cost must be positive and finite, got {self.kappa}")
-        if not self.zeta < 1.0:
-            raise DomainError(f"social value of nonwork must be below 1, got {self.zeta}")
+        if not -math.inf < self.zeta < 1.0:
+            raise DomainError(f"social value of nonwork must be finite and below 1, got {self.zeta}")
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,10 @@ class BenefitOffset:
     other_benefits: float
 
     def __post_init__(self):
-        for name in (
-            "ui_replacement",
-            "takeup",
-            "tax_factor",
-            "filing_disutility_factor",
-            "expiry_factor",
-            "other_benefits",
-        ):
-            x = getattr(self, name)
+        for f in fields(self):
+            x = getattr(self, f.name)
             if not 0.0 <= x <= 1.0:
-                raise DomainError(f"{name} must be in [0,1], got {x}")
+                raise DomainError(f"{f.name} must be in [0,1], got {x}")
 
 
 def kappa_from_survey(s: RecruitingSurvey) -> float:
@@ -205,33 +198,12 @@ class CalibrationProfile:
 
     @classmethod
     def from_mapping(cls, values: dict[str, str]) -> CalibrationProfile:
-        fields = {
-            "recruiting_share",
-            "u_survey",
-            "v_survey",
-            "zeta",
-            "zeta_lo",
-            "zeta_hi",
-            "mpl_wedge_lo",
-            "mpl_wedge_hi",
-            "payroll_tax",
-            "recency_undo",
-            "benefit_replacement_lo",
-            "benefit_replacement_hi",
-            "wage_replacement",
-            "ui_replacement",
-            "ui_takeup",
-            "ui_tax",
-            "ui_filing",
-            "ui_expiry",
-            "other_benefits",
-            "benefit_offset",
-        }
-        missing = fields - set(values)
+        names = [f.name for f in fields(cls)]
+        missing = set(names) - set(values)
         if missing:
             raise ConfigError(f"calibration profile missing keys: {sorted(missing)}")
         try:
-            numbers = {k: float(values[k]) for k in fields}
+            numbers = {k: float(values[k]) for k in names}
         except ValueError as exc:
             raise ConfigError(f"calibration profile has a non-numeric value: {exc}") from None
         return cls(**numbers)

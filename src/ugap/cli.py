@@ -69,7 +69,7 @@ def _update_summary(out_dir: Path, section: str, payload: dict) -> None:
     _write_json(path, existing)
 
 
-def _recession_bands(path: Path | None, quarters: list[Quarter]) -> list[tuple[int, int]]:
+def _recession_bands(path: Path | None, quarters: tuple[Quarter, ...]) -> list[tuple[int, int]]:
     """(first, last) panel indices covered by each recession, for figure shading."""
     if path is None:
         return []
@@ -132,7 +132,7 @@ class Run:
         if failures:
             label, exc = failures[0]
             raise type(exc)(f"regime {label!r}: {exc}")
-        return build_schedule(self.table, estimates, self.panel.quarters())
+        return build_schedule(self.table, estimates, self.panel.quarters)
 
     @cached_property
     def calibration(self) -> tuple[float, float]:
@@ -165,18 +165,16 @@ class Run:
     @cached_property
     def axis(self) -> tuple[list[int], list[str], list[tuple[int, int]]]:
         """Decade tick positions, their labels and the recession bands of the panel."""
-        quarters = self.panel.quarters()
+        quarters = self.panel.quarters
         ticks = [i for i, q in enumerate(quarters) if q.q == 1 and q.year % 10 == 0]
         labels = [str(quarters[i].year) for i in ticks]
         return ticks, labels, _recession_bands(self.cfg.recessions, quarters)
 
     def timeseries(self, title: str, series: list) -> str:
-        """A percent-of-labor-force time-series figure over the panel quarters."""
+        """A time-series figure over the panel quarters, of rates given as fractions."""
         ticks, labels, bands = self.axis
-        return timeseries_svg(
-            title, ticks, labels, len(self.panel), series, bands=bands,
-            ylabel="percent of labor force",
-        )
+        percent = [(label, (100.0 * rates).tolist()) for label, rates in series]
+        return timeseries_svg(title, ticks, labels, len(self.panel), percent, bands=bands)
 
 
 def _out_dirs(cfg: RunConfig) -> tuple[Path, Path]:
@@ -205,14 +203,11 @@ def cmd_ingest(run: Run) -> int:
     )
     svg = run.timeseries(
         "Unemployment and vacancy rates",
-        [
-            ("unemployment", [100.0 * r.u for r in panel]),
-            ("vacancies", [100.0 * r.v for r in panel]),
-        ],
+        [("unemployment", panel.u), ("vacancies", panel.v)],
     )
     (figures / "rates_timeseries.svg").write_text(svg)
     _update_summary(out, "ingest", {"n_quarters": len(panel), "splice": splice})
-    quarters = panel.quarters()
+    quarters = panel.quarters
     print(f"panel: {len(panel)} quarters {quarters[0]}..{quarters[-1]} -> {out / 'panel.csv'}")
     return 0
 
@@ -225,11 +220,11 @@ def cmd_fit(run: Run) -> int:
     with open(out / "estimates.csv", "w", encoding="utf-8") as fh:
         write_estimates_csv(estimates, fitted, fh)
     for regime, est in zip(fitted, estimates):
-        rows = run.panel.between(regime.start, regime.end).rows
+        sub = run.panel.between(regime.start, regime.end)
         svg = scatter_fit_svg(
             f"Beveridge curve {regime.label}",
-            [math.log(r.u) for r in rows],
-            [math.log(r.v) for r in rows],
+            [math.log(u) for u in sub.u.tolist()],
+            [math.log(v) for v in sub.v.tolist()],
             slope=-est.epsilon,
             intercept=est.log_v0,
         )
@@ -250,20 +245,21 @@ def cmd_gap(run: Run) -> int:
     schedule = run.schedule
     kappa, zeta = run.calibration
     overrides = run.kappa_overrides
-    points = gap_mod.gap_series(
-        run.panel, schedule, kappa, zeta, tol=cfg.tolerance, kappa_by_regime=overrides
+    panel = run.panel
+    series = gap_mod.gap_series(
+        panel, schedule, kappa, zeta, tol=cfg.tolerance, kappa_by_regime=overrides
     )
     with open(out / "gap.csv", "w", encoding="utf-8") as fh:
-        gap_mod.write_gap_csv(points, fh)
+        gap_mod.write_gap_csv(panel, series, fh)
 
-    summary_all = gap_mod.summarize(points, exclude_gap_quarters=False)
-    summary_core = gap_mod.summarize(points, exclude_gap_quarters=True)
+    summary_all = gap_mod.summarize(panel, series, exclude_gap_quarters=False)
+    summary_core = gap_mod.summarize(panel, series, exclude_gap_quarters=True)
     payload = {
         "kappa": kappa,
         "kappa_overrides": overrides,
         "zeta": zeta,
-        "n_gap_quarters": sum(p.is_gap_quarter for p in points),
-        "n_out_of_range": sum(p.u_star_out_of_range for p in points),
+        "n_gap_quarters": int(series.is_gap_quarter.sum()),
+        "n_out_of_range": int(series.u_star_out_of_range.sum()),
         "all_quarters": asdict(summary_all),
         "excluding_gap_quarters": asdict(summary_core),
     }
@@ -271,10 +267,7 @@ def cmd_gap(run: Run) -> int:
 
     svg = run.timeseries(
         "Actual and efficient unemployment rate",
-        [
-            ("unemployment", [100.0 * p.u for p in points]),
-            ("efficient rate", [100.0 * p.u_star for p in points]),
-        ],
+        [("unemployment", panel.u), ("efficient rate", series.u_star)],
     )
     (figures / "gap_unemployment.svg").write_text(svg)
 
@@ -304,38 +297,34 @@ def cmd_sensitivity(run: Run) -> int:
     with open(out / "sensitivity.csv", "w", encoding="utf-8") as fh:
         gap_mod.write_sensitivity_csv(band, panel, fh)
 
-    n = len(panel)
     tag = gap_mod.zeta_tag
     payload = {
         "zetas": list(band.zetas),
         "baseline_zeta": gap_mod.BASELINE_ZETA,
-        "mean_u_star": {tag(z): sum(band.u_star[z]) / n for z in band.zetas},
+        "mean_u_star": {tag(z): float(band.u_star[z].mean()) for z in band.zetas},
         "mean_shift_vs_baseline": {tag(z): band.mean_shift[z] for z in band.zetas},
-        "min_u_star": {tag(z): min(band.u_star[z]) for z in band.zetas},
+        "min_u_star": {tag(z): float(band.u_star[z].min()) for z in band.zetas},
         "width_pair": list(gap_mod.WIDTH_PAIR),
         "mean_width": band.mean_width,
     }
 
-    series = [("unemployment", [100.0 * r.u for r in panel])]
-    series += [
-        (f"u* (zeta={z:g})", [100.0 * x for x in band.u_star[z]]) for z in band.zetas
-    ]
+    series = [("unemployment", panel.u)]
+    series += [(f"u* (zeta={z:g})", band.u_star[z]) for z in band.zetas]
     svg = run.timeseries(
         "Efficient unemployment under alternative social values of nonwork", series
     )
     (figures / "sensitivity.svg").write_text(svg)
 
     if cfg.implied_zeta:
-        rows = gap_mod.implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
+        zeta_star = gap_mod.implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
         with open(out / "implied_zeta.csv", "w", encoding="utf-8") as fh:
-            gap_mod.write_implied_zeta_csv(rows, fh)
-        lo = min(rows, key=lambda r: r[3])
-        hi = max(rows, key=lambda r: r[3])
+            gap_mod.write_implied_zeta_csv(panel, schedule, zeta_star, fh)
+        lo, hi = int(zeta_star.argmin()), int(zeta_star.argmax())
         payload["implied_zeta"] = {
-            "min": lo[3],
-            "min_quarter": str(lo[0]),
-            "max": hi[3],
-            "max_quarter": str(hi[0]),
+            "min": float(zeta_star[lo]),
+            "min_quarter": str(panel.quarters[lo]),
+            "max": float(zeta_star[hi]),
+            "max_quarter": str(panel.quarters[hi]),
         }
         print(f"implied zeta series -> {out / 'implied_zeta.csv'}")
 
@@ -403,13 +392,15 @@ def cmd_simulate(run: Run) -> int:
         panel.to_csv(fh)
 
     stats = dmp_stats(econ)
-    est = fit_elasticity(panel.rows, label="synthetic")
+    est = fit_elasticity(panel.u, panel.v, label="synthetic")
     planner = solve_planner_numeric(DmpCurve(econ), stats.zeta, stats.kappa)
     fitted_stats = SufficientStats(est.epsilon, stats.kappa, stats.zeta)
+    # scalar, one quarter at a time: the maximum error is a difference near
+    # 1e-10, and numpy's power may differ from the scalar pow in the last
+    # ulp, which would change the reported digits
     rel_errors = [
-        abs(gap_mod.efficient_unemployment(row.u, row.v, fitted_stats) - planner.u_star)
-        / planner.u_star
-        for row in panel
+        abs(gap_mod.efficient_unemployment(u, v, fitted_stats) - planner.u_star) / planner.u_star
+        for u, v in zip(panel.u.tolist(), panel.v.tolist())
     ]
     max_rel = max(rel_errors)
     round_trip_tol = 1e-3

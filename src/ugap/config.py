@@ -7,6 +7,7 @@ lets the bundled default config point at the bundled data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -74,8 +75,8 @@ def parse_zeta_list(text: str) -> tuple[float, ...]:
     if not values:
         raise ConfigError("zeta list is empty")
     for z in values:
-        if not z < 1.0:
-            raise ConfigError(f"zeta values must be below 1, got {z}")
+        if not -math.inf < z < 1.0:
+            raise ConfigError(f"zeta values must be finite and below 1, got {z}")
     return values
 
 

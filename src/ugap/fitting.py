@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateDataError, DomainError, InputError, SampleSizeError
 
 if TYPE_CHECKING:
-    from .ingest import LaborMarketPanel, PanelRow
+    from .ingest import LaborMarketPanel
     from .regimes import RegimeTable
 
 
@@ -41,18 +41,18 @@ class ElasticityEstimate:
             raise DegenerateDataError(f"malformed estimate for {self.label!r}")
 
 
-def fit_elasticity(rows: Sequence["PanelRow"], label: str = "") -> ElasticityEstimate:
-    """OLS of ln v on ln u over a panel slice.
+def fit_elasticity(u: Sequence[float], v: Sequence[float], label: str = "") -> ElasticityEstimate:
+    """OLS of ln v on ln u over aligned u and v columns.
 
     Requires at least 3 rows and variation in u. Returns the elasticity
     (minus the slope), the log intercept, the classical standard error of
     the slope and the coefficient of determination.
     """
-    n = len(rows)
+    n = len(u)
     if n < 3:
         raise SampleSizeError(f"need at least 3 rows to fit a curve, got {n} ({label!r})")
-    x = np.log(np.array([r.u for r in rows], dtype=float))
-    y = np.log(np.array([r.v for r in rows], dtype=float))
+    x = np.log(np.asarray(u, dtype=float))
+    y = np.log(np.asarray(v, dtype=float))
     dx = x - x.mean()
     sxx = float(dx @ dx)
     if sxx <= 0.0:
@@ -78,9 +78,9 @@ def fit_all(
     """
     estimates, failures = [], []
     for regime in table:
-        rows = panel.between(regime.start, regime.end).rows
+        sub = panel.between(regime.start, regime.end)
         try:
-            estimates.append(fit_elasticity(rows, label=regime.label))
+            estimates.append(fit_elasticity(sub.u, sub.v, label=regime.label))
         except (SampleSizeError, DegenerateDataError) as exc:
             failures.append((regime.label, exc))
     return estimates, failures

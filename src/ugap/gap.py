@@ -2,20 +2,23 @@
 
 Everything here is closed-form arithmetic on (u, v) and the statistics
 triple; the numerical planner in ``planner`` provides the independent
-cross-check of these formulas. The series builders walk the panel and
-its aligned schedule through one generator, _quarter_stats, which is
-the only place that decides each quarter's (epsilon, kappa, zeta).
+cross-check of these formulas. The scalar functions serve single points;
+the series builders apply the same arithmetic to the panel's u and v
+columns at once. _columns is the only place that decides each quarter's
+epsilon and kappa and checks them against zeta, and _u_star is the one
+copy of the u* formula for both paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
+
+import numpy as np
 
 from .calibration import SufficientStats
 from .errors import DomainError
-from .ingest import LaborMarketPanel, PanelRow
-from .quarters import Quarter
+from .ingest import LaborMarketPanel
 from .regimes import ScheduleEntry
 
 INEFFICIENTLY_SLACK = "inefficiently_slack"
@@ -43,6 +46,11 @@ def classify(theta: float, theta_star: float, tol: float = 0.01) -> str:
     return EFFICIENT
 
 
+def _u_star(u, v, epsilon, kappa, zeta):
+    """The u* formula on scalars or on aligned numpy columns, unvalidated."""
+    return (kappa * epsilon / (1.0 - zeta) * (v / u)) ** (1.0 / (1.0 + epsilon)) * u
+
+
 def efficient_unemployment(u: float, v: float, stats: SufficientStats) -> float:
     """u* = [kappa * epsilon / (1 - zeta) * v/u] ** (1/(1+epsilon)) * u.
 
@@ -51,8 +59,7 @@ def efficient_unemployment(u: float, v: float, stats: SufficientStats) -> float:
     """
     if u <= 0.0 or v <= 0.0:
         raise DomainError(f"rates must be positive, got u={u}, v={v}")
-    ratio = stats.kappa * stats.epsilon / (1.0 - stats.zeta) * (v / u)
-    return ratio ** (1.0 / (1.0 + stats.epsilon)) * u
+    return _u_star(u, v, stats.epsilon, stats.kappa, stats.zeta)
 
 
 def unemployment_gap(u: float, u_star: float) -> float:
@@ -66,42 +73,54 @@ def implied_zeta(theta: float, kappa: float, epsilon: float) -> float:
     return 1.0 - kappa * epsilon * theta
 
 
-@dataclass(frozen=True)
-class GapPoint:
-    quarter: Quarter
-    u: float
-    v: float
-    theta: float
-    epsilon: float
-    u_star: float
-    theta_star: float
-    gap: float
-    classification: str
-    is_gap_quarter: bool
-    u_star_out_of_range: bool
-
-
-def _quarter_stats(
+def _columns(
     panel: LaborMarketPanel,
     schedule: Sequence[ScheduleEntry],
     kappa: float,
     kappa_by_regime: Mapping[str, float] | None,
     zetas: Sequence[float],
-) -> Iterator[tuple[PanelRow, ScheduleEntry, list[SufficientStats]]]:
-    """Each panel row, its schedule entry and its statistics under each zeta.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-quarter epsilon and kappa columns, checked under every zeta.
 
     A quarter gets its regime's kappa from kappa_by_regime where that
-    names the regime, else the global kappa. The schedule must be aligned
-    with the panel rows; a length mismatch raises ValueError.
+    names the regime, else the global kappa. A schedule not aligned with
+    the panel raises ValueError. Each distinct (epsilon, kappa) pair is
+    checked once, and an invalid one raises DomainError naming the first
+    quarter that uses it.
     """
     overrides = kappa_by_regime or {}
-    for row, entry in zip(panel, schedule, strict=True):
+    epsilon, kappas, first = [], [], {}
+    for q, entry in zip(panel.quarters, schedule, strict=True):
         k = overrides.get(entry.regime_label, kappa)
+        epsilon.append(entry.epsilon)
+        kappas.append(k)
+        first.setdefault((entry.epsilon, k), q)
+    for (e, k), q in first.items():
         try:
-            stats = [SufficientStats(entry.epsilon, k, z) for z in zetas]
+            for z in zetas:
+                SufficientStats(e, k, z)
         except DomainError as exc:
-            raise DomainError(f"{row.quarter}: {exc}") from None
-        yield row, entry, stats
+            raise DomainError(f"{q}: {exc}") from None
+    return np.array(epsilon, dtype=np.float64), np.array(kappas, dtype=np.float64)
+
+
+@dataclass(frozen=True, eq=False)
+class GapSeries:
+    """Per-quarter efficiency columns, aligned with the panel they were computed on."""
+
+    epsilon: np.ndarray
+    u_star: np.ndarray
+    theta_star: np.ndarray
+    gap: np.ndarray
+    classification: np.ndarray
+    is_gap_quarter: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.u_star)
+
+    @property
+    def u_star_out_of_range(self) -> np.ndarray:
+        return self.u_star >= 1.0
 
 
 def gap_series(
@@ -111,32 +130,33 @@ def gap_series(
     zeta: float,
     tol: float = 0.01,
     kappa_by_regime: Mapping[str, float] | None = None,
-) -> list[GapPoint]:
+) -> GapSeries:
     """Per-quarter evaluation of the efficiency formulas over a panel.
 
     kappa_by_regime optionally overrides the recruiting cost for selected
     regime labels (robustness runs); other quarters keep the global kappa.
+    Each column equals the scalar efficient_tightness, efficient_unemployment
+    and classify applied quarter by quarter.
     """
-    points = []
-    for row, entry, (stats,) in _quarter_stats(panel, schedule, kappa, kappa_by_regime, (zeta,)):
-        theta_star = efficient_tightness(stats)
-        u_star = efficient_unemployment(row.u, row.v, stats)
-        points.append(
-            GapPoint(
-                quarter=row.quarter,
-                u=row.u,
-                v=row.v,
-                theta=row.theta,
-                epsilon=entry.epsilon,
-                u_star=u_star,
-                theta_star=theta_star,
-                gap=unemployment_gap(row.u, u_star),
-                classification=classify(row.theta, theta_star, tol),
-                is_gap_quarter=entry.is_gap_quarter,
-                u_star_out_of_range=u_star >= 1.0,
-            )
-        )
-    return points
+    epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, (zeta,))
+    theta_star = (1.0 - zeta) / (k * epsilon)
+    if not (theta_star > 0.0).all():
+        raise DomainError("tightness must be positive to classify")
+    theta = panel.theta
+    u_star = _u_star(panel.u, panel.v, epsilon, k, zeta)
+    classification = np.where(
+        theta > theta_star * (1.0 + tol),
+        INEFFICIENTLY_TIGHT,
+        np.where(theta < theta_star * (1.0 - tol), INEFFICIENTLY_SLACK, EFFICIENT),
+    )
+    return GapSeries(
+        epsilon=epsilon,
+        u_star=u_star,
+        theta_star=theta_star,
+        gap=panel.u - u_star,
+        classification=classification,
+        is_gap_quarter=np.array([e.is_gap_quarter for e in schedule], dtype=bool),
+    )
 
 
 @dataclass(frozen=True)
@@ -154,26 +174,29 @@ class GapSummary:
     n_efficient: int
 
 
-def summarize(points: Sequence[GapPoint], exclude_gap_quarters: bool = False) -> GapSummary:
+def summarize(
+    panel: LaborMarketPanel, series: GapSeries, exclude_gap_quarters: bool = False
+) -> GapSummary:
     """Unweighted quarterly averages, optionally dropping flagged quarters."""
-    kept = [p for p in points if not (exclude_gap_quarters and p.is_gap_quarter)]
-    if not kept:
+    keep = ~series.is_gap_quarter if exclude_gap_quarters else np.ones(len(series), dtype=bool)
+    kept = np.flatnonzero(keep)
+    if not kept.size:
         raise DomainError("no quarters left to summarize")
-    n = len(kept)
-    hi = max(kept, key=lambda p: p.gap)
-    lo = min(kept, key=lambda p: p.gap)
+    gap = series.gap[kept]
+    hi, lo = kept[np.argmax(gap)], kept[np.argmin(gap)]
+    classification = series.classification[kept]
     return GapSummary(
-        n_quarters=n,
-        mean_u=sum(p.u for p in kept) / n,
-        mean_u_star=sum(p.u_star for p in kept) / n,
-        mean_gap=sum(p.gap for p in kept) / n,
-        max_gap=hi.gap,
-        max_gap_quarter=str(hi.quarter),
-        min_gap=lo.gap,
-        min_gap_quarter=str(lo.quarter),
-        n_slack=sum(p.classification == INEFFICIENTLY_SLACK for p in kept),
-        n_tight=sum(p.classification == INEFFICIENTLY_TIGHT for p in kept),
-        n_efficient=sum(p.classification == EFFICIENT for p in kept),
+        n_quarters=int(kept.size),
+        mean_u=float(panel.u[kept].mean()),
+        mean_u_star=float(series.u_star[kept].mean()),
+        mean_gap=float(gap.mean()),
+        max_gap=float(series.gap[hi]),
+        max_gap_quarter=str(panel.quarters[hi]),
+        min_gap=float(series.gap[lo]),
+        min_gap_quarter=str(panel.quarters[lo]),
+        n_slack=int((classification == INEFFICIENTLY_SLACK).sum()),
+        n_tight=int((classification == INEFFICIENTLY_TIGHT).sum()),
+        n_efficient=int((classification == EFFICIENT).sum()),
     )
 
 
@@ -183,12 +206,12 @@ BASELINE_ZETA = 0.25
 WIDTH_PAIR = (0.0, 0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityBand:
-    """u* series under each zeta in a sweep, aligned with the panel rows, plus summary deltas."""
+    """u* column under each zeta in a sweep, aligned with the panel, plus summary deltas."""
 
     zetas: tuple[float, ...]
-    u_star: dict[float, list[float]]
+    u_star: dict[float, np.ndarray]
     mean_shift: dict[float, float]
     mean_width: float
 
@@ -202,21 +225,18 @@ def sensitivity(
 ) -> SensitivityBand:
     """Sweep the social value of nonwork over a list of values.
 
-    One pass over the panel builds a u* column for each distinct zeta of
-    the sweep, BASELINE_ZETA and WIDTH_PAIR.
+    Builds a u* column for each distinct zeta of the sweep, BASELINE_ZETA
+    and WIDTH_PAIR.
     """
-    columns: dict[float, list[float]] = {z: [] for z in (*zetas, BASELINE_ZETA, *WIDTH_PAIR)}
-    for row, _entry, stats in _quarter_stats(panel, schedule, kappa, kappa_by_regime, list(columns)):
-        for column, s in zip(columns.values(), stats):
-            column.append(efficient_unemployment(row.u, row.v, s))
+    every = dict.fromkeys((*zetas, BASELINE_ZETA, *WIDTH_PAIR))
+    epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, list(every))
+    columns = {z: _u_star(panel.u, panel.v, epsilon, k, z) for z in every}
     base = columns[BASELINE_ZETA]
-    lo_col, hi_col = columns[WIDTH_PAIR[0]], columns[WIDTH_PAIR[1]]
-    n = len(panel)
     return SensitivityBand(
         zetas=tuple(zetas),
         u_star={z: columns[z] for z in zetas},
-        mean_shift={z: sum(c - b for c, b in zip(columns[z], base)) / n for z in zetas},
-        mean_width=sum(h - l for h, l in zip(hi_col, lo_col)) / n,
+        mean_shift={z: float((columns[z] - base).mean()) for z in zetas},
+        mean_width=float((columns[WIDTH_PAIR[1]] - columns[WIDTH_PAIR[0]]).mean()),
     )
 
 
@@ -225,22 +245,25 @@ def implied_zeta_series(
     schedule: Sequence[ScheduleEntry],
     kappa: float,
     kappa_by_regime: Mapping[str, float] | None = None,
-) -> list[tuple[Quarter, float, float, float]]:
-    """(quarter, theta, epsilon, zeta*) rows for the implied-zeta export."""
-    # zeta* does not depend on zeta, so the statistics are resolved at 0
-    return [
-        (row.quarter, row.theta, s.epsilon, implied_zeta(row.theta, s.kappa, s.epsilon))
-        for row, _entry, (s,) in _quarter_stats(panel, schedule, kappa, kappa_by_regime, (0.0,))
-    ]
+) -> np.ndarray:
+    """The zeta* column: per quarter, the zeta that makes its tightness efficient."""
+    # zeta* does not depend on zeta, so the statistics are checked at 0
+    epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, (0.0,))
+    return 1.0 - k * epsilon * panel.theta
 
 
-def write_gap_csv(points: Sequence[GapPoint], stream: TextIO) -> None:
+def write_gap_csv(panel: LaborMarketPanel, series: GapSeries, stream: TextIO) -> None:
     stream.write("quarter,u,v,theta,epsilon,u_star,theta_star,gap,classification,is_gap_quarter\n")
-    for p in points:
+    columns = (
+        panel.u, panel.v, panel.theta, series.epsilon, series.u_star, series.theta_star,
+        series.gap, series.classification, series.is_gap_quarter,
+    )
+    for q, u, v, theta, eps, u_star, theta_star, gap, label, flag in zip(
+        panel.quarters, *(c.tolist() for c in columns)
+    ):
         stream.write(
-            f"{p.quarter},{p.u:.8g},{p.v:.8g},{p.theta:.8g},{p.epsilon:.8g},"
-            f"{p.u_star:.8g},{p.theta_star:.8g},{p.gap:.8g},{p.classification},"
-            f"{int(p.is_gap_quarter)}\n"
+            f"{q},{u:.8g},{v:.8g},{theta:.8g},{eps:.8g},"
+            f"{u_star:.8g},{theta_star:.8g},{gap:.8g},{label},{int(flag)}\n"
         )
 
 
@@ -251,14 +274,18 @@ def zeta_tag(z: float) -> str:
 def write_sensitivity_csv(band: SensitivityBand, panel: LaborMarketPanel, stream: TextIO) -> None:
     tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
     stream.write(f"quarter,u,{tags}\n")
-    for i, row in enumerate(panel):
-        cols = ",".join(f"{band.u_star[z][i]:.8g}" for z in band.zetas)
-        stream.write(f"{row.quarter},{row.u:.8g},{cols}\n")
+    columns = [band.u_star[z].tolist() for z in band.zetas]
+    for q, u, *u_stars in zip(panel.quarters, panel.u.tolist(), *columns):
+        cols = ",".join(f"{x:.8g}" for x in u_stars)
+        stream.write(f"{q},{u:.8g},{cols}\n")
 
 
 def write_implied_zeta_csv(
-    rows: Sequence[tuple[Quarter, float, float, float]], stream: TextIO
+    panel: LaborMarketPanel,
+    schedule: Sequence[ScheduleEntry],
+    zeta_star: np.ndarray,
+    stream: TextIO,
 ) -> None:
     stream.write("quarter,theta,epsilon,zeta_star\n")
-    for q, theta, eps, zs in rows:
-        stream.write(f"{q},{theta:.8g},{eps:.8g},{zs:.8g}\n")
+    for q, theta, e, zs in zip(panel.quarters, panel.theta.tolist(), schedule, zeta_star.tolist()):
+        stream.write(f"{q},{theta:.8g},{e.epsilon:.8g},{zs:.8g}\n")

@@ -2,7 +2,9 @@
 
 Rates are dimensionless fractions of the labor force everywhere past the
 parser; percent inputs are divided by 100 at exactly one place (the
-parser) so unit mix-ups cannot survive into the analysis layers.
+parser) so unit mix-ups cannot survive into the analysis layers. The
+panel is one set of columns, quarters plus read-only numpy u and v, which
+the fitting and gap layers read directly.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .config import parse_table
 from .errors import (
@@ -41,44 +44,55 @@ class QuarterlyPoint:
     value: float
 
 
-@dataclass(frozen=True)
-class PanelRow:
-    quarter: Quarter
-    u: float
-    v: float
-    theta: float
-    n: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaborMarketPanel:
-    """Aligned quarterly unemployment/vacancy panel.
+    """Aligned quarterly unemployment/vacancy panel, held as columns.
 
-    Rows are sorted by quarter with no duplicates, u and v are strictly
-    positive fractions, theta = v/u and n = 1 - u hold exactly.
+    u and v are read-only float64 arrays aligned with quarters; the
+    constructor checks that the lengths agree and every rate is positive.
+    build_panel also ensures sorted, distinct quarters and rates below 1.
+    theta = v / u and n = 1 - u are computed from the columns.
     """
 
-    rows: tuple[PanelRow, ...]
+    quarters: tuple[Quarter, ...]
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        for name in ("u", "v"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if not len(self.quarters) == len(self.u) == len(self.v):
+            raise AlignmentError("panel quarters, u and v differ in length")
+        bad = ~((self.u > 0.0) & (self.v > 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            q, u, v = self.quarters[i], self.u[i], self.v[i]
+            raise DomainError(f"rates at {q} must be positive: u={u}, v={v}")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.quarters)
 
-    def __iter__(self):
-        return iter(self.rows)
+    @property
+    def theta(self) -> np.ndarray:
+        return self.v / self.u
 
-    def quarters(self) -> list[Quarter]:
-        return [r.quarter for r in self.rows]
+    @property
+    def n(self) -> np.ndarray:
+        return 1.0 - self.u
 
     def between(self, start: Quarter, end: Quarter) -> LaborMarketPanel:
-        """The rows from start to end inclusive."""
-        lo = bisect_left(self.rows, start, key=attrgetter("quarter"))
-        hi = bisect_right(self.rows, end, key=attrgetter("quarter"))
-        return LaborMarketPanel(self.rows[lo:hi])
+        """The quarters from start to end inclusive."""
+        lo = bisect_left(self.quarters, start)
+        hi = bisect_right(self.quarters, end)
+        return LaborMarketPanel(self.quarters[lo:hi], self.u[lo:hi], self.v[lo:hi])
 
     def to_csv(self, stream: TextIO) -> None:
         stream.write("quarter,u,v,theta,n\n")
-        for r in self.rows:
-            stream.write(f"{r.quarter},{r.u:.8g},{r.v:.8g},{r.theta:.8g},{r.n:.8g}\n")
+        columns = (self.u, self.v, self.theta, self.n)
+        for q, u, v, theta, n in zip(self.quarters, *(c.tolist() for c in columns)):
+            stream.write(f"{q},{u:.8g},{v:.8g},{theta:.8g},{n:.8g}\n")
 
 
 def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") -> list[MonthlyPoint]:
@@ -199,7 +213,7 @@ def build_panel(
     if not u_series or not v_series:
         raise AlignmentError("cannot build panel from an empty series")
     v_by_quarter = {p.quarter: p.value for p in v_series}
-    rows: list[PanelRow] = []
+    rows = []
     for p in sorted(u_series, key=lambda p: p.quarter):
         if p.quarter not in v_by_quarter:
             continue
@@ -208,16 +222,18 @@ def build_panel(
             raise DomainError(f"zero rate at {p.quarter}: u={u}, v={v}")
         if u >= 1.0 or v >= 1.0:
             raise DomainError(f"rate at {p.quarter} is not a fraction: u={u}, v={v}")
-        rows.append(PanelRow(p.quarter, u, v, v / u, 1.0 - u))
+        rows.append((p.quarter, u, v))
     if not rows:
         raise AlignmentError("unemployment and vacancy series share no quarters")
-    return LaborMarketPanel(tuple(rows))
+    quarters, u, v = zip(*rows)
+    return LaborMarketPanel(quarters, u, v)
 
 
 def panel_from_csv(lines: str | Iterable[str]) -> LaborMarketPanel:
     """Read a panel back from its export format (quarter,u,v,theta,n)."""
-    rows: list[PanelRow] = []
-    for _, fields in parse_table(lines, ("quarter", "u", "v", "theta", "n"), "panel"):
-        u, v = float(fields[1]), float(fields[2])
-        rows.append(PanelRow(Quarter.parse(fields[0]), u, v, v / u, 1.0 - u))
-    return LaborMarketPanel(tuple(rows))
+    rows = [f for _, f in parse_table(lines, ("quarter", "u", "v", "theta", "n"), "panel")]
+    return LaborMarketPanel(
+        tuple(Quarter.parse(r[0]) for r in rows),
+        [float(r[1]) for r in rows],
+        [float(r[2]) for r in rows],
+    )

@@ -28,11 +28,12 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .errors import DomainError, PropertyViolation
-from .ingest import LaborMarketPanel, PanelRow
+from .ingest import LaborMarketPanel
 from .quarters import Quarter
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = (1e-4, 0.5)
+_TOL = 1e-9
 
 
 class BeveridgeCurve(Protocol):
@@ -201,14 +202,9 @@ def _check_planner_stats(zeta: float, kappa: float) -> None:
 
 
 def solve_planner_numeric(
-    curve: BeveridgeCurve,
-    zeta: float,
-    kappa: float,
-    bracket: tuple[float, float] = _BRACKET,
-    tol: float = 1e-9,
-    polish: bool = True,
+    curve: BeveridgeCurve, zeta: float, kappa: float, polish: bool = True
 ) -> PlannerSolution:
-    """Maximize (1-u) + zeta u - kappa v(u) over the bracket.
+    """Maximize (1-u) + zeta u - kappa v(u) over _BRACKET, to within _TOL in u.
 
     Welfare is normalized per unit labor force; population scale moves
     the level, never the argmax. With polish=True and an analytic curve
@@ -220,15 +216,13 @@ def solve_planner_numeric(
     the bracket, i.e. welfare was not interior-peaked.
     """
     _check_planner_stats(zeta, kappa)
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise DomainError(f"bad bracket {bracket}")
+    lo, hi = _BRACKET
 
     def welfare(u: float) -> float:
         return (1.0 - u) + zeta * u - kappa * curve.value(u)
 
-    u_star = _golden_max(welfare, lo, hi, tol)
-    boundary = u_star - lo < 10.0 * tol or hi - u_star < 10.0 * tol
+    u_star = _golden_max(welfare, lo, hi, _TOL)
+    boundary = u_star - lo < 10.0 * _TOL or hi - u_star < 10.0 * _TOL
 
     if polish and not boundary:
         # tangency residual is strictly decreasing in u on a convex curve
@@ -260,9 +254,7 @@ def solve_planner_numeric(
     )
 
 
-def _compensated_v0(
-    base: IsoelasticCurve, new_epsilon: float, zeta: float, kappa: float, tol: float = 1e-10
-) -> float:
+def _compensated_v0(base: IsoelasticCurve, new_epsilon: float, zeta: float, kappa: float) -> float:
     """v0 for the steeper curve that leaves maximized welfare unchanged.
 
     Maximized welfare is strictly decreasing in v0, so bisection on v0 is
@@ -279,7 +271,7 @@ def _compensated_v0(
         lo /= 2.0
     while peak(hi) > target:
         hi *= 2.0
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if peak(mid) > target:
             lo = mid
@@ -388,8 +380,10 @@ def synth_panel(
     noise_scale > 0 the vacancy rate picks up multiplicative log-normal
     noise, deterministic for a given seed.
     """
-    if noise_scale < 0.0:
-        raise DomainError("noise_scale must be nonnegative")
+    if not 0.0 <= noise_scale < math.inf:
+        raise DomainError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if not shock_path:
         raise DomainError("shock path is empty")
     curve = DmpCurve(econ)
@@ -406,7 +400,7 @@ def synth_panel(
     rng = np.random.default_rng(seed)
     shocks = rng.normal(0.0, noise_scale, size=len(shock_path)) if noise_scale > 0.0 else None
 
-    rows: list[PanelRow] = []
+    us, vs = [], []
     for i, (quarter, s_mult, mu_mult) in enumerate(shock_path):
         if s_mult <= 0.0 or mu_mult <= 0.0:
             raise DomainError(f"{quarter}: shock multipliers must be positive")
@@ -417,8 +411,9 @@ def synth_panel(
         v = curve.value(u)
         if shocks is not None:
             v *= math.exp(float(shocks[i]))
-        rows.append(PanelRow(quarter, u, v, v / u, 1.0 - u))
-    return LaborMarketPanel(tuple(rows))
+        us.append(u)
+        vs.append(v)
+    return LaborMarketPanel(tuple(q for q, _, _ in shock_path), us, vs)
 
 
 def oracle_grid_check(
@@ -462,7 +457,6 @@ def oracle_grid_check(
         _check_planner_stats(float(zeta[i]), float(kappa[i]))
 
     lo, hi = _BRACKET
-    tol = 1e-9
     # a curve value that overflows is -inf welfare to the search and an
     # infinite tangency residual, which the checks below report
     with np.errstate(over="ignore"):
@@ -470,10 +464,10 @@ def oracle_grid_check(
             lambda u: (1.0 - u) + zeta * u - kappa * (v0 * u ** (-eps)),
             np.full(eps.shape, lo),
             np.full(eps.shape, hi),
-            tol,
+            _TOL,
         )
         slope = -eps * (v0 * u_star ** (-eps)) / u_star
-    boundary = (u_star - lo < 10.0 * tol) | (hi - u_star < 10.0 * tol)
+    boundary = (u_star - lo < 10.0 * _TOL) | (hi - u_star < 10.0 * _TOL)
     iso_slope = -(1.0 - zeta) / kappa
     tangency = np.abs(slope - iso_slope) / np.abs(iso_slope)
 

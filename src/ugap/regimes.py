@@ -2,7 +2,7 @@
 
 Regime dates are configuration, not code: the bundled default table can
 be replaced by a plain-text file when new data vintages move the breaks.
-The schedule is a tuple aligned with the panel rows: entry i belongs to
+The schedule is a tuple aligned with the panel quarters: entry i belongs to
 the panel's i-th quarter.
 """
 

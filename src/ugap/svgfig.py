@@ -96,16 +96,14 @@ def scatter_fit_svg(
     log_v: Sequence[float],
     slope: float,
     intercept: float,
-    xlabel: str = "log unemployment rate",
-    ylabel: str = "log vacancy rate",
 ) -> str:
     """Log-log scatter with its fitted line; one circle per observation."""
     frame = _Frame(min(log_u), max(log_u), min(log_v), max(log_v))
     parts = _header(title)
     parts += _axes(
         frame,
-        xlabel,
-        ylabel,
+        "log unemployment rate",
+        "log vacancy rate",
         _nice_ticks(frame.xlo, frame.xhi),
         _nice_ticks(frame.ylo, frame.yhi),
     )
@@ -131,9 +129,8 @@ def timeseries_svg(
     n_points: int,
     series: Sequence[tuple[str, Sequence[float]]],
     bands: Sequence[tuple[int, int]] = (),
-    ylabel: str = "percent",
 ) -> str:
-    """Multi-line quarterly chart with optional shaded bands.
+    """Multi-line quarterly chart of percents of the labor force, with optional shaded bands.
 
     x positions are 0..n_points-1; bands are inclusive (start, end) index
     pairs drawn behind the lines.
@@ -150,7 +147,7 @@ def timeseries_svg(
     parts += _axes(
         frame,
         "",
-        ylabel,
+        "percent of labor force",
         [float(p) for p in tick_positions],
         _nice_ticks(frame.ylo, frame.yhi),
         xtick_labels=list(tick_labels),

@@ -36,7 +36,7 @@ def estimates(panel, regime_table):
 
 @pytest.fixture(scope="session")
 def schedule(panel, regime_table, estimates):
-    return build_schedule(regime_table, estimates, panel.quarters())
+    return build_schedule(regime_table, estimates, panel.quarters)
 
 
 @pytest.fixture(scope="session")

@@ -86,23 +86,25 @@ def test_criterion_05_dmp_elasticity():
     check("A05 dmp-elasticity", ok, f"epsilon = {value:.4f}")
 
 
-def test_criterion_06_gap_magnitudes(baseline_points):
-    s = summarize(baseline_points)
-    peak = max(baseline_points, key=lambda p: p.gap)
-    trough_1982 = max(p.gap for p in baseline_points if p.quarter.year == 1982)
+def test_criterion_06_gap_magnitudes(panel, baseline_points):
+    s = summarize(panel, baseline_points)
+    gaps = baseline_points.gap.tolist()
+    peak_gap = max(gaps)
+    peak_quarter = panel.quarters[gaps.index(peak_gap)]
+    trough_1982 = max(g for q, g in zip(panel.quarters, gaps) if q.year == 1982)
     ok = (
         abs(100 * s.mean_u - 5.8) <= 0.2
         and abs(100 * s.mean_u_star - 4.2) <= 0.3
         and abs(100 * s.mean_gap - 1.6) <= 0.3
-        and abs(100 * peak.gap - 6.5) <= 0.7
-        and peak.quarter.year in (2009, 2010)
+        and abs(100 * peak_gap - 6.5) <= 0.7
+        and peak_quarter.year in (2009, 2010)
         and abs(100 * trough_1982 - 5.0) <= 0.7
     )
     check(
         "A06 gap-magnitudes",
         ok,
         f"mean u {100 * s.mean_u:.2f}%, mean u* {100 * s.mean_u_star:.2f}%, "
-        f"mean gap {100 * s.mean_gap:.2f}pp, max {100 * peak.gap:.2f}pp at {peak.quarter}, "
+        f"mean gap {100 * s.mean_gap:.2f}pp, max {100 * peak_gap:.2f}pp at {peak_quarter}, "
         f"1982 trough {100 * trough_1982:.2f}pp",
     )
 
@@ -111,7 +113,7 @@ def test_criterion_07_sensitivity(panel, schedule, profile):
     band = sensitivity(panel, schedule, profile.kappa(), (0.0, 0.5, 0.96))
     shift_lo = 100 * band.mean_shift[0.0]
     shift_hi = 100 * band.mean_shift[0.5]
-    col96 = band.u_star[0.96]
+    col96 = band.u_star[0.96].tolist()
     mean96 = 100 * sum(col96) / len(col96)
     min96 = 100 * min(col96)
     ok = (
@@ -129,8 +131,7 @@ def test_criterion_07_sensitivity(panel, schedule, profile):
 
 
 def test_criterion_08_implied_zeta_extremes(panel, schedule, profile):
-    rows = implied_zeta_series(panel, schedule, profile.kappa())
-    z = [r[3] for r in rows]
+    z = implied_zeta_series(panel, schedule, profile.kappa()).tolist()
     ok = min(z) <= -0.05 and max(z) >= 0.80
     check("A08 implied-zeta", ok, f"min {min(z):.3f}, max {max(z):.3f}")
 
@@ -165,17 +166,17 @@ def test_criterion_11_round_trip():
     ]
     synthetic = synth_panel(econ, path)
     stats = dmp_stats(econ)
-    est = fit_elasticity(synthetic.rows)
+    est = fit_elasticity(synthetic.u, synthetic.v)
     planner = solve_planner_numeric(DmpCurve(econ), stats.zeta, stats.kappa)
     worst = max(
         abs(
             efficient_unemployment(
-                r.u, r.v, SufficientStats(est.epsilon, stats.kappa, stats.zeta)
+                u, v, SufficientStats(est.epsilon, stats.kappa, stats.zeta)
             )
             - planner.u_star
         )
         / planner.u_star
-        for r in synthetic
+        for u, v in zip(synthetic.u.tolist(), synthetic.v.tolist())
     )
     ok = worst < 1e-3
     check("A11 round-trip", ok, f"max relative u* error {worst:.2e} over {len(synthetic)} quarters")

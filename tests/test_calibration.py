@@ -1,7 +1,11 @@
+import math
+from dataclasses import asdict
+
 import pytest
 
 from ugap.calibration import (
     BenefitOffset,
+    CalibrationProfile,
     MplAdjustment,
     RecruitingSurvey,
     SufficientStats,
@@ -11,7 +15,7 @@ from ugap.calibration import (
     zeta_from_study,
     zeta_midrange,
 )
-from ugap.errors import DomainError
+from ugap.errors import ConfigError, DomainError
 
 
 class TestKappa:
@@ -115,6 +119,15 @@ class TestProfile:
         assert bounds["wage_study_lo"] == pytest.approx(0.41, abs=0.005)
         assert bounds["wage_study_hi"] == pytest.approx(0.49, abs=0.005)
 
+    def test_mapping_errors(self, profile):
+        values = {k: str(x) for k, x in asdict(profile).items()}
+        del values["ui_tax"], values["zeta"]
+        with pytest.raises(ConfigError, match=r"missing keys: \['ui_tax', 'zeta'\]"):
+            CalibrationProfile.from_mapping(values)
+        values.update(ui_tax="abc", zeta="0.25")
+        with pytest.raises(ConfigError, match="non-numeric value: .* float: 'abc'"):
+            CalibrationProfile.from_mapping(values)
+
     def test_exact_offset_available(self, profile):
         assert profile.exact_benefit_offset() == pytest.approx(0.0652, abs=5e-4)
         assert profile.benefit_offset == 0.07
@@ -129,3 +142,5 @@ class TestSufficientStats:
             SufficientStats(1.0, 0.0, 0.25)
         with pytest.raises(DomainError):
             SufficientStats(1.0, 0.72, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            SufficientStats(1.0, 0.72, -math.inf)

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,8 +153,20 @@ class TestGapCommand:
         assert run("gap", "--out", tmp_path, "--kappa-file", kfile) == 2
         assert "kappa file line 3: kappa must be positive and finite" in capsys.readouterr().err
 
+    def test_minus_infinite_zeta_exits_2(self, tmp_path, capsys):
+        assert run("gap", "--out", tmp_path, "--zeta=-inf") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "must be finite and below 1" in err
+        assert not (tmp_path / "gap.csv").exists()
+
 
 class TestSensitivity:
+    def test_minus_infinite_zeta_in_list_exits_2(self, tmp_path, capsys):
+        assert run("sensitivity", "--out", tmp_path, "--zeta-list=-inf,0.25") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "must be finite and below 1" in err
+        assert not (tmp_path / "sensitivity.csv").exists()
+
     def test_default_band(self, tmp_path):
         assert run("sensitivity", "--out", tmp_path) == 0
         header = (tmp_path / "sensitivity.csv").read_text().splitlines()[0]
@@ -253,6 +266,29 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and "bracket (0.0001, 0.5)" in captured.err
         assert "FAIL" not in captured.out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_exits_2(self, tmp_path, capsys, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--out", tmp_path, f"--noise-scale={value}") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "noise_scale must be" in err
+        assert not (tmp_path / "simulation_report.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env", "scenario"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        argv = ["simulate", "--out", tmp_path / "out"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("TOOLKIT_SEED", "-3")
+        else:
+            argv += ["--scenario", edited_scenario(tmp_path, seed="-1")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "seed must be nonnegative" in err
+        assert not (tmp_path / "out" / "simulation_report.json").exists()
 
     @pytest.mark.parametrize(
         "key,value",

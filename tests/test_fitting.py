@@ -5,24 +5,24 @@ import pytest
 
 from ugap.errors import DegenerateDataError, DomainError, SampleSizeError
 from ugap.fitting import dmp_elasticity, fit_all, fit_elasticity, predicted_vacancy
-from ugap.ingest import PanelRow
 from ugap.quarters import Quarter
 from ugap.regimes import Regime, RegimeTable
 
 
 def rows_on_curve(v0, epsilon, u_values, noise=None):
-    rows = []
+    """(u, v) columns on the curve v = v0 * u ** -epsilon, with optional log noise."""
+    vs = []
     for i, u in enumerate(u_values):
         v = v0 * u ** (-epsilon)
         if noise is not None:
             v *= math.exp(noise[i])
-        rows.append(PanelRow(Quarter(1951 + i // 4, i % 4 + 1), u, v, v / u, 1.0 - u))
-    return rows
+        vs.append(v)
+    return list(u_values), vs
 
 
 def test_exact_isoelastic_data_recovered():
     u = np.linspace(0.03, 0.09, 24)
-    est = fit_elasticity(rows_on_curve(0.09, 1.2, u))
+    est = fit_elasticity(*rows_on_curve(0.09, 1.2, u))
     assert est.epsilon == pytest.approx(1.2, rel=1e-10)
     assert math.exp(est.log_v0) == pytest.approx(0.09, rel=1e-10)
     assert est.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -31,11 +31,11 @@ def test_exact_isoelastic_data_recovered():
 
 def test_fit_predict_roundtrip():
     u = np.linspace(0.02, 0.11, 17)
-    rows = rows_on_curve(0.0021, 0.95, u)
-    est = fit_elasticity(rows)
-    for row in rows:
-        assert predicted_vacancy(est.log_v0, est.epsilon, row.u) == pytest.approx(
-            row.v, rel=1e-12
+    us, vs = rows_on_curve(0.0021, 0.95, u)
+    est = fit_elasticity(us, vs)
+    for u_i, v_i in zip(us, vs):
+        assert predicted_vacancy(est.log_v0, est.epsilon, u_i) == pytest.approx(
+            v_i, rel=1e-12
         )
 
 
@@ -43,12 +43,12 @@ def test_noisy_fit_matches_textbook_ols_and_recovers_truth():
     rng = np.random.default_rng(42)
     u = np.exp(rng.uniform(math.log(0.03), math.log(0.10), size=40))
     noise = rng.normal(0.0, 0.08, size=40)
-    rows = rows_on_curve(0.002, 1.0, u, noise)
-    est = fit_elasticity(rows)
+    us, vs = rows_on_curve(0.002, 1.0, u, noise)
+    est = fit_elasticity(us, vs)
 
     # independent computation from the covariance formulas
-    x = np.log([r.u for r in rows])
-    y = np.log([r.v for r in rows])
+    x = np.log(us)
+    y = np.log(vs)
     slope = np.cov(x, y, ddof=1)[0, 1] / np.var(x, ddof=1)
     intercept = y.mean() - slope * x.mean()
     resid = y - intercept - slope * x
@@ -64,9 +64,8 @@ def test_scale_invariance_of_slope():
     rng = np.random.default_rng(7)
     u = np.exp(rng.uniform(math.log(0.03), math.log(0.10), size=30))
     noise = rng.normal(0.0, 0.05, size=30)
-    rows = rows_on_curve(0.002, 1.1, u, noise)
-    scaled = [PanelRow(r.quarter, r.u, 3.0 * r.v, 3.0 * r.theta, r.n) for r in rows]
-    a, b = fit_elasticity(rows), fit_elasticity(scaled)
+    us, vs = rows_on_curve(0.002, 1.1, u, noise)
+    a, b = fit_elasticity(us, vs), fit_elasticity(us, [3.0 * v for v in vs])
     assert b.epsilon == pytest.approx(a.epsilon, abs=1e-10)
     assert b.se_epsilon == pytest.approx(a.se_epsilon, abs=1e-10)
     assert b.r_squared == pytest.approx(a.r_squared, abs=1e-10)
@@ -78,7 +77,7 @@ def test_estimator_consistency_in_sample_size():
         rng = np.random.default_rng(123)
         u = np.exp(rng.uniform(math.log(0.03), math.log(0.10), size=n))
         noise = rng.normal(0.0, 0.08, size=n)
-        return fit_elasticity(rows_on_curve(0.002, 1.0, u, noise)).epsilon
+        return fit_elasticity(*rows_on_curve(0.002, 1.0, u, noise)).epsilon
 
     assert abs(recovered(2000) - 1.0) < abs(recovered(20) - 1.0)
 
@@ -86,24 +85,18 @@ def test_estimator_consistency_in_sample_size():
 def test_small_sample_rejected():
     u = [0.04, 0.05]
     with pytest.raises(SampleSizeError):
-        fit_elasticity(rows_on_curve(0.002, 1.0, u))
+        fit_elasticity(*rows_on_curve(0.002, 1.0, u))
 
 
 def test_degenerate_regressor_rejected():
-    rows = [
-        PanelRow(Quarter(1951, 1), 0.05, 0.030, 0.6, 0.95),
-        PanelRow(Quarter(1951, 2), 0.05, 0.031, 0.62, 0.95),
-        PanelRow(Quarter(1951, 3), 0.05, 0.032, 0.64, 0.95),
-    ]
     with pytest.raises(DegenerateDataError):
-        fit_elasticity(rows)
+        fit_elasticity([0.05, 0.05, 0.05], [0.030, 0.031, 0.032])
 
 
 def test_upward_sloping_data_rejected():
-    rows = rows_on_curve(0.002, 1.0, [0.03, 0.05, 0.08])
-    flipped = [PanelRow(r.quarter, r.u, 0.002 / r.v, 1.0, r.n) for r in rows]
+    us, vs = rows_on_curve(0.002, 1.0, [0.03, 0.05, 0.08])
     with pytest.raises(DegenerateDataError):
-        fit_elasticity(flipped)
+        fit_elasticity(us, [0.002 / v for v in vs])
 
 
 class TestPredictedVacancy:

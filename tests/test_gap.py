@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugap.calibration import SufficientStats
 from ugap.errors import DomainError
@@ -17,7 +19,7 @@ from ugap.gap import (
     summarize,
     unemployment_gap,
 )
-from ugap.ingest import LaborMarketPanel, PanelRow
+from ugap.ingest import LaborMarketPanel
 from ugap.quarters import Quarter
 from ugap.regimes import ScheduleEntry
 
@@ -25,7 +27,7 @@ BASELINE = SufficientStats(epsilon=1.0, kappa=0.72, zeta=0.25)
 
 
 def single_quarter_panel(u, v):
-    return LaborMarketPanel((PanelRow(Quarter(2000, 1), u, v, v / u, 1.0 - u),))
+    return LaborMarketPanel((Quarter(2000, 1),), [u], [v])
 
 
 def constant_schedule(panel, epsilon, is_gap=False):
@@ -172,17 +174,17 @@ class TestGapSeries:
         u = 0.05
         panel = single_quarter_panel(u, theta_star * u)
         schedule = constant_schedule(panel, BASELINE.epsilon)
-        (point,) = gap_series(panel, schedule, BASELINE.kappa, BASELINE.zeta)
-        assert point.gap == pytest.approx(0.0, abs=1e-15)
-        assert point.classification == EFFICIENT
-        assert not point.u_star_out_of_range
+        series = gap_series(panel, schedule, BASELINE.kappa, BASELINE.zeta)
+        assert series.gap[0] == pytest.approx(0.0, abs=1e-15)
+        assert series.classification[0] == EFFICIENT
+        assert not series.u_star_out_of_range[0]
 
     def test_out_of_range_flagged_not_fatal(self):
         panel = single_quarter_panel(0.4, 0.39)
         schedule = constant_schedule(panel, 1.0)
-        (point,) = gap_series(panel, schedule, 0.72, 0.99)
-        assert point.u_star >= 1.0
-        assert point.u_star_out_of_range
+        series = gap_series(panel, schedule, 0.72, 0.99)
+        assert series.u_star[0] >= 1.0
+        assert series.u_star_out_of_range[0]
 
     def test_quarter_label_on_domain_error(self):
         panel = single_quarter_panel(0.05, 0.03)
@@ -191,25 +193,27 @@ class TestGapSeries:
             gap_series(panel, schedule, kappa=-1.0, zeta=0.25)
 
     def test_bundled_series_consistency(self, panel, schedule):
-        points = gap_series(panel, schedule, 0.72, 0.25)
-        assert len(points) == len(panel)
-        for p in points:
-            assert p.gap == pytest.approx(p.u - p.u_star, abs=1e-15)
-            assert 0.0 < p.u_star < 1.0
+        series = gap_series(panel, schedule, 0.72, 0.25)
+        assert len(series) == len(panel)
+        for gap, u, u_star in zip(series.gap, panel.u, series.u_star):
+            assert gap == pytest.approx(u - u_star, abs=1e-15)
+            assert 0.0 < u_star < 1.0
 
 
 class TestSummaries:
     def test_exclude_gap_quarters(self, panel, schedule):
-        points = gap_series(panel, schedule, 0.72, 0.25)
-        full = summarize(points)
-        core = summarize(points, exclude_gap_quarters=True)
-        flagged = sum(p.is_gap_quarter for p in points)
+        series = gap_series(panel, schedule, 0.72, 0.25)
+        full = summarize(panel, series)
+        core = summarize(panel, series, exclude_gap_quarters=True)
+        flagged = sum(series.is_gap_quarter)
         assert full.n_quarters - core.n_quarters == flagged
         assert full.n_slack + full.n_tight + full.n_efficient == full.n_quarters
 
     def test_empty_rejected(self):
+        panel = single_quarter_panel(0.05, 0.03)
+        series = gap_series(panel, constant_schedule(panel, 1.0, is_gap=True), 0.72, 0.25)
         with pytest.raises(DomainError):
-            summarize([])
+            summarize(panel, series, exclude_gap_quarters=True)
 
 
 class TestSensitivity:
@@ -221,8 +225,8 @@ class TestSensitivity:
 
     def test_singleton_matches_gap_series(self, panel, schedule):
         band = sensitivity(panel, schedule, 0.72, (0.25,))
-        points = gap_series(panel, schedule, 0.72, 0.25)
-        assert band.u_star[0.25] == pytest.approx(tuple(p.u_star for p in points))
+        series = gap_series(panel, schedule, 0.72, 0.25)
+        assert band.u_star[0.25] == pytest.approx(series.u_star)
 
     def test_zeta_must_be_below_one(self, panel, schedule):
         with pytest.raises(DomainError):
@@ -231,9 +235,10 @@ class TestSensitivity:
     def test_kappa_overrides_match_gap_series(self, panel, schedule):
         overrides = {"2010Q1-2019Q4": 2.0}
         band = sensitivity(panel, schedule, 0.72, (0.25,), kappa_by_regime=overrides)
-        points = gap_series(panel, schedule, 0.72, 0.25, kappa_by_regime=overrides)
-        assert band.u_star[0.25] == [p.u_star for p in points]
-        assert band.u_star[0.25] != sensitivity(panel, schedule, 0.72, (0.25,)).u_star[0.25]
+        series = gap_series(panel, schedule, 0.72, 0.25, kappa_by_regime=overrides)
+        assert band.u_star[0.25].tolist() == series.u_star.tolist()
+        plain = sensitivity(panel, schedule, 0.72, (0.25,))
+        assert band.u_star[0.25].tolist() != plain.u_star[0.25].tolist()
 
     def test_mean_shift_signs(self, panel, schedule):
         band = sensitivity(panel, schedule, 0.72, (0.0, 0.5))
@@ -242,15 +247,82 @@ class TestSensitivity:
 
 
 def test_implied_zeta_series_matches_pointwise(panel, schedule):
-    rows = implied_zeta_series(panel, schedule, 0.72)
-    assert len(rows) == len(panel)
-    for (q, theta, eps, z_star), row in zip(rows, panel):
-        assert q == row.quarter
-        assert z_star == pytest.approx(1.0 - 0.72 * eps * theta, abs=1e-12)
+    zeta_star = implied_zeta_series(panel, schedule, 0.72)
+    assert len(zeta_star) == len(panel)
+    for z_star, theta, entry in zip(zeta_star, panel.theta, schedule):
+        assert z_star == pytest.approx(1.0 - 0.72 * entry.epsilon * theta, abs=1e-12)
 
 
 def test_implied_zeta_series_takes_regime_kappa(panel, schedule):
-    rows = implied_zeta_series(panel, schedule, 0.72, kappa_by_regime={"2010Q1-2019Q4": 2.0})
-    for (_q, theta, eps, z_star), entry in zip(rows, schedule):
+    zeta_star = implied_zeta_series(panel, schedule, 0.72, kappa_by_regime={"2010Q1-2019Q4": 2.0})
+    for z_star, theta, entry in zip(zeta_star.tolist(), panel.theta.tolist(), schedule):
         kappa = 2.0 if entry.regime_label == "2010Q1-2019Q4" else 0.72
-        assert z_star == 1.0 - kappa * eps * theta
+        assert z_star == 1.0 - kappa * entry.epsilon * theta
+
+
+REGIMES = ("a", "b", "c")
+rates = st.floats(0.005, 0.3, exclude_min=True, exclude_max=True)
+positive = st.floats(0.05, 5.0)
+zetas = st.floats(-10.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def gap_inputs(draw):
+    """A random panel, a schedule over three regimes, kappa overrides for some, kappa and zeta.
+
+    Half the draws pick zeta so that one quarter sits within 20% of its
+    efficient tightness, where the classification dead band matters.
+    """
+    n = draw(st.integers(1, 16))
+    u = draw(st.lists(rates, min_size=n, max_size=n))
+    v = draw(st.lists(rates, min_size=n, max_size=n))
+    epsilon = {label: draw(st.floats(0.2, 4.0)) for label in REGIMES}
+    labels = draw(st.lists(st.sampled_from(REGIMES), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    panel = LaborMarketPanel(tuple(Quarter(2000 + i // 4, i % 4 + 1) for i in range(n)), u, v)
+    schedule = tuple(ScheduleEntry(epsilon[r], r, g) for r, g in zip(labels, flags))
+    overrides = draw(st.dictionaries(st.sampled_from(REGIMES), positive))
+    kappa = draw(positive)
+    zeta = draw(zetas)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        k = overrides.get(labels[i], kappa)
+        zeta = 1.0 - k * epsilon[labels[i]] * (v[i] / u[i]) * draw(st.floats(0.8, 1.2))
+    return panel, schedule, overrides, kappa, zeta
+
+
+def scalar_stats(entry, overrides, kappa, zeta):
+    return SufficientStats(entry.epsilon, overrides.get(entry.regime_label, kappa), zeta)
+
+
+class TestColumnsMatchScalars:
+    """The array expressions give the scalar formulas' values quarter by quarter."""
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(gap_inputs(), st.floats(0.0, 0.3))
+    def test_gap_series_and_implied_zeta(self, inputs, tol):
+        panel, schedule, overrides, kappa, zeta = inputs
+        series = gap_series(panel, schedule, kappa, zeta, tol=tol, kappa_by_regime=overrides)
+        zeta_star = implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
+        for i, entry in enumerate(schedule):
+            u, v, theta = float(panel.u[i]), float(panel.v[i]), float(panel.theta[i])
+            stats = scalar_stats(entry, overrides, kappa, zeta)
+            theta_star = efficient_tightness(stats)
+            u_star = efficient_unemployment(u, v, stats)
+            assert abs(series.u_star[i] - u_star) <= 1e-15 * u_star
+            assert series.theta_star[i] == theta_star
+            assert series.classification[i] == classify(theta, theta_star, tol)
+            assert series.is_gap_quarter[i] == entry.is_gap_quarter
+            assert zeta_star[i] == implied_zeta(theta, stats.kappa, stats.epsilon)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(gap_inputs(), st.lists(zetas, max_size=4))
+    def test_sensitivity(self, inputs, sweep):
+        panel, schedule, overrides, kappa, zeta = inputs
+        sweep = [zeta, *sweep]
+        band = sensitivity(panel, schedule, kappa, sweep, kappa_by_regime=overrides)
+        for z in sweep:
+            for i, entry in enumerate(schedule):
+                stats = scalar_stats(entry, overrides, kappa, z)
+                u_star = efficient_unemployment(float(panel.u[i]), float(panel.v[i]), stats)
+                assert abs(band.u_star[z][i] - u_star) <= 1e-15 * u_star

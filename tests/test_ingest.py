@@ -140,13 +140,12 @@ class TestSplice:
 class TestBuildPanel:
     def test_direct_arithmetic(self):
         panel = build_panel([qp("1997Q1", 0.05)], [qp("1997Q1", 0.03)])
-        row = panel.rows[0]
-        assert row.theta == pytest.approx(0.6)
-        assert row.n == pytest.approx(0.95)
+        assert panel.theta[0] == pytest.approx(0.6)
+        assert panel.n[0] == pytest.approx(0.95)
 
     def test_annual_average_tightness(self):
         panel = build_panel([qp("1997Q1", 0.049)], [qp("1997Q1", 0.033)])
-        assert panel.rows[0].theta == pytest.approx(0.673, abs=5e-4)
+        assert panel.theta[0] == pytest.approx(0.673, abs=5e-4)
 
     def test_disjoint_quarters_rejected(self):
         with pytest.raises(AlignmentError):
@@ -163,10 +162,10 @@ class TestBuildPanel:
 
 def test_bundled_panel_identities(panel):
     assert len(panel) == 276
-    for row in panel:
-        assert abs(row.theta * row.u - row.v) < 1e-12
-        assert abs(row.n + row.u - 1.0) < 1e-15
-    quarters = panel.quarters()
+    for theta, u, v, n in zip(panel.theta, panel.u, panel.v, panel.n):
+        assert abs(theta * u - v) < 1e-12
+        assert abs(n + u - 1.0) < 1e-15
+    quarters = list(panel.quarters)
     assert quarters == sorted(quarters)
     assert len(set(quarters)) == len(quarters)
 
@@ -175,10 +174,10 @@ def test_panel_csv_roundtrip(panel):
     buf = io.StringIO()
     panel.to_csv(buf)
     again = panel_from_csv(buf.getvalue())
-    assert again.quarters() == panel.quarters()
-    for a, b in zip(again, panel):
-        assert a.u == pytest.approx(b.u, rel=1e-7)
-        assert a.v == pytest.approx(b.v, rel=1e-7)
+    assert again.quarters == panel.quarters
+    for column in ("u", "v"):
+        for a, b in zip(getattr(again, column), getattr(panel, column)):
+            assert a == pytest.approx(b, rel=1e-7)
 
 
 @pytest.mark.parametrize(
@@ -187,4 +186,8 @@ def test_panel_csv_roundtrip(panel):
 )
 def test_between_matches_a_scan(panel, start, end):
     s, e = Quarter.parse(start), Quarter.parse(end)
-    assert panel.between(s, e).rows == tuple(r for r in panel if s <= r.quarter <= e)
+    inside = [i for i, q in enumerate(panel.quarters) if s <= q <= e]
+    sub = panel.between(s, e)
+    assert sub.quarters == tuple(panel.quarters[i] for i in inside)
+    assert sub.u.tolist() == [panel.u[i] for i in inside]
+    assert sub.v.tolist() == [panel.v[i] for i in inside]

@@ -264,8 +264,8 @@ class TestSynthPanel:
     def test_constant_shocks_give_identical_points(self):
         path = [(q, 1.0, 1.0) for q in quarter_range(Quarter(2000, 1), Quarter(2001, 4))]
         panel = synth_panel(BASE_ECON, path)
-        us = {round(r.u, 15) for r in panel}
-        vs = {round(r.v, 15) for r in panel}
+        us = {round(u, 15) for u in panel.u.tolist()}
+        vs = {round(v, 15) for v in panel.v.tolist()}
         assert len(us) == 1 and len(vs) == 1
 
     def test_baseline_sits_at_efficiency(self):
@@ -273,12 +273,12 @@ class TestSynthPanel:
         panel = synth_panel(BASE_ECON, path)
         stats = dmp_stats(BASE_ECON)
         sol = solve_planner_numeric(DmpCurve(BASE_ECON), stats.zeta, stats.kappa)
-        assert panel.rows[0].u == pytest.approx(sol.u_star, rel=1e-9)
+        assert panel.u[0] == pytest.approx(sol.u_star, rel=1e-9)
 
     def test_fit_recovers_matching_implied_elasticity(self):
         panel = synth_panel(BASE_ECON, sine_shocks())
-        est = fit_elasticity(panel.rows)
-        u_bar = sum(r.u for r in panel) / len(panel)
+        est = fit_elasticity(panel.u, panel.v)
+        u_bar = sum(panel.u.tolist()) / len(panel)
         assert est.epsilon == pytest.approx(dmp_elasticity(BASE_ECON.alpha, u_bar), abs=0.05)
 
     def test_seeded_runs_are_byte_identical(self):
@@ -304,10 +304,10 @@ def test_round_trip_reproduces_planner_everywhere():
     """Noiseless panel -> estimator -> formula must match the planner."""
     panel = synth_panel(BASE_ECON, sine_shocks())
     stats = dmp_stats(BASE_ECON)
-    est = fit_elasticity(panel.rows)
+    est = fit_elasticity(panel.u, panel.v)
     planner = solve_planner_numeric(DmpCurve(BASE_ECON), stats.zeta, stats.kappa)
-    for row in panel:
+    for u, v in zip(panel.u.tolist(), panel.v.tolist()):
         u_star = efficient_unemployment(
-            row.u, row.v, SufficientStats(est.epsilon, stats.kappa, stats.zeta)
+            u, v, SufficientStats(est.epsilon, stats.kappa, stats.zeta)
         )
         assert abs(u_star - planner.u_star) / planner.u_star < 1e-3

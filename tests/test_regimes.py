@@ -3,7 +3,7 @@ import pytest
 from ugap.errors import ConfigError
 from ugap.fitting import ElasticityEstimate
 from ugap.gap import gap_series, implied_zeta_series, sensitivity
-from ugap.ingest import LaborMarketPanel, PanelRow
+from ugap.ingest import LaborMarketPanel
 from ugap.quarters import Quarter, quarter_range
 from ugap.regimes import Regime, RegimeTable, assign_regime, build_schedule
 
@@ -115,7 +115,7 @@ class TestSchedule:
 
     def test_misaligned_schedule_fails(self, table, estimates):
         quarters = [Quarter(1951, 1), Quarter(1951, 2)]
-        panel = LaborMarketPanel(tuple(PanelRow(q, 0.05, 0.03, 0.6, 0.95) for q in quarters))
+        panel = LaborMarketPanel(tuple(quarters), [0.05] * 2, [0.03] * 2)
         for n_entries in (1, 3):
             schedule = build_schedule(
                 table, estimates, quarter_range(Quarter(1951, 1), Quarter(1951, n_entries))
@@ -132,8 +132,8 @@ class TestSchedule:
 def test_schedule_equals_estimate_inside_regimes(panel, regime_table, estimates, schedule):
     by_label = {e.label: e for e in estimates}
     assert len(schedule) == len(panel)
-    for row, entry in zip(panel, schedule):
-        regime = assign_regime(row.quarter, regime_table)
+    for q, entry in zip(panel.quarters, schedule):
+        regime = assign_regime(q, regime_table)
         if regime is None:
             continue
         assert entry.epsilon == by_label[regime.label].epsilon
@@ -141,7 +141,7 @@ def test_schedule_equals_estimate_inside_regimes(panel, regime_table, estimates,
 
 
 def test_bundled_schedule_flags_shift_quarters(panel, schedule):
-    quarters = panel.quarters()
+    quarters = panel.quarters
     flagged = [q for q, entry in zip(quarters, schedule) if entry.is_gap_quarter]
     # 1959Q3, 1971Q2, 1975Q2, 1987Q4-1989Q4, 1999Q2-2000Q4, 2009Q4
     assert len(flagged) == 1 + 1 + 1 + 9 + 7 + 1
