@@ -215,7 +215,3 @@ class CalibrationProfile:
         # profile files are flat; tolerate a [calibration] section prefix
         values = {k.split(".", 1)[-1]: v for k, v in flat.items()}
         return cls.from_mapping(values)
-
-
-def default_profile() -> CalibrationProfile:
-    return CalibrationProfile.from_file(config.bundled_data_dir() / "calibration_default.cfg")

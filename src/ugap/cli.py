@@ -16,10 +16,11 @@ import json
 import math
 import os
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, fields
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from . import gap as gap_mod
 from .calibration import CalibrationProfile, SufficientStats
@@ -43,8 +44,8 @@ from .planner import (
     solve_planner_numeric,
     synth_panel,
 )
-from .quarters import Quarter
-from .regimes import RegimeTable, ScheduleEntry, build_schedule
+from .quarters import parse_quarter, quarter_label
+from .regimes import RegimeTable, Schedule, build_schedule
 from .svgfig import scatter_fit_svg, timeseries_svg
 
 
@@ -69,18 +70,20 @@ def _update_summary(out_dir: Path, section: str, payload: dict) -> None:
     _write_json(path, existing)
 
 
-def _recession_bands(path: Path | None, quarters: tuple[Quarter, ...]) -> list[tuple[int, int]]:
+def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int, int]]:
     """(first, last) panel indices covered by each recession, for figure shading."""
     if path is None:
         return []
-    bands = []
     text = Path(path).read_text(encoding="utf-8")
-    for _, (start, end) in parse_table(text, ("start", "end"), "recessions"):
-        lo = bisect_left(quarters, Quarter.parse(start))
-        hi = bisect_right(quarters, Quarter.parse(end))
-        if lo < hi:
-            bands.append((lo, hi - 1))
-    return sorted(bands)
+    rows = [
+        (parse_quarter(start), parse_quarter(end))
+        for _, (start, end) in parse_table(text, ("start", "end"), "recessions")
+    ]
+    starts, ends = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    lo = np.searchsorted(quarters, starts, side="left")
+    hi = np.searchsorted(quarters, ends, side="right")
+    shown = lo < hi
+    return sorted(zip(lo[shown].tolist(), (hi[shown] - 1).tolist()))
 
 
 class Run:
@@ -102,11 +105,11 @@ class Run:
         pre_val, post_val = splice_jump(pre_q, post_q, cfg.cutover)
         audit = {
             "dropped": {
-                name: [f"{q} ({n} months)" for q, n in dropped]
+                name: [f"{quarter_label(q)} ({n} months)" for q, n in dropped]
                 for name, (_, dropped) in series.items()
             },
             "splice": {
-                "cutover": str(cfg.cutover),
+                "cutover": quarter_label(cfg.cutover),
                 "last_pre_value": pre_val,
                 "first_post_value": post_val,
                 "relative_jump": post_val / pre_val - 1.0,
@@ -127,7 +130,7 @@ class Run:
         return fit_all(self.panel, self.table)
 
     @cached_property
-    def schedule(self) -> tuple[ScheduleEntry, ...]:
+    def schedule(self) -> Schedule:
         estimates, failures = self.fits
         if failures:
             label, exc = failures[0]
@@ -166,9 +169,10 @@ class Run:
     def axis(self) -> tuple[list[int], list[str], list[tuple[int, int]]]:
         """Decade tick positions, their labels and the recession bands of the panel."""
         quarters = self.panel.quarters
-        ticks = [i for i, q in enumerate(quarters) if q.q == 1 and q.year % 10 == 0]
-        labels = [str(quarters[i].year) for i in ticks]
-        return ticks, labels, _recession_bands(self.cfg.recessions, quarters)
+        # the first quarter of each decade: 4 * year with year a multiple of 10
+        ticks = np.flatnonzero(quarters % 40 == 0)
+        labels = [str(q // 4) for q in quarters[ticks].tolist()]
+        return ticks.tolist(), labels, _recession_bands(self.cfg.recessions, quarters)
 
     def timeseries(self, title: str, series: list) -> str:
         """A time-series figure over the panel quarters, of rates given as fractions."""
@@ -207,8 +211,8 @@ def cmd_ingest(run: Run) -> int:
     )
     (figures / "rates_timeseries.svg").write_text(svg)
     _update_summary(out, "ingest", {"n_quarters": len(panel), "splice": splice})
-    quarters = panel.quarters
-    print(f"panel: {len(panel)} quarters {quarters[0]}..{quarters[-1]} -> {out / 'panel.csv'}")
+    first, last = quarter_label(panel.quarters[0]), quarter_label(panel.quarters[-1])
+    print(f"panel: {len(panel)} quarters {first}..{last} -> {out / 'panel.csv'}")
     return 0
 
 
@@ -322,9 +326,9 @@ def cmd_sensitivity(run: Run) -> int:
         lo, hi = int(zeta_star.argmin()), int(zeta_star.argmax())
         payload["implied_zeta"] = {
             "min": float(zeta_star[lo]),
-            "min_quarter": str(panel.quarters[lo]),
+            "min_quarter": quarter_label(panel.quarters[lo]),
             "max": float(zeta_star[hi]),
-            "max_quarter": str(panel.quarters[hi]),
+            "max_quarter": quarter_label(panel.quarters[hi]),
         }
         print(f"implied zeta series -> {out / 'implied_zeta.csv'}")
 
@@ -369,7 +373,7 @@ def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
     columns = ("quarter", "s_multiplier", "mu_multiplier")
     for lineno, row in parse_table(text, columns, "shock"):
         try:
-            shock_path.append((Quarter.parse(row[0]), float(row[1]), float(row[2])))
+            shock_path.append((parse_quarter(row[0]), float(row[1]), float(row[2])))
         except ValueError:
             raise ParseError(f"shock line {lineno}: bad multiplier in {','.join(row)!r}") from None
 
@@ -391,10 +395,10 @@ def cmd_simulate(run: Run) -> int:
     with open(out / "synthetic_panel.csv", "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
 
-    stats = dmp_stats(econ)
+    zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(panel.u, panel.v, label="synthetic")
-    planner = solve_planner_numeric(DmpCurve(econ), stats.zeta, stats.kappa)
-    fitted_stats = SufficientStats(est.epsilon, stats.kappa, stats.zeta)
+    planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
+    fitted_stats = SufficientStats(est.epsilon, kappa, zeta)
     # scalar, one quarter at a time: the maximum error is a difference near
     # 1e-10, and numpy's power may differ from the scalar pow in the last
     # ulp, which would change the reported digits
@@ -408,7 +412,7 @@ def cmd_simulate(run: Run) -> int:
     round_trip_ok = (not round_trip_checked) or max_rel < round_trip_tol
 
     statics = comparative_statics_check(
-        IsoelasticCurve(math.exp(est.log_v0), est.epsilon), stats.zeta, stats.kappa
+        IsoelasticCurve(math.exp(est.log_v0), est.epsilon), zeta, kappa
     )
 
     report = {
@@ -565,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    overrides["cutover"] = Quarter.parse(args.cutover) if args.cutover else None
+    overrides["cutover"] = parse_quarter(args.cutover) if args.cutover else None
     overrides["zeta_list"] = parse_zeta_list(args.zeta_list) if args.zeta_list else None
     return load_config(args.config, overrides)
 

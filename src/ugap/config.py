@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ParseError
-from .quarters import Quarter
+from .quarters import parse_quarter
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -85,7 +85,7 @@ class RunConfig:
     u_series: Path
     v_pre: Path
     v_post: Path
-    cutover: Quarter
+    cutover: int
     unit: str
     regimes: Path
     recessions: Path | None
@@ -156,7 +156,7 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
         u_series=path_of("data.u_series", required=True),
         v_pre=path_of("data.v_pre", required=True),
         v_post=path_of("data.v_post", required=True),
-        cutover=Quarter.parse(need("data.cutover")),
+        cutover=parse_quarter(need("data.cutover")),
         unit=unit,
         regimes=path_of("data.regimes", required=True),
         recessions=path_of("data.recessions", required=False),

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Sequence, TextIO
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InputError, SampleSizeError
+from .quarters import quarter_label
 
 if TYPE_CHECKING:
     from .ingest import LaborMarketPanel
@@ -86,13 +87,6 @@ def fit_all(
     return estimates, failures
 
 
-def predicted_vacancy(log_v0: float, epsilon: float, u: float) -> float:
-    """Vacancy rate on the fitted curve at unemployment u (unclamped)."""
-    if u <= 0.0:
-        raise DomainError(f"unemployment rate must be positive, got {u}")
-    return float(np.exp(log_v0) * u ** (-epsilon))
-
-
 def dmp_elasticity(alpha: float, u: float) -> float:
     """Beveridge elasticity implied by a Cobb-Douglas matching function.
 
@@ -112,6 +106,6 @@ def write_estimates_csv(estimates: Sequence[ElasticityEstimate], table: "RegimeT
     for regime in table:
         e = by_label[regime.label]
         stream.write(
-            f"{regime.label},{regime.start},{regime.end},"
+            f"{regime.label},{quarter_label(regime.start)},{quarter_label(regime.end)},"
             f"{e.epsilon:.8g},{e.se_epsilon:.8g},{e.log_v0:.8g},{e.r_squared:.8g},{e.n_obs}\n"
         )

@@ -4,9 +4,9 @@ Everything here is closed-form arithmetic on (u, v) and the statistics
 triple; the numerical planner in ``planner`` provides the independent
 cross-check of these formulas. The scalar functions serve single points;
 the series builders apply the same arithmetic to the panel's u and v
-columns at once. _columns is the only place that decides each quarter's
-epsilon and kappa and checks them against zeta, and _u_star is the one
-copy of the u* formula for both paths.
+columns and the schedule's columns at once. _columns is the only place
+that decides each quarter's epsilon and kappa and checks them against
+zeta, and _u_star is the one copy of the u* formula for both paths.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from .calibration import SufficientStats
 from .errors import DomainError
 from .ingest import LaborMarketPanel
-from .regimes import ScheduleEntry
+from .quarters import quarter_label
+from .regimes import Schedule
 
 INEFFICIENTLY_SLACK = "inefficiently_slack"
 INEFFICIENTLY_TIGHT = "inefficiently_tight"
@@ -62,10 +63,6 @@ def efficient_unemployment(u: float, v: float, stats: SufficientStats) -> float:
     return _u_star(u, v, stats.epsilon, stats.kappa, stats.zeta)
 
 
-def unemployment_gap(u: float, u_star: float) -> float:
-    return u - u_star
-
-
 def implied_zeta(theta: float, kappa: float, epsilon: float) -> float:
     """Social value of nonwork that would make observed tightness efficient."""
     if theta <= 0.0 or kappa <= 0.0 or epsilon <= 0.0:
@@ -75,7 +72,7 @@ def implied_zeta(theta: float, kappa: float, epsilon: float) -> float:
 
 def _columns(
     panel: LaborMarketPanel,
-    schedule: Sequence[ScheduleEntry],
+    schedule: Schedule,
     kappa: float,
     kappa_by_regime: Mapping[str, float] | None,
     zetas: Sequence[float],
@@ -88,20 +85,31 @@ def _columns(
     checked once, and an invalid one raises DomainError naming the first
     quarter that uses it.
     """
+    if len(schedule) != len(panel):
+        raise ValueError(f"schedule has {len(schedule)} quarters, the panel {len(panel)}")
     overrides = kappa_by_regime or {}
-    epsilon, kappas, first = [], [], {}
-    for q, entry in zip(panel.quarters, schedule, strict=True):
-        k = overrides.get(entry.regime_label, kappa)
-        epsilon.append(entry.epsilon)
-        kappas.append(k)
-        first.setdefault((entry.epsilon, k), q)
-    for (e, k), q in first.items():
+    labels, inverse = np.unique(schedule.regime_label, return_inverse=True)
+    by_label = [overrides.get(label, kappa) for label in labels.tolist()]
+    epsilon = schedule.epsilon
+    k = np.array(by_label, dtype=np.float64)[inverse]
+    _, first = np.unique(np.column_stack([epsilon, k]), axis=0, return_index=True)
+    for i in np.sort(first).tolist():
         try:
             for z in zetas:
-                SufficientStats(e, k, z)
+                SufficientStats(float(epsilon[i]), float(k[i]), z)
         except DomainError as exc:
-            raise DomainError(f"{q}: {exc}") from None
-    return np.array(epsilon, dtype=np.float64), np.array(kappas, dtype=np.float64)
+            raise DomainError(f"{quarter_label(panel.quarters[i])}: {exc}") from None
+    return epsilon, k
+
+
+def _check_finite(panel: LaborMarketPanel, columns: Mapping[str, np.ndarray]) -> None:
+    """Raise DomainError naming the first quarter where any column is not finite."""
+    bad = ~np.logical_and.reduce([np.isfinite(c) for c in columns.values()])
+    if bad.any():
+        i = int(np.argmax(bad))
+        values = ", ".join(f"{name}={c[i]}" for name, c in columns.items())
+        quarter = quarter_label(panel.quarters[i])
+        raise DomainError(f"{quarter}: efficient values must be finite, got {values}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +133,7 @@ class GapSeries:
 
 def gap_series(
     panel: LaborMarketPanel,
-    schedule: Sequence[ScheduleEntry],
+    schedule: Schedule,
     kappa: float,
     zeta: float,
     tol: float = 0.01,
@@ -136,14 +144,17 @@ def gap_series(
     kappa_by_regime optionally overrides the recruiting cost for selected
     regime labels (robustness runs); other quarters keep the global kappa.
     Each column equals the scalar efficient_tightness, efficient_unemployment
-    and classify applied quarter by quarter.
+    and classify applied quarter by quarter. A u* or theta* that is not
+    finite raises DomainError naming the first quarter it occurs in.
     """
     epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, (zeta,))
-    theta_star = (1.0 - zeta) / (k * epsilon)
+    with np.errstate(over="ignore", divide="ignore"):
+        theta_star = (1.0 - zeta) / (k * epsilon)
+        u_star = _u_star(panel.u, panel.v, epsilon, k, zeta)
     if not (theta_star > 0.0).all():
         raise DomainError("tightness must be positive to classify")
+    _check_finite(panel, {"u*": u_star, "theta*": theta_star})
     theta = panel.theta
-    u_star = _u_star(panel.u, panel.v, epsilon, k, zeta)
     classification = np.where(
         theta > theta_star * (1.0 + tol),
         INEFFICIENTLY_TIGHT,
@@ -155,7 +166,7 @@ def gap_series(
         theta_star=theta_star,
         gap=panel.u - u_star,
         classification=classification,
-        is_gap_quarter=np.array([e.is_gap_quarter for e in schedule], dtype=bool),
+        is_gap_quarter=schedule.is_gap_quarter,
     )
 
 
@@ -191,9 +202,9 @@ def summarize(
         mean_u_star=float(series.u_star[kept].mean()),
         mean_gap=float(gap.mean()),
         max_gap=float(series.gap[hi]),
-        max_gap_quarter=str(panel.quarters[hi]),
+        max_gap_quarter=quarter_label(panel.quarters[hi]),
         min_gap=float(series.gap[lo]),
-        min_gap_quarter=str(panel.quarters[lo]),
+        min_gap_quarter=quarter_label(panel.quarters[lo]),
         n_slack=int((classification == INEFFICIENTLY_SLACK).sum()),
         n_tight=int((classification == INEFFICIENTLY_TIGHT).sum()),
         n_efficient=int((classification == EFFICIENT).sum()),
@@ -218,7 +229,7 @@ class SensitivityBand:
 
 def sensitivity(
     panel: LaborMarketPanel,
-    schedule: Sequence[ScheduleEntry],
+    schedule: Schedule,
     kappa: float,
     zetas: Sequence[float],
     kappa_by_regime: Mapping[str, float] | None = None,
@@ -226,11 +237,14 @@ def sensitivity(
     """Sweep the social value of nonwork over a list of values.
 
     Builds a u* column for each distinct zeta of the sweep, BASELINE_ZETA
-    and WIDTH_PAIR.
+    and WIDTH_PAIR. A u* that is not finite in any of them raises
+    DomainError naming the first quarter it occurs in.
     """
     every = dict.fromkeys((*zetas, BASELINE_ZETA, *WIDTH_PAIR))
     epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, list(every))
-    columns = {z: _u_star(panel.u, panel.v, epsilon, k, z) for z in every}
+    with np.errstate(over="ignore"):
+        columns = {z: _u_star(panel.u, panel.v, epsilon, k, z) for z in every}
+    _check_finite(panel, {f"u*(zeta={z:g})": columns[z] for z in every})
     base = columns[BASELINE_ZETA]
     return SensitivityBand(
         zetas=tuple(zetas),
@@ -242,7 +256,7 @@ def sensitivity(
 
 def implied_zeta_series(
     panel: LaborMarketPanel,
-    schedule: Sequence[ScheduleEntry],
+    schedule: Schedule,
     kappa: float,
     kappa_by_regime: Mapping[str, float] | None = None,
 ) -> np.ndarray:
@@ -259,10 +273,10 @@ def write_gap_csv(panel: LaborMarketPanel, series: GapSeries, stream: TextIO) ->
         series.gap, series.classification, series.is_gap_quarter,
     )
     for q, u, v, theta, eps, u_star, theta_star, gap, label, flag in zip(
-        panel.quarters, *(c.tolist() for c in columns)
+        panel.quarters.tolist(), *(c.tolist() for c in columns)
     ):
         stream.write(
-            f"{q},{u:.8g},{v:.8g},{theta:.8g},{eps:.8g},"
+            f"{quarter_label(q)},{u:.8g},{v:.8g},{theta:.8g},{eps:.8g},"
             f"{u_star:.8g},{theta_star:.8g},{gap:.8g},{label},{int(flag)}\n"
         )
 
@@ -275,17 +289,18 @@ def write_sensitivity_csv(band: SensitivityBand, panel: LaborMarketPanel, stream
     tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
     stream.write(f"quarter,u,{tags}\n")
     columns = [band.u_star[z].tolist() for z in band.zetas]
-    for q, u, *u_stars in zip(panel.quarters, panel.u.tolist(), *columns):
+    for q, u, *u_stars in zip(panel.quarters.tolist(), panel.u.tolist(), *columns):
         cols = ",".join(f"{x:.8g}" for x in u_stars)
-        stream.write(f"{q},{u:.8g},{cols}\n")
+        stream.write(f"{quarter_label(q)},{u:.8g},{cols}\n")
 
 
 def write_implied_zeta_csv(
     panel: LaborMarketPanel,
-    schedule: Sequence[ScheduleEntry],
+    schedule: Schedule,
     zeta_star: np.ndarray,
     stream: TextIO,
 ) -> None:
     stream.write("quarter,theta,epsilon,zeta_star\n")
-    for q, theta, e, zs in zip(panel.quarters, panel.theta.tolist(), schedule, zeta_star.tolist()):
-        stream.write(f"{q},{theta:.8g},{e.epsilon:.8g},{zs:.8g}\n")
+    columns = (panel.quarters, panel.theta, schedule.epsilon, zeta_star)
+    for q, theta, epsilon, zs in zip(*(c.tolist() for c in columns)):
+        stream.write(f"{quarter_label(q)},{theta:.8g},{epsilon:.8g},{zs:.8g}\n")

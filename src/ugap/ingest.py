@@ -2,9 +2,12 @@
 
 Rates are dimensionless fractions of the labor force everywhere past the
 parser; percent inputs are divided by 100 at exactly one place (the
-parser) so unit mix-ups cannot survive into the analysis layers. The
-panel is one set of columns, quarters plus read-only numpy u and v, which
-the fitting and gap layers read directly.
+parser) so unit mix-ups cannot survive into the analysis layers. A time
+series is one `Series`: an int64 column of month or quarter indices (see
+`ugap.quarters`) and an aligned float64 column of values. Aggregation,
+the splice and the join are operations on those columns. The panel is
+one set of columns, read-only int64 quarters plus read-only float64 u and
+v, which the fitting and gap layers read directly.
 """
 
 from __future__ import annotations
@@ -12,13 +15,11 @@ from __future__ import annotations
 import csv
 import math
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from .config import parse_table
 from .errors import (
     AlignmentError,
     CoverageError,
@@ -26,49 +27,57 @@ from .errors import (
     DuplicateKeyError,
     ParseError,
 )
-from .quarters import Quarter
+from .quarters import quarter_label
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
-@dataclass(frozen=True)
-class MonthlyPoint:
-    year: int
-    month: int
-    value: float
+def _freeze_column(obj, name: str, dtype) -> None:
+    column = np.array(getattr(obj, name), dtype=dtype)
+    column.setflags(write=False)
+    object.__setattr__(obj, name, column)
 
 
-@dataclass(frozen=True)
-class QuarterlyPoint:
-    quarter: Quarter
-    value: float
+@dataclass(frozen=True, eq=False)
+class Series:
+    """A time series: read-only sorted, distinct int64 indices and float64 values."""
+
+    index: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        _freeze_column(self, "index", np.int64)
+        _freeze_column(self, "values", np.float64)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 @dataclass(frozen=True, eq=False)
 class LaborMarketPanel:
     """Aligned quarterly unemployment/vacancy panel, held as columns.
 
-    u and v are read-only float64 arrays aligned with quarters; the
-    constructor checks that the lengths agree and every rate is positive.
-    build_panel also ensures sorted, distinct quarters and rates below 1.
-    theta = v / u and n = 1 - u are computed from the columns.
+    quarters is a read-only int64 column of quarter indices, and u and v
+    are read-only float64 columns aligned with it; the constructor checks
+    that the lengths agree and every rate is positive. build_panel also
+    ensures sorted, distinct quarters and rates below 1. theta = v / u and
+    n = 1 - u are computed from the columns.
     """
 
-    quarters: tuple[Quarter, ...]
+    quarters: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        for name in ("u", "v"):
-            column = np.array(getattr(self, name), dtype=np.float64)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+        _freeze_column(self, "quarters", np.int64)
+        _freeze_column(self, "u", np.float64)
+        _freeze_column(self, "v", np.float64)
         if not len(self.quarters) == len(self.u) == len(self.v):
             raise AlignmentError("panel quarters, u and v differ in length")
         bad = ~((self.u > 0.0) & (self.v > 0.0))
         if bad.any():
             i = int(np.argmax(bad))
-            q, u, v = self.quarters[i], self.u[i], self.v[i]
+            q, u, v = quarter_label(self.quarters[i]), self.u[i], self.v[i]
             raise DomainError(f"rates at {q} must be positive: u={u}, v={v}")
 
     def __len__(self) -> int:
@@ -82,25 +91,25 @@ class LaborMarketPanel:
     def n(self) -> np.ndarray:
         return 1.0 - self.u
 
-    def between(self, start: Quarter, end: Quarter) -> LaborMarketPanel:
+    def between(self, start: int, end: int) -> LaborMarketPanel:
         """The quarters from start to end inclusive."""
-        lo = bisect_left(self.quarters, start)
-        hi = bisect_right(self.quarters, end)
+        lo = np.searchsorted(self.quarters, start, side="left")
+        hi = np.searchsorted(self.quarters, end, side="right")
         return LaborMarketPanel(self.quarters[lo:hi], self.u[lo:hi], self.v[lo:hi])
 
     def to_csv(self, stream: TextIO) -> None:
         stream.write("quarter,u,v,theta,n\n")
-        columns = (self.u, self.v, self.theta, self.n)
-        for q, u, v, theta, n in zip(self.quarters, *(c.tolist() for c in columns)):
-            stream.write(f"{q},{u:.8g},{v:.8g},{theta:.8g},{n:.8g}\n")
+        columns = (self.quarters, self.u, self.v, self.theta, self.n)
+        for q, u, v, theta, n in zip(*(c.tolist() for c in columns)):
+            stream.write(f"{quarter_label(q)},{u:.8g},{v:.8g},{theta:.8g},{n:.8g}\n")
 
 
-def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") -> list[MonthlyPoint]:
-    """Parse a `date,value` CSV with YYYY-MM dates into monthly points.
+def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") -> Series:
+    """Parse a `date,value` CSV with YYYY-MM dates into a month-indexed series.
 
     value_unit is "fraction" or "percent"; percent values are divided by
-    100. Points come back sorted by date. Malformed rows, duplicate dates
-    and negative values are fatal.
+    100. The series comes back sorted by month. Malformed rows, duplicate
+    dates and negative values are fatal.
     """
     if value_unit not in ("fraction", "percent"):
         raise ParseError(f"unknown value unit {value_unit!r}")
@@ -113,8 +122,9 @@ def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") ->
     if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
         raise ParseError(f"expected header 'date,value', got {','.join(header)!r}")
 
-    points: list[MonthlyPoint] = []
-    seen: set[tuple[int, int]] = set()
+    months: list[int] = []
+    values: list[float] = []
+    linenos: list[int] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -134,106 +144,93 @@ def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") ->
             raise ParseError(f"line {lineno}: non-finite value {row[1]!r}")
         if value < 0:
             raise DomainError(f"line {lineno}: negative rate {value} at {year}-{month:02d}")
-        if (year, month) in seen:
-            raise DuplicateKeyError(f"line {lineno}: duplicate date {year}-{month:02d}")
-        seen.add((year, month))
-        if value_unit == "percent":
-            value /= 100.0
-        points.append(MonthlyPoint(year, month, value))
-    points.sort(key=lambda p: (p.year, p.month))
-    return points
+        months.append(12 * year + month - 1)
+        values.append(value)
+        linenos.append(lineno)
+
+    index = np.array(months, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    # the stable sort keeps the lines of one date in file order, so the
+    # line reported is the first that repeats an earlier date
+    repeats = np.flatnonzero(index[1:] == index[:-1]) + 1
+    if repeats.size:
+        linenos_sorted = np.array(linenos)[order]
+        i = repeats[np.argmin(linenos_sorted[repeats])]
+        year, month = divmod(int(index[i]), 12)
+        raise DuplicateKeyError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
+    column = np.array(values, dtype=np.float64)[order]
+    if value_unit == "percent":
+        column /= 100.0
+    return Series(index, column)
 
 
-def to_quarterly(
-    points: Sequence[MonthlyPoint],
-) -> tuple[list[QuarterlyPoint], list[tuple[Quarter, int]]]:
-    """Aggregate monthly points to quarterly arithmetic means.
+def to_quarterly(months: Series) -> tuple[Series, list[tuple[int, int]]]:
+    """Aggregate a month-indexed series to quarterly arithmetic means.
 
     Quarters with fewer than 3 months are dropped, not averaged, to avoid
-    seasonal bias at sample edges. Returns (quarterly points, dropped
-    report) where the report lists each dropped quarter with its month
-    count.
+    seasonal bias at sample edges. Returns (quarterly series, dropped
+    report) where the report lists each dropped quarter index with its
+    month count.
     """
-    buckets: dict[Quarter, list[float]] = {}
-    for p in points:
-        buckets.setdefault(Quarter.of_month(p.year, p.month), []).append(p.value)
-    quarterly: list[QuarterlyPoint] = []
-    dropped: list[tuple[Quarter, int]] = []
-    for q in sorted(buckets):
-        values = buckets[q]
-        if len(values) == 3:
-            quarterly.append(QuarterlyPoint(q, sum(values) / 3.0))
-        else:
-            dropped.append((q, len(values)))
-    return quarterly, dropped
+    quarter = months.index // 3
+    starts = np.flatnonzero(np.diff(quarter, prepend=quarter[:1] - 1))
+    counts = np.diff(starts, append=len(quarter))
+    complete = counts == 3
+    first = starts[complete]
+    v = months.values
+    means = ((v[first] + v[first + 1]) + v[first + 2]) / 3.0
+    incomplete = ~complete
+    dropped = list(zip(quarter[starts[incomplete]].tolist(), counts[incomplete].tolist()))
+    return Series(quarter[first], means), dropped
 
 
-def splice_vacancy(
-    pre_series: Sequence[QuarterlyPoint],
-    post_series: Sequence[QuarterlyPoint],
-    cutover: Quarter,
-) -> list[QuarterlyPoint]:
+def splice_vacancy(pre: Series, post: Series, cutover: int) -> Series:
     """Join two vacancy sources: pre strictly before cutover, post from it on.
 
     No level adjustment is applied at the cutover; callers audit the jump
     with splice_jump. A hole in quarterly coverage around the cutover is a
     coverage error.
     """
-    merged = [p for p in pre_series if p.quarter < cutover]
-    merged += [p for p in post_series if p.quarter >= cutover]
-    merged.sort(key=lambda p: p.quarter)
-    if not any(p.quarter == cutover for p in merged):
-        raise CoverageError(f"post series does not cover the cutover quarter {cutover}")
-    for prev, cur in zip(merged, merged[1:]):
-        if cur.quarter != prev.quarter.next():
-            raise CoverageError(
-                f"spliced series has a gap: {prev.quarter.next()} missing between "
-                f"{prev.quarter} and {cur.quarter}"
-            )
-    return merged
+    before, after = pre.index < cutover, post.index >= cutover
+    index = np.concatenate([pre.index[before], post.index[after]])
+    if not (post.index == cutover).any():
+        raise CoverageError(
+            f"post series does not cover the cutover quarter {quarter_label(cutover)}"
+        )
+    holes = np.flatnonzero(np.diff(index) != 1)
+    if holes.size:
+        prev, cur = index[holes[0]], index[holes[0] + 1]
+        raise CoverageError(
+            f"spliced series has a gap: {quarter_label(prev + 1)} missing between "
+            f"{quarter_label(prev)} and {quarter_label(cur)}"
+        )
+    return Series(index, np.concatenate([pre.values[before], post.values[after]]))
 
 
-def splice_jump(
-    pre_series: Sequence[QuarterlyPoint],
-    post_series: Sequence[QuarterlyPoint],
-    cutover: Quarter,
-) -> tuple[float, float]:
+def splice_jump(pre: Series, post: Series, cutover: int) -> tuple[float, float]:
     """Values straddling the cutover: (last pre value, first post value)."""
-    before = [p for p in pre_series if p.quarter < cutover]
-    at = [p for p in post_series if p.quarter == cutover]
-    if not before or not at:
-        raise CoverageError(f"cannot audit splice at {cutover}: missing flank")
-    return before[-1].value, at[0].value
+    before = pre.values[pre.index < cutover]
+    at = post.values[post.index == cutover]
+    if not before.size or not at.size:
+        raise CoverageError(f"cannot audit splice at {quarter_label(cutover)}: missing flank")
+    return float(before[-1]), float(at[0])
 
 
-def build_panel(
-    u_series: Sequence[QuarterlyPoint], v_series: Sequence[QuarterlyPoint]
-) -> LaborMarketPanel:
+def build_panel(u_series: Series, v_series: Series) -> LaborMarketPanel:
     """Inner-join unemployment and vacancy series into the analysis panel."""
-    if not u_series or not v_series:
+    if not len(u_series) or not len(v_series):
         raise AlignmentError("cannot build panel from an empty series")
-    v_by_quarter = {p.quarter: p.value for p in v_series}
-    rows = []
-    for p in sorted(u_series, key=lambda p: p.quarter):
-        if p.quarter not in v_by_quarter:
-            continue
-        u, v = p.value, v_by_quarter[p.quarter]
-        if u <= 0.0 or v <= 0.0:
-            raise DomainError(f"zero rate at {p.quarter}: u={u}, v={v}")
-        if u >= 1.0 or v >= 1.0:
-            raise DomainError(f"rate at {p.quarter} is not a fraction: u={u}, v={v}")
-        rows.append((p.quarter, u, v))
-    if not rows:
+    quarters, iu, iv = np.intersect1d(u_series.index, v_series.index, return_indices=True)
+    u, v = u_series.values[iu], v_series.values[iv]
+    zero = (u <= 0.0) | (v <= 0.0)
+    bad = zero | (u >= 1.0) | (v >= 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        q, ui, vi = quarter_label(quarters[i]), float(u[i]), float(v[i])
+        if zero[i]:
+            raise DomainError(f"zero rate at {q}: u={ui}, v={vi}")
+        raise DomainError(f"rate at {q} is not a fraction: u={ui}, v={vi}")
+    if not quarters.size:
         raise AlignmentError("unemployment and vacancy series share no quarters")
-    quarters, u, v = zip(*rows)
     return LaborMarketPanel(quarters, u, v)
-
-
-def panel_from_csv(lines: str | Iterable[str]) -> LaborMarketPanel:
-    """Read a panel back from its export format (quarter,u,v,theta,n)."""
-    rows = [f for _, f in parse_table(lines, ("quarter", "u", "v", "theta", "n"), "panel")]
-    return LaborMarketPanel(
-        tuple(Quarter.parse(r[0]) for r in rows),
-        [float(r[1]) for r in rows],
-        [float(r[2]) for r in rows],
-    )

@@ -4,13 +4,13 @@ A planner picks the point on a Beveridge curve that maximizes welfare
 per unit of labor force, (1 - u) + zeta * u - kappa * v(u). The search
 is a bracketed golden-section maximization, so it never touches the
 closed forms it is meant to verify. When the curve exposes an analytic
-slope, the optimum can optionally be polished by bisecting the tangency
-condition kappa * (-v'(u)) = 1 - zeta; welfare comparisons alone hit a
-noise floor near sqrt(machine epsilon) and cannot certify the tightest
-tolerances used by the comparative-statics checks.
+slope, the optimum can optionally be polished by interval halving on
+the tangency condition kappa * (-v'(u)) = 1 - zeta; welfare comparisons
+alone hit a noise floor near sqrt(machine epsilon) and cannot certify
+the tightest tolerances used by the comparative-statics checks.
 
 There are two copies of the search. The scalar one serves single solves
-and sequential chains (the compensated-v0 bisection, synthetic panels,
+and sequential chains (the compensated-v0 interval halving, synthetic panels,
 the simulate command): there the fixed cost of numpy calls dominates,
 and a one-lane numpy search takes about 40 times as long as the scalar
 one. The oracle grid instead runs every grid point as one lane of a
@@ -22,24 +22,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, PropertyViolation
 from .ingest import LaborMarketPanel
-from .quarters import Quarter
+from .quarters import quarter_label
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = (1e-4, 0.5)
 _TOL = 1e-9
-
-
-class BeveridgeCurve(Protocol):
-    def value(self, u: float) -> float: ...
-
-    def slope(self, u: float) -> float: ...
+# the largest argument math.exp takes without overflowing
+_MAX_EXP = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,6 @@ class DmpCurve:
         return -self.value(u) / (1.0 - e.alpha) * (e.alpha / u + 1.0 / (1.0 - u))
 
 
-class StatsPair(NamedTuple):
-    zeta: float
-    kappa: float
-
-
 def dmp_beveridge(econ: DmpEconomy, u: float) -> float:
     """v(u) = [s(1-u) / (mu u^alpha)] ** (1/(1-alpha)), the flow-balance locus."""
     if not 0.0 < u < 1.0:
@@ -128,9 +120,9 @@ def dmp_welfare(econ: DmpEconomy, u: float, v: float) -> float:
     return (econ.p * (1.0 - u) + econ.z * u - econ.p * econ.c * v) * econ.labor_force
 
 
-def dmp_stats(econ: DmpEconomy) -> StatsPair:
-    """The statistics the economy implies: zeta = z/p and kappa = c."""
-    return StatsPair(zeta=econ.z / econ.p, kappa=econ.c)
+def dmp_stats(econ: DmpEconomy) -> tuple[float, float]:
+    """The statistics the economy implies: (zeta, kappa) = (z/p, c)."""
+    return econ.z / econ.p, econ.c
 
 
 @dataclass(frozen=True)
@@ -202,14 +194,14 @@ def _check_planner_stats(zeta: float, kappa: float) -> None:
 
 
 def solve_planner_numeric(
-    curve: BeveridgeCurve, zeta: float, kappa: float, polish: bool = True
+    curve: IsoelasticCurve | DmpCurve, zeta: float, kappa: float, polish: bool = True
 ) -> PlannerSolution:
     """Maximize (1-u) + zeta u - kappa v(u) over _BRACKET, to within _TOL in u.
 
     Welfare is normalized per unit labor force; population scale moves
     the level, never the argmax. With polish=True and an analytic curve
-    slope, the golden-section result is refined by bisecting the
-    first-order condition, which pushes the u error to machine level.
+    slope, the golden-section result is refined by interval halving on
+    the first-order condition, which pushes the u error to machine level.
     polish=False keeps the search purely derivative-free.
 
     A boundary_warning on the solution means the maximizer sits against
@@ -257,9 +249,9 @@ def solve_planner_numeric(
 def _compensated_v0(base: IsoelasticCurve, new_epsilon: float, zeta: float, kappa: float) -> float:
     """v0 for the steeper curve that leaves maximized welfare unchanged.
 
-    Maximized welfare is strictly decreasing in v0, so bisection on v0 is
-    safe. Mirrors a compensated price change: elasticity rises, location
-    adjusts to stay on the original isowelfare line.
+    Maximized welfare is strictly decreasing in v0, so interval halving
+    on v0 is safe. Mirrors a compensated price change: elasticity rises,
+    location adjusts to stay on the original isowelfare line.
     """
     target = solve_planner_numeric(base, zeta, kappa).welfare
 
@@ -365,7 +357,7 @@ def comparative_statics_check(
 
 def synth_panel(
     econ: DmpEconomy,
-    shock_path: Sequence[tuple[Quarter, float, float]],
+    shock_path: Sequence[tuple[int, float, float]],
     noise_scale: float = 0.0,
     seed: int = 0,
 ) -> LaborMarketPanel:
@@ -387,8 +379,7 @@ def synth_panel(
     if not shock_path:
         raise DomainError("shock path is empty")
     curve = DmpCurve(econ)
-    stats = dmp_stats(econ)
-    ref = solve_planner_numeric(curve, stats.zeta, stats.kappa)
+    ref = solve_planner_numeric(curve, *dmp_stats(econ))
     if ref.boundary_warning:
         raise DomainError(
             f"the economy's efficient unemployment {ref.u_star:.6g} is at the edge of "
@@ -403,17 +394,23 @@ def synth_panel(
     us, vs = [], []
     for i, (quarter, s_mult, mu_mult) in enumerate(shock_path):
         if s_mult <= 0.0 or mu_mult <= 0.0:
-            raise DomainError(f"{quarter}: shock multipliers must be positive")
+            raise DomainError(f"{quarter_label(quarter)}: shock multipliers must be positive")
         s_t = econ.s * s_mult
         u = s_t / (s_t + finding * mu_mult)
         if not 0.0 < u < 1.0:
-            raise DomainError(f"{quarter}: shock drives unemployment to {u}")
+            raise DomainError(f"{quarter_label(quarter)}: shock drives unemployment to {u}")
         v = curve.value(u)
         if shocks is not None:
-            v *= math.exp(float(shocks[i]))
+            shock = float(shocks[i])
+            v = v * math.exp(shock) if shock <= _MAX_EXP else math.inf
+            if not v < math.inf:
+                raise DomainError(
+                    f"{quarter_label(quarter)}: the noisy vacancy rate is not finite "
+                    f"(log shock {shock:g})"
+                )
         us.append(u)
         vs.append(v)
-    return LaborMarketPanel(tuple(q for q, _, _ in shock_path), us, vs)
+    return LaborMarketPanel([q for q, _, _ in shock_path], us, vs)
 
 
 def oracle_grid_check(

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quarters import Quarter, quarter_range
+from .quarters import parse_quarter, quarter_label
 
 SEED = 19512019
 KAPPA = 0.72
@@ -118,7 +118,7 @@ REGIME_DESIGN = (
     ("2010Q1", "2019Q4", 0.81, 3.5, 0.95),
 )
 
-SPLICE_CUTOVER = Quarter(2001, 1)
+SPLICE_CUTOVER = parse_quarter("2001Q1")
 
 NBER_RECESSIONS = (
     ("1953Q2", "1954Q2"),
@@ -139,20 +139,20 @@ def design_v0(epsilon: float, u_star_pct: float) -> float:
     return (1.0 - ZETA) * (u_star_pct / 100.0) ** (1.0 + epsilon) / (KAPPA * epsilon)
 
 
-def sample_quarters() -> list[Quarter]:
-    return quarter_range(Quarter(1951, 1), Quarter(2019, 4))
+def sample_quarters() -> range:
+    return range(parse_quarter("1951Q1"), parse_quarter("2019Q4") + 1)
 
 
 def quarterly_unemployment() -> np.ndarray:
     """Unemployment path as fractions, aligned with sample_quarters()."""
     return np.array(
-        [QUARTERLY_U[q.year][q.q - 1] / 100.0 for q in sample_quarters()], dtype=float
+        [QUARTERLY_U[q // 4][q % 4] / 100.0 for q in sample_quarters()], dtype=float
     )
 
 
-def _regime_index(q: Quarter) -> int | None:
+def _regime_index(q: int) -> int | None:
     for i, (start, end, *_rest) in enumerate(REGIME_DESIGN):
-        if Quarter.parse(start) <= q <= Quarter.parse(end):
+        if parse_quarter(start) <= q <= parse_quarter(end):
             return i
     return None
 
@@ -212,9 +212,9 @@ def monthly_from_quarterly(values_pct: np.ndarray) -> list[tuple[int, int, float
         d = (right - left) / 8.0
         limit = 0.2 * values_pct[i]
         d = max(-limit, min(limit, d))
-        base_month = 3 * (q.q - 1)
+        year, q_of_year = divmod(q, 4)
         for k, value in enumerate((values_pct[i] - d, values_pct[i], values_pct[i] + d)):
-            out.append((q.year, base_month + k + 1, value))
+            out.append((year, 3 * q_of_year + k + 1, value))
     return out
 
 
@@ -308,10 +308,10 @@ seed = 1951
 
 def _shock_rows() -> list[str]:
     rows = ["quarter,s_multiplier,mu_multiplier"]
-    quarters = quarter_range(Quarter(2000, 1), Quarter(2009, 4))
+    quarters = range(parse_quarter("2000Q1"), parse_quarter("2009Q4") + 1)
     for i, q in enumerate(quarters):
         s_mult = 1.0 + 0.10 * math.sin(2.0 * math.pi * i / 16.0)
-        rows.append(f"{q},{s_mult:.6f},1.0")
+        rows.append(f"{quarter_label(q)},{s_mult:.6f},1.0")
     return rows
 
 
@@ -324,8 +324,8 @@ def build_dataset(out_dir: Path) -> list[Path]:
 
     monthly_u = monthly_from_quarterly(100.0 * u)
     monthly_v = monthly_from_quarterly(100.0 * v)
-    pre = [(y, m, x) for y, m, x in monthly_v if y < SPLICE_CUTOVER.year]
-    post = [(y, m, x) for y, m, x in monthly_v if y >= SPLICE_CUTOVER.year]
+    pre = [(y, m, x) for y, m, x in monthly_v if (12 * y + m - 1) // 3 < SPLICE_CUTOVER]
+    post = [(y, m, x) for y, m, x in monthly_v if (12 * y + m - 1) // 3 >= SPLICE_CUTOVER]
 
     written = []
 

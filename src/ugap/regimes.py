@@ -2,27 +2,29 @@
 
 Regime dates are configuration, not code: the bundled default table can
 be replaced by a plain-text file when new data vintages move the breaks.
-The schedule is a tuple aligned with the panel quarters: entry i belongs to
-the panel's i-th quarter.
+Regime bounds are quarter indices (see `ugap.quarters`). The schedule is
+a set of columns aligned with the panel quarters: entry i of each column
+belongs to the panel's i-th quarter.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import bundled_data_dir, parse_table
+import numpy as np
+
+from .config import parse_table
 from .errors import ConfigError
 from .fitting import ElasticityEstimate
-from .quarters import Quarter
+from .quarters import parse_quarter
 
 
 @dataclass(frozen=True)
 class Regime:
     label: str
-    start: Quarter
-    end: Quarter
+    start: int
+    end: int
 
     def __post_init__(self):
         if self.end < self.start:
@@ -51,7 +53,7 @@ class RegimeTable:
     def from_lines(cls, lines: Iterable[str]) -> RegimeTable:
         """Parse `label,start,end` lines with quarters as YYYYQn."""
         regimes = [
-            Regime(label, Quarter.parse(start), Quarter.parse(end))
+            Regime(label, parse_quarter(start), parse_quarter(end))
             for _, (label, start, end) in parse_table(lines, ("label", "start", "end"), "regime")
         ]
         if not regimes:
@@ -64,36 +66,24 @@ class RegimeTable:
             return cls.from_lines(fh)
 
 
-def default_regime_table() -> RegimeTable:
-    """The bundled seven-subperiod table for the 1951-2019 US sample."""
-    return RegimeTable.from_file(bundled_data_dir() / "regimes_default.csv")
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Per-quarter curve parameters as columns aligned with the panel quarters."""
 
+    epsilon: np.ndarray
+    regime_label: np.ndarray
+    is_gap_quarter: np.ndarray
 
-def _latest_start(q: Quarter, table: RegimeTable) -> Regime | None:
-    """The last regime starting at or before q, or None when q precedes them all."""
-    i = bisect_right(table.regimes, q, key=lambda r: r.start)
-    return table.regimes[i - 1] if i else None
-
-
-def assign_regime(q: Quarter, table: RegimeTable) -> Regime | None:
-    """Regime containing q, or None for shift quarters outside every regime."""
-    regime = _latest_start(q, table)
-    return regime if regime is not None and q <= regime.end else None
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    epsilon: float
-    regime_label: str
-    is_gap_quarter: bool
+    def __len__(self) -> int:
+        return len(self.epsilon)
 
 
 def build_schedule(
     table: RegimeTable,
     estimates: Sequence[ElasticityEstimate],
-    quarters: Sequence[Quarter],
-) -> tuple[ScheduleEntry, ...]:
-    """Curve parameters for every quarter, in the order of `quarters`.
+    quarters: Sequence[int],
+) -> Schedule:
+    """Curve parameters for every quarter index, in the order of `quarters`.
 
     Quarters inside a regime use that regime's estimate. Shift quarters
     between regimes carry forward the most recent preceding regime's
@@ -107,12 +97,17 @@ def build_schedule(
         if regime.label not in by_label:
             raise ConfigError(f"no elasticity estimate for regime {regime.label!r}")
 
-    entries = []
-    for q in quarters:
-        # the latest regime starting at or before q either contains q or
-        # is the most recent one that ended before it
-        source = _latest_start(q, table)
-        is_gap = source is None or source.end < q
-        source = source or table.regimes[0]
-        entries.append(ScheduleEntry(by_label[source.label].epsilon, source.label, is_gap))
-    return tuple(entries)
+    quarters = np.asarray(quarters, dtype=np.int64)
+    starts = np.array([r.start for r in table], dtype=np.int64)
+    ends = np.array([r.end for r in table], dtype=np.int64)
+    # the latest regime starting at or before each quarter either contains
+    # it or is the most recent one that ended before it
+    latest = np.searchsorted(starts, quarters, side="right") - 1
+    source = np.maximum(latest, 0)
+    labels = np.array([r.label for r in table])
+    epsilon = np.array([by_label[r.label].epsilon for r in table], dtype=np.float64)
+    return Schedule(
+        epsilon=epsilon[source],
+        regime_label=labels[source],
+        is_gap_quarter=(latest < 0) | (ends[source] < quarters),
+    )

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 760.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 44.0, 52.0
 PALETTE = ("#1f6fb4", "#c23b22", "#2c8a4b", "#8a5ca8", "#b8860b", "#4d4d4d")
+
+
+def escape(text: str) -> str:
+    """xml.sax.saxutils.escape without importing it (it loads urllib, http, ssl and email)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:

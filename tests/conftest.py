@@ -2,11 +2,12 @@ from importlib import resources
 
 import pytest
 
-from ugap.calibration import default_profile
+from ugap.calibration import CalibrationProfile
+from ugap.config import bundled_data_dir
 from ugap.fitting import fit_all
 from ugap.ingest import build_panel, parse_series_csv, splice_vacancy, to_quarterly
-from ugap.quarters import Quarter
-from ugap.regimes import build_schedule, default_regime_table
+from ugap.quarters import parse_quarter
+from ugap.regimes import RegimeTable, build_schedule
 
 
 def bundled_text(name: str) -> str:
@@ -18,13 +19,13 @@ def panel():
     u_q, _ = to_quarterly(parse_series_csv(bundled_text("unemployment_monthly.csv"), "percent"))
     pre_q, _ = to_quarterly(parse_series_csv(bundled_text("vacancy_hwi_monthly.csv"), "percent"))
     post_q, _ = to_quarterly(parse_series_csv(bundled_text("vacancy_jolts_monthly.csv"), "percent"))
-    v_q = splice_vacancy(pre_q, post_q, Quarter(2001, 1))
+    v_q = splice_vacancy(pre_q, post_q, parse_quarter("2001Q1"))
     return build_panel(u_q, v_q)
 
 
 @pytest.fixture(scope="session")
 def regime_table():
-    return default_regime_table()
+    return RegimeTable.from_file(bundled_data_dir() / "regimes_default.csv")
 
 
 @pytest.fixture(scope="session")
@@ -41,4 +42,4 @@ def schedule(panel, regime_table, estimates):
 
 @pytest.fixture(scope="session")
 def profile():
-    return default_profile()
+    return CalibrationProfile.from_file(bundled_data_dir() / "calibration_default.cfg")

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,7 +13,6 @@ from conftest import bundled_text
 from ugap.cli import main
 from ugap.config import bundled_data_dir
 from ugap.errors import ParseError
-from ugap.ingest import panel_from_csv
 from ugap.regimes import RegimeTable
 
 
@@ -159,6 +161,19 @@ class TestGapCommand:
         assert err.count("error:") == 1 and "must be finite and below 1" in err
         assert not (tmp_path / "gap.csv").exists()
 
+    @pytest.mark.parametrize("command,artifact", [("gap", "gap.csv"), ("sensitivity", "sensitivity.csv")])
+    def test_overflowing_u_star_exits_2(self, tmp_path, capsys, command, artifact):
+        # kappa * epsilon / (1 - zeta) * theta overflows to inf wherever
+        # theta is high enough: from 1953Q1 at zeta 0.25, and for the
+        # sensitivity sweep's zeta 0.5 and 0.96 from 1951Q1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--out", tmp_path, "--kappa", "1e308") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert re.search(r"error: \d{4}Q\d: efficient values must be finite, got u\*.*=inf", err)
+        assert not (tmp_path / artifact).exists()
+
 
 class TestSensitivity:
     def test_minus_infinite_zeta_in_list_exits_2(self, tmp_path, capsys):
@@ -274,6 +289,15 @@ class TestSimulate:
             assert run("simulate", "--out", tmp_path, f"--noise-scale={value}") == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "noise_scale must be" in err
+        assert not (tmp_path / "simulation_report.json").exists()
+
+    def test_overflowing_noise_exits_2(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--out", tmp_path, "--noise-scale", "1e308") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert re.search(r"error: 20\d\dQ\d: the noisy vacancy rate is not finite", err)
         assert not (tmp_path / "simulation_report.json").exists()
 
     @pytest.mark.parametrize("source", ["flag", "env", "scenario"])
@@ -411,7 +435,6 @@ SHORT_ROWS = {
         "# label,start,end\nmodern,2010Q1,2019Q4\nfuture,2040Q1\n",
         lambda tmp, path: ["fit", "--regimes", path],
     ),
-    "panel": ("quarter,u,v,theta,n\n1951Q1,0.03,0.02,0.6,0.97\n1951Q2,0.03,0.02\n", None),
 }
 
 
@@ -419,10 +442,6 @@ SHORT_ROWS = {
 def test_wrong_column_count_names_the_line(tmp_path, capsys, what):
     text, argv = SHORT_ROWS[what]
     message = f"{what} line 3: expected"
-    if what == "panel":
-        with pytest.raises(ParseError, match=message):
-            panel_from_csv(text)
-        return
     if what == "regime":
         with pytest.raises(ParseError, match=message):
             RegimeTable.from_lines(text.splitlines())
@@ -430,3 +449,18 @@ def test_wrong_column_count_names_the_line(tmp_path, capsys, what):
     path.write_text(text)
     assert run(*argv(tmp_path, path), "--out", tmp_path / "out") == 2
     assert message in capsys.readouterr().err
+
+
+def test_import_loads_no_network_modules():
+    """Importing the CLI must not pull in the network and mail stacks (slow to import).
+
+    urllib.parse is left out: the interpreter loads it at start-up.
+    """
+    code = (
+        "import sys, ugap.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http', 'ssl', 'email', 'xml.sax') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -45,12 +45,13 @@ def test_monthly_files_aggregate_back_to_the_quarterly_design():
         parse_series_csv(bundled_text("unemployment_monthly.csv"), "percent")
     )
     assert dropped == [] and len(quarterly) == len(u_design)
-    for point, target in zip(quarterly, u_design):
-        assert point.value == pytest.approx(target, abs=2e-6)
+    assert quarterly.index.tolist() == list(sample_quarters())
+    for value, target in zip(quarterly.values.tolist(), u_design):
+        assert value == pytest.approx(target, abs=2e-6)
 
     pre, _ = to_quarterly(parse_series_csv(bundled_text("vacancy_hwi_monthly.csv"), "percent"))
     post, _ = to_quarterly(parse_series_csv(bundled_text("vacancy_jolts_monthly.csv"), "percent"))
-    rebuilt = [p.value for p in pre] + [p.value for p in post]
+    rebuilt = pre.values.tolist() + post.values.tolist()
     assert len(rebuilt) == len(v_design)
     for value, target in zip(rebuilt, v_design):
         assert value == pytest.approx(target, abs=2e-6)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ugap.errors import DegenerateDataError, DomainError, SampleSizeError
-from ugap.fitting import dmp_elasticity, fit_all, fit_elasticity, predicted_vacancy
-from ugap.quarters import Quarter
+from ugap.fitting import dmp_elasticity, fit_all, fit_elasticity
+from ugap.planner import IsoelasticCurve
+from ugap.quarters import parse_quarter
 from ugap.regimes import Regime, RegimeTable
 
 
@@ -34,9 +35,7 @@ def test_fit_predict_roundtrip():
     us, vs = rows_on_curve(0.0021, 0.95, u)
     est = fit_elasticity(us, vs)
     for u_i, v_i in zip(us, vs):
-        assert predicted_vacancy(est.log_v0, est.epsilon, u_i) == pytest.approx(
-            v_i, rel=1e-12
-        )
+        assert math.exp(est.log_v0) * u_i ** -est.epsilon == pytest.approx(v_i, rel=1e-12)
 
 
 def test_noisy_fit_matches_textbook_ols_and_recovers_truth():
@@ -100,15 +99,18 @@ def test_upward_sloping_data_rejected():
 
 
 class TestPredictedVacancy:
+    """The fitted curve as simulate evaluates it: IsoelasticCurve(exp(log_v0), epsilon)."""
+
     def test_hand_evaluation(self):
-        assert predicted_vacancy(math.log(0.09), 1.2, 0.05) == pytest.approx(3.2776, abs=5e-3)
+        curve = IsoelasticCurve(math.exp(math.log(0.09)), 1.2)
+        assert curve.value(0.05) == pytest.approx(3.2776, abs=5e-3)
 
     def test_u_one_returns_v0(self):
-        assert predicted_vacancy(math.log(0.0123), 7.7, 1.0) == pytest.approx(0.0123)
+        assert IsoelasticCurve(math.exp(math.log(0.0123)), 7.7).value(1.0) == pytest.approx(0.0123)
 
     def test_nonpositive_u_rejected(self):
         with pytest.raises(DomainError):
-            predicted_vacancy(math.log(0.09), 1.2, 0.0)
+            IsoelasticCurve(0.09, 1.2).value(0.0)
 
 
 class TestDmpElasticity:
@@ -147,7 +149,7 @@ class TestFitAll:
         assert all(0.90 <= e.r_squared <= 0.97 for e in estimates)
 
     def test_error_carries_regime_label(self, panel):
-        sparse = RegimeTable((Regime("tiny", Quarter(1951, 1), Quarter(1951, 2)),))
+        sparse = RegimeTable((Regime("tiny", parse_quarter("1951Q1"), parse_quarter("1951Q2")),))
         estimates, failures = fit_all(panel, sparse)
         assert estimates == []
         [(label, exc)] = failures

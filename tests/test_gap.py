@@ -17,21 +17,27 @@ from ugap.gap import (
     implied_zeta_series,
     sensitivity,
     summarize,
-    unemployment_gap,
 )
 from ugap.ingest import LaborMarketPanel
-from ugap.quarters import Quarter
-from ugap.regimes import ScheduleEntry
+from ugap.quarters import parse_quarter
+from ugap.regimes import Schedule
 
 BASELINE = SufficientStats(epsilon=1.0, kappa=0.72, zeta=0.25)
 
 
+def panel_from(u, v, first="2000Q1"):
+    """A panel of consecutive quarters from the given u and v columns."""
+    start = parse_quarter(first)
+    return LaborMarketPanel(range(start, start + len(u)), u, v)
+
+
 def single_quarter_panel(u, v):
-    return LaborMarketPanel((Quarter(2000, 1),), [u], [v])
+    return panel_from([u], [v])
 
 
 def constant_schedule(panel, epsilon, is_gap=False):
-    return (ScheduleEntry(epsilon, "test", is_gap),) * len(panel)
+    n = len(panel)
+    return Schedule(np.full(n, epsilon), np.full(n, "test"), np.full(n, is_gap))
 
 
 class TestEfficientTightness:
@@ -121,9 +127,12 @@ class TestEfficientUnemployment:
 
 class TestGapAndImpliedZeta:
     def test_gap_values(self):
-        assert unemployment_gap(0.058, 0.042) == pytest.approx(0.016)
-        assert unemployment_gap(0.04, 0.04) == 0.0
-        assert unemployment_gap(0.10, 0.035) == pytest.approx(0.065)
+        u, v = [0.058, 0.04, 0.10], [0.03, 0.04, 0.01]
+        panel = panel_from(u, v)
+        series = gap_series(panel, constant_schedule(panel, BASELINE.epsilon), 0.72, 0.25)
+        assert series.gap.tolist() == (panel.u - series.u_star).tolist()
+        for gap, u_i, v_i in zip(series.gap.tolist(), u, v):
+            assert gap == pytest.approx(u_i - efficient_unemployment(u_i, v_i, BASELINE), abs=1e-15)
 
     def test_implied_zeta_hand_value(self):
         assert implied_zeta(0.6, 0.72, 1.0) == pytest.approx(0.568)
@@ -165,7 +174,7 @@ def test_sign_agreement_on_curve():
             assert label == INEFFICIENTLY_TIGHT and u < u_star
         else:
             assert label == INEFFICIENTLY_SLACK and u > u_star
-        assert (unemployment_gap(u, u_star) < 0) == (theta > theta_star)
+        assert (u - u_star < 0) == (theta > theta_star)
 
 
 class TestGapSeries:
@@ -249,15 +258,16 @@ class TestSensitivity:
 def test_implied_zeta_series_matches_pointwise(panel, schedule):
     zeta_star = implied_zeta_series(panel, schedule, 0.72)
     assert len(zeta_star) == len(panel)
-    for z_star, theta, entry in zip(zeta_star, panel.theta, schedule):
-        assert z_star == pytest.approx(1.0 - 0.72 * entry.epsilon * theta, abs=1e-12)
+    for z_star, theta, epsilon in zip(zeta_star, panel.theta, schedule.epsilon):
+        assert z_star == pytest.approx(1.0 - 0.72 * epsilon * theta, abs=1e-12)
 
 
 def test_implied_zeta_series_takes_regime_kappa(panel, schedule):
     zeta_star = implied_zeta_series(panel, schedule, 0.72, kappa_by_regime={"2010Q1-2019Q4": 2.0})
-    for z_star, theta, entry in zip(zeta_star.tolist(), panel.theta.tolist(), schedule):
-        kappa = 2.0 if entry.regime_label == "2010Q1-2019Q4" else 0.72
-        assert z_star == 1.0 - kappa * entry.epsilon * theta
+    columns = (zeta_star, panel.theta, schedule.epsilon, schedule.regime_label)
+    for z_star, theta, epsilon, label in zip(*(c.tolist() for c in columns)):
+        kappa = 2.0 if label == "2010Q1-2019Q4" else 0.72
+        assert z_star == 1.0 - kappa * epsilon * theta
 
 
 REGIMES = ("a", "b", "c")
@@ -279,8 +289,8 @@ def gap_inputs(draw):
     epsilon = {label: draw(st.floats(0.2, 4.0)) for label in REGIMES}
     labels = draw(st.lists(st.sampled_from(REGIMES), min_size=n, max_size=n))
     flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    panel = LaborMarketPanel(tuple(Quarter(2000 + i // 4, i % 4 + 1) for i in range(n)), u, v)
-    schedule = tuple(ScheduleEntry(epsilon[r], r, g) for r, g in zip(labels, flags))
+    panel = panel_from(u, v)
+    schedule = Schedule(np.array([epsilon[r] for r in labels]), np.array(labels), np.array(flags))
     overrides = draw(st.dictionaries(st.sampled_from(REGIMES), positive))
     kappa = draw(positive)
     zeta = draw(zetas)
@@ -291,8 +301,10 @@ def gap_inputs(draw):
     return panel, schedule, overrides, kappa, zeta
 
 
-def scalar_stats(entry, overrides, kappa, zeta):
-    return SufficientStats(entry.epsilon, overrides.get(entry.regime_label, kappa), zeta)
+def scalar_stats(schedule, i, overrides, kappa, zeta):
+    """The statistics of quarter i, read one scalar at a time."""
+    epsilon, label = schedule.epsilon.tolist()[i], schedule.regime_label.tolist()[i]
+    return SufficientStats(epsilon, overrides.get(label, kappa), zeta)
 
 
 class TestColumnsMatchScalars:
@@ -304,15 +316,15 @@ class TestColumnsMatchScalars:
         panel, schedule, overrides, kappa, zeta = inputs
         series = gap_series(panel, schedule, kappa, zeta, tol=tol, kappa_by_regime=overrides)
         zeta_star = implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
-        for i, entry in enumerate(schedule):
+        for i in range(len(schedule)):
             u, v, theta = float(panel.u[i]), float(panel.v[i]), float(panel.theta[i])
-            stats = scalar_stats(entry, overrides, kappa, zeta)
+            stats = scalar_stats(schedule, i, overrides, kappa, zeta)
             theta_star = efficient_tightness(stats)
             u_star = efficient_unemployment(u, v, stats)
             assert abs(series.u_star[i] - u_star) <= 1e-15 * u_star
             assert series.theta_star[i] == theta_star
             assert series.classification[i] == classify(theta, theta_star, tol)
-            assert series.is_gap_quarter[i] == entry.is_gap_quarter
+            assert series.is_gap_quarter[i] == schedule.is_gap_quarter[i]
             assert zeta_star[i] == implied_zeta(theta, stats.kappa, stats.epsilon)
 
     @settings(derandomize=True, database=None, deadline=None)
@@ -322,7 +334,7 @@ class TestColumnsMatchScalars:
         sweep = [zeta, *sweep]
         band = sensitivity(panel, schedule, kappa, sweep, kappa_by_regime=overrides)
         for z in sweep:
-            for i, entry in enumerate(schedule):
-                stats = scalar_stats(entry, overrides, kappa, z)
+            for i in range(len(schedule)):
+                stats = scalar_stats(schedule, i, overrides, kappa, z)
                 u_star = efficient_unemployment(float(panel.u[i]), float(panel.v[i]), stats)
                 assert abs(band.u_star[z][i] - u_star) <= 1e-15 * u_star

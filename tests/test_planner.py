@@ -23,16 +23,16 @@ from ugap.planner import (
     solve_planner_numeric,
     synth_panel,
 )
-from ugap.quarters import Quarter, quarter_range
+from ugap.quarters import parse_quarter
 
 BASE_ECON = DmpEconomy(alpha=0.5, mu=2.055, s=0.105, p=1.0, z=0.25, c=0.72)
 
 
 def sine_shocks(n=40, amplitude=0.10):
-    quarters = quarter_range(Quarter(2000, 1), Quarter(2009, 4))[:n]
+    first = parse_quarter("2000Q1")
     return [
-        (q, 1.0 + amplitude * math.sin(2.0 * math.pi * i / 16.0), 1.0)
-        for i, q in enumerate(quarters)
+        (first + i, 1.0 + amplitude * math.sin(2.0 * math.pi * i / 16.0), 1.0)
+        for i in range(n)
     ]
 
 
@@ -93,12 +93,12 @@ class TestDmpStats:
         assert dmp_stats(DmpEconomy(0.5, 1.0, 0.03, 1.0, 0.25, 0.72)) == (0.25, 0.72)
 
     def test_homogeneity_in_p_and_z(self):
-        a = dmp_stats(DmpEconomy(0.5, 1.0, 0.03, 2.0, 0.5, 0.72))
-        assert a.zeta == pytest.approx(0.25) and a.kappa == 0.72
+        zeta, kappa = dmp_stats(DmpEconomy(0.5, 1.0, 0.03, 2.0, 0.5, 0.72))
+        assert zeta == pytest.approx(0.25) and kappa == 0.72
 
     def test_hand_values(self):
-        s = dmp_stats(DmpEconomy(0.5, 1.0, 0.03, 1.5, 0.6, 0.9))
-        assert s.zeta == pytest.approx(0.4) and s.kappa == 0.9
+        zeta, kappa = dmp_stats(DmpEconomy(0.5, 1.0, 0.03, 1.5, 0.6, 0.9))
+        assert zeta == pytest.approx(0.4) and kappa == 0.9
 
 
 class TestPlanner:
@@ -149,10 +149,10 @@ class TestPlanner:
 
     def test_dmp_curve_optimum_consistent_with_local_elasticity(self):
         # at the DMP optimum, theta* must equal (1-zeta)/(kappa*eps(u*))
-        stats = dmp_stats(BASE_ECON)
-        sol = solve_planner_numeric(DmpCurve(BASE_ECON), stats.zeta, stats.kappa)
+        zeta, kappa = dmp_stats(BASE_ECON)
+        sol = solve_planner_numeric(DmpCurve(BASE_ECON), zeta, kappa)
         eps_local = dmp_elasticity(BASE_ECON.alpha, sol.u_star)
-        expected = (1.0 - stats.zeta) / (stats.kappa * eps_local)
+        expected = (1.0 - zeta) / (kappa * eps_local)
         assert sol.theta_star == pytest.approx(expected, rel=1e-9)
 
 
@@ -262,17 +262,16 @@ class TestComparativeStatics:
 
 class TestSynthPanel:
     def test_constant_shocks_give_identical_points(self):
-        path = [(q, 1.0, 1.0) for q in quarter_range(Quarter(2000, 1), Quarter(2001, 4))]
+        path = [(q, 1.0, 1.0) for q in range(parse_quarter("2000Q1"), parse_quarter("2001Q4") + 1)]
         panel = synth_panel(BASE_ECON, path)
         us = {round(u, 15) for u in panel.u.tolist()}
         vs = {round(v, 15) for v in panel.v.tolist()}
         assert len(us) == 1 and len(vs) == 1
 
     def test_baseline_sits_at_efficiency(self):
-        path = [(Quarter(2000, 1), 1.0, 1.0)]
+        path = [(parse_quarter("2000Q1"), 1.0, 1.0)]
         panel = synth_panel(BASE_ECON, path)
-        stats = dmp_stats(BASE_ECON)
-        sol = solve_planner_numeric(DmpCurve(BASE_ECON), stats.zeta, stats.kappa)
+        sol = solve_planner_numeric(DmpCurve(BASE_ECON), *dmp_stats(BASE_ECON))
         assert panel.u[0] == pytest.approx(sol.u_star, rel=1e-9)
 
     def test_fit_recovers_matching_implied_elasticity(self):
@@ -294,8 +293,8 @@ class TestSynthPanel:
         assert render(a) != render(c)
 
     def test_bad_multiplier_rejected(self):
-        with pytest.raises(DomainError):
-            synth_panel(BASE_ECON, [(Quarter(2000, 1), 0.0, 1.0)])
+        with pytest.raises(DomainError, match="2000Q1: shock multipliers must be positive"):
+            synth_panel(BASE_ECON, [(parse_quarter("2000Q1"), 0.0, 1.0)])
         with pytest.raises(DomainError):
             synth_panel(BASE_ECON, [])
 
@@ -303,11 +302,11 @@ class TestSynthPanel:
 def test_round_trip_reproduces_planner_everywhere():
     """Noiseless panel -> estimator -> formula must match the planner."""
     panel = synth_panel(BASE_ECON, sine_shocks())
-    stats = dmp_stats(BASE_ECON)
+    zeta, kappa = dmp_stats(BASE_ECON)
     est = fit_elasticity(panel.u, panel.v)
-    planner = solve_planner_numeric(DmpCurve(BASE_ECON), stats.zeta, stats.kappa)
+    planner = solve_planner_numeric(DmpCurve(BASE_ECON), zeta, kappa)
     for u, v in zip(panel.u.tolist(), panel.v.tolist()):
         u_star = efficient_unemployment(
-            u, v, SufficientStats(est.epsilon, stats.kappa, stats.zeta)
+            u, v, SufficientStats(est.epsilon, kappa, zeta)
         )
         assert abs(u_star - planner.u_star) / planner.u_star < 1e-3
