@@ -75,10 +75,12 @@ def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int,
     if path is None:
         return []
     text = Path(path).read_text(encoding="utf-8")
-    rows = [
-        (parse_quarter(start), parse_quarter(end))
-        for _, (start, end) in parse_table(text, ("start", "end"), "recessions")
-    ]
+    rows = []
+    for lineno, (start, end) in parse_table(text, ("start", "end"), "recessions"):
+        first, last = parse_quarter(start), parse_quarter(end)
+        if last < first:
+            raise ConfigError(f"recessions line {lineno}: ends before it starts")
+        rows.append((first, last))
     starts, ends = np.array(rows, dtype=np.int64).reshape(-1, 2).T
     lo = np.searchsorted(quarters, starts, side="left")
     hi = np.searchsorted(quarters, ends, side="right")
@@ -177,7 +179,7 @@ class Run:
     def timeseries(self, title: str, series: list) -> str:
         """A time-series figure over the panel quarters, of rates given as fractions."""
         ticks, labels, bands = self.axis
-        percent = [(label, (100.0 * rates).tolist()) for label, rates in series]
+        percent = [(label, 100.0 * rates) for label, rates in series]
         return timeseries_svg(title, ticks, labels, len(self.panel), percent, bands=bands)
 
 
@@ -191,6 +193,10 @@ def _out_dirs(cfg: RunConfig) -> tuple[Path, Path]:
 def cmd_ingest(run: Run) -> int:
     out, figures = _out_dirs(run.cfg)
     panel, audit = run.ingested
+    svg = run.timeseries(  # first: it reads the recessions file, which must fail before any output
+        "Unemployment and vacancy rates",
+        [("unemployment", panel.u), ("vacancies", panel.v)],
+    )
     with open(out / "panel.csv", "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
     for series, dropped in audit["dropped"].items():
@@ -204,10 +210,6 @@ def cmd_ingest(run: Run) -> int:
             post=splice["first_post_value"],
             jump=splice["relative_jump"],
         )
-    )
-    svg = run.timeseries(
-        "Unemployment and vacancy rates",
-        [("unemployment", panel.u), ("vacancies", panel.v)],
     )
     (figures / "rates_timeseries.svg").write_text(svg)
     _update_summary(out, "ingest", {"n_quarters": len(panel), "splice": splice})
@@ -253,6 +255,10 @@ def cmd_gap(run: Run) -> int:
     series = gap_mod.gap_series(
         panel, schedule, kappa, zeta, tol=cfg.tolerance, kappa_by_regime=overrides
     )
+    svg = run.timeseries(
+        "Actual and efficient unemployment rate",
+        [("unemployment", panel.u), ("efficient rate", series.u_star)],
+    )
     with open(out / "gap.csv", "w", encoding="utf-8") as fh:
         gap_mod.write_gap_csv(panel, series, fh)
 
@@ -268,11 +274,6 @@ def cmd_gap(run: Run) -> int:
         "excluding_gap_quarters": asdict(summary_core),
     }
     _update_summary(out, "gap", payload)
-
-    svg = run.timeseries(
-        "Actual and efficient unemployment rate",
-        [("unemployment", panel.u), ("efficient rate", series.u_star)],
-    )
     (figures / "gap_unemployment.svg").write_text(svg)
 
     shown = summary_core if cfg.exclude_gap_quarters else summary_all
@@ -298,6 +299,11 @@ def cmd_sensitivity(run: Run) -> int:
     kappa, _zeta = run.calibration
     overrides = run.kappa_overrides
     band = gap_mod.sensitivity(panel, schedule, kappa, cfg.zeta_list, kappa_by_regime=overrides)
+    series = [("unemployment", panel.u)]
+    series += [(f"u* (zeta={z:g})", band.u_star[z]) for z in band.zetas]
+    svg = run.timeseries(
+        "Efficient unemployment under alternative social values of nonwork", series
+    )
     with open(out / "sensitivity.csv", "w", encoding="utf-8") as fh:
         gap_mod.write_sensitivity_csv(band, panel, fh)
 
@@ -311,12 +317,6 @@ def cmd_sensitivity(run: Run) -> int:
         "width_pair": list(gap_mod.WIDTH_PAIR),
         "mean_width": band.mean_width,
     }
-
-    series = [("unemployment", panel.u)]
-    series += [(f"u* (zeta={z:g})", band.u_star[z]) for z in band.zetas]
-    svg = run.timeseries(
-        "Efficient unemployment under alternative social values of nonwork", series
-    )
     (figures / "sensitivity.svg").write_text(svg)
 
     if cfg.implied_zeta:

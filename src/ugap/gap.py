@@ -19,7 +19,7 @@ import numpy as np
 from .calibration import SufficientStats
 from .errors import DomainError
 from .ingest import LaborMarketPanel
-from .quarters import quarter_label
+from .quarters import quarter_label, write_quarter_rows
 from .regimes import Schedule
 
 INEFFICIENTLY_SLACK = "inefficiently_slack"
@@ -267,18 +267,12 @@ def implied_zeta_series(
 
 
 def write_gap_csv(panel: LaborMarketPanel, series: GapSeries, stream: TextIO) -> None:
-    stream.write("quarter,u,v,theta,epsilon,u_star,theta_star,gap,classification,is_gap_quarter\n")
+    header = "quarter,u,v,theta,epsilon,u_star,theta_star,gap,classification,is_gap_quarter"
     columns = (
         panel.u, panel.v, panel.theta, series.epsilon, series.u_star, series.theta_star,
         series.gap, series.classification, series.is_gap_quarter,
     )
-    for q, u, v, theta, eps, u_star, theta_star, gap, label, flag in zip(
-        panel.quarters.tolist(), *(c.tolist() for c in columns)
-    ):
-        stream.write(
-            f"{quarter_label(q)},{u:.8g},{v:.8g},{theta:.8g},{eps:.8g},"
-            f"{u_star:.8g},{theta_star:.8g},{gap:.8g},{label},{int(flag)}\n"
-        )
+    write_quarter_rows(stream, header, panel.quarters, "%.8g," * 7 + "%s,%d", columns)
 
 
 def zeta_tag(z: float) -> str:
@@ -287,11 +281,9 @@ def zeta_tag(z: float) -> str:
 
 def write_sensitivity_csv(band: SensitivityBand, panel: LaborMarketPanel, stream: TextIO) -> None:
     tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
-    stream.write(f"quarter,u,{tags}\n")
-    columns = [band.u_star[z].tolist() for z in band.zetas]
-    for q, u, *u_stars in zip(panel.quarters.tolist(), panel.u.tolist(), *columns):
-        cols = ",".join(f"{x:.8g}" for x in u_stars)
-        stream.write(f"{quarter_label(q)},{u:.8g},{cols}\n")
+    template = "%.8g," + ",".join(["%.8g"] * len(band.zetas))
+    columns = [panel.u, *(band.u_star[z] for z in band.zetas)]
+    write_quarter_rows(stream, f"quarter,u,{tags}", panel.quarters, template, columns)
 
 
 def write_implied_zeta_csv(
@@ -300,7 +292,5 @@ def write_implied_zeta_csv(
     zeta_star: np.ndarray,
     stream: TextIO,
 ) -> None:
-    stream.write("quarter,theta,epsilon,zeta_star\n")
-    columns = (panel.quarters, panel.theta, schedule.epsilon, zeta_star)
-    for q, theta, epsilon, zs in zip(*(c.tolist() for c in columns)):
-        stream.write(f"{quarter_label(q)},{theta:.8g},{epsilon:.8g},{zs:.8g}\n")
+    columns = (panel.theta, schedule.epsilon, zeta_star)
+    write_quarter_rows(stream, "quarter,theta,epsilon,zeta_star", panel.quarters, "%.8g,%.8g,%.8g", columns)

@@ -27,7 +27,7 @@ from .errors import (
     DuplicateKeyError,
     ParseError,
 )
-from .quarters import quarter_label
+from .quarters import quarter_label, write_quarter_rows
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -98,10 +98,8 @@ class LaborMarketPanel:
         return LaborMarketPanel(self.quarters[lo:hi], self.u[lo:hi], self.v[lo:hi])
 
     def to_csv(self, stream: TextIO) -> None:
-        stream.write("quarter,u,v,theta,n\n")
-        columns = (self.quarters, self.u, self.v, self.theta, self.n)
-        for q, u, v, theta, n in zip(*(c.tolist() for c in columns)):
-            stream.write(f"{quarter_label(q)},{u:.8g},{v:.8g},{theta:.8g},{n:.8g}\n")
+        columns = (self.u, self.v, self.theta, self.n)
+        write_quarter_rows(stream, "quarter,u,v,theta,n", self.quarters, "%.8g,%.8g,%.8g,%.8g", columns)
 
 
 def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") -> Series:

@@ -10,6 +10,9 @@ a label is parsed or printed.
 from __future__ import annotations
 
 import re
+from typing import Sequence, TextIO
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -28,3 +31,14 @@ def quarter_label(index: int) -> str:
     """The YYYYQn label of a quarter index."""
     year, q = divmod(int(index), 4)
     return f"{year}Q{q + 1}"
+
+
+def write_quarter_rows(
+    stream: TextIO, header: str, quarters: np.ndarray, template: str, columns: Sequence[np.ndarray]
+) -> None:
+    """Write a CSV header, then per quarter its label and its column values %-formatted by template."""
+    stream.write(header + "\n")
+    for i in range(0, len(quarters), 1024):  # a block at a time bounds the memory of the row text
+        year, q = divmod(quarters[i : i + 1024], 4)
+        rows = zip(year.tolist(), (q + 1).tolist(), *(c[i : i + 1024].tolist() for c in columns))
+        stream.write("".join(map(f"%dQ%d,{template}\n".__mod__, rows)))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 WIDTH, HEIGHT = 760.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 44.0, 52.0
 PALETTE = ("#1f6fb4", "#c23b22", "#2c8a4b", "#8a5ca8", "#b8860b", "#4d4d4d")
@@ -18,10 +20,6 @@ PALETTE = ("#1f6fb4", "#c23b22", "#2c8a4b", "#8a5ca8", "#b8860b", "#4d4d4d")
 def escape(text: str) -> str:
     """xml.sax.saxutils.escape without importing it (it loads urllib, http, ssl and email)."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -40,7 +38,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 class _Frame:
-    """Affine data-to-pixel mapping over the plot area."""
+    """Affine data-to-pixel mapping of the plot area; arrays map elementwise, bit-identical to floats."""
 
     def __init__(self, xlo, xhi, ylo, yhi):
         pad_y = 0.06 * (yhi - ylo or 1.0)
@@ -74,15 +72,15 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str, xticks, yticks, xtick_labels=
     labels = xtick_labels or [f"{t:g}" for t in xticks]
     for t, lab in zip(xticks, labels):
         px = frame.x(t)
-        out.append(f'<line x1="{_fmt(px)}" y1="{y0:g}" x2="{_fmt(px)}" y2="{y0 + 5:g}" stroke="black"/>')
+        out.append(f'<line x1="{px:.2f}" y1="{y0:g}" x2="{px:.2f}" y2="{y0 + 5:g}" stroke="black"/>')
         out.append(
-            f'<text x="{_fmt(px)}" y="{y0 + 20:g}" text-anchor="middle" font-size="11">{escape(lab)}</text>'
+            f'<text x="{px:.2f}" y="{y0 + 20:g}" text-anchor="middle" font-size="11">{escape(lab)}</text>'
         )
     for t in yticks:
         py = frame.y(t)
-        out.append(f'<line x1="{x0 - 5:g}" y1="{_fmt(py)}" x2="{x0:g}" y2="{_fmt(py)}" stroke="black"/>')
+        out.append(f'<line x1="{x0 - 5:g}" y1="{py:.2f}" x2="{x0:g}" y2="{py:.2f}" stroke="black"/>')
         out.append(
-            f'<text x="{x0 - 9:g}" y="{_fmt(py + 4)}" text-anchor="end" font-size="11">{t:g}</text>'
+            f'<text x="{x0 - 9:g}" y="{py + 4:.2f}" text-anchor="end" font-size="11">{t:g}</text>'
         )
     out.append(
         f'<text x="{(x0 + x1) / 2:g}" y="{HEIGHT - 12:g}" text-anchor="middle" font-size="12">{escape(xlabel)}</text>'
@@ -113,15 +111,13 @@ def scatter_fit_svg(
     )
     xa, xb = min(log_u), max(log_u)
     parts.append(
-        f'<line x1="{_fmt(frame.x(xa))}" y1="{_fmt(frame.y(intercept + slope * xa))}" '
-        f'x2="{_fmt(frame.x(xb))}" y2="{_fmt(frame.y(intercept + slope * xb))}" '
+        f'<line x1="{frame.x(xa):.2f}" y1="{frame.y(intercept + slope * xa):.2f}" '
+        f'x2="{frame.x(xb):.2f}" y2="{frame.y(intercept + slope * xb):.2f}" '
         f'stroke="{PALETTE[1]}" stroke-width="2"/>'
     )
-    for x, y in zip(log_u, log_v):
-        parts.append(
-            f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" r="3" '
-            f'fill="{PALETTE[0]}" fill-opacity="0.75"/>'
-        )
+    circle = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{PALETTE[0]}" fill-opacity="0.75"/>'
+    cx, cy = frame.x(np.asarray(log_u, dtype=float)), frame.y(np.asarray(log_v, dtype=float))
+    parts += map(circle.__mod__, zip(cx.tolist(), cy.tolist()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -139,13 +135,14 @@ def timeseries_svg(
     x positions are 0..n_points-1; bands are inclusive (start, end) index
     pairs drawn behind the lines.
     """
-    values = [x for _, ys in series for x in ys]
-    frame = _Frame(0.0, float(max(n_points - 1, 1)), min(values), max(values))
+    columns = [np.asarray(ys, dtype=float) for _, ys in series]
+    values = np.concatenate(columns)
+    frame = _Frame(0.0, float(max(n_points - 1, 1)), float(values.min()), float(values.max()))
     parts = _header(title)
     for start, end in bands:
         x0, x1 = frame.x(float(start)), frame.x(float(end) + 1.0)
         parts.append(
-            f'<rect x="{_fmt(x0)}" y="{MARGIN_T:g}" width="{_fmt(x1 - x0)}" '
+            f'<rect x="{x0:.2f}" y="{MARGIN_T:g}" width="{x1 - x0:.2f}" '
             f'height="{HEIGHT - MARGIN_T - MARGIN_B:g}" fill="#d9d9d9"/>'
         )
     parts += _axes(
@@ -156,9 +153,10 @@ def timeseries_svg(
         _nice_ticks(frame.ylo, frame.yhi),
         xtick_labels=list(tick_labels),
     )
-    for i, (label, ys) in enumerate(series):
+    for i, ((label, _), ys) in enumerate(zip(series, columns)):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(frame.x(float(j)))},{_fmt(frame.y(y))}" for j, y in enumerate(ys))
+        xy = np.column_stack((frame.x(np.arange(len(ys), dtype=float)), frame.y(ys)))
+        pts = " ".join(["%.2f,%.2f"] * len(ys)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN_R - 6:g}" y="{MARGIN_T + 16 + 16 * i:g}" text-anchor="end" '

@@ -402,6 +402,33 @@ class TestBadConfigExits2:
         assert run("ingest", "--out", tmp_path, "--recessions", tmp_path / "nope.csv") == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["ingest"], ["gap"], ["sensitivity"], ["report", "--recompute"]])
+    def test_bad_recessions_file_writes_nothing(self, tmp_path, capsys, argv):
+        recessions = tmp_path / "recessions.csv"
+        recessions.write_text("start,end\n1953Q2,1954Q9\n")
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out, "--recessions", recessions) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and "'1954Q9'" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir() if p.is_file()] == []
+
+    def test_recession_ending_before_it_starts_exits_2(self, tmp_path, capsys):
+        recessions = tmp_path / "recessions.csv"
+        recessions.write_text("start,end\n1953Q2,1954Q2\n1960Q1,1950Q1\n")
+        assert run("ingest", "--out", tmp_path / "out", "--recessions", recessions) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "error: recessions line 3: ends before it starts" in err
+        assert not (tmp_path / "out" / "panel.csv").exists()
+
+    def test_recessions_outside_the_panel_draw_no_band(self, tmp_path):
+        recessions = tmp_path / "recessions.csv"
+        recessions.write_text("start,end\n1900Q1,1901Q4\n1953Q2,1954Q2\n2030Q1,2031Q1\n")
+        assert run("ingest", "--out", tmp_path, "--recessions", recessions) == 0
+        svg = (tmp_path / "figures" / "rates_timeseries.svg").read_text()
+        assert svg.count('fill="#d9d9d9"') == 1
+
     def test_failing_regime_stops_gap_with_its_label(self, tmp_path, capsys):
         regimes = tmp_path / "mixed.csv"
         regimes.write_text("modern,2010Q1,2019Q4\nfuture,2040Q1,2049Q4\n")
