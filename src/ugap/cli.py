@@ -24,8 +24,16 @@ import numpy as np
 
 from . import gap as gap_mod
 from .calibration import CalibrationProfile, SufficientStats
-from .config import RunConfig, load_config, parse_kv_text, parse_table, parse_zeta_list
-from .errors import ConfigError, InputError, ParseError, PropertyViolation
+from .config import (
+    RunConfig,
+    check_path,
+    load_config,
+    parse_floats,
+    parse_kv_text,
+    parse_table,
+    parse_zeta_list,
+)
+from .errors import ConfigError, FirstFault, InputError, ParseError, PropertyViolation
 from .fitting import ElasticityEstimate, fit_all, fit_elasticity, write_estimates_csv
 from .ingest import (
     LaborMarketPanel,
@@ -44,7 +52,7 @@ from .planner import (
     solve_planner_numeric,
     synth_panel,
 )
-from .quarters import parse_quarter, quarter_label
+from .quarters import parse_quarter, parse_quarters, quarter_label
 from .regimes import RegimeTable, Schedule, build_schedule
 from .svgfig import scatter_fit_svg, timeseries_svg
 
@@ -63,9 +71,22 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n")
 
 
+def _read_summary(path: Path) -> dict:
+    """The sections of an existing summary.json, or none when there is no such file."""
+    if not path.is_file():
+        return {}
+    try:
+        summary = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{path} is not a JSON object")
+    return summary
+
+
 def _update_summary(out_dir: Path, section: str, payload: dict) -> None:
     path = out_dir / "summary.json"
-    existing = json.loads(path.read_text()) if path.is_file() else {}
+    existing = _read_summary(path)
     existing[section] = payload
     _write_json(path, existing)
 
@@ -74,14 +95,13 @@ def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int,
     """(first, last) panel indices covered by each recession, for figure shading."""
     if path is None:
         return []
+    faults = FirstFault()
     text = Path(path).read_text(encoding="utf-8")
-    rows = []
-    for lineno, (start, end) in parse_table(text, ("start", "end"), "recessions"):
-        first, last = parse_quarter(start), parse_quarter(end)
-        if last < first:
-            raise ConfigError(f"recessions line {lineno}: ends before it starts")
-        rows.append((first, last))
-    starts, ends = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    linenos, (first, last) = parse_table(text, ("start", "end"), "recessions", faults)
+    starts = parse_quarters(first, linenos, "recessions", faults)
+    ends = parse_quarters(last, linenos, "recessions", faults)
+    faults.check(ends < starts, lambda i: ConfigError(f"recessions line {linenos[i]}: ends before it starts"))
+    faults.raise_first()
     lo = np.searchsorted(quarters, starts, side="left")
     hi = np.searchsorted(quarters, ends, side="right")
     shown = lo < hi
@@ -152,20 +172,23 @@ class Run:
         """Per-regime recruiting-cost overrides for robustness runs, from the kappa file."""
         if self.cfg.kappa_file is None:
             return {}
-        labels = {regime.label for regime in self.table}
-        overrides: dict[str, float] = {}
+        faults = FirstFault()
         text = Path(self.cfg.kappa_file).read_text(encoding="utf-8")
-        for lineno, (label, raw) in parse_table(text, ("regime", "kappa"), "kappa file"):
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(f"kappa file line {lineno}: bad kappa {raw!r}") from None
-            if label not in labels:
-                raise ConfigError(f"kappa file line {lineno}: unknown regime {label!r}")
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"kappa file line {lineno}: kappa must be positive and finite")
-            overrides[label] = value
-        return overrides
+        linenos, (labels, raw) = parse_table(text, ("regime", "kappa"), "kappa file", faults)
+        values = parse_floats(
+            raw, faults, lambda i: ParseError(f"kappa file line {linenos[i]}: bad kappa {raw[i]!r}")
+        )
+        known = {regime.label for regime in self.table}
+        faults.check(
+            [label not in known for label in labels],
+            lambda i: ConfigError(f"kappa file line {linenos[i]}: unknown regime {labels[i]!r}"),
+        )
+        faults.check(
+            ~((0.0 < values) & (values < math.inf)),
+            lambda i: ConfigError(f"kappa file line {linenos[i]}: kappa must be positive and finite"),
+        )
+        faults.raise_first()
+        return dict(zip(labels, values.tolist()))
 
     @cached_property
     def axis(self) -> tuple[list[int], list[str], list[tuple[int, int]]]:
@@ -349,6 +372,29 @@ def _number(raw: str, kind, what: str):
         raise ConfigError(f"{what} is not a number: {raw!r}") from None
 
 
+def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quarter, s_multiplier and mu_multiplier columns of a shocks table; quarters must increase."""
+    faults = FirstFault()
+    columns = ("quarter", "s_multiplier", "mu_multiplier")
+    linenos, (labels, s, mu) = parse_table(text, columns, "shock", faults)
+    quarters = parse_quarters(labels, linenos, "shock", faults)
+
+    def bad_multiplier(i: int) -> ParseError:
+        row = ",".join((labels[i], s[i], mu[i]))
+        return ParseError(f"shock line {linenos[i]}: bad multiplier in {row!r}")
+
+    s_mult = parse_floats(s, faults, bad_multiplier)
+    mu_mult = parse_floats(mu, faults, bad_multiplier)
+    faults.check(
+        np.diff(quarters, prepend=quarters[:1] - 1) <= 0,
+        lambda i: ParseError(
+            f"shock line {linenos[i]}: quarters must increase, {labels[i]} follows {labels[i - 1]}"
+        ),
+    )
+    faults.raise_first()
+    return quarters, s_mult, mu_mult
+
+
 def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
     if cfg.scenario is None:
         raise ConfigError("simulate needs a scenario file (simulate.scenario)")
@@ -365,17 +411,11 @@ def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
     shocks_file = values.get("shocks.path")
     if shocks_file is None:
         raise ConfigError("scenario is missing shocks.path")
-    shocks_path = Path(shocks_file)
+    shocks_path = check_path(Path(shocks_file), "shocks.path")
     if not shocks_path.is_absolute():
         shocks_path = path.parent / shocks_path
-    shock_path = []
-    text = shocks_path.read_text(encoding="utf-8")
-    columns = ("quarter", "s_multiplier", "mu_multiplier")
-    for lineno, row in parse_table(text, columns, "shock"):
-        try:
-            shock_path.append((parse_quarter(row[0]), float(row[1]), float(row[2])))
-        except ValueError:
-            raise ParseError(f"shock line {lineno}: bad multiplier in {','.join(row)!r}") from None
+    # built once the table's text columns are freed, which keeps peak memory down
+    shock_path = list(zip(*(c.tolist() for c in _shock_columns(shocks_path.read_text(encoding="utf-8")))))
 
     noise = cfg.noise_scale
     if noise is None:
@@ -450,11 +490,50 @@ def cmd_simulate(run: Run) -> int:
     return 0
 
 
-def _markdown_table(csv_text: str) -> list[str]:
-    rows = [line.split(",") for line in csv_text.strip().splitlines()]
+def _markdown_table(path: Path) -> list[str]:
+    try:
+        rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path} is empty; run fit or pass --recompute")
     header, body = rows[0], rows[1:]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     lines += ["| " + " | ".join(r) + " |" for r in body]
+    return lines
+
+
+def _summary_lines(summary: dict) -> list[str]:
+    """The gap and sensitivity sections of the report, from summary.json."""
+    gap_sum = summary["gap"]["all_quarters"]
+    gap_core = summary["gap"]["excluding_gap_quarters"]
+    sens = summary["sensitivity"]
+
+    lines = ["", "## Gap summary", ""]
+    lines += [
+        f"- calibration: kappa = {summary['gap']['kappa']:.4g}, zeta = {summary['gap']['zeta']:.4g}",
+        f"- mean unemployment rate: {100 * gap_sum['mean_u']:.2f}%",
+        f"- mean efficient rate: {100 * gap_sum['mean_u_star']:.2f}%",
+        f"- mean gap: {100 * gap_sum['mean_gap']:.2f}pp "
+        f"({100 * gap_core['mean_gap']:.2f}pp excluding shift quarters)",
+        f"- largest gap: {100 * gap_sum['max_gap']:.2f}pp in {gap_sum['max_gap_quarter']}",
+        f"- most negative gap: {100 * gap_sum['min_gap']:.2f}pp in {gap_sum['min_gap_quarter']}",
+        f"- quarters flagged as curve shifts: {summary['gap']['n_gap_quarters']}",
+    ]
+    lines += ["", "## Sensitivity to the social value of nonwork", ""]
+    for tag, value in sorted(sens["mean_u_star"].items()):
+        shift = sens["mean_shift_vs_baseline"][tag]
+        lines.append(f"- {tag}: mean u* = {100 * value:.2f}% (shift {100 * shift:+.2f}pp)")
+    lines.append(
+        f"- mean band width between zeta={sens['width_pair'][0]:g} and "
+        f"{sens['width_pair'][1]:g}: {100 * sens['mean_width']:.2f}pp"
+    )
+    if "implied_zeta" in sens:
+        iz = sens["implied_zeta"]
+        lines.append(
+            f"- implied zeta range: {iz['min']:.2f} ({iz['min_quarter']}) to "
+            f"{iz['max']:.2f} ({iz['max_quarter']})"
+        )
     return lines
 
 
@@ -484,39 +563,19 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
             + ", ".join(str(p) for p in missing)
         )
 
-    summary = json.loads((out / "summary.json").read_text())
-    gap_sum = summary["gap"]["all_quarters"]
-    gap_core = summary["gap"]["excluding_gap_quarters"]
-    sens = summary["sensitivity"]
+    path = out / "summary.json"
+    try:
+        summary_lines = _summary_lines(_read_summary(path))
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(
+            f"{path} does not hold the gap and sensitivity results ({type(exc).__name__}: {exc}); "
+            "run gap and sensitivity or pass --recompute"
+        ) from None
 
     lines = ["# Unemployment gap report", ""]
     lines += ["## Beveridge-curve estimates", ""]
-    lines += _markdown_table((out / "estimates.csv").read_text())
-    lines += ["", "## Gap summary", ""]
-    lines += [
-        f"- calibration: kappa = {summary['gap']['kappa']:.4g}, zeta = {summary['gap']['zeta']:.4g}",
-        f"- mean unemployment rate: {100 * gap_sum['mean_u']:.2f}%",
-        f"- mean efficient rate: {100 * gap_sum['mean_u_star']:.2f}%",
-        f"- mean gap: {100 * gap_sum['mean_gap']:.2f}pp "
-        f"({100 * gap_core['mean_gap']:.2f}pp excluding shift quarters)",
-        f"- largest gap: {100 * gap_sum['max_gap']:.2f}pp in {gap_sum['max_gap_quarter']}",
-        f"- most negative gap: {100 * gap_sum['min_gap']:.2f}pp in {gap_sum['min_gap_quarter']}",
-        f"- quarters flagged as curve shifts: {summary['gap']['n_gap_quarters']}",
-    ]
-    lines += ["", "## Sensitivity to the social value of nonwork", ""]
-    for tag, value in sorted(sens["mean_u_star"].items()):
-        shift = sens["mean_shift_vs_baseline"][tag]
-        lines.append(f"- {tag}: mean u* = {100 * value:.2f}% (shift {100 * shift:+.2f}pp)")
-    lines.append(
-        f"- mean band width between zeta={sens['width_pair'][0]:g} and "
-        f"{sens['width_pair'][1]:g}: {100 * sens['mean_width']:.2f}pp"
-    )
-    if "implied_zeta" in sens:
-        iz = sens["implied_zeta"]
-        lines.append(
-            f"- implied zeta range: {iz['min']:.2f} ({iz['min_quarter']}) to "
-            f"{iz['max']:.2f} ({iz['max_quarter']})"
-        )
+    lines += _markdown_table(out / "estimates.csv")
+    lines += summary_lines
     lines += ["", "## Figures", ""]
     lines += [
         "![rates](figures/rates_timeseries.svg)",

@@ -8,12 +8,16 @@ lets the bundled default config point at the bundled data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ConfigError, ParseError
+import numpy as np
+
+from .errors import ConfigError, FirstFault, ParseError
 from .quarters import parse_quarter
 
 
@@ -37,25 +41,59 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def parse_table(
-    text: str | Iterable[str], columns: Sequence[str], what: str
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield (lineno, fields) for each data row of a small comma-separated table.
+    text: str | Iterable[str], columns: Sequence[str], what: str, faults: FirstFault | None = None
+) -> tuple[np.ndarray, list[list[str]]]:
+    """The line numbers and the columns of the data rows of a small comma-separated table.
 
     Blank lines, `#` comments and the header row (first field equal to
     columns[0], in any case) are skipped; every other row must have
-    exactly len(columns) fields.
+    exactly len(columns) fields, and each field is stripped of blanks.
+    The first row that does not raises ParseError naming its line. With
+    faults, that error is recorded there instead and the columns stop
+    before the row.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if fields[0].lower() == columns[0]:
-            continue
-        if len(fields) != len(columns):
-            raise ParseError(f"{what} line {lineno}: expected '{','.join(columns)}'")
-        yield lineno, fields
+    lines = list(map(str.strip, text.splitlines() if isinstance(text, str) else text))
+    n = len(lines)
+    # a line is a header when its first field, stripped and in lower case, is columns[0]
+    first = map(str.lower, map(str.rstrip, map(itemgetter(0), map(str.partition, lines, repeat(",")))))
+    header = map(columns[0].__eq__, first)
+    data = (
+        np.fromiter(map(bool, lines), bool, n)
+        & ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, n)
+        & ~np.fromiter(header, bool, n)
+    )
+    del first, header  # they hold on to lines
+    kept = np.flatnonzero(data)
+    rows = list(map(lines.__getitem__, kept.tolist()))
+    linenos = kept + 1
+    found = FirstFault() if faults is None else faults
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
+    found.check(
+        commas != len(columns) - 1,
+        lambda i: ParseError(f"{what} line {linenos[i]}: expected '{','.join(columns)}'"),
+    )
+    if faults is None:
+        found.raise_first()
+    linenos = linenos[: found.rows]
+    # every row left has exactly len(columns) fields, so one split cuts them
+    # all; the line strings go first, so that they and the fields never coexist
+    joined = ",".join(rows[: found.rows])
+    del lines, rows
+    fields = list(map(str.strip, joined.split(","))) if len(linenos) else []
+    return linenos, [fields[j :: len(columns)] for j in range(len(columns))]
+
+
+def parse_floats(texts: Sequence[str], faults: FirstFault, error) -> np.ndarray:
+    """float() of each text, in one pass; at the first that is not a number, error(i) goes to faults.
+
+    The values stop before that text.
+    """
+    values: list[float] = []
+    try:
+        values.extend(map(float, texts))  # a failing extend keeps what it appended
+    except ValueError:
+        faults.at(len(values), error)
+    return np.array(values, dtype=np.float64)
 
 
 def _parse_bool(text: str) -> bool:
@@ -134,7 +172,9 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
 
     def path_of(key: str, required: bool) -> Path | None:
         raw = need(key) if required else get(key)
-        if raw is None or raw == "":
+        if not raw:
+            if required:
+                raise ConfigError(f"config key {key!r} is empty, not a path")
             return None
         p = Path(raw)
         return p if p.is_absolute() else (base / p)
@@ -180,4 +220,14 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
             cfg = replace(cfg, **applied)
     if not cfg.tolerance >= 0.0:
         raise ConfigError(f"gap tolerance must be non-negative, got {cfg.tolerance}")
+    for f in fields(cfg):
+        if isinstance(getattr(cfg, f.name), Path):
+            check_path(getattr(cfg, f.name), f.name)
     return cfg
+
+
+def check_path(path: Path, what: str) -> Path:
+    """path, unless it holds a NUL character, which no file name can: then ConfigError."""
+    if "\x00" in str(path):
+        raise ConfigError(f"{what} is not a file name: {str(path)!r}")
+    return path

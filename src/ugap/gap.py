@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .calibration import SufficientStats
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .ingest import LaborMarketPanel
 from .quarters import quarter_label, write_quarter_rows
 from .regimes import Schedule
@@ -237,9 +237,17 @@ def sensitivity(
     """Sweep the social value of nonwork over a list of values.
 
     Builds a u* column for each distinct zeta of the sweep, BASELINE_ZETA
-    and WIDTH_PAIR. A u* that is not finite in any of them raises
-    DomainError naming the first quarter it occurs in.
+    and WIDTH_PAIR. Two zetas of the sweep with one zeta_tag, which names
+    their CSV column and summary entry, raise ConfigError; a u* that is
+    not finite in any column raises DomainError naming the first quarter
+    it occurs in.
     """
+    tagged: dict[str, float] = {}
+    for z in zetas:
+        tag = zeta_tag(z)
+        if tag in tagged:
+            raise ConfigError(f"zeta values {tagged[tag]!r} and {z!r} share the column tag {tag}")
+        tagged[tag] = z
     every = dict.fromkeys((*zetas, BASELINE_ZETA, *WIDTH_PAIR))
     epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, list(every))
     with np.errstate(over="ignore"):

@@ -13,23 +13,22 @@ v, which the fitting and gap layers read directly.
 from __future__ import annotations
 
 import csv
-import math
-import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, TextIO
 
 import numpy as np
 
+from .config import parse_floats
 from .errors import (
     AlignmentError,
     CoverageError,
     DomainError,
     DuplicateKeyError,
+    FirstFault,
     ParseError,
 )
-from .quarters import quarter_label, write_quarter_rows
-
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
+from .quarters import quarter_label, write_quarter_rows, year_month
 
 
 def _freeze_column(obj, name: str, dtype) -> None:
@@ -107,57 +106,79 @@ def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") ->
 
     value_unit is "fraction" or "percent"; percent values are divided by
     100. The series comes back sorted by month. Malformed rows, duplicate
-    dates and negative values are fatal.
+    dates and negative values are fatal, and the error names the first
+    faulty row. csv.reader splits the rows; the dates and values are then
+    checked a column at a time.
     """
     if value_unit not in ("fraction", "percent"):
         raise ParseError(f"unknown value unit {value_unit!r}")
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    reader = csv.reader(lines)
+    reader = csv.reader(text.splitlines() if isinstance(text, str) else list(text))
+    rows: list[list[str]] = []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty series file") from None
+        rows.extend(reader)  # a failing extend keeps the rows before the bad one
+        unreadable = None
+    except csv.Error as exc:
+        unreadable = ParseError(f"line {reader.line_num}: {exc}")
+        if not rows:
+            raise unreadable from None
+    if not rows:
+        raise ParseError("empty series file")
+    header = rows[0]
     if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
         raise ParseError(f"expected header 'date,value', got {','.join(header)!r}")
 
-    months: list[int] = []
-    values: list[float] = []
-    linenos: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) < 2:
-            raise ParseError(f"line {lineno}: expected 'date,value', got {','.join(row)!r}")
-        m = _DATE_RE.match(row[0].strip())
-        if m is None:
-            raise ParseError(f"line {lineno}: bad date {row[0]!r}, expected YYYY-MM")
-        year, month = int(m.group(1)), int(m.group(2))
-        if not 1 <= month <= 12:
-            raise ParseError(f"line {lineno}: month out of range in {row[0]!r}")
-        try:
-            value = float(row[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad value {row[1]!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite value {row[1]!r}")
-        if value < 0:
-            raise DomainError(f"line {lineno}: negative rate {value} at {year}-{month:02d}")
-        months.append(12 * year + month - 1)
-        values.append(value)
-        linenos.append(lineno)
+    # rows are numbered from the header on; empty rows and rows of one
+    # blank field are skipped
+    body = rows[1:]
+    width = np.fromiter(map(len, body), np.int64, len(body))
+    blank = width == 0
+    single = np.flatnonzero(width == 1)
+    blank[single] = [not body[i][0].strip() for i in single.tolist()]
+    kept = np.flatnonzero(~blank)
+    rows, linenos = list(map(body.__getitem__, kept.tolist())), kept + 2
+    faults = FirstFault()
+    if unreadable is not None:
+        faults.at(len(rows), lambda i: unreadable)
+    faults.check(
+        width[kept] < 2,
+        lambda i: ParseError(f"line {linenos[i]}: expected 'date,value', got {','.join(rows[i])!r}"),
+    )
+    dates = list(map(itemgetter(0), rows[: faults.rows]))
+    raw = list(map(itemgetter(1), rows[: faults.rows]))
+    year, month, bad_date = year_month(dates)
+    faults.check(
+        bad_date, lambda i: ParseError(f"line {linenos[i]}: bad date {dates[i]!r}, expected YYYY-MM")
+    )
+    faults.check(
+        (month < 1) | (month > 12),
+        lambda i: ParseError(f"line {linenos[i]}: month out of range in {dates[i]!r}"),
+    )
+    values = parse_floats(
+        raw[: faults.rows], faults, lambda i: ParseError(f"line {linenos[i]}: bad value {raw[i]!r}")
+    )
+    faults.check(
+        ~np.isfinite(values), lambda i: ParseError(f"line {linenos[i]}: non-finite value {raw[i]!r}")
+    )
+    faults.check(
+        values < 0,
+        lambda i: DomainError(
+            f"line {linenos[i]}: negative rate {float(values[i])} at {year[i]}-{month[i]:02d}"
+        ),
+    )
+    faults.raise_first()
 
-    index = np.array(months, dtype=np.int64)
+    index = 12 * year + month - 1
     order = np.argsort(index, kind="stable")
     index = index[order]
     # the stable sort keeps the lines of one date in file order, so the
     # line reported is the first that repeats an earlier date
     repeats = np.flatnonzero(index[1:] == index[:-1]) + 1
     if repeats.size:
-        linenos_sorted = np.array(linenos)[order]
+        linenos_sorted = linenos[order]
         i = repeats[np.argmin(linenos_sorted[repeats])]
         year, month = divmod(int(index[i]), 12)
         raise DuplicateKeyError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
-    column = np.array(values, dtype=np.float64)[order]
+    column = values[order]
     if value_unit == "percent":
         column /= 100.0
     return Series(index, column)

@@ -106,11 +106,14 @@ class DmpCurve:
 
 
 def dmp_beveridge(econ: DmpEconomy, u: float) -> float:
-    """v(u) = [s(1-u) / (mu u^alpha)] ** (1/(1-alpha)), the flow-balance locus."""
+    """v(u) = [s(1-u) / (mu u^alpha)] ** (1/(1-alpha)), the flow-balance locus; inf where that overflows."""
     if not 0.0 < u < 1.0:
         raise DomainError(f"unemployment rate must be in (0,1), got {u}")
-    base = econ.s * (1.0 - u) / (econ.mu * u**econ.alpha)
-    return base ** (1.0 / (1.0 - econ.alpha))
+    try:
+        base = econ.s * (1.0 - u) / (econ.mu * u**econ.alpha)
+        return base ** (1.0 / (1.0 - econ.alpha))
+    except (OverflowError, ZeroDivisionError):  # a denominator that underflows to 0 is an overflow too
+        return math.inf
 
 
 def dmp_welfare(econ: DmpEconomy, u: float, v: float) -> float:
@@ -400,6 +403,8 @@ def synth_panel(
         if not 0.0 < u < 1.0:
             raise DomainError(f"{quarter_label(quarter)}: shock drives unemployment to {u}")
         v = curve.value(u)
+        if v == math.inf:
+            raise DomainError(f"{quarter_label(quarter)}: the vacancy rate on the curve overflows at u={u:g}")
         if shocks is not None:
             shock = float(shocks[i])
             v = v * math.exp(shock) if shock <= _MAX_EXP else math.inf
@@ -435,11 +440,14 @@ def oracle_grid_check(
     twin of the scalar search in solve_planner_numeric (polish=False).
     numpy's power can differ from libm's pow in the last ulp, which may
     flip a near-tie comparison and move a lane's optimum by a few 1e-9;
-    that is far inside u_tol. The formula side stays the scalar
-    gap.efficient_unemployment that the CLI uses.
+    that is far inside u_tol. The formula side is the column form of the
+    u* formula that gap_series and sensitivity run, within 1e-15 of the
+    scalar gap.efficient_unemployment. The records are built from whole
+    columns; the first failing point in product order is then checked
+    for, in this order, an overflowing formula, a boundary hit and a
+    disagreement.
     """
-    from .calibration import SufficientStats
-    from .gap import efficient_unemployment
+    from .gap import _u_star
 
     axes = [np.asarray(x, dtype=float) for x in (epsilons, zetas, kappas, v0s)]
     eps, zeta, kappa, v0 = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
@@ -454,6 +462,7 @@ def oracle_grid_check(
         _check_planner_stats(float(zeta[i]), float(kappa[i]))
 
     lo, hi = _BRACKET
+    u_pt = 0.08
     # a curve value that overflows is -inf welfare to the search and an
     # infinite tangency residual, which the checks below report
     with np.errstate(over="ignore"):
@@ -464,37 +473,43 @@ def oracle_grid_check(
             _TOL,
         )
         slope = -eps * (v0 * u_star ** (-eps)) / u_star
+        # the formula's on-curve point; a power that overflows here is one the
+        # scalar pow raises OverflowError for
+        power = u_pt ** (-eps)
+        u_formula = _u_star(u_pt, v0 * power, eps, kappa, zeta)
     boundary = (u_star - lo < 10.0 * _TOL) | (hi - u_star < 10.0 * _TOL)
     iso_slope = -(1.0 - zeta) / kappa
     tangency = np.abs(slope - iso_slope) / np.abs(iso_slope)
+    u_error = np.abs(u_star - u_formula)
+    overflow = np.isinf(power)
+    disagree = (u_error >= u_tol) | (tangency >= tangency_tol)
 
-    u_pt = 0.08
-    records = []
-    for (e, z, k, v), u, tang_err, hit in zip(
-        itertools.product(epsilons, zetas, kappas, v0s),
-        u_star.tolist(),
-        tangency.tolist(),
-        boundary.tolist(),
-    ):
-        try:
-            u_formula = efficient_unemployment(u_pt, v * u_pt ** (-e), SufficientStats(e, k, z))
-        except OverflowError:
-            raise DomainError(f"formula overflows at epsilon={e}, zeta={z}, kappa={k}, v0={v}") from None
-        gap_err = abs(u - u_formula)
-        rec = {
+    # the grid values as given, in product order, then the computed columns
+    columns = (u_star, u_formula, u_error, tangency, boundary)
+    records = [
+        {
             "epsilon": e,
             "zeta": z,
             "kappa": k,
             "v0": v,
             "u_star_numeric": u,
-            "u_star_formula": u_formula,
-            "u_error": gap_err,
+            "u_star_formula": u_f,
+            "u_error": u_err,
             "tangency_residual": tang_err,
             "boundary_warning": hit,
         }
-        records.append(rec)
-        if hit:
+        for (e, z, k, v), u, u_f, u_err, tang_err, hit in zip(
+            itertools.product(epsilons, zetas, kappas, v0s), *(c.tolist() for c in columns)
+        )
+    ]
+    failed = overflow | boundary | disagree
+    if failed.any():
+        i = int(np.argmax(failed))
+        rec = records[i]
+        if overflow[i]:
+            e, z, k, v = rec["epsilon"], rec["zeta"], rec["kappa"], rec["v0"]
+            raise DomainError(f"formula overflows at epsilon={e}, zeta={z}, kappa={k}, v0={v}")
+        if boundary[i]:
             raise PropertyViolation(f"planner hit bracket boundary at {rec}")
-        if gap_err >= u_tol or tang_err >= tangency_tol:
-            raise PropertyViolation(f"oracle disagreement at {rec}")
+        raise PropertyViolation(f"oracle disagreement at {rec}")
     return records

@@ -9,22 +9,80 @@ a label is parsed or printed.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import FirstFault, ParseError
 
-_QUARTER_RE = re.compile(r"^(\d{4})[Qq]([1-4])$")
+_PLACES = np.array([1000, 100, 10, 1])
+
+
+def _code_points(texts: Sequence[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each text, stripped of surrounding blanks, as a row of width code points; and which have that width."""
+    stripped = list(map(str.strip, texts))
+    fits = np.fromiter(map(len, stripped), np.int64, len(stripped)) == width
+    codes = np.array(stripped, dtype=f"U{width}").view(np.uint32).reshape(-1, width)
+    return codes.astype(np.int32), fits
+
+
+def _decimal(codes: np.ndarray) -> np.ndarray:
+    """The digit each code point is to a regular expression's \\d (any Unicode decimal digit), else -1."""
+    digits = np.where((48 <= codes) & (codes <= 57), codes - 48, -1)
+    wide = codes > 127
+    if wide.any():
+        import unicodedata  # only for text beyond ASCII, which is rare
+
+        points, inverse = np.unique(codes[wide], return_inverse=True)
+        digits[wide] = np.array([unicodedata.decimal(chr(p), -1) for p in points.tolist()])[inverse]
+    return digits
+
+
+def _quarters(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each YYYYQn label (YYYY any four \\d digits), and which labels are not one."""
+    codes, fits = _code_points(labels, 6)
+    year = _decimal(codes[:, :4])
+    q = codes[:, 5] - 49  # an ASCII 1-4 only
+    letter = (codes[:, 4] == ord("Q")) | (codes[:, 4] == ord("q"))
+    ok = fits & (year >= 0).all(axis=1) & letter & (0 <= q) & (q <= 3)
+    return 4 * (year @ _PLACES) + q, ~ok
 
 
 def parse_quarter(text: str) -> int:
     """The index of a YYYYQn label (surrounding blanks and a lower-case q allowed)."""
-    m = _QUARTER_RE.match(text.strip())
-    if m is None:
+    index, bad = _quarters([text])
+    if bad[0]:
         raise ParseError(f"bad quarter label {text!r}, expected YYYYQn")
-    return 4 * int(m.group(1)) + int(m.group(2)) - 1
+    return int(index[0])
+
+
+def parse_quarters(
+    labels: Sequence[str], linenos: Sequence[int], what: str, faults: FirstFault | None = None
+) -> np.ndarray:
+    """The int64 index of every YYYYQn label of a column, in one pass.
+
+    The first bad label raises ParseError naming its line from linenos.
+    With faults, that error is recorded there instead, so that a table
+    can check its other columns before it raises; the indices of bad
+    labels are then meaningless.
+    """
+    index, bad = _quarters(labels)
+    found = FirstFault() if faults is None else faults
+    found.check(
+        bad,
+        lambda i: ParseError(f"{what} line {linenos[i]}: bad quarter label {labels[i]!r}, expected YYYYQn"),
+    )
+    if faults is None:
+        found.raise_first()
+    return index
+
+
+def year_month(dates: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The year and month numbers of YYYY-MM dates (\\d digits), and which dates are not of that form."""
+    codes, fits = _code_points(dates, 7)
+    digits = _decimal(codes[:, [0, 1, 2, 3, 5, 6]])
+    ok = fits & (digits >= 0).all(axis=1) & (codes[:, 4] == ord("-"))
+    return digits[:, :4] @ _PLACES, digits[:, 4:] @ _PLACES[2:], ~ok
 
 
 def quarter_label(index: int) -> str:

@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import parse_table
-from .errors import ConfigError
+from .errors import ConfigError, FirstFault
 from .fitting import ElasticityEstimate
-from .quarters import parse_quarter
+from .quarters import parse_quarters
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,14 @@ class RegimeTable:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> RegimeTable:
         """Parse `label,start,end` lines with quarters as YYYYQn."""
-        regimes = [
-            Regime(label, parse_quarter(start), parse_quarter(end))
-            for _, (label, start, end) in parse_table(lines, ("label", "start", "end"), "regime")
-        ]
+        faults = FirstFault()
+        linenos, (labels, start, end) = parse_table(lines, ("label", "start", "end"), "regime", faults)
+        starts = parse_quarters(start, linenos, "regime", faults).tolist()
+        ends = parse_quarters(end, linenos, "regime", faults).tolist()
+        # Regime raises for a row that ends before it starts; only rows
+        # before the first other fault are built, so the earliest row wins
+        regimes = [Regime(*row) for row in zip(labels[: faults.rows], starts, ends)]
+        faults.raise_first()
         if not regimes:
             raise ConfigError("regime table is empty")
         return cls(tuple(regimes))

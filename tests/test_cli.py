@@ -326,6 +326,16 @@ class TestSimulate:
         assert not (tmp_path / "out" / "simulation_report.json").exists()
 
 
+    @pytest.mark.parametrize("economy", [{"s": "1e308", "c": "1e308"}, {"mu": "5e-324"}])
+    def test_overflowing_curve_exits_2(self, tmp_path, capsys, economy):
+        # the curve value overflows (or divides by an underflowed 0) inside the planner's search
+        scenario = edited_scenario(tmp_path, **economy)
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not (tmp_path / "out" / "simulation_report.json").exists()
+
+
 class TestReport:
     def test_missing_artifacts_exit_2(self, tmp_path, capsys):
         assert run("report", "--out", tmp_path) == 2
@@ -397,6 +407,14 @@ class TestBadConfigExits2:
         with open(config_copy, "a", encoding="utf-8") as fh:
             fh.write("\n[gap]\ntolerance = -0.1\n")
         assert run("gap", "--config", config_copy, "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("value", ["", "a\x00b.csv"])
+    def test_unusable_series_path_in_config(self, config_copy, tmp_path, capsys, value):
+        with open(config_copy, "a", encoding="utf-8") as fh:
+            fh.write(f"\n[data]\nu_series = {value}\n")
+        assert run("ingest", "--config", config_copy, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "u_series" in err
 
     def test_missing_recessions_file(self, tmp_path, capsys):
         assert run("ingest", "--out", tmp_path, "--recessions", tmp_path / "nope.csv") == 2
@@ -476,6 +494,82 @@ def test_wrong_column_count_names_the_line(tmp_path, capsys, what):
     path.write_text(text)
     assert run(*argv(tmp_path, path), "--out", tmp_path / "out") == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows,line,message",
+    [
+        ("2000Q1,1.0,1.0\n2000Q1,1.1,1.0\n", 3, "quarters must increase, 2000Q1 follows 2000Q1"),
+        ("2000Q2,1.0,1.0\n2000Q1,1.1,1.0\n", 3, "quarters must increase, 2000Q1 follows 2000Q2"),
+        ("2000Q1,1.0,1.0\n2000Q2,1.1,1.0\n# c\n2000Q2,1.0,1.0\n", 5, "quarters must increase, 2000Q2 follows 2000Q2"),
+        ("2000Q1,1.0,1.0\n2000Q5,1.1,1.0\n", 3, "bad quarter label '2000Q5'"),
+    ],
+)
+def test_shock_quarters_must_increase(tmp_path, capsys, rows, line, message):
+    shocks = tmp_path / "shocks.csv"
+    shocks.write_text("quarter,s_multiplier,mu_multiplier\n" + rows)
+    assert run(*shock_scenario(tmp_path, shocks), "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: shock line {line}: {message}" in err
+    assert not (tmp_path / "out" / "synthetic_panel.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "what,text,argv",
+    [
+        ("recessions", "start,end\n1953Q2,1954Q2\n1957Q3,1958q9\n", lambda path: ["ingest", "--recessions", path]),
+        ("regime", "# label,start,end\nold,1951Q1,1959Q2\nnew,196OQ1,2019Q4\n", lambda path: ["fit", "--regimes", path]),
+    ],
+)
+def test_bad_quarter_label_names_its_line(tmp_path, capsys, what, text, argv):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    assert run(*argv(path), "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {what} line 3: bad quarter label" in err
+
+
+class TestUnreadableArtifacts:
+    @pytest.mark.parametrize("command", ["ingest", "gap", "sensitivity"])
+    @pytest.mark.parametrize("text", ['{"gap": ', "[]", "\xff"])
+    def test_unreadable_summary_exits_2(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text(text, encoding="latin-1")
+        assert run(command, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {out / 'summary.json'} is not")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "\xff"])
+    def test_unreadable_estimates_fail_report_with_2(self, tmp_path, capsys, text):
+        assert run("report", "--recompute", "--out", tmp_path) == 0
+        (tmp_path / "estimates.csv").write_text(text, encoding="latin-1")
+        capsys.readouterr()
+        assert run("report", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / 'estimates.csv'} is ")
+
+    @pytest.mark.parametrize("drop", ["gap", "sensitivity"])
+    def test_summary_without_a_section_fails_report_with_2(self, tmp_path, capsys, drop):
+        assert run("report", "--recompute", "--out", tmp_path) == 0
+        path = tmp_path / "summary.json"
+        summary = json.loads(path.read_text())
+        del summary[drop]
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run("report", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path} does not hold the gap and sensitivity results")
+        assert f"'{drop}'" in err
+
+
+@pytest.mark.parametrize("zetas,values", [("0.1,0.1000001", "0.1 and 0.1000001"), ("0.25,0.5,0.25", "0.25 and 0.25")])
+def test_zetas_sharing_a_tag_exit_2(tmp_path, capsys, zetas, values):
+    assert run("sensitivity", "--zeta-list", zetas, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: zeta values {values} share the column tag" in err
+    assert not (tmp_path / "sensitivity.csv").exists() and not (tmp_path / "summary.json").exists()
 
 
 def test_import_loads_no_network_modules():

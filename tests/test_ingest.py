@@ -20,7 +20,7 @@ from ugap.ingest import (
     splice_vacancy,
     to_quarterly,
 )
-from ugap.quarters import parse_quarter, quarter_label
+from ugap.quarters import parse_quarter, parse_quarters, quarter_label
 
 
 def qs(*points):
@@ -189,10 +189,8 @@ def test_bundled_panel_identities(panel):
 def test_panel_csv_roundtrip(panel):
     buf = io.StringIO()
     panel.to_csv(buf)
-    rows = [f for _, f in parse_table(buf.getvalue(), ("quarter", "u", "v", "theta", "n"), "panel")]
-    again = LaborMarketPanel(
-        [parse_quarter(r[0]) for r in rows], [float(r[1]) for r in rows], [float(r[2]) for r in rows]
-    )
+    linenos, (quarters, u, v, _, _) = parse_table(buf.getvalue(), ("quarter", "u", "v", "theta", "n"), "panel")
+    again = LaborMarketPanel(parse_quarters(quarters, linenos, "panel"), [float(x) for x in u], [float(x) for x in v])
     assert again.quarters.tolist() == panel.quarters.tolist()
     for column in ("u", "v"):
         for a, b in zip(getattr(again, column), getattr(panel, column)):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,28 @@ class TestOracleLockstep:
             sol = solve_planner_numeric(IsoelasticCurve(v0, eps), zeta, kappa, polish=False)
             assert abs(rec["u_star_numeric"] - sol.u_star) < 1e-8
             assert rec["boundary_warning"] is sol.boundary_warning
+
+    @pytest.mark.parametrize(
+        "axes",
+        [((0.8, 1.0, 1.25), (0.0, 0.25, 0.5), (0.3, 0.72, 1.0), (3e-4, 3e-3, 3e-2)), random_oracle_axes()],
+        ids=["default", "random"],
+    )
+    def test_formula_column_matches_scalar_formula(self, axes):
+        u_pt = 0.08
+        records = oracle_grid_check(*axes)
+        for rec, (eps, zeta, kappa, v0) in zip(records, itertools.product(*axes), strict=True):
+            u_star = efficient_unemployment(u_pt, v0 * u_pt ** (-eps), SufficientStats(eps, kappa, zeta))
+            assert abs(rec["u_star_formula"] - u_star) <= 1e-15 * u_star
+            assert rec["u_error"] == abs(rec["u_star_numeric"] - rec["u_star_formula"])
+
+    def test_first_failing_point_reports_its_first_failed_check(self):
+        # u_tol=0 fails every point; the first point in product order is reported,
+        # and on one point a boundary hit comes before a disagreement
+        first = "{'epsilon': 0.8, 'zeta': 0.0, 'kappa': 0.3, 'v0': "
+        with pytest.raises(PropertyViolation, match=re.escape(f"oracle disagreement at {first}0.003,")):
+            oracle_grid_check(v0s=(3e-3, 10.0), u_tol=0.0)
+        with pytest.raises(PropertyViolation, match=re.escape(f"planner hit bracket boundary at {first}10.0,")):
+            oracle_grid_check(v0s=(10.0, 3e-3), u_tol=0.0)
 
     def test_lanes_take_the_scalar_steps(self):
         # -(u - m)^2 needs only correctly rounded operations, so every lane must

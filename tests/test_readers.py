@@ -1,27 +1,53 @@
 """Properties of the text readers and of quarterly aggregation.
 
 Every reader must turn bad text into an InputError subclass, never a raw
-exception, and to_quarterly must agree exactly with a plain per-bucket
-reference written here.
+exception. The readers check whole columns; the per-line readers they
+replaced are kept here as references, and on every fuzzed file each
+reader must return bit-identical columns or raise the same exception
+type with the same message. to_quarterly must agree exactly with a plain
+per-bucket reference written here.
 """
 
+import csv
+import math
 import random
+import re
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugap.config import parse_table
-from ugap.errors import InputError
-from ugap.ingest import parse_series_csv, to_quarterly
-from ugap.quarters import parse_quarter
-from ugap.regimes import RegimeTable
+from ugap.cli import _shock_columns
+from ugap.config import parse_kv_text, parse_table
+from ugap.errors import ConfigError, DomainError, DuplicateKeyError, InputError, ParseError
+from ugap.ingest import Series, parse_series_csv, to_quarterly
+from ugap.quarters import parse_quarter, parse_quarters, quarter_label
+from ugap.regimes import Regime, RegimeTable
 
 # per column, valid fields and wrong ones; a field is junk one time in
-# ten, wrong three times and valid six, and a line is junk one time in ten
-DATES = (("1951-01", "1951-02", "2019-12"), ("1951-13", "1951-00", "1951-1", "date"))
-VALUES = (("3.7", "0.05", "0", "-0.0"), ("-1", "nan", "inf", "1e999", "abc", "", "value"))
-LABELS = (("a", "b", ""), ("label", "#"))
-QUARTERS = (("1951Q1", "2019q4", "1960Q3"), ("1951Q0", "1951Q5", "1951", " ", "start"))
+# ten, wrong three times and valid six, and a line is junk one time in
+# ten and a header, comment or blank line one time in ten. \d matches
+# any Unicode decimal digit, so Arabic-Indic and full-width years are
+# valid; the quarter digit must be ASCII
+DATES = (
+    ("1951-01", "1951-02", "2019-12", "١٩٥١-٠٣", "１９５１-０４", '"1951-05"'),
+    ("1951-13", "1951-00", "1951-1", "date", "٢٠١٩-١٣", "1951/01", '"1951-01'),
+)
+VALUES = (
+    ("3.7", "0.05", "0", "-0.0", "١.٥", '"3.7"', " 2 "),
+    ("-1", "nan", "inf", "1e999", "abc", "", "value", '"1,5"', "1_0"),
+)
+EXTRA = (("x", "1", ""), ('"a,b"', "date"))
+LABELS = (("a", "b", ""), ("label", "#", '"a'))
+QUARTERS = (
+    ("1951Q1", "2019q4", "1960Q3", "١٩٥١Q2", "２０１９q1", " 1970Q1 "),
+    ("1951Q0", "1951Q5", "1951", " ", "start", "1951Q١", '"1951Q1"'),
+)
+MULTIPLIERS = (("1.0", "0.9", "1e-3", "١.٥", "nan"), ("x", "", "1.0.0", "s_multiplier"))
+SPECIAL_LINES = (
+    "", "   ", "# comment", "#1951Q1,1,1", "date,value", "DATE , Value", "quarter,s_multiplier,mu_multiplier",
+    "Quarter ,s,mu", "label,start,end", "LABEL\t,x", "Start ,End", " start", "regime,kappa", ",",
+)
 
 
 def pick(valid, wrong):
@@ -32,15 +58,198 @@ def pick(valid, wrong):
 
 def lines_of(*columns):
     row = st.tuples(*(pick(*c) for c in columns)).map(",".join)
-    line = st.integers(0, 9).flatmap(lambda i: st.text(max_size=6) if i == 0 else row)
+    line = st.integers(0, 9).flatmap(
+        lambda i: st.text(max_size=6) if i == 0 else st.sampled_from(SPECIAL_LINES) if i == 1 else row
+    )
     return st.lists(line, max_size=8).map("\n".join)
 
 
 table_text = st.one_of(
     lines_of(DATES, VALUES),
+    lines_of(DATES, VALUES, EXTRA),
     lines_of(LABELS, QUARTERS, QUARTERS),
+    lines_of(QUARTERS, MULTIPLIERS, MULTIPLIERS),
+    lines_of(QUARTERS, QUARTERS),
     st.text(max_size=200),
 )
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def mostly(valid, wrong):
+    """A valid field nine times in ten, else a wrong or junk one."""
+    return st.integers(0, 9).flatmap(lambda i: pick(valid, wrong) if i == 0 else st.sampled_from(valid))
+
+
+def rarely(row, *others):
+    """row nineteen times in twenty, else one of others."""
+    return st.integers(0, 19).flatmap(lambda i: st.one_of(*others) if i == 0 else st.just(row))
+
+
+@st.composite
+def series_text(draw):
+    """A header, then mostly valid rows in rough date order, with repeats, extra columns and junk lines."""
+    m = draw(st.integers(12 * 1950, 12 * 2020))
+    lines = ["date,value"]
+    for _ in range(draw(st.integers(0, 12))):
+        m += draw(st.sampled_from([1, 1, 1, 2, 0, -3]))
+        date = f"{m // 12}-{m % 12 + 1:02d}"
+        if draw(st.integers(0, 4)) == 0:
+            date = date.translate(ARABIC_INDIC)
+        extra = draw(st.lists(mostly(*EXTRA), max_size=2))
+        row = ",".join([date, draw(mostly(*VALUES)), *extra])
+        lines.append(draw(rarely(row, st.sampled_from(SPECIAL_LINES), lines_of(DATES, VALUES))))
+    return "\n".join(lines)
+
+
+@st.composite
+def shock_text(draw):
+    """Mostly increasing quarters with valid multipliers, with repeats, steps back and junk lines."""
+    q = draw(st.integers(4 * 1990, 4 * 2010))
+    lines = ["quarter,s_multiplier,mu_multiplier"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 10))):
+        q += draw(st.sampled_from([1, 1, 1, 1, 2, 0, -1]))
+        label = quarter_label(q)
+        if draw(st.booleans()):
+            label = label.lower()
+        row = ",".join([label, draw(mostly(*MULTIPLIERS)), draw(mostly(*MULTIPLIERS))])
+        lines.append(draw(rarely(row, st.sampled_from(SPECIAL_LINES), st.text(max_size=6))))
+    return "\n".join(lines)
+
+
+# -- the per-line readers the column readers replaced ------------------------
+
+_QUARTER_RE = re.compile(r"^(\d{4})[Qq]([1-4])$")
+_DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
+SHOCK_COLUMNS = ("quarter", "s_multiplier", "mu_multiplier")
+
+
+def reference_quarter(text, what, lineno):
+    m = _QUARTER_RE.match(text.strip())
+    if m is None:
+        # deliberate change: the per-line readers named no line here
+        raise ParseError(f"{what} line {lineno}: bad quarter label {text!r}, expected YYYYQn")
+    return 4 * int(m.group(1)) + int(m.group(2)) - 1
+
+
+def reference_table(text, columns, what):
+    lines = text.splitlines() if isinstance(text, str) else text
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if fields[0].lower() == columns[0]:
+            continue
+        if len(fields) != len(columns):
+            raise ParseError(f"{what} line {lineno}: expected '{','.join(columns)}'")
+        yield lineno, fields
+
+
+def reference_series(text, value_unit="fraction"):
+    if value_unit not in ("fraction", "percent"):
+        raise ParseError(f"unknown value unit {value_unit!r}")
+    lines = text.splitlines() if isinstance(text, str) else list(text)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty series file") from None
+    if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
+        raise ParseError(f"expected header 'date,value', got {','.join(header)!r}")
+
+    months, values, linenos = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ParseError(f"line {lineno}: expected 'date,value', got {','.join(row)!r}")
+        m = _DATE_RE.match(row[0].strip())
+        if m is None:
+            raise ParseError(f"line {lineno}: bad date {row[0]!r}, expected YYYY-MM")
+        year, month = int(m.group(1)), int(m.group(2))
+        if not 1 <= month <= 12:
+            raise ParseError(f"line {lineno}: month out of range in {row[0]!r}")
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad value {row[1]!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite value {row[1]!r}")
+        if value < 0:
+            raise DomainError(f"line {lineno}: negative rate {value} at {year}-{month:02d}")
+        months.append(12 * year + month - 1)
+        values.append(value)
+        linenos.append(lineno)
+
+    index = np.array(months, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    repeats = np.flatnonzero(index[1:] == index[:-1]) + 1
+    if repeats.size:
+        linenos_sorted = np.array(linenos)[order]
+        i = repeats[np.argmin(linenos_sorted[repeats])]
+        year, month = divmod(int(index[i]), 12)
+        raise DuplicateKeyError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
+    column = np.array(values, dtype=np.float64)[order]
+    if value_unit == "percent":
+        column /= 100.0
+    return Series(index, column)
+
+
+def reference_shocks(text):
+    path, labels = [], []
+    for lineno, row in reference_table(text, SHOCK_COLUMNS, "shock"):
+        quarter = reference_quarter(row[0], "shock", lineno)
+        try:
+            path.append((quarter, float(row[1]), float(row[2])))
+        except ValueError:
+            raise ParseError(f"shock line {lineno}: bad multiplier in {','.join(row)!r}") from None
+        # deliberate change: quarters must increase
+        if len(path) > 1 and path[-1][0] <= path[-2][0]:
+            raise ParseError(f"shock line {lineno}: quarters must increase, {row[0]} follows {labels[-1]}")
+        labels.append(row[0])
+    return path
+
+
+def reference_regimes(lines):
+    regimes = [
+        Regime(label, reference_quarter(start, "regime", lineno), reference_quarter(end, "regime", lineno))
+        for lineno, (label, start, end) in reference_table(lines, ("label", "start", "end"), "regime")
+    ]
+    if not regimes:
+        raise ConfigError("regime table is empty")
+    return RegimeTable(tuple(regimes))
+
+
+def shock_path(text):
+    """The shock path _load_scenario builds from the shock columns."""
+    return list(zip(*(c.tolist() for c in _shock_columns(text))))
+
+
+def outcome(read, *args):
+    """What a reader returns, or the type and message of the InputError it raises."""
+    try:
+        return read(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def as_bits(result):
+    """A Series, table or shock path with every float as its bytes, so that == is bit-identity."""
+    if isinstance(result, Series):
+        return result.index.tolist(), result.values.tobytes()
+    if isinstance(result, list):
+        return [tuple(np.float64(x).tobytes() if isinstance(x, float) else x for x in row) for row in result]
+    return result
+
+
+def table_rows(linenos, columns):
+    return list(zip(linenos, map(list, zip(*columns))))
+
+
+# -- properties ----------------------------------------------------------------
 
 
 def only_input_errors(read, *args):
@@ -56,10 +265,64 @@ def test_readers_raise_only_input_errors(text, unit):
     lines = text.splitlines()
     only_input_errors(parse_series_csv, "date,value\n" + text, unit)
     only_input_errors(parse_series_csv, text, unit)
-    only_input_errors(lambda: list(parse_table(text, ("label", "start", "end"), "regime")))
+    only_input_errors(parse_table, text, ("label", "start", "end"), "regime")
     only_input_errors(RegimeTable.from_lines, lines)
-    for label in [text, *(f for line in lines for f in line.split(","))]:
+    only_input_errors(shock_path, text)
+    only_input_errors(parse_kv_text, text)
+    fields = [f for line in lines for f in line.split(",")]
+    only_input_errors(parse_quarters, fields, list(range(len(fields))), "label")
+    for label in [text, *fields]:
         only_input_errors(parse_quarter, label)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(st.one_of(series_text(), lines_of(DATES, VALUES), lines_of(DATES, VALUES, EXTRA)), st.sampled_from(["fraction", "percent"]))
+def test_series_reader_matches_per_line_reference(text, unit):
+    for file in ("date,value\n" + text, text):
+        assert as_bits(outcome(parse_series_csv, file, unit)) == as_bits(outcome(reference_series, file, unit))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(table_text, st.sampled_from([("label", "start", "end"), SHOCK_COLUMNS, ("start", "end"), ("regime", "kappa")]))
+def test_table_reader_matches_per_line_reference(text, columns):
+    for lines in (text, text.splitlines(keepends=True)):
+        got = outcome(parse_table, lines, columns, "table")
+        if not isinstance(got[0], type):
+            got = table_rows(*got)
+        assert got == outcome(lambda: list(reference_table(lines, columns, "table")))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(st.one_of(shock_text(), lines_of(QUARTERS, MULTIPLIERS, MULTIPLIERS)))
+def test_shock_reader_matches_per_line_reference(text):
+    assert as_bits(outcome(shock_path, text)) == as_bits(outcome(reference_shocks, text))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(lines_of(LABELS, QUARTERS, QUARTERS))
+def test_regime_reader_matches_per_line_reference(text):
+    lines = text.splitlines()
+    assert outcome(RegimeTable.from_lines, lines) == outcome(reference_regimes, lines)
+
+
+def test_the_first_faulty_line_wins_across_columns_and_checks():
+    # line 3 has a bad value and line 2 a month out of range
+    assert outcome(parse_series_csv, "date,value\n1951-13,1\n1951-01,x\n") == (
+        ParseError, "line 2: month out of range in '1951-13'"
+    )
+    # the short row on line 4 comes after line 3's unknown quarter
+    text = "quarter,s_multiplier,mu_multiplier\n2000Q1,1,1\n2000Q9,1,1\n2000Q3,1\n"
+    assert outcome(shock_path, text)[1] == "shock line 3: bad quarter label '2000Q9', expected YYYYQn"
+    # on one row the quarter label is checked before the multipliers
+    assert outcome(shock_path, "2000Q9,x,1\n")[1].startswith("shock line 1: bad quarter label")
+    # a regime that ends before it starts on line 1 beats the bad label on line 2
+    lines = ["a,1960Q1,1950Q1", "b,1970Q1,19X0Q1"]
+    assert outcome(RegimeTable.from_lines, lines) == (ConfigError, "regime 'a' ends before it starts")
+
+
+def test_an_overlong_csv_field_is_a_parse_error():
+    text = "date,value\n1951-01,1\n1951-02," + "9" * (csv.field_size_limit() + 1) + "\n"
+    assert outcome(parse_series_csv, text) == (ParseError, f"line 3: field larger than field limit ({csv.field_size_limit()})")
 
 
 def reference_quarterly(rows):
