@@ -3,7 +3,10 @@
 Subcommands: ingest, fit, gap, sensitivity, simulate, report. Each
 invocation builds one lazy `Run`, and every command renders from it, so
 `report --recompute` parses the series, fits the regimes, builds the
-schedule and reads the kappa file once for all four steps. Exit codes
+schedule and reads the kappa file once for all four steps. `simulate`
+keeps the shock table as columns from the reader through synth_panel to
+the round-trip error, which takes its powers through libm like the
+scalar formula, so the reported digits are the scalar ones. Exit codes
 are a stable contract for scripting: 0 success, 1 a verified property
 failed, 2 bad input or configuration. All outputs are deterministic
 given the config and inputs, so repeated runs are byte-identical.
@@ -49,6 +52,7 @@ from .planner import (
     IsoelasticCurve,
     comparative_statics_check,
     dmp_stats,
+    libm_power,
     solve_planner_numeric,
     synth_panel,
 )
@@ -84,11 +88,9 @@ def _read_summary(path: Path) -> dict:
     return summary
 
 
-def _update_summary(out_dir: Path, section: str, payload: dict) -> None:
-    path = out_dir / "summary.json"
-    existing = _read_summary(path)
-    existing[section] = payload
-    _write_json(path, existing)
+def _update_summary(out_dir: Path, summary: dict, section: str, payload: dict) -> None:
+    summary[section] = payload
+    _write_json(out_dir / "summary.json", summary)
 
 
 def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int, int]]:
@@ -142,6 +144,15 @@ class Run:
     @property
     def panel(self) -> LaborMarketPanel:
         return self.ingested[0]
+
+    @cached_property
+    def summary(self) -> dict:
+        """The sections of the output directory's summary.json, which ingest, gap and sensitivity add to.
+
+        Each of them reads it before it writes anything, so a bad file
+        stops the command with no artifact written.
+        """
+        return _read_summary(Path(self.cfg.out_dir) / "summary.json")
 
     @cached_property
     def table(self) -> RegimeTable:
@@ -215,6 +226,7 @@ def _out_dirs(cfg: RunConfig) -> tuple[Path, Path]:
 
 def cmd_ingest(run: Run) -> int:
     out, figures = _out_dirs(run.cfg)
+    summary = run.summary
     panel, audit = run.ingested
     svg = run.timeseries(  # first: it reads the recessions file, which must fail before any output
         "Unemployment and vacancy rates",
@@ -235,7 +247,7 @@ def cmd_ingest(run: Run) -> int:
         )
     )
     (figures / "rates_timeseries.svg").write_text(svg)
-    _update_summary(out, "ingest", {"n_quarters": len(panel), "splice": splice})
+    _update_summary(out, summary, "ingest", {"n_quarters": len(panel), "splice": splice})
     first, last = quarter_label(panel.quarters[0]), quarter_label(panel.quarters[-1])
     print(f"panel: {len(panel)} quarters {first}..{last} -> {out / 'panel.csv'}")
     return 0
@@ -271,6 +283,7 @@ def cmd_fit(run: Run) -> int:
 def cmd_gap(run: Run) -> int:
     cfg = run.cfg
     out, figures = _out_dirs(cfg)
+    summary = run.summary
     schedule = run.schedule
     kappa, zeta = run.calibration
     overrides = run.kappa_overrides
@@ -296,7 +309,7 @@ def cmd_gap(run: Run) -> int:
         "all_quarters": asdict(summary_all),
         "excluding_gap_quarters": asdict(summary_core),
     }
-    _update_summary(out, "gap", payload)
+    _update_summary(out, summary, "gap", payload)
     (figures / "gap_unemployment.svg").write_text(svg)
 
     shown = summary_core if cfg.exclude_gap_quarters else summary_all
@@ -318,6 +331,7 @@ def cmd_gap(run: Run) -> int:
 def cmd_sensitivity(run: Run) -> int:
     cfg = run.cfg
     out, figures = _out_dirs(cfg)
+    summary = run.summary
     panel, schedule = run.panel, run.schedule
     kappa, _zeta = run.calibration
     overrides = run.kappa_overrides
@@ -355,7 +369,7 @@ def cmd_sensitivity(run: Run) -> int:
         }
         print(f"implied zeta series -> {out / 'implied_zeta.csv'}")
 
-    _update_summary(out, "sensitivity", payload)
+    _update_summary(out, summary, "sensitivity", payload)
     print(
         "sensitivity: mean width between zeta={:g} and {:g} is {:.2f}pp".format(
             *gap_mod.WIDTH_PAIR, 100.0 * band.mean_width
@@ -395,7 +409,7 @@ def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quarters, s_mult, mu_mult
 
 
-def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
+def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, tuple[np.ndarray, np.ndarray, np.ndarray], float, int]:
     if cfg.scenario is None:
         raise ConfigError("simulate needs a scenario file (simulate.scenario)")
     path = Path(cfg.scenario)
@@ -414,8 +428,7 @@ def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
     shocks_path = check_path(Path(shocks_file), "shocks.path")
     if not shocks_path.is_absolute():
         shocks_path = path.parent / shocks_path
-    # built once the table's text columns are freed, which keeps peak memory down
-    shock_path = list(zip(*(c.tolist() for c in _shock_columns(shocks_path.read_text(encoding="utf-8")))))
+    shocks = _shock_columns(shocks_path.read_text(encoding="utf-8"))
 
     noise = cfg.noise_scale
     if noise is None:
@@ -425,28 +438,32 @@ def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, list, float, int]:
         seed = _number(os.environ["TOOLKIT_SEED"], int, "TOOLKIT_SEED")
     if seed is None:
         seed = number("shocks.seed", int, default="0")
-    return econ, shock_path, noise, seed
+    return econ, shocks, noise, seed
+
+
+def _round_trip_error(panel: LaborMarketPanel, stats: SufficientStats, u_star: float) -> float:
+    """The largest relative error of the u* formula over the panel's quarters against the planner's u_star.
+
+    The error is a difference near 1e-10, whose reported digits a last-ulp
+    change in the formula's power would move, so the power is libm's, as
+    in the scalar efficient_unemployment.
+    """
+    with np.errstate(over="ignore"):  # an inf u* is an inf error
+        formula = gap_mod._u_star(panel.u, panel.v, stats.epsilon, stats.kappa, stats.zeta, libm_power)
+    return float((np.abs(formula - u_star) / u_star).max())
 
 
 def cmd_simulate(run: Run) -> int:
     out, _figures = _out_dirs(run.cfg)
-    econ, shock_path, noise, seed = _load_scenario(run.cfg)
-    panel = synth_panel(econ, shock_path, noise_scale=noise, seed=seed)
+    econ, shocks, noise, seed = _load_scenario(run.cfg)
+    panel = synth_panel(econ, *shocks, noise_scale=noise, seed=seed)
     with open(out / "synthetic_panel.csv", "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
 
     zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(panel.u, panel.v, label="synthetic")
     planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
-    fitted_stats = SufficientStats(est.epsilon, kappa, zeta)
-    # scalar, one quarter at a time: the maximum error is a difference near
-    # 1e-10, and numpy's power may differ from the scalar pow in the last
-    # ulp, which would change the reported digits
-    rel_errors = [
-        abs(gap_mod.efficient_unemployment(u, v, fitted_stats) - planner.u_star) / planner.u_star
-        for u, v in zip(panel.u.tolist(), panel.v.tolist())
-    ]
-    max_rel = max(rel_errors)
+    max_rel = _round_trip_error(panel, SufficientStats(est.epsilon, kappa, zeta), planner.u_star)
     round_trip_tol = 1e-3
     round_trip_checked = noise == 0.0
     round_trip_ok = (not round_trip_checked) or max_rel < round_trip_tol
@@ -590,39 +607,37 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options every subcommand takes, added once and shared as a parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="run config (default: bundled)")
+    common.add_argument("--out", dest="out_dir", type=Path, default=None, help="output directory")
+    common.add_argument("--u-series", type=Path, default=None)
+    common.add_argument("--v-pre", type=Path, default=None)
+    common.add_argument("--v-post", type=Path, default=None)
+    common.add_argument("--cutover", type=str, default=None)
+    common.add_argument("--unit", choices=("fraction", "percent"), default=None)
+    common.add_argument("--regimes", type=Path, default=None)
+    common.add_argument("--recessions", type=Path, default=None)
+    common.add_argument("--calibration", type=Path, default=None)
+    common.add_argument("--kappa", type=float, default=None)
+    common.add_argument("--kappa-file", type=Path, default=None)
+    common.add_argument("--zeta", type=float, default=None)
+    common.add_argument("--zeta-list", type=str, default=None)
+    common.add_argument("--tol", dest="tolerance", type=float, default=None)
+    common.add_argument("--exclude-gap-quarters", action="store_true", default=None)
+    common.add_argument("--implied-zeta", action="store_true", default=None)
+    common.add_argument("--scenario", type=Path, default=None)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--noise-scale", type=float, default=None)
+
     parser = argparse.ArgumentParser(
         prog="ugap",
         description="Beveridge-curve estimation and efficient-unemployment-gap toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, default=None, help="run config (default: bundled)")
-        p.add_argument("--out", dest="out_dir", type=Path, default=None, help="output directory")
-        p.add_argument("--u-series", type=Path, default=None)
-        p.add_argument("--v-pre", type=Path, default=None)
-        p.add_argument("--v-post", type=Path, default=None)
-        p.add_argument("--cutover", type=str, default=None)
-        p.add_argument("--unit", choices=("fraction", "percent"), default=None)
-        p.add_argument("--regimes", type=Path, default=None)
-        p.add_argument("--recessions", type=Path, default=None)
-        p.add_argument("--calibration", type=Path, default=None)
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--kappa-file", type=Path, default=None)
-        p.add_argument("--zeta", type=float, default=None)
-        p.add_argument("--zeta-list", type=str, default=None)
-        p.add_argument("--tol", dest="tolerance", type=float, default=None)
-        p.add_argument("--exclude-gap-quarters", action="store_true", default=None)
-        p.add_argument("--implied-zeta", action="store_true", default=None)
-        p.add_argument("--scenario", type=Path, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--noise-scale", type=float, default=None)
-
-    for name in ("ingest", "fit", "gap", "sensitivity", "simulate", "report"):
-        p = sub.add_parser(name)
-        add_common(p)
-        if name == "report":
-            p.add_argument("--recompute", action="store_true")
+    for name in ("ingest", "fit", "gap", "sensitivity", "simulate"):
+        sub.add_parser(name, parents=[common])
+    sub.add_parser("report", parents=[common]).add_argument("--recompute", action="store_true")
     return parser
 
 

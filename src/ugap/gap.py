@@ -47,9 +47,14 @@ def classify(theta: float, theta_star: float, tol: float = 0.01) -> str:
     return EFFICIENT
 
 
-def _u_star(u, v, epsilon, kappa, zeta):
-    """The u* formula on scalars or on aligned numpy columns, unvalidated."""
-    return (kappa * epsilon / (1.0 - zeta) * (v / u)) ** (1.0 / (1.0 + epsilon)) * u
+def _u_star(u, v, epsilon, kappa, zeta, power=pow):
+    """The u* formula on scalars or on aligned numpy columns, unvalidated.
+
+    power raises the formula's base to 1/(1+epsilon). The built-in pow is
+    numpy's power on columns; planner.libm_power gives a column the floats
+    the scalar formula gives, bit for bit.
+    """
+    return power(kappa * epsilon / (1.0 - zeta) * (v / u), 1.0 / (1.0 + epsilon)) * u
 
 
 def efficient_unemployment(u: float, v: float, stats: SufficientStats) -> float:

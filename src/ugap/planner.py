@@ -10,12 +10,17 @@ alone hit a noise floor near sqrt(machine epsilon) and cannot certify
 the tightest tolerances used by the comparative-statics checks.
 
 There are two copies of the search. The scalar one serves single solves
-and sequential chains (the compensated-v0 interval halving, synthetic panels,
-the simulate command): there the fixed cost of numpy calls dominates,
-and a one-lane numpy search takes about 40 times as long as the scalar
-one. The oracle grid instead runs every grid point as one lane of a
-lockstep numpy search; each lane takes the steps the scalar search
-would take on it alone.
+and sequential chains (the compensated-v0 interval halving, the economy's
+reference optimum in synthetic panels, the simulate command): there the
+fixed cost of numpy calls dominates, and a one-lane numpy search takes
+about 40 times as long as the scalar one. The oracle grid instead runs
+every grid point as one lane of a lockstep numpy search; each lane takes
+the steps the scalar search would take on it alone.
+
+A synthetic panel is built as columns, with numpy's + - * / (correctly
+rounded, as Python's float arithmetic is) and with every power and
+exponential taken through libm by libm_power, so each value is the float
+a quarter-by-quarter evaluation gives.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PropertyViolation
+from .errors import DomainError, FirstFault, PropertyViolation
 from .ingest import LaborMarketPanel
 from .quarters import quarter_label
 
@@ -105,15 +110,51 @@ class DmpCurve:
         return -self.value(u) / (1.0 - e.alpha) * (e.alpha / u + 1.0 / (1.0 - u))
 
 
-def dmp_beveridge(econ: DmpEconomy, u: float) -> float:
-    """v(u) = [s(1-u) / (mu u^alpha)] ** (1/(1-alpha)), the flow-balance locus; inf where that overflows."""
+def libm_power(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p on each element of a column, through libm's pow as a Python float does; inf where that overflows.
+
+    For x >= 0 or nan and p > 0. numpy's own power may differ from libm's
+    pow in the last ulp (its AVX-512 kernel does), so a column that must
+    hold the scalar formulas' floats bit for bit takes its powers here, as
+    synth_panel takes its exponentials through math.exp.
+    """
+    values = x.tolist()
+    try:
+        return np.fromiter(map(pow, values, itertools.repeat(p)), np.float64, len(values))
+    except OverflowError:  # raised partway through the map: redo it element by element
+        return np.array([_pow_or_inf(a, p) for a in values], dtype=np.float64)
+
+
+def _pow_or_inf(x: float, p: float) -> float:
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def dmp_beveridge(econ: DmpEconomy, u):
+    """v(u) = [s(1-u) / (mu u^alpha)] ** (1/(1-alpha)), the flow-balance locus; inf where that overflows.
+
+    u is a rate in (0,1), or a numpy column of rates that the caller has
+    checked to lie in (0,1). A column takes its powers through libm_power,
+    so each of its values is the float the call on that rate alone returns.
+    """
+    if isinstance(u, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = _flow_balance(econ, u, libm_power)
+        # a denominator that underflows to 0: numpy's x / 0 is inf too, but its 0 / 0 is nan
+        v[np.isnan(v)] = np.inf
+        return v
     if not 0.0 < u < 1.0:
         raise DomainError(f"unemployment rate must be in (0,1), got {u}")
     try:
-        base = econ.s * (1.0 - u) / (econ.mu * u**econ.alpha)
-        return base ** (1.0 / (1.0 - econ.alpha))
+        return _flow_balance(econ, u, pow)
     except (OverflowError, ZeroDivisionError):  # a denominator that underflows to 0 is an overflow too
         return math.inf
+
+
+def _flow_balance(econ: DmpEconomy, u, power):
+    return power(econ.s * (1.0 - u) / (econ.mu * power(u, econ.alpha)), 1.0 / (1.0 - econ.alpha))
 
 
 def dmp_welfare(econ: DmpEconomy, u: float, v: float) -> float:
@@ -360,62 +401,68 @@ def comparative_statics_check(
 
 def synth_panel(
     econ: DmpEconomy,
-    shock_path: Sequence[tuple[int, float, float]],
+    quarters: np.ndarray,
+    s_mult: np.ndarray,
+    mu_mult: np.ndarray,
     noise_scale: float = 0.0,
     seed: int = 0,
 ) -> LaborMarketPanel:
     """Generate an on-curve synthetic panel from flow shocks.
 
-    Each path entry (quarter, s_multiplier, mu_multiplier) scales the
-    separation rate and matching efficiency in the flow-balance identity
-    u = s / (s + mu * theta^(1-alpha)), evaluated at the economy's
-    efficient tightness. That displaces steady-state unemployment along
-    the economy's Beveridge curve, on which the vacancy rate is then read
-    off, so the panel traces the curve the way observed data do. With
-    noise_scale > 0 the vacancy rate picks up multiplicative log-normal
-    noise, deterministic for a given seed.
+    The aligned columns s_mult and mu_mult scale, in each of the given
+    quarters, the separation rate and matching efficiency in the
+    flow-balance identity u = s / (s + mu * theta^(1-alpha)), evaluated at
+    the economy's efficient tightness. That displaces steady-state
+    unemployment along the economy's Beveridge curve, on which the vacancy
+    rate is then read off, so the panel traces the curve the way observed
+    data do. With noise_scale > 0 the vacancy rate picks up multiplicative
+    log-normal noise, deterministic for a given seed.
+
+    Each quarter is checked for, in this order, a multiplier that is not
+    positive, an unemployment rate outside (0,1), a vacancy rate on the
+    curve that overflows and a noisy vacancy rate that is not finite; the
+    first failing quarter raises DomainError for its first failing check.
     """
     if not 0.0 <= noise_scale < math.inf:
         raise DomainError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if not shock_path:
+    if not len(quarters):
         raise DomainError("shock path is empty")
-    curve = DmpCurve(econ)
-    ref = solve_planner_numeric(curve, *dmp_stats(econ))
+    ref = solve_planner_numeric(DmpCurve(econ), *dmp_stats(econ))
     if ref.boundary_warning:
         raise DomainError(
             f"the economy's efficient unemployment {ref.u_star:.6g} is at the edge of "
             f"the planner's search bracket {_BRACKET}; no interior optimum to simulate around"
         )
-    theta_ref = ref.theta_star
-    finding = econ.mu * theta_ref ** (1.0 - econ.alpha)
+    finding = econ.mu * ref.theta_star ** (1.0 - econ.alpha)
 
-    rng = np.random.default_rng(seed)
-    shocks = rng.normal(0.0, noise_scale, size=len(shock_path)) if noise_scale > 0.0 else None
+    faults = FirstFault()
 
-    us, vs = [], []
-    for i, (quarter, s_mult, mu_mult) in enumerate(shock_path):
-        if s_mult <= 0.0 or mu_mult <= 0.0:
-            raise DomainError(f"{quarter_label(quarter)}: shock multipliers must be positive")
-        s_t = econ.s * s_mult
+    def fault(message: Callable[[int], str]) -> Callable[[int], DomainError]:
+        return lambda i: DomainError(f"{quarter_label(quarters[i])}: {message(i)}")
+
+    faults.check((s_mult <= 0.0) | (mu_mult <= 0.0), fault(lambda i: "shock multipliers must be positive"))
+    s_t = econ.s * s_mult
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = s_t / (s_t + finding * mu_mult)
-        if not 0.0 < u < 1.0:
-            raise DomainError(f"{quarter_label(quarter)}: shock drives unemployment to {u}")
-        v = curve.value(u)
-        if v == math.inf:
-            raise DomainError(f"{quarter_label(quarter)}: the vacancy rate on the curve overflows at u={u:g}")
-        if shocks is not None:
-            shock = float(shocks[i])
-            v = v * math.exp(shock) if shock <= _MAX_EXP else math.inf
-            if not v < math.inf:
-                raise DomainError(
-                    f"{quarter_label(quarter)}: the noisy vacancy rate is not finite "
-                    f"(log shock {shock:g})"
-                )
-        us.append(u)
-        vs.append(v)
-    return LaborMarketPanel([q for q, _, _ in shock_path], us, vs)
+    faults.check(~((0.0 < u) & (u < 1.0)), fault(lambda i: f"shock drives unemployment to {u[i].item()}"))
+    # the later checks only look at quarters before the first fault found so far
+    u = u[: faults.rows]
+    v = dmp_beveridge(econ, u)
+    faults.check(v == np.inf, fault(lambda i: f"the vacancy rate on the curve overflows at u={u[i]:g}"))
+    if noise_scale > 0.0:
+        shocks = np.random.default_rng(seed).normal(0.0, noise_scale, size=len(quarters))[: len(v)]
+        small = shocks <= _MAX_EXP
+        growth = np.fromiter(map(math.exp, np.where(small, shocks, 0.0).tolist()), np.float64, len(v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.where(small, v * growth, np.inf)
+        faults.check(
+            ~(v < np.inf),
+            fault(lambda i: f"the noisy vacancy rate is not finite (log shock {shocks[i]:g})"),
+        )
+    faults.raise_first()
+    return LaborMarketPanel(quarters, u, v)
 
 
 def oracle_grid_check(

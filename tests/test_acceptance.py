@@ -8,6 +8,7 @@ independent.
 
 import math
 
+import numpy as np
 import pytest
 
 from ugap.calibration import RecruitingSurvey, SufficientStats, kappa_from_survey
@@ -159,12 +160,9 @@ def test_criterion_10_comparative_statics():
 
 def test_criterion_11_round_trip():
     econ = DmpEconomy(alpha=0.5, mu=2.055, s=0.105, p=1.0, z=0.25, c=0.72)
-    quarters = range(parse_quarter("2000Q1"), parse_quarter("2009Q4") + 1)
-    path = [
-        (q, 1.0 + 0.10 * math.sin(2.0 * math.pi * i / 16.0), 1.0)
-        for i, q in enumerate(quarters)
-    ]
-    synthetic = synth_panel(econ, path)
+    quarters = np.arange(parse_quarter("2000Q1"), parse_quarter("2009Q4") + 1)
+    s_mult = 1.0 + 0.10 * np.array([math.sin(2.0 * math.pi * i / 16.0) for i in range(len(quarters))])
+    synthetic = synth_panel(econ, quarters, s_mult, np.ones(len(quarters)))
     zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(synthetic.u, synthetic.v)
     planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)

@@ -431,6 +431,20 @@ class TestBadConfigExits2:
         assert captured.out == ""
         assert [p.name for p in out.iterdir() if p.is_file()] == []
 
+    @pytest.mark.parametrize("argv", [["ingest"], ["gap"], ["sensitivity"], ["report", "--recompute"]])
+    def test_truncated_summary_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text('{"gap": ')
+        assert run(*argv, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {out / 'summary.json'} is not valid JSON")
+        assert captured.out == ""
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert written == ["summary.json"]
+        assert (out / "summary.json").read_text() == '{"gap": '
+
     def test_recession_ending_before_it_starts_exits_2(self, tmp_path, capsys):
         recessions = tmp_path / "recessions.csv"
         recessions.write_text("start,end\n1953Q2,1954Q2\n1960Q1,1950Q1\n")

@@ -2,8 +2,9 @@
 
 The table below holds the sha256 of each file the six commands write on
 the bundled data and config, and of each command's stdout with the output
-directory replaced by OUT. Any change to an output byte fails here; update
-a digest only for a change that is meant to alter that output.
+directory replaced by OUT, and of the parser's help and usage-error
+output. Any change to an output byte fails here; update a digest only for
+a change that is meant to alter that output.
 """
 
 import contextlib
@@ -53,6 +54,18 @@ GOLDEN_STDOUT = {
     "sensitivity": "826bf0d9df121fc30a429b03475c06a4c35c569dd774949c1866be4785eab96a",
     "report": "a3cb91481f1be04adc63325b386569ecb9c01e65bf6526dbc372b4cb62e4314e",
     "simulate": "89fb1ccbdbc7881272778e5272e2f4c9dc3248a3b70ac3a8c7cff48cd0b1d088",
+}
+
+# argparse output at 80 columns: (argv, exit code, the stream written, its sha256);
+# the other stream stays empty
+GOLDEN_PARSER = {
+    "help": (["--help"], 0, "out", "c62cdc36c16eabf367e38b88354cfe240737adf4b9094d3e042f0ff698e4723d"),
+    "report help": (["report", "--help"], 0, "out", "d8824775d02954f44cbd8fd2fc1fa349b12559bd9901d89f0059564f426391ec"),
+    "gap help": (["gap", "--help"], 0, "out", "d9469afbf72f0877018f02a57417b09efd81fc7941b3c73e7dddb25ce3ad3d75"),
+    "option of another command": (["gap", "--recompute"], 2, "err", "5dfab0fce1923b7950e8a82ff422b322913daebd8c8a4730cdf3b9108d97c99d"),
+    "unknown command": (["nope"], 2, "err", "a7158aeea5a1c8b1d76c305f50364099749f8a477feb09e95e5ba9c4e1673b34"),
+    "no command": ([], 2, "err", "18d82eebb3d7d74e1570e2b5dba4bb9151deb4ae85ce646ff6af9b2c58543626"),
+    "non-numeric option": (["gap", "--kappa", "x"], 2, "err", "58beb554dbf26385d772f9ce69057de679df9ebcec718d1a59f717eff1259201"),
 }
 
 
@@ -109,3 +122,16 @@ def test_recompute_matches_the_commands_run_one_by_one(fresh, recomputed):
     assert files == {k: v for k, v in GOLDEN_FILES.items() if k not in SIMULATE_FILES}
     steps = ("ingest", "fit", "gap", "sensitivity", "report")
     assert printed["report"] == "".join(fresh[1][s] for s in steps)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PARSER))
+def test_parser_output_bytes(case, monkeypatch):
+    argv, code, stream, digest = GOLDEN_PARSER[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    written, empty = (out, err) if stream == "out" else (err, out)
+    assert empty.getvalue() == ""
+    assert sha256(written.getvalue().encode()) == digest

@@ -30,11 +30,14 @@ BASE_ECON = DmpEconomy(alpha=0.5, mu=2.055, s=0.105, p=1.0, z=0.25, c=0.72)
 
 
 def sine_shocks(n=40, amplitude=0.10):
-    first = parse_quarter("2000Q1")
-    return [
-        (first + i, 1.0 + amplitude * math.sin(2.0 * math.pi * i / 16.0), 1.0)
-        for i in range(n)
-    ]
+    """Quarter, s_multiplier and mu_multiplier columns of a sine wave in separations."""
+    s_mult = [1.0 + amplitude * math.sin(2.0 * math.pi * i / 16.0) for i in range(n)]
+    return parse_quarter("2000Q1") + np.arange(n), np.array(s_mult), np.ones(n)
+
+
+def flat_shocks(first, last):
+    quarters = np.arange(parse_quarter(first), parse_quarter(last) + 1)
+    return quarters, np.ones(len(quarters)), np.ones(len(quarters))
 
 
 class TestDmpBeveridge:
@@ -285,20 +288,18 @@ class TestComparativeStatics:
 
 class TestSynthPanel:
     def test_constant_shocks_give_identical_points(self):
-        path = [(q, 1.0, 1.0) for q in range(parse_quarter("2000Q1"), parse_quarter("2001Q4") + 1)]
-        panel = synth_panel(BASE_ECON, path)
+        panel = synth_panel(BASE_ECON, *flat_shocks("2000Q1", "2001Q4"))
         us = {round(u, 15) for u in panel.u.tolist()}
         vs = {round(v, 15) for v in panel.v.tolist()}
         assert len(us) == 1 and len(vs) == 1
 
     def test_baseline_sits_at_efficiency(self):
-        path = [(parse_quarter("2000Q1"), 1.0, 1.0)]
-        panel = synth_panel(BASE_ECON, path)
+        panel = synth_panel(BASE_ECON, *flat_shocks("2000Q1", "2000Q1"))
         sol = solve_planner_numeric(DmpCurve(BASE_ECON), *dmp_stats(BASE_ECON))
         assert panel.u[0] == pytest.approx(sol.u_star, rel=1e-9)
 
     def test_fit_recovers_matching_implied_elasticity(self):
-        panel = synth_panel(BASE_ECON, sine_shocks())
+        panel = synth_panel(BASE_ECON, *sine_shocks())
         est = fit_elasticity(panel.u, panel.v)
         u_bar = sum(panel.u.tolist()) / len(panel)
         assert est.epsilon == pytest.approx(dmp_elasticity(BASE_ECON.alpha, u_bar), abs=0.05)
@@ -309,22 +310,22 @@ class TestSynthPanel:
             panel.to_csv(buf)
             return buf.getvalue()
 
-        a = synth_panel(BASE_ECON, sine_shocks(), noise_scale=0.03, seed=7)
-        b = synth_panel(BASE_ECON, sine_shocks(), noise_scale=0.03, seed=7)
-        c = synth_panel(BASE_ECON, sine_shocks(), noise_scale=0.03, seed=8)
+        a = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
+        b = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
+        c = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=8)
         assert render(a) == render(b)
         assert render(a) != render(c)
 
     def test_bad_multiplier_rejected(self):
         with pytest.raises(DomainError, match="2000Q1: shock multipliers must be positive"):
-            synth_panel(BASE_ECON, [(parse_quarter("2000Q1"), 0.0, 1.0)])
+            synth_panel(BASE_ECON, np.array([parse_quarter("2000Q1")]), np.array([0.0]), np.array([1.0]))
         with pytest.raises(DomainError):
-            synth_panel(BASE_ECON, [])
+            synth_panel(BASE_ECON, *flat_shocks("2000Q1", "1999Q4"))
 
 
 def test_round_trip_reproduces_planner_everywhere():
     """Noiseless panel -> estimator -> formula must match the planner."""
-    panel = synth_panel(BASE_ECON, sine_shocks())
+    panel = synth_panel(BASE_ECON, *sine_shocks())
     zeta, kappa = dmp_stats(BASE_ECON)
     est = fit_elasticity(panel.u, panel.v)
     planner = solve_planner_numeric(DmpCurve(BASE_ECON), zeta, kappa)
