@@ -41,16 +41,15 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def parse_table(
-    text: str | Iterable[str], columns: Sequence[str], what: str, faults: FirstFault | None = None
+    text: str | Iterable[str], columns: Sequence[str], what: str, faults: FirstFault
 ) -> tuple[np.ndarray, list[list[str]]]:
     """The line numbers and the columns of the data rows of a small comma-separated table.
 
     Blank lines, `#` comments and the header row (first field equal to
     columns[0], in any case) are skipped; every other row must have
     exactly len(columns) fields, and each field is stripped of blanks.
-    The first row that does not raises ParseError naming its line. With
-    faults, that error is recorded there instead and the columns stop
-    before the row.
+    For the first row that does not, a ParseError naming its line goes
+    to faults, and the columns stop before the row.
     """
     lines = list(map(str.strip, text.splitlines() if isinstance(text, str) else text))
     n = len(lines)
@@ -66,18 +65,15 @@ def parse_table(
     kept = np.flatnonzero(data)
     rows = list(map(lines.__getitem__, kept.tolist()))
     linenos = kept + 1
-    found = FirstFault() if faults is None else faults
     commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
-    found.check(
+    faults.check(
         commas != len(columns) - 1,
         lambda i: ParseError(f"{what} line {linenos[i]}: expected '{','.join(columns)}'"),
     )
-    if faults is None:
-        found.raise_first()
-    linenos = linenos[: found.rows]
+    linenos = linenos[: faults.rows]
     # every row left has exactly len(columns) fields, so one split cuts them
     # all; the line strings go first, so that they and the fields never coexist
-    joined = ",".join(rows[: found.rows])
+    joined = ",".join(rows[: faults.rows])
     del lines, rows
     fields = list(map(str.strip, joined.split(","))) if len(linenos) else []
     return linenos, [fields[j :: len(columns)] for j in range(len(columns))]

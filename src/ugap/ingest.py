@@ -59,8 +59,8 @@ class LaborMarketPanel:
     quarters is a read-only int64 column of quarter indices, and u and v
     are read-only float64 columns aligned with it; the constructor checks
     that the lengths agree and every rate is positive. build_panel also
-    ensures sorted, distinct quarters and rates below 1. theta = v / u and
-    n = 1 - u are computed from the columns.
+    ensures sorted, distinct quarters, rates below 1 and a finite
+    tightness. theta = v / u and n = 1 - u are computed from the columns.
     """
 
     quarters: np.ndarray
@@ -237,19 +237,28 @@ def splice_jump(pre: Series, post: Series, cutover: int) -> tuple[float, float]:
 
 
 def build_panel(u_series: Series, v_series: Series) -> LaborMarketPanel:
-    """Inner-join unemployment and vacancy series into the analysis panel."""
+    """Inner-join unemployment and vacancy series into the analysis panel.
+
+    The first quarter with a rate that is not in (0,1), or whose tightness
+    v/u overflows, raises DomainError.
+    """
     if not len(u_series) or not len(v_series):
         raise AlignmentError("cannot build panel from an empty series")
     quarters, iu, iv = np.intersect1d(u_series.index, v_series.index, return_indices=True)
     u, v = u_series.values[iu], v_series.values[iv]
     zero = (u <= 0.0) | (v <= 0.0)
-    bad = zero | (u >= 1.0) | (v >= 1.0)
+    one_or_more = (u >= 1.0) | (v >= 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        overflow = ~(v / u < np.inf)
+    bad = zero | one_or_more | overflow
     if bad.any():
         i = int(np.argmax(bad))
         q, ui, vi = quarter_label(quarters[i]), float(u[i]), float(v[i])
         if zero[i]:
             raise DomainError(f"zero rate at {q}: u={ui}, v={vi}")
-        raise DomainError(f"rate at {q} is not a fraction: u={ui}, v={vi}")
+        if one_or_more[i]:
+            raise DomainError(f"rate at {q} is not a fraction: u={ui}, v={vi}")
+        raise DomainError(f"tightness v/u at {q} overflows: u={ui}, v={vi}")
     if not quarters.size:
         raise AlignmentError("unemployment and vacancy series share no quarters")
     return LaborMarketPanel(quarters, u, v)

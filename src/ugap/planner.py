@@ -157,13 +157,6 @@ def _flow_balance(econ: DmpEconomy, u, power):
     return power(econ.s * (1.0 - u) / (econ.mu * power(u, econ.alpha)), 1.0 / (1.0 - econ.alpha))
 
 
-def dmp_welfare(econ: DmpEconomy, u: float, v: float) -> float:
-    """W = (p n + z u - p c v) L with n = 1 - u."""
-    if not 0.0 <= u <= 1.0 or v < 0.0:
-        raise DomainError(f"welfare needs u in [0,1] and v >= 0, got u={u}, v={v}")
-    return (econ.p * (1.0 - u) + econ.z * u - econ.p * econ.c * v) * econ.labor_force
-
-
 def dmp_stats(econ: DmpEconomy) -> tuple[float, float]:
     """The statistics the economy implies: (zeta, kappa) = (z/p, c)."""
     return econ.z / econ.p, econ.c
@@ -290,19 +283,18 @@ def solve_planner_numeric(
     )
 
 
-def _compensated_v0(base: IsoelasticCurve, new_epsilon: float, zeta: float, kappa: float) -> float:
-    """v0 for the steeper curve that leaves maximized welfare unchanged.
+def _compensated_v0(base_v0: float, target: float, new_epsilon: float, zeta: float, kappa: float) -> float:
+    """v0 for the steeper curve whose maximized welfare equals target, the base curve's.
 
     Maximized welfare is strictly decreasing in v0, so interval halving
     on v0 is safe. Mirrors a compensated price change: elasticity rises,
     location adjusts to stay on the original isowelfare line.
     """
-    target = solve_planner_numeric(base, zeta, kappa).welfare
 
     def peak(v0: float) -> float:
         return solve_planner_numeric(IsoelasticCurve(v0, new_epsilon), zeta, kappa).welfare
 
-    lo, hi = base.v0, base.v0
+    lo, hi = base_v0, base_v0
     while peak(lo) < target:
         lo /= 2.0
     while peak(hi) > target:
@@ -388,7 +380,7 @@ def comparative_statics_check(
     )
 
     new_eps = curve.epsilon * epsilon_factor
-    comp_v0 = _compensated_v0(curve, new_eps, zeta, kappa)
+    comp_v0 = _compensated_v0(curve.v0, base.welfare, new_eps, zeta, kappa)
     comp = solve_planner_numeric(IsoelasticCurve(comp_v0, new_eps), zeta, kappa)
     record(
         "compensated_epsilon_up_raises_u_star_lowers_theta_star",
@@ -420,8 +412,9 @@ def synth_panel(
 
     Each quarter is checked for, in this order, a multiplier that is not
     positive, an unemployment rate outside (0,1), a vacancy rate on the
-    curve that overflows and a noisy vacancy rate that is not finite; the
-    first failing quarter raises DomainError for its first failing check.
+    curve that overflows, a noisy vacancy rate that is not finite and a
+    tightness v/u that overflows; the first failing quarter raises
+    DomainError for its first failing check.
     """
     if not 0.0 <= noise_scale < math.inf:
         raise DomainError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
@@ -461,6 +454,9 @@ def synth_panel(
             ~(v < np.inf),
             fault(lambda i: f"the noisy vacancy rate is not finite (log shock {shocks[i]:g})"),
         )
+    with np.errstate(over="ignore"):
+        overflow = ~(v / u < np.inf)
+    faults.check(overflow, fault(lambda i: f"the tightness v/u overflows at u={u[i]:g}, v={v[i]:g}"))
     faults.raise_first()
     return LaborMarketPanel(quarters, u, v)
 

@@ -56,24 +56,18 @@ def parse_quarter(text: str) -> int:
     return int(index[0])
 
 
-def parse_quarters(
-    labels: Sequence[str], linenos: Sequence[int], what: str, faults: FirstFault | None = None
-) -> np.ndarray:
+def parse_quarters(labels: Sequence[str], linenos: Sequence[int], what: str, faults: FirstFault) -> np.ndarray:
     """The int64 index of every YYYYQn label of a column, in one pass.
 
-    The first bad label raises ParseError naming its line from linenos.
-    With faults, that error is recorded there instead, so that a table
-    can check its other columns before it raises; the indices of bad
-    labels are then meaningless.
+    For the first bad label, a ParseError naming its line from linenos
+    goes to faults, so that a table can check its other columns before
+    it raises; the indices of bad labels are meaningless.
     """
     index, bad = _quarters(labels)
-    found = FirstFault() if faults is None else faults
-    found.check(
+    faults.check(
         bad,
         lambda i: ParseError(f"{what} line {linenos[i]}: bad quarter label {labels[i]!r}, expected YYYYQn"),
     )
-    if faults is None:
-        found.raise_first()
     return index
 
 

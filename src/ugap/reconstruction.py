@@ -1,4 +1,4 @@
-"""Builder for the bundled 1951-2019 US labor-market reconstruction.
+"""Generator of the derived files of the bundled 1951-2019 reconstruction.
 
 The toolkit ships a quarterly reconstruction of the public series rather
 than the raw archives. The unemployment path follows the historical
@@ -17,6 +17,10 @@ three months with a slope-following wiggle whose mean is the quarterly
 value, so aggregation reproduces the design. Values are percent with
 four decimals, which marks the files as a reconstruction rather than an
 official vintage.
+
+build_dataset writes the three monthly series, regimes_default.csv and
+shocks_default.csv. The three .cfg files and recessions_nber.csv in the
+data directory are hand-maintained and have no copy here.
 
 Regenerate with: python -m ugap.reconstruction <out_dir>
 """
@@ -120,20 +124,6 @@ REGIME_DESIGN = (
 
 SPLICE_CUTOVER = parse_quarter("2001Q1")
 
-NBER_RECESSIONS = (
-    ("1953Q2", "1954Q2"),
-    ("1957Q3", "1958Q2"),
-    ("1960Q2", "1961Q1"),
-    ("1969Q4", "1970Q4"),
-    ("1973Q4", "1975Q1"),
-    ("1980Q1", "1980Q3"),
-    ("1981Q3", "1982Q4"),
-    ("1990Q3", "1991Q1"),
-    ("2001Q1", "2001Q4"),
-    ("2007Q4", "2009Q2"),
-)
-
-
 def design_v0(epsilon: float, u_star_pct: float) -> float:
     """Curve location that puts the efficient rate at the design target."""
     return (1.0 - ZETA) * (u_star_pct / 100.0) ** (1.0 + epsilon) / (KAPPA * epsilon)
@@ -218,92 +208,12 @@ def monthly_from_quarterly(values_pct: np.ndarray) -> list[tuple[int, int, float
     return out
 
 
-def _write_series(path: Path, monthly: list[tuple[int, int, float]]) -> None:
-    lines = ["date,value"]
-    lines += [f"{y:04d}-{m:02d},{v:.4f}" for y, m, v in monthly]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _write_static(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
-_CALIBRATION_CFG = """\
-# Default calibration profile (1997 employer survey and study-based zeta).
-recruiting_share = 0.025
-u_survey = 0.049
-v_survey = 0.033
-
-zeta = 0.25
-zeta_lo = 0.0
-zeta_hi = 0.5
-
-# earnings -> marginal product adjustment factors
-mpl_wedge_lo = 1.03
-mpl_wedge_hi = 1.25
-payroll_tax = 1.077
-recency_undo = 1.06
-
-# study replacement rates of earnings
-benefit_replacement_lo = 0.13
-benefit_replacement_hi = 0.35
-wage_replacement = 0.58
-
-# public-benefit offset chain (fractions of the marginal product)
-ui_replacement = 0.215
-ui_takeup = 0.65
-ui_tax = 0.83
-ui_filing = 0.47
-ui_expiry = 0.83
-other_benefits = 0.02
-# rounded headline offset actually subtracted in the pipeline
-benefit_offset = 0.07
-"""
-
-_DEFAULT_CFG = """\
-# Default run configuration; paths resolve relative to this file.
-[data]
-u_series = unemployment_monthly.csv
-v_pre = vacancy_hwi_monthly.csv
-v_post = vacancy_jolts_monthly.csv
-unit = percent
-cutover = 2001Q1
-regimes = regimes_default.csv
-recessions = recessions_nber.csv
-
-[calibration]
-profile = calibration_default.cfg
-
-[gap]
-tolerance = 0.01
-exclude_gap_quarters = false
-
-[sensitivity]
-zeta_list = 0 0.25 0.5 0.96
-
-[simulate]
-scenario = scenario_default.cfg
-
-[output]
-out_dir = out
-"""
-
-_SCENARIO_CFG = """\
-# Matching economy whose flow steady state sits at its efficient point.
-[economy]
-alpha = 0.5
-mu = 2.055
-s = 0.105
-p = 1.0
-z = 0.25
-c = 0.72
-labor_force = 1.0
-
-[shocks]
-path = shocks_default.csv
-noise_scale = 0.0
-seed = 1951
-"""
+def _series_text(monthly: list[tuple[int, int, float]]) -> str:
+    return _text(["date,value"] + [f"{y:04d}-{m:02d},{v:.4f}" for y, m, v in monthly])
 
 
 def _shock_rows() -> list[str]:
@@ -316,45 +226,30 @@ def _shock_rows() -> list[str]:
 
 
 def build_dataset(out_dir: Path) -> list[Path]:
-    """Write every bundled data file into out_dir; returns the paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    u = quarterly_unemployment()
-    v = quarterly_vacancy(u)
+    """Write the five derived data files into out_dir; returns the paths.
 
-    monthly_u = monthly_from_quarterly(100.0 * u)
-    monthly_v = monthly_from_quarterly(100.0 * v)
+    The three .cfg files and recessions_nber.csv are hand-maintained data:
+    they live only in the package's data directory and are not written here.
+    """
+    u = quarterly_unemployment()
+    monthly_v = monthly_from_quarterly(100.0 * quarterly_vacancy(u))
     pre = [(y, m, x) for y, m, x in monthly_v if (12 * y + m - 1) // 3 < SPLICE_CUTOVER]
     post = [(y, m, x) for y, m, x in monthly_v if (12 * y + m - 1) // 3 >= SPLICE_CUTOVER]
-
+    regime_lines = [f"{s}-{e},{s},{e}" for s, e, *_ in REGIME_DESIGN]
+    texts = {
+        "unemployment_monthly.csv": _series_text(monthly_from_quarterly(100.0 * u)),
+        "vacancy_hwi_monthly.csv": _series_text(pre),
+        "vacancy_jolts_monthly.csv": _series_text(post),
+        "regimes_default.csv": _text(["# label,start,end"] + regime_lines),
+        "shocks_default.csv": _text(_shock_rows()),
+    }
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    def emit_series(name: str, rows) -> None:
+    for name, text in texts.items():
         path = out_dir / name
-        _write_series(path, rows)
+        path.write_text(text, encoding="utf-8")
         written.append(path)
-
-    def emit_text(name: str, text: str) -> None:
-        path = out_dir / name
-        _write_static(path, text)
-        written.append(path)
-
-    emit_series("unemployment_monthly.csv", monthly_u)
-    emit_series("vacancy_hwi_monthly.csv", pre)
-    emit_series("vacancy_jolts_monthly.csv", post)
-
-    regime_lines = ["# label,start,end"]
-    regime_lines += [f"{s}-{e},{s},{e}" for s, e, *_ in REGIME_DESIGN]
-    emit_text("regimes_default.csv", "\n".join(regime_lines) + "\n")
-
-    recession_lines = ["start,end"]
-    recession_lines += [f"{s},{e}" for s, e in NBER_RECESSIONS]
-    emit_text("recessions_nber.csv", "\n".join(recession_lines) + "\n")
-
-    emit_text("calibration_default.cfg", _CALIBRATION_CFG)
-    emit_text("default.cfg", _DEFAULT_CFG)
-    emit_text("scenario_default.cfg", _SCENARIO_CFG)
-    emit_text("shocks_default.csv", "\n".join(_shock_rows()) + "\n")
     return written
 
 
@@ -363,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m ugap.reconstruction",
-        description="Regenerate the bundled data files.",
+        description="Regenerate the derived bundled data files.",
     )
     parser.add_argument("out_dir", type=Path, help="directory to write the data files into")
     args = parser.parse_args(argv)

@@ -43,6 +43,22 @@ class TestIngest:
         assert run("ingest", "--out", tmp_path, "--v-post", tmp_path / "nope.csv") == 2
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_tightness_exits_2(self, tmp_path, capsys):
+        # percent months that reach the panel as a denormal u, whose v/u overflows
+        lines = bundled_text("unemployment_monthly.csv").splitlines()
+        lines = [f"{line[:7]},5e-322" if line[:7] in ("1960-01", "1960-02", "1960-03") else line for line in lines]
+        series = tmp_path / "u.csv"
+        series.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("ingest", "--u-series", series, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: tightness v/u at 1960Q1 overflows: u=5e-324")
+        assert captured.out == ""
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     def test_percent_flag_equivalent_to_prescaled_fractions(self, tmp_path):
         frac = tmp_path / "fraction_inputs"
         frac.mkdir()
@@ -299,6 +315,22 @@ class TestSimulate:
         assert err.count("error:") == 1
         assert re.search(r"error: 20\d\dQ\d: the noisy vacancy rate is not finite", err)
         assert not (tmp_path / "simulation_report.json").exists()
+
+    def test_overflowing_tightness_exits_2(self, tmp_path, capsys):
+        # a tiny separation multiplier drives u toward 0 while v on the curve stays finite
+        lines = bundled_text("shocks_default.csv").splitlines()
+        lines = ["2000Q3,1e-300,1.1" if line.startswith("2000Q3") else line for line in lines]
+        shocks = tmp_path / "shocks.csv"
+        shocks.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*shock_scenario(tmp_path, shocks), "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: 2000Q3: the tightness v/u overflows at u=")
+        assert captured.out == ""
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("source", ["flag", "env", "scenario"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, source):

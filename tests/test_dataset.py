@@ -1,11 +1,16 @@
-"""Provenance checks for the bundled reconstruction."""
+"""Provenance checks for the bundled reconstruction.
 
-from importlib import resources
-from pathlib import Path
+Every file in the package's data directory is either derived, written by
+build_dataset from the design tables, or hand-maintained data that has
+no second copy anywhere.
+"""
 
 import pytest
 
 from conftest import bundled_text
+from ugap.calibration import CalibrationProfile
+from ugap.cli import _load_scenario, _recession_bands
+from ugap.config import bundled_data_dir, load_config
 from ugap.reconstruction import (
     QUARTERLY_U,
     REGIME_DESIGN,
@@ -15,24 +20,53 @@ from ugap.reconstruction import (
     sample_quarters,
 )
 
-BUNDLED = [
+DERIVED = [
     "unemployment_monthly.csv",
     "vacancy_hwi_monthly.csv",
     "vacancy_jolts_monthly.csv",
     "regimes_default.csv",
-    "recessions_nber.csv",
-    "calibration_default.cfg",
-    "default.cfg",
-    "scenario_default.cfg",
     "shocks_default.csv",
+]
+HAND_MAINTAINED = [
+    "default.cfg",
+    "calibration_default.cfg",
+    "scenario_default.cfg",
+    "recessions_nber.csv",
 ]
 
 
 def test_regeneration_matches_bundled_files_byte_for_byte(tmp_path):
-    build_dataset(tmp_path)
-    data_dir = Path(str(resources.files("ugap").joinpath("data")))
-    for name in BUNDLED:
-        assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
+    written = build_dataset(tmp_path)
+    assert [path.name for path in written] == DERIVED
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(DERIVED)
+    for name in DERIVED:
+        assert (tmp_path / name).read_bytes() == (bundled_data_dir() / name).read_bytes(), name
+
+
+def test_every_bundled_file_is_derived_or_hand_maintained():
+    names = sorted(path.name for path in bundled_data_dir().iterdir())
+    assert names == sorted(DERIVED + HAND_MAINTAINED)
+
+
+def test_hand_maintained_files_load_through_the_tools_readers(panel, monkeypatch):
+    monkeypatch.delenv("TOOLKIT_SEED", raising=False)
+    data = bundled_data_dir()
+    cfg = load_config(None)
+    assert cfg.calibration == data / "calibration_default.cfg"
+    assert cfg.scenario == data / "scenario_default.cfg"
+    assert cfg.recessions == data / "recessions_nber.csv"
+
+    profile = CalibrationProfile.from_file(cfg.calibration)
+    assert 0.0 < profile.kappa() < 1.0 and 0.0 <= profile.zeta < 1.0
+
+    _econ, (quarters, s_mult, mu_mult), noise, seed = _load_scenario(cfg)
+    shock_lines = bundled_text("shocks_default.csv").splitlines()
+    assert len(quarters) == len(s_mult) == len(mu_mult) == len(shock_lines) - 1
+    assert noise == 0.0 and seed >= 0
+
+    bands = _recession_bands(cfg.recessions, panel.quarters)
+    assert len(bands) == len(bundled_text("recessions_nber.csv").splitlines()) - 1
+    assert all(0 <= first <= last < len(panel) for first, last in bands)
 
 
 def test_monthly_files_aggregate_back_to_the_quarterly_design():

@@ -8,6 +8,7 @@ from ugap.errors import (
     CoverageError,
     DomainError,
     DuplicateKeyError,
+    FirstFault,
     ParseError,
 )
 from ugap.config import parse_table
@@ -171,6 +172,12 @@ class TestBuildPanel:
         with pytest.raises(DomainError, match="rate at 1997Q2 is not a fraction: u=1.5"):
             build_panel(u, qs(("1997Q1", 0.03), ("1997Q2", 0.03)))
 
+    def test_overflowing_tightness_names_quarter(self):
+        u = qs(("1997Q1", 0.05), ("1997Q2", 5e-324), ("1997Q3", 0.0))
+        v = qs(("1997Q1", 0.03), ("1997Q2", 0.03), ("1997Q3", 0.03))
+        with pytest.raises(DomainError, match="tightness v/u at 1997Q2 overflows: u=5e-324, v=0.03"):
+            build_panel(u, v)
+
     def test_empty_series_rejected(self):
         with pytest.raises(AlignmentError):
             build_panel(qs(), qs(("1997Q1", 0.03)))
@@ -189,8 +196,11 @@ def test_bundled_panel_identities(panel):
 def test_panel_csv_roundtrip(panel):
     buf = io.StringIO()
     panel.to_csv(buf)
-    linenos, (quarters, u, v, _, _) = parse_table(buf.getvalue(), ("quarter", "u", "v", "theta", "n"), "panel")
-    again = LaborMarketPanel(parse_quarters(quarters, linenos, "panel"), [float(x) for x in u], [float(x) for x in v])
+    faults = FirstFault()
+    linenos, (quarters, u, v, _, _) = parse_table(buf.getvalue(), ("quarter", "u", "v", "theta", "n"), "panel", faults)
+    index = parse_quarters(quarters, linenos, "panel", faults)
+    faults.raise_first()
+    again = LaborMarketPanel(index, [float(x) for x in u], [float(x) for x in v])
     assert again.quarters.tolist() == panel.quarters.tolist()
     for column in ("u", "v"):
         for a, b in zip(getattr(again, column), getattr(panel, column)):

@@ -19,7 +19,6 @@ from ugap.planner import (
     comparative_statics_check,
     dmp_beveridge,
     dmp_stats,
-    dmp_welfare,
     oracle_grid_check,
     solve_planner_numeric,
     synth_panel,
@@ -75,21 +74,6 @@ class TestDmpBeveridge:
             h = 1e-7 * u
             fd = (curve.value(u + h) - curve.value(u - h)) / (2.0 * h)
             assert curve.slope(u) == pytest.approx(fd, rel=1e-6)
-
-
-class TestDmpWelfare:
-    def test_full_employment(self):
-        econ = DmpEconomy(alpha=0.5, mu=1.0, s=0.03, p=1.3, z=0.2, c=0.7, labor_force=2.0)
-        assert dmp_welfare(econ, 0.0, 0.0) == pytest.approx(1.3 * 2.0)
-
-    def test_hand_arithmetic(self):
-        econ = DmpEconomy(alpha=0.5, mu=1.0, s=0.03, p=1.0, z=0.25, c=0.72)
-        assert dmp_welfare(econ, 0.05, 0.03) == pytest.approx(0.9409)
-
-    def test_decreasing_in_vacancies(self):
-        econ = BASE_ECON
-        values = [dmp_welfare(econ, 0.05, v) for v in (0.0, 0.02, 0.05)]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestDmpStats:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ugap.cli import _shock_columns
 from ugap.config import parse_kv_text, parse_table
-from ugap.errors import ConfigError, DomainError, DuplicateKeyError, InputError, ParseError
+from ugap.errors import ConfigError, DomainError, DuplicateKeyError, FirstFault, InputError, ParseError
 from ugap.ingest import Series, parse_series_csv, to_quarterly
 from ugap.quarters import parse_quarter, parse_quarters, quarter_label
 from ugap.regimes import Regime, RegimeTable
@@ -252,6 +252,18 @@ def table_rows(linenos, columns):
 # -- properties ----------------------------------------------------------------
 
 
+def raising(read):
+    """read, called with a FirstFault of its own that is raised before it returns."""
+
+    def call(*args):
+        faults = FirstFault()
+        result = read(*args, faults)
+        faults.raise_first()
+        return result
+
+    return call
+
+
 def only_input_errors(read, *args):
     try:
         read(*args)
@@ -265,12 +277,12 @@ def test_readers_raise_only_input_errors(text, unit):
     lines = text.splitlines()
     only_input_errors(parse_series_csv, "date,value\n" + text, unit)
     only_input_errors(parse_series_csv, text, unit)
-    only_input_errors(parse_table, text, ("label", "start", "end"), "regime")
+    only_input_errors(raising(parse_table), text, ("label", "start", "end"), "regime")
     only_input_errors(RegimeTable.from_lines, lines)
     only_input_errors(shock_path, text)
     only_input_errors(parse_kv_text, text)
     fields = [f for line in lines for f in line.split(",")]
-    only_input_errors(parse_quarters, fields, list(range(len(fields))), "label")
+    only_input_errors(raising(parse_quarters), fields, list(range(len(fields))), "label")
     for label in [text, *fields]:
         only_input_errors(parse_quarter, label)
 
@@ -286,7 +298,7 @@ def test_series_reader_matches_per_line_reference(text, unit):
 @given(table_text, st.sampled_from([("label", "start", "end"), SHOCK_COLUMNS, ("start", "end"), ("regime", "kappa")]))
 def test_table_reader_matches_per_line_reference(text, columns):
     for lines in (text, text.splitlines(keepends=True)):
-        got = outcome(parse_table, lines, columns, "table")
+        got = outcome(raising(parse_table), lines, columns, "table")
         if not isinstance(got[0], type):
             got = table_rows(*got)
         assert got == outcome(lambda: list(reference_table(lines, columns, "table")))

@@ -83,6 +83,9 @@ def reference_synth_panel(econ, shock_path, noise_scale=0.0, seed=0):
                     f"{quarter_label(quarter)}: the noisy vacancy rate is not finite "
                     f"(log shock {shock:g})"
                 )
+        # deliberate change: a tightness v/u that overflowed went into the panel as inf
+        if not v / u < math.inf:
+            raise DomainError(f"{quarter_label(quarter)}: the tightness v/u overflows at u={u:g}, v={v:g}")
         us.append(u)
         vs.append(v)
     return LaborMarketPanel([q for q, _, _ in shock_path], us, vs)
