@@ -9,11 +9,7 @@ that checks whole columns report the fault a row-by-row reader would.
 import numpy as np
 
 
-class ToolkitError(Exception):
-    pass
-
-
-class InputError(ToolkitError):
+class InputError(Exception):
     pass
 
 
@@ -49,7 +45,7 @@ class DegenerateDataError(InputError):
     pass
 
 
-class PropertyViolation(ToolkitError):
+class PropertyViolation(Exception):
     pass
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class LaborMarketPanel:
         write_quarter_rows(stream, "quarter,u,v,theta,n", self.quarters, "%.8g,%.8g,%.8g,%.8g", columns)
 
 
-def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") -> Series:
+def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
     """Parse a `date,value` CSV with YYYY-MM dates into a month-indexed series.
 
     value_unit is "fraction" or "percent"; percent values are divided by
@@ -112,7 +112,7 @@ def parse_series_csv(text: str | Iterable[str], value_unit: str = "fraction") ->
     """
     if value_unit not in ("fraction", "percent"):
         raise ParseError(f"unknown value unit {value_unit!r}")
-    reader = csv.reader(text.splitlines() if isinstance(text, str) else list(text))
+    reader = csv.reader(text.splitlines())
     rows: list[list[str]] = []
     try:
         rows.extend(reader)  # a failing extend keeps the rows before the bad one

@@ -4,8 +4,8 @@ A planner picks the point on a Beveridge curve that maximizes welfare
 per unit of labor force, (1 - u) + zeta * u - kappa * v(u). The search
 is a bracketed golden-section maximization, so it never touches the
 closed forms it is meant to verify. When the curve exposes an analytic
-slope, the optimum can optionally be polished by interval halving on
-the tangency condition kappa * (-v'(u)) = 1 - zeta; welfare comparisons
+slope, the optimum is then polished by interval halving on the
+tangency condition kappa * (-v'(u)) = 1 - zeta; welfare comparisons
 alone hit a noise floor near sqrt(machine epsilon) and cannot certify
 the tightest tolerances used by the comparative-statics checks.
 
@@ -40,6 +40,17 @@ from .quarters import quarter_label
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = (1e-4, 0.5)
 _TOL = 1e-9
+# the perturbations comparative_statics_check applies: kappa, v0 and epsilon scaled up, zeta shifted up
+_KAPPA_FACTOR = 1.25
+_ZETA_SHIFT = 0.25
+_V0_FACTOR = 1.5
+_EPSILON_FACTOR = 1.25
+# the largest theta* drift an outward shift of the curve may cause and still count as invariant
+_THETA_INVARIANCE_TOL = 1e-8
+# the largest |u* numeric - u* formula| an oracle grid point may show
+_ORACLE_U_TOL = 1e-6
+# the largest relative gap between curve and isowelfare slope at an oracle grid point's optimum
+_ORACLE_TANGENCY_TOL = 1e-6
 # the largest argument math.exp takes without overflowing
 _MAX_EXP = math.log(sys.float_info.max)
 
@@ -230,16 +241,14 @@ def _check_planner_stats(zeta: float, kappa: float) -> None:
         raise DomainError(f"kappa must be positive and finite, got {kappa}")
 
 
-def solve_planner_numeric(
-    curve: IsoelasticCurve | DmpCurve, zeta: float, kappa: float, polish: bool = True
-) -> PlannerSolution:
+def solve_planner_numeric(curve: IsoelasticCurve | DmpCurve, zeta: float, kappa: float) -> PlannerSolution:
     """Maximize (1-u) + zeta u - kappa v(u) over _BRACKET, to within _TOL in u.
 
     Welfare is normalized per unit labor force; population scale moves
-    the level, never the argmax. With polish=True and an analytic curve
-    slope, the golden-section result is refined by interval halving on
-    the first-order condition, which pushes the u error to machine level.
-    polish=False keeps the search purely derivative-free.
+    the level, never the argmax. The derivative-free golden-section
+    result is then refined by interval halving on the first-order
+    condition, with the curve's analytic slope, which pushes the u error
+    to machine level.
 
     A boundary_warning on the solution means the maximizer sits against
     the bracket, i.e. welfare was not interior-peaked.
@@ -253,7 +262,7 @@ def solve_planner_numeric(
     u_star = _golden_max(welfare, lo, hi, _TOL)
     boundary = u_star - lo < 10.0 * _TOL or hi - u_star < 10.0 * _TOL
 
-    if polish and not boundary:
+    if not boundary:
         # tangency residual is strictly decreasing in u on a convex curve
         def foc(u: float) -> float:
             return -kappa * curve.slope(u) - (1.0 - zeta)
@@ -327,68 +336,43 @@ class StaticsReport:
         return [c for c in self.checks if not c.passed]
 
 
-def comparative_statics_check(
-    curve: IsoelasticCurve,
-    zeta: float,
-    kappa: float,
-    kappa_factor: float = 1.25,
-    zeta_shift: float = 0.25,
-    v0_factor: float = 1.5,
-    epsilon_factor: float = 1.25,
-    theta_invariance_tol: float = 1e-8,
-) -> StaticsReport:
+def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float) -> StaticsReport:
     """Verify the four comparative-statics sign patterns numerically.
 
-    Perturbation sizes must be positive. Raising kappa or zeta must raise
-    u* and lower theta*; an outward shift (v0 up) must raise u* and leave
-    theta* unchanged to tolerance; a compensated elasticity increase must
-    raise u* and lower theta*.
+    Raising kappa or zeta must raise u* and lower theta*; an outward
+    shift (v0 up) must raise u* and leave theta* unchanged to
+    _THETA_INVARIANCE_TOL; a compensated elasticity increase must raise
+    u* and lower theta*.
     """
-    for name, x in (("kappa_factor", kappa_factor - 1.0), ("zeta_shift", zeta_shift),
-                    ("v0_factor", v0_factor - 1.0), ("epsilon_factor", epsilon_factor - 1.0)):
-        if x <= 0.0:
-            raise DomainError(f"perturbation {name} must be positive")
-    if not zeta + zeta_shift < 1.0:
+    if not zeta + _ZETA_SHIFT < 1.0:
         raise DomainError("zeta_shift pushes zeta to 1 or above")
 
     base = solve_planner_numeric(curve, zeta, kappa)
-    checks: list[StaticsCheck] = []
 
-    def record(name: str, passed: bool, details: str) -> None:
-        checks.append(StaticsCheck(name, passed, details))
+    def raises_u_star_lowers_theta_star(name: str, moved: PlannerSolution) -> StaticsCheck:
+        return StaticsCheck(
+            f"{name}_up_raises_u_star_lowers_theta_star",
+            moved.u_star > base.u_star and moved.theta_star < base.theta_star,
+            f"u*: {base.u_star:.9g} -> {moved.u_star:.9g}, theta*: {base.theta_star:.9g} -> {moved.theta_star:.9g}",
+        )
 
-    kap = solve_planner_numeric(curve, zeta, kappa * kappa_factor)
-    record(
-        "kappa_up_raises_u_star_lowers_theta_star",
-        kap.u_star > base.u_star and kap.theta_star < base.theta_star,
-        f"u*: {base.u_star:.9g} -> {kap.u_star:.9g}, theta*: {base.theta_star:.9g} -> {kap.theta_star:.9g}",
-    )
+    kap = raises_u_star_lowers_theta_star("kappa", solve_planner_numeric(curve, zeta, kappa * _KAPPA_FACTOR))
+    zet = raises_u_star_lowers_theta_star("zeta", solve_planner_numeric(curve, zeta + _ZETA_SHIFT, kappa))
 
-    zet = solve_planner_numeric(curve, zeta + zeta_shift, kappa)
-    record(
-        "zeta_up_raises_u_star_lowers_theta_star",
-        zet.u_star > base.u_star and zet.theta_star < base.theta_star,
-        f"u*: {base.u_star:.9g} -> {zet.u_star:.9g}, theta*: {base.theta_star:.9g} -> {zet.theta_star:.9g}",
-    )
-
-    out = solve_planner_numeric(IsoelasticCurve(curve.v0 * v0_factor, curve.epsilon), zeta, kappa)
+    out = solve_planner_numeric(IsoelasticCurve(curve.v0 * _V0_FACTOR, curve.epsilon), zeta, kappa)
     theta_drift = abs(out.theta_star - base.theta_star)
-    record(
+    shift = StaticsCheck(
         "v0_up_raises_u_star_theta_star_invariant",
-        out.u_star > base.u_star and theta_drift < theta_invariance_tol,
+        out.u_star > base.u_star and theta_drift < _THETA_INVARIANCE_TOL,
         f"u*: {base.u_star:.9g} -> {out.u_star:.9g}, |theta* drift| = {theta_drift:.3g}",
     )
 
-    new_eps = curve.epsilon * epsilon_factor
+    new_eps = curve.epsilon * _EPSILON_FACTOR
     comp_v0 = _compensated_v0(curve.v0, base.welfare, new_eps, zeta, kappa)
-    comp = solve_planner_numeric(IsoelasticCurve(comp_v0, new_eps), zeta, kappa)
-    record(
-        "compensated_epsilon_up_raises_u_star_lowers_theta_star",
-        comp.u_star > base.u_star and comp.theta_star < base.theta_star,
-        f"u*: {base.u_star:.9g} -> {comp.u_star:.9g}, theta*: {base.theta_star:.9g} -> {comp.theta_star:.9g}",
+    comp = raises_u_star_lowers_theta_star(
+        "compensated_epsilon", solve_planner_numeric(IsoelasticCurve(comp_v0, new_eps), zeta, kappa)
     )
-
-    return StaticsReport(tuple(checks))
+    return StaticsReport((kap, zet, shift, comp))
 
 
 def synth_panel(
@@ -412,9 +396,9 @@ def synth_panel(
 
     Each quarter is checked for, in this order, a multiplier that is not
     positive, an unemployment rate outside (0,1), a vacancy rate on the
-    curve that overflows, a noisy vacancy rate that is not finite and a
-    tightness v/u that overflows; the first failing quarter raises
-    DomainError for its first failing check.
+    curve that overflows, a noisy vacancy rate that is not finite, a
+    tightness v/u that overflows and a vacancy rate outside (0,1); the
+    first failing quarter raises DomainError for its first failing check.
     """
     if not 0.0 <= noise_scale < math.inf:
         raise DomainError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
@@ -457,6 +441,7 @@ def synth_panel(
     with np.errstate(over="ignore"):
         overflow = ~(v / u < np.inf)
     faults.check(overflow, fault(lambda i: f"the tightness v/u overflows at u={u[i]:g}, v={v[i]:g}"))
+    faults.check(~((0.0 < v) & (v < 1.0)), fault(lambda i: f"the vacancy rate {v[i]:g} is not a fraction"))
     faults.raise_first()
     return LaborMarketPanel(quarters, u, v)
 
@@ -466,8 +451,6 @@ def oracle_grid_check(
     zetas: Sequence[float] = (0.0, 0.25, 0.5),
     kappas: Sequence[float] = (0.3, 0.72, 1.0),
     v0s: Sequence[float] = (3e-4, 3e-3, 3e-2),
-    u_tol: float = 1e-6,
-    tangency_tol: float = 1e-6,
 ) -> list[dict]:
     """Planner-vs-formula agreement over the verification grid.
 
@@ -480,12 +463,13 @@ def oracle_grid_check(
     disagreement.
 
     All grid points are searched at once by _golden_lanes, the numpy
-    twin of the scalar search in solve_planner_numeric (polish=False).
-    numpy's power can differ from libm's pow in the last ulp, which may
-    flip a near-tie comparison and move a lane's optimum by a few 1e-9;
-    that is far inside u_tol. The formula side is the column form of the
-    u* formula that gap_series and sensitivity run, within 1e-15 of the
-    scalar gap.efficient_unemployment. The records are built from whole
+    twin of _golden_max, the derivative-free search that
+    solve_planner_numeric then polishes. numpy's power can differ from
+    libm's pow in the last ulp, which may flip a near-tie comparison and
+    move a lane's optimum by a few 1e-9; that is far inside
+    _ORACLE_U_TOL. The formula side is the column form of the u* formula
+    that gap_series and sensitivity run, within 1e-15 of the scalar
+    gap.efficient_unemployment. The records are built from whole
     columns; the first failing point in product order is then checked
     for, in this order, an overflowing formula, a boundary hit and a
     disagreement.
@@ -525,7 +509,7 @@ def oracle_grid_check(
     tangency = np.abs(slope - iso_slope) / np.abs(iso_slope)
     u_error = np.abs(u_star - u_formula)
     overflow = np.isinf(power)
-    disagree = (u_error >= u_tol) | (tangency >= tangency_tol)
+    disagree = (u_error >= _ORACLE_U_TOL) | (tangency >= _ORACLE_TANGENCY_TOL)
 
     # the grid values as given, in product order, then the computed columns
     columns = (u_star, u_formula, u_error, tangency, boundary)

@@ -14,6 +14,8 @@ import numpy as np
 
 WIDTH, HEIGHT = 760.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 44.0, 52.0
+# the number of axis intervals _nice_ticks aims for
+_TICK_INTERVALS = 5
 PALETTE = ("#1f6fb4", "#c23b22", "#2c8a4b", "#8a5ca8", "#b8860b", "#4d4d4d")
 
 
@@ -22,10 +24,10 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_INTERVALS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw), default=10.0) * mag
     first = math.ceil(lo / step) * step

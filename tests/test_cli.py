@@ -316,21 +316,33 @@ class TestSimulate:
         assert re.search(r"error: 20\d\dQ\d: the noisy vacancy rate is not finite", err)
         assert not (tmp_path / "simulation_report.json").exists()
 
-    def test_overflowing_tightness_exits_2(self, tmp_path, capsys):
-        # a tiny separation multiplier drives u toward 0 while v on the curve stays finite
+    @staticmethod
+    def simulate_with_2000q3_row(tmp_path, row) -> int:
+        """Simulate the bundled scenario into tmp_path/out with its 2000Q3 shock row replaced by row."""
         lines = bundled_text("shocks_default.csv").splitlines()
-        lines = ["2000Q3,1e-300,1.1" if line.startswith("2000Q3") else line for line in lines]
+        lines = [row if line.startswith("2000Q3") else line for line in lines]
         shocks = tmp_path / "shocks.csv"
         shocks.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(*shock_scenario(tmp_path, shocks), "--out", out) == 2
+            return run(*shock_scenario(tmp_path, shocks), "--out", tmp_path / "out")
+
+    def test_overflowing_tightness_exits_2(self, tmp_path, capsys):
+        # a tiny separation multiplier drives u toward 0 while v on the curve stays finite
+        assert self.simulate_with_2000q3_row(tmp_path, "2000Q3,1e-300,1.1") == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: 2000Q3: the tightness v/u overflows at u=")
         assert captured.out == ""
-        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
+
+    def test_vacancy_rate_of_one_or_more_exits_2(self, tmp_path, capsys):
+        # a small separation multiplier puts v on the curve far above 1 while v/u stays finite
+        assert self.simulate_with_2000q3_row(tmp_path, "2000Q3,1e-100,1.0") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: 2000Q3: the vacancy rate 4.96031e+98 is not a fraction\n"
+        assert captured.out == ""
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("source", ["flag", "env", "scenario"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, source):

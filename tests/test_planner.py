@@ -1,3 +1,4 @@
+import inspect
 import io
 import itertools
 import math
@@ -6,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from ugap import planner
 from ugap.calibration import SufficientStats
 from ugap.errors import DomainError, PropertyViolation
 from ugap.fitting import dmp_elasticity, fit_elasticity
@@ -14,6 +16,8 @@ from ugap.planner import (
     DmpCurve,
     DmpEconomy,
     IsoelasticCurve,
+    _BRACKET,
+    _TOL,
     _golden_lanes,
     _golden_max,
     comparative_statics_check,
@@ -32,6 +36,11 @@ def sine_shocks(n=40, amplitude=0.10):
     """Quarter, s_multiplier and mu_multiplier columns of a sine wave in separations."""
     s_mult = [1.0 + amplitude * math.sin(2.0 * math.pi * i / 16.0) for i in range(n)]
     return parse_quarter("2000Q1") + np.arange(n), np.array(s_mult), np.ones(n)
+
+
+def search(curve, zeta, kappa):
+    """The derivative-free optimum, before solve_planner_numeric polishes it."""
+    return _golden_max(lambda u: (1.0 - u) + zeta * u - kappa * curve.value(u), *_BRACKET, _TOL)
 
 
 def flat_shocks(first, last):
@@ -92,16 +101,16 @@ class TestDmpStats:
 class TestPlanner:
     def test_matches_closed_form_on_isoelastic_curve(self):
         curve = IsoelasticCurve(0.0016, 1.0)
-        sol = solve_planner_numeric(curve, 0.25, 0.72, polish=False)
+        u_star = search(curve, 0.25, 0.72)
         closed = (0.72 * 1.0 * 0.0016 / 0.75) ** 0.5
         assert closed == pytest.approx(0.039192, abs=1e-6)
-        assert sol.u_star == pytest.approx(closed, abs=1e-6)
+        assert u_star == pytest.approx(closed, abs=1e-6)
 
     def test_tangency_at_optimum(self):
         curve = IsoelasticCurve(0.0016, 1.0)
-        sol = solve_planner_numeric(curve, 0.25, 0.72, polish=False)
+        slope = curve.slope(search(curve, 0.25, 0.72))
         iso_slope = -(1.0 - 0.25) / 0.72
-        assert abs(sol.curve_slope - iso_slope) / abs(iso_slope) < 1e-6
+        assert abs(slope - iso_slope) / abs(iso_slope) < 1e-6
 
     def test_theta_star_formula(self):
         curve = IsoelasticCurve(0.0016, 1.0)
@@ -120,9 +129,9 @@ class TestPlanner:
 
     def test_polish_agrees_with_search(self):
         curve = IsoelasticCurve(0.0016, 1.0)
-        rough = solve_planner_numeric(curve, 0.25, 0.72, polish=False)
-        sharp = solve_planner_numeric(curve, 0.25, 0.72, polish=True)
-        assert sharp.u_star == pytest.approx(rough.u_star, abs=1e-7)
+        rough = search(curve, 0.25, 0.72)
+        sharp = solve_planner_numeric(curve, 0.25, 0.72)
+        assert sharp.u_star == pytest.approx(rough, abs=1e-7)
 
     def test_boundary_warning(self):
         sol = solve_planner_numeric(IsoelasticCurve(10.0, 1.0), 0.25, 0.72)
@@ -142,6 +151,15 @@ class TestPlanner:
         eps_local = dmp_elasticity(BASE_ECON.alpha, sol.u_star)
         expected = (1.0 - zeta) / (kappa * eps_local)
         assert sol.theta_star == pytest.approx(expected, rel=1e-9)
+
+
+def test_verification_entry_points_take_only_their_inputs():
+    entry_points = (solve_planner_numeric, comparative_statics_check, oracle_grid_check)
+    assert [list(inspect.signature(f).parameters) for f in entry_points] == [
+        ["curve", "zeta", "kappa"],
+        ["curve", "zeta", "kappa"],
+        ["epsilons", "zetas", "kappas", "v0s"],
+    ]
 
 
 def test_oracle_grid_agrees_with_formula():
@@ -181,9 +199,9 @@ class TestOracleLockstep:
         assert [(r["epsilon"], r["zeta"], r["kappa"], r["v0"]) for r in records] == points
         for rec, (eps, zeta, kappa, v0) in zip(records, points):
             assert list(rec) == ORACLE_KEYS
-            sol = solve_planner_numeric(IsoelasticCurve(v0, eps), zeta, kappa, polish=False)
-            assert abs(rec["u_star_numeric"] - sol.u_star) < 1e-8
-            assert rec["boundary_warning"] is sol.boundary_warning
+            curve = IsoelasticCurve(v0, eps)
+            assert abs(rec["u_star_numeric"] - search(curve, zeta, kappa)) < 1e-8
+            assert rec["boundary_warning"] is solve_planner_numeric(curve, zeta, kappa).boundary_warning
 
     @pytest.mark.parametrize(
         "axes",
@@ -198,14 +216,15 @@ class TestOracleLockstep:
             assert abs(rec["u_star_formula"] - u_star) <= 1e-15 * u_star
             assert rec["u_error"] == abs(rec["u_star_numeric"] - rec["u_star_formula"])
 
-    def test_first_failing_point_reports_its_first_failed_check(self):
-        # u_tol=0 fails every point; the first point in product order is reported,
-        # and on one point a boundary hit comes before a disagreement
+    def test_first_failing_point_reports_its_first_failed_check(self, monkeypatch):
+        # a u* tolerance of 0 fails every point; the first point in product order
+        # is reported, and on one point a boundary hit comes before a disagreement
+        monkeypatch.setattr(planner, "_ORACLE_U_TOL", 0.0)
         first = "{'epsilon': 0.8, 'zeta': 0.0, 'kappa': 0.3, 'v0': "
         with pytest.raises(PropertyViolation, match=re.escape(f"oracle disagreement at {first}0.003,")):
-            oracle_grid_check(v0s=(3e-3, 10.0), u_tol=0.0)
+            oracle_grid_check(v0s=(3e-3, 10.0))
         with pytest.raises(PropertyViolation, match=re.escape(f"planner hit bracket boundary at {first}10.0,")):
-            oracle_grid_check(v0s=(10.0, 3e-3), u_tol=0.0)
+            oracle_grid_check(v0s=(10.0, 3e-3))
 
     def test_lanes_take_the_scalar_steps(self):
         # -(u - m)^2 needs only correctly rounded operations, so every lane must
@@ -257,17 +276,13 @@ class TestComparativeStatics:
         assert len(names) == 4 and len(set(names)) == 4
 
     def test_theta_star_invariance_is_tight(self):
-        report = comparative_statics_check(
-            IsoelasticCurve(0.0016, 1.0), 0.25, 0.72, theta_invariance_tol=1e-8
-        )
+        report = comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.25, 0.72)
         v0_check = next(c for c in report.checks if c.name.startswith("v0_up"))
         assert v0_check.passed
 
     def test_bad_perturbations_rejected(self):
-        with pytest.raises(DomainError):
-            comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.25, 0.72, v0_factor=1.0)
-        with pytest.raises(DomainError):
-            comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.8, 0.72, zeta_shift=0.25)
+        with pytest.raises(DomainError, match="zeta_shift pushes zeta to 1 or above"):
+            comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.8, 0.72)
 
 
 class TestSynthPanel:

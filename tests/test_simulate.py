@@ -86,6 +86,9 @@ def reference_synth_panel(econ, shock_path, noise_scale=0.0, seed=0):
         # deliberate change: a tightness v/u that overflowed went into the panel as inf
         if not v / u < math.inf:
             raise DomainError(f"{quarter_label(quarter)}: the tightness v/u overflows at u={u:g}, v={v:g}")
+        # deliberate change: a vacancy rate outside (0,1) went into the panel
+        if not 0.0 < v < 1.0:
+            raise DomainError(f"{quarter_label(quarter)}: the vacancy rate {v:g} is not a fraction")
         us.append(u)
         vs.append(v)
     return LaborMarketPanel([q for q, _, _ in shock_path], us, vs)
