@@ -38,7 +38,6 @@ class RecruitingSurvey:
     recruiting_share: float
     u: float
     v: float
-    year_label: str = ""
 
     def __post_init__(self):
         for name in ("recruiting_share", "u", "v"):

@@ -5,8 +5,8 @@ invocation builds one lazy `Run`, and every command renders from it, so
 `report --recompute` parses the series, fits the regimes, builds the
 schedule and reads the kappa file once for all four steps. `simulate`
 keeps the shock table as columns from the reader through synth_panel to
-the round-trip error, which takes its powers through libm like the
-scalar formula, so the reported digits are the scalar ones. Exit codes
+the round-trip error, which takes its powers through libm, so the
+reported digits are those of a quarter-by-quarter loop. Exit codes
 are a stable contract for scripting: 0 success, 1 a verified property
 failed, 2 bad input or configuration. All outputs are deterministic
 given the config and inputs, so repeated runs are byte-identical.
@@ -72,7 +72,7 @@ def _round_floats(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _read_summary(path: Path) -> dict:
@@ -80,7 +80,7 @@ def _read_summary(path: Path) -> dict:
     if not path.is_file():
         return {}
     try:
-        summary = json.loads(path.read_text())
+        summary = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(summary, dict):
@@ -246,7 +246,7 @@ def cmd_ingest(run: Run) -> int:
             jump=splice["relative_jump"],
         )
     )
-    (figures / "rates_timeseries.svg").write_text(svg)
+    (figures / "rates_timeseries.svg").write_text(svg, encoding="utf-8")
     _update_summary(out, summary, "ingest", {"n_quarters": len(panel), "splice": splice})
     first, last = quarter_label(panel.quarters[0]), quarter_label(panel.quarters[-1])
     print(f"panel: {len(panel)} quarters {first}..{last} -> {out / 'panel.csv'}")
@@ -254,10 +254,18 @@ def cmd_ingest(run: Run) -> int:
 
 
 def cmd_fit(run: Run) -> int:
-    out, figures = _out_dirs(run.cfg)
     estimates, failures = run.fits
     labels = {e.label for e in estimates}
     fitted = RegimeTable(tuple(r for r in run.table if r.label in labels))
+    for regime in fitted:  # each names a figure file, so check them all before writing
+        try:
+            os.fsencode(regime.label)
+        except UnicodeEncodeError:
+            encoding = sys.getfilesystemencoding()
+            raise ConfigError(
+                f"regime {regime.label!r}: the file system encoding {encoding} cannot name its figure"
+            ) from None
+    out, figures = _out_dirs(run.cfg)
     with open(out / "estimates.csv", "w", encoding="utf-8") as fh:
         write_estimates_csv(estimates, fitted, fh)
     for regime, est in zip(fitted, estimates):
@@ -269,7 +277,7 @@ def cmd_fit(run: Run) -> int:
             slope=-est.epsilon,
             intercept=est.log_v0,
         )
-        (figures / f"fit_{regime.label}.svg").write_text(svg)
+        (figures / f"fit_{regime.label}.svg").write_text(svg, encoding="utf-8")
         print(
             f"{regime.label}: epsilon={est.epsilon:.4f} se={est.se_epsilon:.4f} "
             f"r2={est.r_squared:.4f} n={est.n_obs}"
@@ -310,7 +318,7 @@ def cmd_gap(run: Run) -> int:
         "excluding_gap_quarters": asdict(summary_core),
     }
     _update_summary(out, summary, "gap", payload)
-    (figures / "gap_unemployment.svg").write_text(svg)
+    (figures / "gap_unemployment.svg").write_text(svg, encoding="utf-8")
 
     shown = summary_core if cfg.exclude_gap_quarters else summary_all
     print(
@@ -354,7 +362,7 @@ def cmd_sensitivity(run: Run) -> int:
         "width_pair": list(gap_mod.WIDTH_PAIR),
         "mean_width": band.mean_width,
     }
-    (figures / "sensitivity.svg").write_text(svg)
+    (figures / "sensitivity.svg").write_text(svg, encoding="utf-8")
 
     if cfg.implied_zeta:
         zeta_star = gap_mod.implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
@@ -446,7 +454,7 @@ def _round_trip_error(panel: LaborMarketPanel, stats: SufficientStats, u_star: f
 
     The error is a difference near 1e-10, whose reported digits a last-ulp
     change in the formula's power would move, so the power is libm's, as
-    in the scalar efficient_unemployment.
+    the built-in pow takes it for one quarter at a time.
     """
     with np.errstate(over="ignore"):  # an inf u* is an inf error
         formula = gap_mod._u_star(panel.u, panel.v, stats.epsilon, stats.kappa, stats.zeta, libm_power)
@@ -454,12 +462,8 @@ def _round_trip_error(panel: LaborMarketPanel, stats: SufficientStats, u_star: f
 
 
 def cmd_simulate(run: Run) -> int:
-    out, _figures = _out_dirs(run.cfg)
     econ, shocks, noise, seed = _load_scenario(run.cfg)
     panel = synth_panel(econ, *shocks, noise_scale=noise, seed=seed)
-    with open(out / "synthetic_panel.csv", "w", encoding="utf-8") as fh:
-        panel.to_csv(fh)
-
     zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(panel.u, panel.v, label="synthetic")
     planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
@@ -490,6 +494,11 @@ def cmd_simulate(run: Run) -> int:
         ],
         "all_passed": round_trip_ok and statics.all_passed,
     }
+    # written only once every input error has had its chance to stop the run
+    out = Path(run.cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "synthetic_panel.csv", "w", encoding="utf-8") as fh:
+        panel.to_csv(fh)
     _write_json(out / "simulation_report.json", report)
     print(f"synthetic panel ({len(panel)} quarters) -> {out / 'synthetic_panel.csv'}")
     print(
@@ -509,7 +518,7 @@ def cmd_simulate(run: Run) -> int:
 
 def _markdown_table(path: Path) -> list[str]:
     try:
-        rows = [line.split(",") for line in path.read_text().strip().splitlines()]
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").strip().splitlines()]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     if not rows:
@@ -601,7 +610,7 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
         "![sensitivity](figures/sensitivity.svg)",
     ]
     lines += ["", "Every figure's underlying numbers are in the CSV exports next to it.", ""]
-    (out / "report.md").write_text("\n".join(lines))
+    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
     print(f"report -> {out / 'report.md'}")
     return 0
 

@@ -2,11 +2,11 @@
 
 Everything here is closed-form arithmetic on (u, v) and the statistics
 triple; the numerical planner in ``planner`` provides the independent
-cross-check of these formulas. The scalar functions serve single points;
-the series builders apply the same arithmetic to the panel's u and v
-columns and the schedule's columns at once. _columns is the only place
-that decides each quarter's epsilon and kappa and checks them against
-zeta, and _u_star is the one copy of the u* formula for both paths.
+cross-check of these formulas. The series builders apply it to the
+panel's u and v columns and the schedule's columns at once. _columns is
+the only place that decides each quarter's epsilon and kappa and checks
+them against zeta, and _u_star is the one copy of the u* formula, which
+the planner's oracle and simulate's round-trip error share.
 """
 
 from __future__ import annotations
@@ -27,52 +27,14 @@ INEFFICIENTLY_TIGHT = "inefficiently_tight"
 EFFICIENT = "efficient"
 
 
-def efficient_tightness(stats: SufficientStats) -> float:
-    """theta* = (1 - zeta) / (kappa * epsilon)."""
-    return (1.0 - stats.zeta) / (stats.kappa * stats.epsilon)
-
-
-def classify(theta: float, theta_star: float, tol: float = 0.01) -> str:
-    """Efficiency of observed tightness, with a relative dead band.
-
-    The theory treats efficiency as a knife edge; the tolerance absorbs
-    measurement noise in theta.
-    """
-    if theta <= 0.0 or theta_star <= 0.0:
-        raise DomainError("tightness must be positive to classify")
-    if theta > theta_star * (1.0 + tol):
-        return INEFFICIENTLY_TIGHT
-    if theta < theta_star * (1.0 - tol):
-        return INEFFICIENTLY_SLACK
-    return EFFICIENT
-
-
 def _u_star(u, v, epsilon, kappa, zeta, power=pow):
     """The u* formula on scalars or on aligned numpy columns, unvalidated.
 
     power raises the formula's base to 1/(1+epsilon). The built-in pow is
     numpy's power on columns; planner.libm_power gives a column the floats
-    the scalar formula gives, bit for bit.
+    the built-in pow gives one element at a time, bit for bit.
     """
     return power(kappa * epsilon / (1.0 - zeta) * (v / u), 1.0 / (1.0 + epsilon)) * u
-
-
-def efficient_unemployment(u: float, v: float, stats: SufficientStats) -> float:
-    """u* = [kappa * epsilon / (1 - zeta) * v/u] ** (1/(1+epsilon)) * u.
-
-    The value is returned unclamped even when it reaches 1 or more, which
-    can happen under extreme zeta; series builders flag that case.
-    """
-    if u <= 0.0 or v <= 0.0:
-        raise DomainError(f"rates must be positive, got u={u}, v={v}")
-    return _u_star(u, v, stats.epsilon, stats.kappa, stats.zeta)
-
-
-def implied_zeta(theta: float, kappa: float, epsilon: float) -> float:
-    """Social value of nonwork that would make observed tightness efficient."""
-    if theta <= 0.0 or kappa <= 0.0 or epsilon <= 0.0:
-        raise DomainError("theta, kappa, epsilon must all be positive")
-    return 1.0 - kappa * epsilon * theta
 
 
 def _columns(
@@ -148,9 +110,11 @@ def gap_series(
 
     kappa_by_regime optionally overrides the recruiting cost for selected
     regime labels (robustness runs); other quarters keep the global kappa.
-    Each column equals the scalar efficient_tightness, efficient_unemployment
-    and classify applied quarter by quarter. A u* or theta* that is not
-    finite raises DomainError naming the first quarter it occurs in.
+    Each quarter's theta* is (1 - zeta) / (kappa * epsilon) and its
+    classification is tight or slack when theta lies above or below theta*
+    by more than the relative dead band tol, which absorbs measurement
+    noise in theta. A u* or theta* that is not finite raises DomainError
+    naming the first quarter it occurs in.
     """
     epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, (zeta,))
     with np.errstate(over="ignore", divide="ignore"):

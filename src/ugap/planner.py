@@ -176,10 +176,8 @@ def dmp_stats(econ: DmpEconomy) -> tuple[float, float]:
 @dataclass(frozen=True)
 class PlannerSolution:
     u_star: float
-    v_star: float
     theta_star: float
     welfare: float
-    curve_slope: float
     boundary_warning: bool
 
 
@@ -281,13 +279,10 @@ def solve_planner_numeric(curve: IsoelasticCurve | DmpCurve, zeta: float, kappa:
                     b = mid
             u_star = 0.5 * (a + b)
 
-    v_star = curve.value(u_star)
     return PlannerSolution(
         u_star=u_star,
-        v_star=v_star,
-        theta_star=v_star / u_star,
+        theta_star=curve.value(u_star) / u_star,
         welfare=welfare(u_star),
-        curve_slope=curve.slope(u_star),
         boundary_warning=boundary,
     )
 
@@ -467,12 +462,11 @@ def oracle_grid_check(
     solve_planner_numeric then polishes. numpy's power can differ from
     libm's pow in the last ulp, which may flip a near-tie comparison and
     move a lane's optimum by a few 1e-9; that is far inside
-    _ORACLE_U_TOL. The formula side is the column form of the u* formula
-    that gap_series and sensitivity run, within 1e-15 of the scalar
-    gap.efficient_unemployment. The records are built from whole
-    columns; the first failing point in product order is then checked
-    for, in this order, an overflowing formula, a boundary hit and a
-    disagreement.
+    _ORACLE_U_TOL. The formula side is gap._u_star, the u* formula that
+    gap_series and sensitivity run, on columns. The records are built
+    from whole columns; the first failing point in product order is then
+    checked for, in this order, an overflowing formula, a boundary hit
+    and a disagreement.
     """
     from .gap import _u_star
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from ugap.calibration import RecruitingSurvey, SufficientStats, kappa_from_survey
-from ugap.cli import main as cli_main
+from ugap.cli import _round_trip_error, main as cli_main
 from ugap.fitting import dmp_elasticity, fit_elasticity
-from ugap.gap import efficient_unemployment, gap_series, implied_zeta_series, sensitivity, summarize
+from ugap.gap import gap_series, implied_zeta_series, sensitivity, summarize
 from ugap.planner import (
     DmpCurve,
     DmpEconomy,
@@ -164,16 +164,8 @@ def test_criterion_11_round_trip():
     zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(synthetic.u, synthetic.v)
     planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
-    worst = max(
-        abs(
-            efficient_unemployment(
-                u, v, SufficientStats(est.epsilon, kappa, zeta)
-            )
-            - planner.u_star
-        )
-        / planner.u_star
-        for u, v in zip(synthetic.u.tolist(), synthetic.v.tolist())
-    )
+    # the round-trip error ugap simulate reports
+    worst = _round_trip_error(synthetic, SufficientStats(est.epsilon, kappa, zeta), planner.u_star)
     ok = worst < 1e-3
     check("A11 round-trip", ok, f"max relative u* error {worst:.2e} over {len(synthetic)} quarters")
 

@@ -1,0 +1,48 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ugap"
+
+# Public names that stay without a caller in src/ugap: the calibration and
+# fitting helpers are the evidence behind acceptance criteria, and the
+# oracle grid check is run by the benchmark and the tests.
+NO_CALLER_NEEDED = {
+    "study_bounds",
+    "zeta_from_midrange",
+    "exact_benefit_offset",
+    "dmp_elasticity",
+    "oracle_grid_check",
+}
+
+
+def test_every_public_name_is_used_in_the_package():
+    """Every public function, class and method has a code reference inside src/ugap.
+
+    A reference is a name or an attribute in the syntax tree, so a mention
+    in a docstring or a comment does not count, and an import is not a use.
+    The scan matches names only: a function is taken as used when anything
+    of the same name is, such as a field or a method of another class
+    (RunConfig.implied_zeta would have hidden a gap.implied_zeta).
+    """
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                methods = (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+                defined += [(module, f"{node.name}.{name}", name) for name in methods]
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{module}: {qualname}"
+        for module, qualname, name in defined
+        if not name.startswith("_") and name not in used and name not in NO_CALLER_NEEDED
+    ]
+    assert unused == []

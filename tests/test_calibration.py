@@ -20,7 +20,7 @@ from ugap.errors import ConfigError, DomainError
 
 class TestKappa:
     def test_survey_calibration(self):
-        kappa = kappa_from_survey(RecruitingSurvey(0.025, 0.049, 0.033, "1997"))
+        kappa = kappa_from_survey(RecruitingSurvey(0.025, 0.049, 0.033))
         assert kappa == pytest.approx(0.72, abs=0.005)
 
     def test_fixed_point(self):

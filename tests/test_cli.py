@@ -344,6 +344,23 @@ class TestSimulate:
         assert captured.out == ""
         assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
+    def test_input_error_after_the_panel_writes_nothing(self, tmp_path, capsys):
+        # the panel builds, then the comparative-statics check rejects zeta + 0.25 >= 1
+        scenario = edited_scenario(tmp_path, z="0.76")
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path / "out") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: zeta_shift pushes zeta to 1 or above\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_check_exits_1_with_both_files_written(self, tmp_path, capsys):
+        # a matching-efficiency shock moves the economy off one curve, so the round trip fails
+        assert self.simulate_with_2000q3_row(tmp_path, "2000Q3,1.0,1.3") == 1
+        assert capsys.readouterr().err == "property violation: simulation checks failed: round_trip\n"
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["simulation_report.json", "synthetic_panel.csv"]
+        assert not json.loads((out / "simulation_report.json").read_text())["round_trip"]["passed"]
+
     @pytest.mark.parametrize("source", ["flag", "env", "scenario"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, source):
         argv = ["simulate", "--out", tmp_path / "out"]
@@ -628,6 +645,57 @@ def test_zetas_sharing_a_tag_exit_2(tmp_path, capsys, zetas, values):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"error: zeta values {values} share the column tag" in err
     assert not (tmp_path / "sensitivity.csv").exists() and not (tmp_path / "summary.json").exists()
+
+
+def run_child(*args, **env) -> subprocess.CompletedProcess:
+    """ugap in a fresh interpreter, with env added to this process's environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child_env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child_env.update(env)
+    argv = [sys.executable, "-m", "ugap.cli", *map(str, args)]
+    return subprocess.run(argv, env=child_env, capture_output=True, text=True)
+
+
+class TestTextEncoding:
+    """Text files are UTF-8 whatever the locale, and file names are checked against it.
+
+    The ASCII child turns off both ways Python would otherwise switch a C
+    locale to UTF-8: locale coercion and UTF-8 mode.
+    """
+
+    UTF8 = {"PYTHONUTF8": "1"}
+    ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    @staticmethod
+    def accented_regimes(tmp_path) -> Path:
+        text = bundled_text("regimes_default.csv").replace("1951Q1-1959Q2,", "Régime-1951,")
+        table = tmp_path / "regimes.csv"
+        table.write_text(text, encoding="utf-8")
+        return table
+
+    def test_report_reads_and_writes_utf8_in_an_ascii_locale(self, tmp_path):
+        table = self.accented_regimes(tmp_path)
+        out = tmp_path / "out"
+        done = run_child("report", "--recompute", "--regimes", table, "--out", out, **self.UTF8)
+        assert done.returncode == 0, done.stderr
+        assert (out / "figures" / "fit_Régime-1951.svg").is_file()
+        written = (out / "report.md").read_bytes()
+        assert "Régime-1951".encode() in written
+        (out / "report.md").unlink()
+        done = run_child("report", "--regimes", table, "--out", out, **self.ASCII)
+        assert done.returncode == 0, done.stderr
+        assert (out / "report.md").read_bytes() == written
+
+    def test_fit_rejects_a_label_the_file_system_cannot_name(self, tmp_path):
+        table = self.accented_regimes(tmp_path)
+        out = tmp_path / "out"
+        done = run_child("fit", "--regimes", table, "--out", out, **self.ASCII)
+        assert done.returncode == 2
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: regime 'R\\xe9gime-1951': the file system encoding ")
+        assert done.stdout == ""
+        assert not out.exists()
 
 
 def test_import_loads_no_network_modules():

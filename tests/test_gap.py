@@ -3,17 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_formulas import classify, efficient_tightness, efficient_unemployment, implied_zeta
 from ugap.calibration import SufficientStats
 from ugap.errors import DomainError
 from ugap.gap import (
     EFFICIENT,
     INEFFICIENTLY_SLACK,
     INEFFICIENTLY_TIGHT,
-    classify,
-    efficient_tightness,
-    efficient_unemployment,
     gap_series,
-    implied_zeta,
     implied_zeta_series,
     sensitivity,
     summarize,

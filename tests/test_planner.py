@@ -7,11 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from scalar_formulas import efficient_unemployment
 from ugap import planner
 from ugap.calibration import SufficientStats
 from ugap.errors import DomainError, PropertyViolation
 from ugap.fitting import dmp_elasticity, fit_elasticity
-from ugap.gap import efficient_unemployment
 from ugap.planner import (
     DmpCurve,
     DmpEconomy,

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_formulas import efficient_unemployment
 from ugap.calibration import SufficientStats
 from ugap.cli import _load_scenario, _round_trip_error, main
 from ugap.config import bundled_data_dir, load_config
 from ugap.errors import DomainError, InputError
 from ugap.fitting import fit_elasticity
-from ugap.gap import efficient_unemployment
 from ugap.ingest import LaborMarketPanel
 from ugap.planner import (
     _BRACKET,
