@@ -71,8 +71,24 @@ def _round_floats(obj):
     return obj
 
 
+def _made(path: Path) -> Path:
+    """path, once its directory exists: a command makes no directory before it writes its first file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _made(path).write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _fit_figure(label: str) -> str:
+    """The file name of a regime's fit figure; ConfigError when the file system encoding cannot hold it."""
+    try:
+        os.fsencode(label)
+    except UnicodeEncodeError:
+        encoding = sys.getfilesystemencoding()
+        raise ConfigError(f"regime {label!r}: the file system encoding {encoding} cannot name its figure") from None
+    return f"fit_{label}.svg"
 
 
 def _read_summary(path: Path) -> dict:
@@ -168,7 +184,8 @@ class Run:
         if failures:
             label, exc = failures[0]
             raise type(exc)(f"regime {label!r}: {exc}")
-        return build_schedule(self.table, estimates, self.panel.quarters)
+        kappa, _zeta = self.calibration
+        return build_schedule(self.table, estimates, self.panel.quarters, kappa, self.kappa_overrides)
 
     @cached_property
     def calibration(self) -> tuple[float, float]:
@@ -217,22 +234,15 @@ class Run:
         return timeseries_svg(title, ticks, labels, len(self.panel), percent, bands=bands)
 
 
-def _out_dirs(cfg: RunConfig) -> tuple[Path, Path]:
-    out = Path(cfg.out_dir)
-    figures = out / "figures"
-    figures.mkdir(parents=True, exist_ok=True)
-    return out, figures
-
-
 def cmd_ingest(run: Run) -> int:
-    out, figures = _out_dirs(run.cfg)
+    out = Path(run.cfg.out_dir)
     summary = run.summary
     panel, audit = run.ingested
     svg = run.timeseries(  # first: it reads the recessions file, which must fail before any output
         "Unemployment and vacancy rates",
         [("unemployment", panel.u), ("vacancies", panel.v)],
     )
-    with open(out / "panel.csv", "w", encoding="utf-8") as fh:
+    with open(_made(out / "panel.csv"), "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
     for series, dropped in audit["dropped"].items():
         for item in dropped:
@@ -246,7 +256,7 @@ def cmd_ingest(run: Run) -> int:
             jump=splice["relative_jump"],
         )
     )
-    (figures / "rates_timeseries.svg").write_text(svg, encoding="utf-8")
+    _made(out / "figures" / "rates_timeseries.svg").write_text(svg, encoding="utf-8")
     _update_summary(out, summary, "ingest", {"n_quarters": len(panel), "splice": splice})
     first, last = quarter_label(panel.quarters[0]), quarter_label(panel.quarters[-1])
     print(f"panel: {len(panel)} quarters {first}..{last} -> {out / 'panel.csv'}")
@@ -257,18 +267,11 @@ def cmd_fit(run: Run) -> int:
     estimates, failures = run.fits
     labels = {e.label for e in estimates}
     fitted = RegimeTable(tuple(r for r in run.table if r.label in labels))
-    for regime in fitted:  # each names a figure file, so check them all before writing
-        try:
-            os.fsencode(regime.label)
-        except UnicodeEncodeError:
-            encoding = sys.getfilesystemencoding()
-            raise ConfigError(
-                f"regime {regime.label!r}: the file system encoding {encoding} cannot name its figure"
-            ) from None
-    out, figures = _out_dirs(run.cfg)
-    with open(out / "estimates.csv", "w", encoding="utf-8") as fh:
+    names = [_fit_figure(regime.label) for regime in fitted]  # checked before anything is written
+    out = Path(run.cfg.out_dir)
+    with open(_made(out / "estimates.csv"), "w", encoding="utf-8") as fh:
         write_estimates_csv(estimates, fitted, fh)
-    for regime, est in zip(fitted, estimates):
+    for regime, est, name in zip(fitted, estimates, names):
         sub = run.panel.between(regime.start, regime.end)
         svg = scatter_fit_svg(
             f"Beveridge curve {regime.label}",
@@ -277,7 +280,7 @@ def cmd_fit(run: Run) -> int:
             slope=-est.epsilon,
             intercept=est.log_v0,
         )
-        (figures / f"fit_{regime.label}.svg").write_text(svg, encoding="utf-8")
+        _made(out / "figures" / name).write_text(svg, encoding="utf-8")
         print(
             f"{regime.label}: epsilon={est.epsilon:.4f} se={est.se_epsilon:.4f} "
             f"r2={est.r_squared:.4f} n={est.n_obs}"
@@ -290,27 +293,24 @@ def cmd_fit(run: Run) -> int:
 
 def cmd_gap(run: Run) -> int:
     cfg = run.cfg
-    out, figures = _out_dirs(cfg)
+    out = Path(cfg.out_dir)
     summary = run.summary
     schedule = run.schedule
     kappa, zeta = run.calibration
-    overrides = run.kappa_overrides
     panel = run.panel
-    series = gap_mod.gap_series(
-        panel, schedule, kappa, zeta, tol=cfg.tolerance, kappa_by_regime=overrides
-    )
+    series = gap_mod.gap_series(panel, schedule, zeta, tol=cfg.tolerance)
     svg = run.timeseries(
         "Actual and efficient unemployment rate",
         [("unemployment", panel.u), ("efficient rate", series.u_star)],
     )
-    with open(out / "gap.csv", "w", encoding="utf-8") as fh:
+    with open(_made(out / "gap.csv"), "w", encoding="utf-8") as fh:
         gap_mod.write_gap_csv(panel, series, fh)
 
     summary_all = gap_mod.summarize(panel, series, exclude_gap_quarters=False)
     summary_core = gap_mod.summarize(panel, series, exclude_gap_quarters=True)
     payload = {
         "kappa": kappa,
-        "kappa_overrides": overrides,
+        "kappa_overrides": run.kappa_overrides,
         "zeta": zeta,
         "n_gap_quarters": int(series.is_gap_quarter.sum()),
         "n_out_of_range": int(series.u_star_out_of_range.sum()),
@@ -318,7 +318,7 @@ def cmd_gap(run: Run) -> int:
         "excluding_gap_quarters": asdict(summary_core),
     }
     _update_summary(out, summary, "gap", payload)
-    (figures / "gap_unemployment.svg").write_text(svg, encoding="utf-8")
+    _made(out / "figures" / "gap_unemployment.svg").write_text(svg, encoding="utf-8")
 
     shown = summary_core if cfg.exclude_gap_quarters else summary_all
     print(
@@ -338,18 +338,16 @@ def cmd_gap(run: Run) -> int:
 
 def cmd_sensitivity(run: Run) -> int:
     cfg = run.cfg
-    out, figures = _out_dirs(cfg)
+    out = Path(cfg.out_dir)
     summary = run.summary
     panel, schedule = run.panel, run.schedule
-    kappa, _zeta = run.calibration
-    overrides = run.kappa_overrides
-    band = gap_mod.sensitivity(panel, schedule, kappa, cfg.zeta_list, kappa_by_regime=overrides)
+    band = gap_mod.sensitivity(panel, schedule, cfg.zeta_list)
     series = [("unemployment", panel.u)]
     series += [(f"u* (zeta={z:g})", band.u_star[z]) for z in band.zetas]
     svg = run.timeseries(
         "Efficient unemployment under alternative social values of nonwork", series
     )
-    with open(out / "sensitivity.csv", "w", encoding="utf-8") as fh:
+    with open(_made(out / "sensitivity.csv"), "w", encoding="utf-8") as fh:
         gap_mod.write_sensitivity_csv(band, panel, fh)
 
     tag = gap_mod.zeta_tag
@@ -362,11 +360,11 @@ def cmd_sensitivity(run: Run) -> int:
         "width_pair": list(gap_mod.WIDTH_PAIR),
         "mean_width": band.mean_width,
     }
-    (figures / "sensitivity.svg").write_text(svg, encoding="utf-8")
+    _made(out / "figures" / "sensitivity.svg").write_text(svg, encoding="utf-8")
 
     if cfg.implied_zeta:
-        zeta_star = gap_mod.implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
-        with open(out / "implied_zeta.csv", "w", encoding="utf-8") as fh:
+        zeta_star = gap_mod.implied_zeta_series(panel, schedule)
+        with open(_made(out / "implied_zeta.csv"), "w", encoding="utf-8") as fh:
             gap_mod.write_implied_zeta_csv(panel, schedule, zeta_star, fh)
         lo, hi = int(zeta_star.argmin()), int(zeta_star.argmax())
         payload["implied_zeta"] = {
@@ -496,8 +494,7 @@ def cmd_simulate(run: Run) -> int:
     }
     # written only once every input error has had its chance to stop the run
     out = Path(run.cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "synthetic_panel.csv", "w", encoding="utf-8") as fh:
+    with open(_made(out / "synthetic_panel.csv"), "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
     _write_json(out / "simulation_report.json", report)
     print(f"synthetic panel ({len(panel)} quarters) -> {out / 'synthetic_panel.csv'}")
@@ -564,21 +561,21 @@ def _summary_lines(summary: dict) -> list[str]:
 
 
 def cmd_report(run: Run, recompute: bool = False) -> int:
-    out, _figures = _out_dirs(run.cfg)
+    out = Path(run.cfg.out_dir)
     if recompute:
         cmd_ingest(run)
         cmd_fit(run)
         cmd_gap(run)
         cmd_sensitivity(run)
 
-    last_label = run.table.regimes[-1].label
+    fit_figure = _fit_figure(run.table.regimes[-1].label)
     required = [
         out / "estimates.csv",
         out / "gap.csv",
         out / "sensitivity.csv",
         out / "summary.json",
         out / "figures" / "rates_timeseries.svg",
-        out / "figures" / f"fit_{last_label}.svg",
+        out / "figures" / fit_figure,
         out / "figures" / "gap_unemployment.svg",
         out / "figures" / "sensitivity.svg",
     ]
@@ -605,12 +602,12 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
     lines += ["", "## Figures", ""]
     lines += [
         "![rates](figures/rates_timeseries.svg)",
-        f"![fit](figures/fit_{last_label}.svg)",
+        f"![fit](figures/{fit_figure})",
         "![gap](figures/gap_unemployment.svg)",
         "![sensitivity](figures/sensitivity.svg)",
     ]
     lines += ["", "Every figure's underlying numbers are in the CSV exports next to it.", ""]
-    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
+    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")  # out holds the artifacts
     print(f"report -> {out / 'report.md'}")
     return 0
 

@@ -8,6 +8,8 @@ lets the bundled default config point at the bundled data.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
@@ -223,7 +225,11 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
 
 
 def check_path(path: Path, what: str) -> Path:
-    """path, unless it holds a NUL character, which no file name can: then ConfigError."""
+    """path, unless it holds a NUL or a character the file system encoding cannot encode: then ConfigError."""
     if "\x00" in str(path):
         raise ConfigError(f"{what} is not a file name: {str(path)!r}")
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ConfigError(f"{what}: the file system encoding {sys.getfilesystemencoding()} cannot name {str(path)!r}") from None
     return path

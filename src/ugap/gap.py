@@ -3,20 +3,20 @@
 Everything here is closed-form arithmetic on (u, v) and the statistics
 triple; the numerical planner in ``planner`` provides the independent
 cross-check of these formulas. The series builders apply it to the
-panel's u and v columns and the schedule's columns at once. _columns is
-the only place that decides each quarter's epsilon and kappa and checks
-them against zeta, and _u_star is the one copy of the u* formula, which
-the planner's oracle and simulate's round-trip error share.
+panel's u and v columns and the schedule's epsilon and kappa columns at
+once. The schedule checks epsilon and kappa where it picks them, so each
+builder checks only its zetas. _u_star is the one copy of the u* formula,
+which the planner's oracle and simulate's round-trip error share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .calibration import SufficientStats
 from .errors import ConfigError, DomainError
 from .ingest import LaborMarketPanel
 from .quarters import quarter_label, write_quarter_rows
@@ -37,36 +37,13 @@ def _u_star(u, v, epsilon, kappa, zeta, power=pow):
     return power(kappa * epsilon / (1.0 - zeta) * (v / u), 1.0 / (1.0 + epsilon)) * u
 
 
-def _columns(
-    panel: LaborMarketPanel,
-    schedule: Schedule,
-    kappa: float,
-    kappa_by_regime: Mapping[str, float] | None,
-    zetas: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-quarter epsilon and kappa columns, checked under every zeta.
-
-    A quarter gets its regime's kappa from kappa_by_regime where that
-    names the regime, else the global kappa. A schedule not aligned with
-    the panel raises ValueError. Each distinct (epsilon, kappa) pair is
-    checked once, and an invalid one raises DomainError naming the first
-    quarter that uses it.
-    """
+def _check_inputs(panel: LaborMarketPanel, schedule: Schedule, zetas: Iterable[float]) -> None:
+    """Raise ValueError for a schedule not aligned with the panel, DomainError for a zeta not finite and below 1."""
     if len(schedule) != len(panel):
         raise ValueError(f"schedule has {len(schedule)} quarters, the panel {len(panel)}")
-    overrides = kappa_by_regime or {}
-    labels, inverse = np.unique(schedule.regime_label, return_inverse=True)
-    by_label = [overrides.get(label, kappa) for label in labels.tolist()]
-    epsilon = schedule.epsilon
-    k = np.array(by_label, dtype=np.float64)[inverse]
-    _, first = np.unique(np.column_stack([epsilon, k]), axis=0, return_index=True)
-    for i in np.sort(first).tolist():
-        try:
-            for z in zetas:
-                SufficientStats(float(epsilon[i]), float(k[i]), z)
-        except DomainError as exc:
-            raise DomainError(f"{quarter_label(panel.quarters[i])}: {exc}") from None
-    return epsilon, k
+    for z in zetas:
+        if not -math.inf < z < 1.0:
+            raise DomainError(f"social value of nonwork must be finite and below 1, got {z}")
 
 
 def _check_finite(panel: LaborMarketPanel, columns: Mapping[str, np.ndarray]) -> None:
@@ -98,30 +75,20 @@ class GapSeries:
         return self.u_star >= 1.0
 
 
-def gap_series(
-    panel: LaborMarketPanel,
-    schedule: Schedule,
-    kappa: float,
-    zeta: float,
-    tol: float = 0.01,
-    kappa_by_regime: Mapping[str, float] | None = None,
-) -> GapSeries:
+def gap_series(panel: LaborMarketPanel, schedule: Schedule, zeta: float, tol: float = 0.01) -> GapSeries:
     """Per-quarter evaluation of the efficiency formulas over a panel.
 
-    kappa_by_regime optionally overrides the recruiting cost for selected
-    regime labels (robustness runs); other quarters keep the global kappa.
     Each quarter's theta* is (1 - zeta) / (kappa * epsilon) and its
     classification is tight or slack when theta lies above or below theta*
     by more than the relative dead band tol, which absorbs measurement
     noise in theta. A u* or theta* that is not finite raises DomainError
     naming the first quarter it occurs in.
     """
-    epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, (zeta,))
-    with np.errstate(over="ignore", divide="ignore"):
-        theta_star = (1.0 - zeta) / (k * epsilon)
-        u_star = _u_star(panel.u, panel.v, epsilon, k, zeta)
-    if not (theta_star > 0.0).all():
-        raise DomainError("tightness must be positive to classify")
+    _check_inputs(panel, schedule, (zeta,))
+    epsilon, kappa = schedule.epsilon, schedule.kappa
+    with np.errstate(all="ignore"):  # _check_finite names the first quarter that is not finite
+        theta_star = (1.0 - zeta) / (kappa * epsilon)
+        u_star = _u_star(panel.u, panel.v, epsilon, kappa, zeta)
     _check_finite(panel, {"u*": u_star, "theta*": theta_star})
     theta = panel.theta
     classification = np.where(
@@ -196,13 +163,7 @@ class SensitivityBand:
     mean_width: float
 
 
-def sensitivity(
-    panel: LaborMarketPanel,
-    schedule: Schedule,
-    kappa: float,
-    zetas: Sequence[float],
-    kappa_by_regime: Mapping[str, float] | None = None,
-) -> SensitivityBand:
+def sensitivity(panel: LaborMarketPanel, schedule: Schedule, zetas: Sequence[float]) -> SensitivityBand:
     """Sweep the social value of nonwork over a list of values.
 
     Builds a u* column for each distinct zeta of the sweep, BASELINE_ZETA
@@ -218,9 +179,9 @@ def sensitivity(
             raise ConfigError(f"zeta values {tagged[tag]!r} and {z!r} share the column tag {tag}")
         tagged[tag] = z
     every = dict.fromkeys((*zetas, BASELINE_ZETA, *WIDTH_PAIR))
-    epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, list(every))
-    with np.errstate(over="ignore"):
-        columns = {z: _u_star(panel.u, panel.v, epsilon, k, z) for z in every}
+    _check_inputs(panel, schedule, every)
+    with np.errstate(all="ignore"):
+        columns = {z: _u_star(panel.u, panel.v, schedule.epsilon, schedule.kappa, z) for z in every}
     _check_finite(panel, {f"u*(zeta={z:g})": columns[z] for z in every})
     base = columns[BASELINE_ZETA]
     return SensitivityBand(
@@ -231,16 +192,10 @@ def sensitivity(
     )
 
 
-def implied_zeta_series(
-    panel: LaborMarketPanel,
-    schedule: Schedule,
-    kappa: float,
-    kappa_by_regime: Mapping[str, float] | None = None,
-) -> np.ndarray:
+def implied_zeta_series(panel: LaborMarketPanel, schedule: Schedule) -> np.ndarray:
     """The zeta* column: per quarter, the zeta that makes its tightness efficient."""
-    # zeta* does not depend on zeta, so the statistics are checked at 0
-    epsilon, k = _columns(panel, schedule, kappa, kappa_by_regime, (0.0,))
-    return 1.0 - k * epsilon * panel.theta
+    _check_inputs(panel, schedule, ())
+    return 1.0 - schedule.kappa * schedule.epsilon * panel.theta
 
 
 def write_gap_csv(panel: LaborMarketPanel, series: GapSeries, stream: TextIO) -> None:

@@ -4,18 +4,20 @@ Regime dates are configuration, not code: the bundled default table can
 be replaced by a plain-text file when new data vintages move the breaks.
 Regime bounds are quarter indices (see `ugap.quarters`). The schedule is
 a set of columns aligned with the panel quarters: entry i of each column
-belongs to the panel's i-th quarter.
+belongs to the panel's i-th quarter. It is the only place that picks a
+quarter's epsilon and kappa.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import parse_table
-from .errors import ConfigError, FirstFault
+from .errors import ConfigError, DomainError, FirstFault
 from .fitting import ElasticityEstimate
 from .quarters import parse_quarters
 
@@ -75,7 +77,7 @@ class Schedule:
     """Per-quarter curve parameters as columns aligned with the panel quarters."""
 
     epsilon: np.ndarray
-    regime_label: np.ndarray
+    kappa: np.ndarray
     is_gap_quarter: np.ndarray
 
     def __len__(self) -> int:
@@ -86,20 +88,28 @@ def build_schedule(
     table: RegimeTable,
     estimates: Sequence[ElasticityEstimate],
     quarters: Sequence[int],
+    kappa: float,
+    kappa_by_regime: Mapping[str, float] | None = None,
 ) -> Schedule:
     """Curve parameters for every quarter index, in the order of `quarters`.
 
-    Quarters inside a regime use that regime's estimate. Shift quarters
-    between regimes carry forward the most recent preceding regime's
-    values and are flagged; quarters before the first regime borrow the
-    first regime's values, also flagged. Carry-forward is causal on
-    purpose: no lookahead, no interpolation, and flagged quarters can be
-    excluded from any summary downstream.
+    Quarters inside a regime use that regime's estimate and kappa: its
+    entry in kappa_by_regime (robustness runs), else kappa; one that is
+    not positive and finite raises DomainError. Shift quarters between
+    regimes carry forward the most recent preceding regime's values and
+    are flagged; quarters before the first regime borrow the first
+    regime's values, also flagged. Carry-forward is causal on purpose: no
+    lookahead, no interpolation, and flagged quarters can be excluded
+    from any summary downstream.
     """
     by_label = {e.label: e for e in estimates}
     for regime in table:
         if regime.label not in by_label:
             raise ConfigError(f"no elasticity estimate for regime {regime.label!r}")
+    kappas = [(kappa_by_regime or {}).get(r.label, kappa) for r in table]
+    for k in kappas:
+        if not 0.0 < k < math.inf:
+            raise DomainError(f"recruiting cost must be positive and finite, got {k}")
 
     quarters = np.asarray(quarters, dtype=np.int64)
     starts = np.array([r.start for r in table], dtype=np.int64)
@@ -108,10 +118,9 @@ def build_schedule(
     # it or is the most recent one that ended before it
     latest = np.searchsorted(starts, quarters, side="right") - 1
     source = np.maximum(latest, 0)
-    labels = np.array([r.label for r in table])
     epsilon = np.array([by_label[r.label].epsilon for r in table], dtype=np.float64)
     return Schedule(
         epsilon=epsilon[source],
-        regime_label=labels[source],
+        kappa=np.array(kappas, dtype=np.float64)[source],
         is_gap_quarter=(latest < 0) | (ends[source] < quarters),
     )

@@ -37,7 +37,8 @@ def estimates(panel, regime_table):
 
 @pytest.fixture(scope="session")
 def schedule(panel, regime_table, estimates):
-    return build_schedule(regime_table, estimates, panel.quarters)
+    """The bundled schedule at kappa 0.72 in every regime."""
+    return build_schedule(regime_table, estimates, panel.quarters, 0.72)
 
 
 @pytest.fixture(scope="session")

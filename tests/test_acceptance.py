@@ -26,6 +26,7 @@ from ugap.planner import (
     synth_panel,
 )
 from ugap.quarters import parse_quarter, quarter_label
+from ugap.regimes import build_schedule
 
 
 def check(name: str, ok: bool, detail: str) -> None:
@@ -34,8 +35,14 @@ def check(name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
+def schedule(panel, regime_table, estimates, profile):
+    """The bundled schedule at the calibration profile's kappa."""
+    return build_schedule(regime_table, estimates, panel.quarters, profile.kappa())
+
+
+@pytest.fixture(scope="module")
 def baseline_points(panel, schedule, profile):
-    return gap_series(panel, schedule, profile.kappa(), profile.zeta)
+    return gap_series(panel, schedule, profile.zeta)
 
 
 def test_criterion_01_elasticity_range(estimates):
@@ -111,7 +118,7 @@ def test_criterion_06_gap_magnitudes(panel, baseline_points):
 
 
 def test_criterion_07_sensitivity(panel, schedule, profile):
-    band = sensitivity(panel, schedule, profile.kappa(), (0.0, 0.5, 0.96))
+    band = sensitivity(panel, schedule, (0.0, 0.5, 0.96))
     shift_lo = 100 * band.mean_shift[0.0]
     shift_hi = 100 * band.mean_shift[0.5]
     col96 = band.u_star[0.96].tolist()
@@ -132,7 +139,7 @@ def test_criterion_07_sensitivity(panel, schedule, profile):
 
 
 def test_criterion_08_implied_zeta_extremes(panel, schedule, profile):
-    z = implied_zeta_series(panel, schedule, profile.kappa()).tolist()
+    z = implied_zeta_series(panel, schedule).tolist()
     ok = min(z) <= -0.05 and max(z) >= 0.80
     check("A08 implied-zeta", ok, f"min {min(z):.3f}, max {max(z):.3f}")
 

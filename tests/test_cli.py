@@ -490,7 +490,23 @@ class TestBadConfigExits2:
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and "'1954Q9'" in captured.err
         assert captured.out == ""
-        assert [p.name for p in out.iterdir() if p.is_file()] == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--u-series", "missing.csv"],
+            ["gap", "--kappa", "-1"],
+            ["sensitivity", "--kappa", "-1"],
+            ["report"],
+        ],
+    )
+    def test_input_error_creates_no_output_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["ingest"], ["gap"], ["sensitivity"], ["report", "--recompute"]])
     def test_truncated_summary_writes_nothing(self, tmp_path, capsys, argv):
@@ -686,6 +702,31 @@ class TestTextEncoding:
         done = run_child("report", "--regimes", table, "--out", out, **self.ASCII)
         assert done.returncode == 0, done.stderr
         assert (out / "report.md").read_bytes() == written
+
+    def test_report_rejects_a_last_label_the_file_system_cannot_name(self, tmp_path):
+        # report names the last regime's figure; the UTF-8 run wrote it, an ASCII run cannot name it
+        text = bundled_text("regimes_default.csv").replace("2010Q1-2019Q4,", "Régime-2010,")
+        table = tmp_path / "regimes.csv"
+        table.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        done = run_child("report", "--recompute", "--regimes", table, "--out", out, **self.UTF8)
+        assert done.returncode == 0, done.stderr
+        (out / "report.md").unlink()
+        done = run_child("report", "--regimes", table, "--out", out, **self.ASCII)
+        assert done.returncode == 2
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: regime 'R\\xe9gime-2010': the file system encoding ")
+        assert done.stderr.endswith(" cannot name its figure\n")
+        assert not (out / "report.md").exists()
+
+    def test_config_path_the_file_system_cannot_hold_exits_2(self, config_copy, tmp_path):
+        with open(config_copy, "a", encoding="utf-8") as fh:
+            fh.write("\n[output]\nout_dir = outé\n")
+        done = run_child("ingest", "--config", config_copy, **self.ASCII)
+        assert done.returncode == 2
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: out_dir: the file system encoding ")
+        assert done.stdout == ""
 
     def test_fit_rejects_a_label_the_file_system_cannot_name(self, tmp_path):
         table = self.accented_regimes(tmp_path)

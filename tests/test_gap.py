@@ -18,7 +18,7 @@ from ugap.gap import (
 )
 from ugap.ingest import LaborMarketPanel
 from ugap.quarters import parse_quarter
-from ugap.regimes import Schedule
+from ugap.regimes import Schedule, build_schedule
 
 BASELINE = SufficientStats(epsilon=1.0, kappa=0.72, zeta=0.25)
 
@@ -33,9 +33,9 @@ def single_quarter_panel(u, v):
     return panel_from([u], [v])
 
 
-def constant_schedule(panel, epsilon, is_gap=False):
+def constant_schedule(panel, epsilon, kappa, is_gap=False):
     n = len(panel)
-    return Schedule(np.full(n, epsilon), np.full(n, "test"), np.full(n, is_gap))
+    return Schedule(np.full(n, epsilon), np.full(n, kappa), np.full(n, is_gap))
 
 
 class TestEfficientTightness:
@@ -127,7 +127,7 @@ class TestGapAndImpliedZeta:
     def test_gap_values(self):
         u, v = [0.058, 0.04, 0.10], [0.03, 0.04, 0.01]
         panel = panel_from(u, v)
-        series = gap_series(panel, constant_schedule(panel, BASELINE.epsilon), 0.72, 0.25)
+        series = gap_series(panel, constant_schedule(panel, BASELINE.epsilon, 0.72), 0.25)
         assert series.gap.tolist() == (panel.u - series.u_star).tolist()
         for gap, u_i, v_i in zip(series.gap.tolist(), u, v):
             assert gap == pytest.approx(u_i - efficient_unemployment(u_i, v_i, BASELINE), abs=1e-15)
@@ -180,27 +180,28 @@ class TestGapSeries:
         theta_star = efficient_tightness(BASELINE)
         u = 0.05
         panel = single_quarter_panel(u, theta_star * u)
-        schedule = constant_schedule(panel, BASELINE.epsilon)
-        series = gap_series(panel, schedule, BASELINE.kappa, BASELINE.zeta)
+        schedule = constant_schedule(panel, BASELINE.epsilon, BASELINE.kappa)
+        series = gap_series(panel, schedule, BASELINE.zeta)
         assert series.gap[0] == pytest.approx(0.0, abs=1e-15)
         assert series.classification[0] == EFFICIENT
         assert not series.u_star_out_of_range[0]
 
     def test_out_of_range_flagged_not_fatal(self):
         panel = single_quarter_panel(0.4, 0.39)
-        schedule = constant_schedule(panel, 1.0)
-        series = gap_series(panel, schedule, 0.72, 0.99)
+        schedule = constant_schedule(panel, 1.0, 0.72)
+        series = gap_series(panel, schedule, 0.99)
         assert series.u_star[0] >= 1.0
         assert series.u_star_out_of_range[0]
 
     def test_quarter_label_on_domain_error(self):
         panel = single_quarter_panel(0.05, 0.03)
-        schedule = constant_schedule(panel, 1.0)
+        # build_schedule rejects such a kappa; a hand-built column ends in a non-finite u*
+        schedule = constant_schedule(panel, 1.0, -1.0)
         with pytest.raises(DomainError, match="2000Q1"):
-            gap_series(panel, schedule, kappa=-1.0, zeta=0.25)
+            gap_series(panel, schedule, zeta=0.25)
 
     def test_bundled_series_consistency(self, panel, schedule):
-        series = gap_series(panel, schedule, 0.72, 0.25)
+        series = gap_series(panel, schedule, 0.25)
         assert len(series) == len(panel)
         for gap, u, u_star in zip(series.gap, panel.u, series.u_star):
             assert gap == pytest.approx(u - u_star, abs=1e-15)
@@ -209,7 +210,7 @@ class TestGapSeries:
 
 class TestSummaries:
     def test_exclude_gap_quarters(self, panel, schedule):
-        series = gap_series(panel, schedule, 0.72, 0.25)
+        series = gap_series(panel, schedule, 0.25)
         full = summarize(panel, series)
         core = summarize(panel, series, exclude_gap_quarters=True)
         flagged = sum(series.is_gap_quarter)
@@ -218,57 +219,60 @@ class TestSummaries:
 
     def test_empty_rejected(self):
         panel = single_quarter_panel(0.05, 0.03)
-        series = gap_series(panel, constant_schedule(panel, 1.0, is_gap=True), 0.72, 0.25)
+        series = gap_series(panel, constant_schedule(panel, 1.0, 0.72, is_gap=True), 0.25)
         with pytest.raises(DomainError):
             summarize(panel, series, exclude_gap_quarters=True)
 
 
 class TestSensitivity:
     def test_u_star_strictly_increasing_in_zeta(self, panel, schedule):
-        band = sensitivity(panel, schedule, 0.72, (0.0, 0.25, 0.5, 0.96))
+        band = sensitivity(panel, schedule, (0.0, 0.25, 0.5, 0.96))
         for i in range(len(panel)):
             column = [band.u_star[z][i] for z in band.zetas]
             assert all(a < b for a, b in zip(column, column[1:]))
 
     def test_singleton_matches_gap_series(self, panel, schedule):
-        band = sensitivity(panel, schedule, 0.72, (0.25,))
-        series = gap_series(panel, schedule, 0.72, 0.25)
+        band = sensitivity(panel, schedule, (0.25,))
+        series = gap_series(panel, schedule, 0.25)
         assert band.u_star[0.25] == pytest.approx(series.u_star)
 
     def test_zeta_must_be_below_one(self, panel, schedule):
         with pytest.raises(DomainError):
-            sensitivity(panel, schedule, 0.72, (0.25, 1.0))
+            sensitivity(panel, schedule, (0.25, 1.0))
 
-    def test_kappa_overrides_match_gap_series(self, panel, schedule):
+    def test_kappa_overrides_match_gap_series(self, panel, regime_table, estimates, schedule):
         overrides = {"2010Q1-2019Q4": 2.0}
-        band = sensitivity(panel, schedule, 0.72, (0.25,), kappa_by_regime=overrides)
-        series = gap_series(panel, schedule, 0.72, 0.25, kappa_by_regime=overrides)
+        robust = build_schedule(regime_table, estimates, panel.quarters, 0.72, overrides)
+        band = sensitivity(panel, robust, (0.25,))
+        series = gap_series(panel, robust, 0.25)
         assert band.u_star[0.25].tolist() == series.u_star.tolist()
-        plain = sensitivity(panel, schedule, 0.72, (0.25,))
+        plain = sensitivity(panel, schedule, (0.25,))
         assert band.u_star[0.25].tolist() != plain.u_star[0.25].tolist()
 
     def test_mean_shift_signs(self, panel, schedule):
-        band = sensitivity(panel, schedule, 0.72, (0.0, 0.5))
+        band = sensitivity(panel, schedule, (0.0, 0.5))
         assert band.mean_shift[0.0] < 0.0 < band.mean_shift[0.5]
         assert band.mean_width > 0.0
 
 
 def test_implied_zeta_series_matches_pointwise(panel, schedule):
-    zeta_star = implied_zeta_series(panel, schedule, 0.72)
+    zeta_star = implied_zeta_series(panel, schedule)
     assert len(zeta_star) == len(panel)
     for z_star, theta, epsilon in zip(zeta_star, panel.theta, schedule.epsilon):
         assert z_star == pytest.approx(1.0 - 0.72 * epsilon * theta, abs=1e-12)
 
 
-def test_implied_zeta_series_takes_regime_kappa(panel, schedule):
-    zeta_star = implied_zeta_series(panel, schedule, 0.72, kappa_by_regime={"2010Q1-2019Q4": 2.0})
-    columns = (zeta_star, panel.theta, schedule.epsilon, schedule.regime_label)
-    for z_star, theta, epsilon, label in zip(*(c.tolist() for c in columns)):
-        kappa = 2.0 if label == "2010Q1-2019Q4" else 0.72
+def test_implied_zeta_series_takes_regime_kappa(panel, regime_table, estimates):
+    schedule = build_schedule(regime_table, estimates, panel.quarters, 0.72, {"2010Q1-2019Q4": 2.0})
+    zeta_star = implied_zeta_series(panel, schedule)
+    # the last regime takes every quarter from its start on
+    in_last = panel.quarters >= parse_quarter("2010Q1")
+    columns = (zeta_star, panel.theta, schedule.epsilon, in_last)
+    for z_star, theta, epsilon, last in zip(*(c.tolist() for c in columns)):
+        kappa = 2.0 if last else 0.72
         assert z_star == 1.0 - kappa * epsilon * theta
 
 
-REGIMES = ("a", "b", "c")
 rates = st.floats(0.005, 0.3, exclude_min=True, exclude_max=True)
 positive = st.floats(0.05, 5.0)
 zetas = st.floats(-10.0, 1.0, exclude_max=True)
@@ -276,33 +280,30 @@ zetas = st.floats(-10.0, 1.0, exclude_max=True)
 
 @st.composite
 def gap_inputs(draw):
-    """A random panel, a schedule over three regimes, kappa overrides for some, kappa and zeta.
+    """A random panel, a schedule of per-quarter epsilon and kappa columns, and zeta.
 
     Half the draws pick zeta so that one quarter sits within 20% of its
     efficient tightness, where the classification dead band matters.
     """
     n = draw(st.integers(1, 16))
-    u = draw(st.lists(rates, min_size=n, max_size=n))
-    v = draw(st.lists(rates, min_size=n, max_size=n))
-    epsilon = {label: draw(st.floats(0.2, 4.0)) for label in REGIMES}
-    labels = draw(st.lists(st.sampled_from(REGIMES), min_size=n, max_size=n))
-    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    u, v = column(rates), column(rates)
+    epsilon, kappa, flags = column(st.floats(0.2, 4.0)), column(positive), column(st.booleans())
     panel = panel_from(u, v)
-    schedule = Schedule(np.array([epsilon[r] for r in labels]), np.array(labels), np.array(flags))
-    overrides = draw(st.dictionaries(st.sampled_from(REGIMES), positive))
-    kappa = draw(positive)
+    schedule = Schedule(np.array(epsilon), np.array(kappa), np.array(flags))
     zeta = draw(zetas)
     if draw(st.booleans()):
         i = draw(st.integers(0, n - 1))
-        k = overrides.get(labels[i], kappa)
-        zeta = 1.0 - k * epsilon[labels[i]] * (v[i] / u[i]) * draw(st.floats(0.8, 1.2))
-    return panel, schedule, overrides, kappa, zeta
+        zeta = 1.0 - kappa[i] * epsilon[i] * (v[i] / u[i]) * draw(st.floats(0.8, 1.2))
+    return panel, schedule, zeta
 
 
-def scalar_stats(schedule, i, overrides, kappa, zeta):
+def scalar_stats(schedule, i, zeta):
     """The statistics of quarter i, read one scalar at a time."""
-    epsilon, label = schedule.epsilon.tolist()[i], schedule.regime_label.tolist()[i]
-    return SufficientStats(epsilon, overrides.get(label, kappa), zeta)
+    return SufficientStats(schedule.epsilon.tolist()[i], schedule.kappa.tolist()[i], zeta)
 
 
 class TestColumnsMatchScalars:
@@ -311,12 +312,12 @@ class TestColumnsMatchScalars:
     @settings(derandomize=True, database=None, deadline=None)
     @given(gap_inputs(), st.floats(0.0, 0.3))
     def test_gap_series_and_implied_zeta(self, inputs, tol):
-        panel, schedule, overrides, kappa, zeta = inputs
-        series = gap_series(panel, schedule, kappa, zeta, tol=tol, kappa_by_regime=overrides)
-        zeta_star = implied_zeta_series(panel, schedule, kappa, kappa_by_regime=overrides)
+        panel, schedule, zeta = inputs
+        series = gap_series(panel, schedule, zeta, tol=tol)
+        zeta_star = implied_zeta_series(panel, schedule)
         for i in range(len(schedule)):
             u, v, theta = float(panel.u[i]), float(panel.v[i]), float(panel.theta[i])
-            stats = scalar_stats(schedule, i, overrides, kappa, zeta)
+            stats = scalar_stats(schedule, i, zeta)
             theta_star = efficient_tightness(stats)
             u_star = efficient_unemployment(u, v, stats)
             assert abs(series.u_star[i] - u_star) <= 1e-15 * u_star
@@ -328,12 +329,12 @@ class TestColumnsMatchScalars:
     @settings(derandomize=True, database=None, deadline=None)
     @given(gap_inputs(), st.lists(zetas, max_size=4))
     def test_sensitivity(self, inputs, sweep):
-        panel, schedule, overrides, kappa, zeta = inputs
+        panel, schedule, zeta = inputs
         # zetas that share a column tag are rejected, so keep one of each tag
         sweep = list({zeta_tag(z): z for z in [zeta, *sweep]}.values())
-        band = sensitivity(panel, schedule, kappa, sweep, kappa_by_regime=overrides)
+        band = sensitivity(panel, schedule, sweep)
         for z in sweep:
             for i in range(len(schedule)):
-                stats = scalar_stats(schedule, i, overrides, kappa, z)
+                stats = scalar_stats(schedule, i, z)
                 u_star = efficient_unemployment(float(panel.u[i]), float(panel.v[i]), stats)
                 assert abs(band.u_star[z][i] - u_star) <= 1e-15 * u_star
