@@ -209,8 +209,7 @@ class CalibrationProfile:
 
     @classmethod
     def from_file(cls, path) -> CalibrationProfile:
-        with open(path, encoding="utf-8") as fh:
-            flat = config.parse_kv_text(fh.read())
+        flat = config.parse_kv_text(config.read_text(path))
         # profile files are flat; tolerate a [calibration] section prefix
         values = {k.split(".", 1)[-1]: v for k, v in flat.items()}
         return cls.from_mapping(values)

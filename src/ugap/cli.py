@@ -27,7 +27,8 @@ import numpy as np
 
 from . import gap as gap_mod
 from .calibration import CalibrationProfile, SufficientStats
-from .config import (
+from .config import (  # parse_kv_text stays bound here for tools that trace the CLI by name
+    KeyValues,
     RunConfig,
     check_path,
     load_config,
@@ -35,6 +36,7 @@ from .config import (
     parse_kv_text,
     parse_table,
     parse_zeta_list,
+    read_text,
 )
 from .errors import ConfigError, FirstFault, InputError, ParseError, PropertyViolation
 from .fitting import ElasticityEstimate, fit_all, fit_elasticity, write_estimates_csv
@@ -82,7 +84,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _fit_figure(label: str) -> str:
-    """The file name of a regime's fit figure; ConfigError when the file system encoding cannot hold it."""
+    """The file name of a regime's fit figure; ConfigError when a file name cannot hold the label."""
+    if set(label) & {"\x00", "/", os.sep}:
+        raise ConfigError(f"regime {label!r}: a figure file name cannot hold a path separator or NUL")
     try:
         os.fsencode(label)
     except UnicodeEncodeError:
@@ -96,8 +100,8 @@ def _read_summary(path: Path) -> dict:
     if not path.is_file():
         return {}
     try:
-        summary = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
+        summary = json.loads(read_text(path))
+    except ValueError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(summary, dict):
         raise ConfigError(f"{path} is not a JSON object")
@@ -114,8 +118,7 @@ def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int,
     if path is None:
         return []
     faults = FirstFault()
-    text = Path(path).read_text(encoding="utf-8")
-    linenos, (first, last) = parse_table(text, ("start", "end"), "recessions", faults)
+    linenos, (first, last) = parse_table(read_text(path), ("start", "end"), "recessions", faults)
     starts = parse_quarters(first, linenos, "recessions", faults)
     ends = parse_quarters(last, linenos, "recessions", faults)
     faults.check(ends < starts, lambda i: ConfigError(f"recessions line {linenos[i]}: ends before it starts"))
@@ -138,8 +141,7 @@ class Run:
         cfg = self.cfg
         series = {}
         for name, path in (("u", cfg.u_series), ("v_pre", cfg.v_pre), ("v_post", cfg.v_post)):
-            with open(path, encoding="utf-8") as fh:
-                series[name] = to_quarterly(parse_series_csv(fh.read(), cfg.unit))
+            series[name] = to_quarterly(parse_series_csv(read_text(path), cfg.unit))
         (u_q, _), (pre_q, _), (post_q, _) = series.values()
         v_q = splice_vacancy(pre_q, post_q, cfg.cutover)
         pre_val, post_val = splice_jump(pre_q, post_q, cfg.cutover)
@@ -201,7 +203,7 @@ class Run:
         if self.cfg.kappa_file is None:
             return {}
         faults = FirstFault()
-        text = Path(self.cfg.kappa_file).read_text(encoding="utf-8")
+        text = read_text(self.cfg.kappa_file)
         linenos, (labels, raw) = parse_table(text, ("regime", "kappa"), "kappa file", faults)
         values = parse_floats(
             raw, faults, lambda i: ParseError(f"kappa file line {linenos[i]}: bad kappa {raw[i]!r}")
@@ -210,6 +212,11 @@ class Run:
         faults.check(
             [label not in known for label in labels],
             lambda i: ConfigError(f"kappa file line {linenos[i]}: unknown regime {labels[i]!r}"),
+        )
+        first: dict[str, int] = {}
+        faults.check(
+            [first.setdefault(label, i) != i for i, label in enumerate(labels)],
+            lambda i: ConfigError(f"kappa file line {linenos[i]}: regime {labels[i]!r} is listed twice"),
         )
         faults.check(
             ~((0.0 < values) & (values < math.inf)),
@@ -385,13 +392,6 @@ def cmd_sensitivity(run: Run) -> int:
     return 0
 
 
-def _number(raw: str, kind, what: str):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{what} is not a number: {raw!r}") from None
-
-
 def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The quarter, s_multiplier and mu_multiplier columns of a shocks table; quarters must increase."""
     faults = FirstFault()
@@ -418,32 +418,20 @@ def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, tuple[np.ndarray, np.ndarray, np.ndarray], float, int]:
     if cfg.scenario is None:
         raise ConfigError("simulate needs a scenario file (simulate.scenario)")
-    path = Path(cfg.scenario)
-    values = parse_kv_text(path.read_text(encoding="utf-8"))
-
-    def number(key: str, kind=float, default: str | None = None):
-        raw = values.get(key, default)
-        if raw is None:
-            raise ConfigError(f"scenario is missing {key}")
-        return _number(raw, kind, f"scenario {key}")
-
-    econ = DmpEconomy(**{f.name: number(f"economy.{f.name}") for f in fields(DmpEconomy)})
-    shocks_file = values.get("shocks.path")
-    if shocks_file is None:
-        raise ConfigError("scenario is missing shocks.path")
-    shocks_path = check_path(Path(shocks_file), "shocks.path")
-    if not shocks_path.is_absolute():
-        shocks_path = path.parent / shocks_path
-    shocks = _shock_columns(shocks_path.read_text(encoding="utf-8"))
-
+    kv = KeyValues(cfg.scenario, "scenario")
+    econ = DmpEconomy(**{f.name: kv.number(f"economy.{f.name}", required=True) for f in fields(DmpEconomy)})
+    shocks = _shock_columns(read_text(check_path(kv.path("shocks.path", required=True), "shocks.path")))
     noise = cfg.noise_scale
     if noise is None:
-        noise = number("shocks.noise_scale", default="0")
+        noise = kv.number("shocks.noise_scale", default="0")
     seed = cfg.seed
     if seed is None and "TOOLKIT_SEED" in os.environ:
-        seed = _number(os.environ["TOOLKIT_SEED"], int, "TOOLKIT_SEED")
+        try:
+            seed = int(os.environ["TOOLKIT_SEED"])
+        except ValueError:
+            raise ConfigError(f"TOOLKIT_SEED is not a number: {os.environ['TOOLKIT_SEED']!r}") from None
     if seed is None:
-        seed = number("shocks.seed", int, default="0")
+        seed = kv.number("shocks.seed", int, default="0")
     return econ, shocks, noise, seed
 
 
@@ -514,10 +502,7 @@ def cmd_simulate(run: Run) -> int:
 
 
 def _markdown_table(path: Path) -> list[str]:
-    try:
-        rows = [line.split(",") for line in path.read_text(encoding="utf-8").strip().splitlines()]
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    rows = [line.split(",") for line in read_text(path).strip().splitlines()]
     if not rows:
         raise ConfigError(f"{path} is empty; run fit or pass --recompute")
     header, body = rows[0], rows[1:]

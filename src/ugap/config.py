@@ -15,12 +15,20 @@ from importlib import resources
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, FirstFault, ParseError
 from .quarters import parse_quarter
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, the one way ugap reads a file; ConfigError when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -43,7 +51,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def parse_table(
-    text: str | Iterable[str], columns: Sequence[str], what: str, faults: FirstFault
+    text: str, columns: Sequence[str], what: str, faults: FirstFault
 ) -> tuple[np.ndarray, list[list[str]]]:
     """The line numbers and the columns of the data rows of a small comma-separated table.
 
@@ -53,7 +61,7 @@ def parse_table(
     For the first row that does not, a ParseError naming its line goes
     to faults, and the columns stop before the row.
     """
-    lines = list(map(str.strip, text.splitlines() if isinstance(text, str) else text))
+    lines = list(map(str.strip, text.splitlines()))
     n = len(lines)
     # a line is a header when its first field, stripped and in lower case, is columns[0]
     first = map(str.lower, map(str.rstrip, map(itemgetter(0), map(str.partition, lines, repeat(",")))))
@@ -147,69 +155,72 @@ def default_config_path() -> Path:
     return bundled_data_dir() / "default.cfg"
 
 
+class KeyValues:
+    """The `key = value` file at path, looked up by `section.key` with the type the caller needs.
+
+    A key with no value and no default is None, or a ConfigError naming
+    it when required. Relative paths resolve against the file's own
+    directory.
+    """
+
+    def __init__(self, path: Path, what: str):
+        self.values = parse_kv_text(read_text(path))
+        self.base = Path(path).parent
+        self.what = what
+
+    def text(self, key: str, default: str | None = None, required: bool = False) -> str | None:
+        value = self.values.get(key, default)
+        if value is None and required:
+            raise ConfigError(f"{self.what} is missing required key {key!r}")
+        return value
+
+    def number(self, key: str, kind=float, default: str | None = None, required: bool = False):
+        raw = self.text(key, default, required)
+        try:
+            return None if raw is None else kind(raw)
+        except ValueError:
+            raise ConfigError(f"{self.what} key {key!r} is not a number: {raw!r}") from None
+
+    def path(self, key: str, required: bool = False) -> Path | None:
+        raw = self.text(key, required=required)
+        if not raw:
+            if required:
+                raise ConfigError(f"{self.what} key {key!r} is empty, not a path")
+            return None
+        return self.base / raw  # an absolute raw stays as it is
+
+
 def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from a file (bundled default when None) plus overrides.
 
     Overrides use RunConfig field names and already-typed values; None
     entries are ignored so absent CLI flags fall through to the file.
     """
-    cfg_path = Path(path) if path is not None else default_config_path()
-    if not cfg_path.is_file():
-        raise ConfigError(f"config file not found: {cfg_path}")
-    flat = parse_kv_text(cfg_path.read_text(encoding="utf-8"))
-    base = cfg_path.parent
-
-    def get(key: str, default: str | None = None) -> str | None:
-        return flat.get(key, default)
-
-    def need(key: str) -> str:
-        value = flat.get(key)
-        if value is None:
-            raise ConfigError(f"config is missing required key {key!r}")
-        return value
-
-    def path_of(key: str, required: bool) -> Path | None:
-        raw = need(key) if required else get(key)
-        if not raw:
-            if required:
-                raise ConfigError(f"config key {key!r} is empty, not a path")
-            return None
-        p = Path(raw)
-        return p if p.is_absolute() else (base / p)
-
-    def number(key: str, kind=float, default: str | None = None):
-        raw = flat.get(key, default)
-        if raw is None:
-            return None
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} is not a number: {raw!r}") from None
-
-    unit = get("data.unit", "fraction")
+    kv = KeyValues(path if path is not None else default_config_path(), "config")
+    unit = kv.text("data.unit", "fraction")
     if unit not in ("fraction", "percent"):
         raise ConfigError(f"data.unit must be fraction or percent, got {unit!r}")
 
     cfg = RunConfig(
-        u_series=path_of("data.u_series", required=True),
-        v_pre=path_of("data.v_pre", required=True),
-        v_post=path_of("data.v_post", required=True),
-        cutover=parse_quarter(need("data.cutover")),
+        u_series=kv.path("data.u_series", required=True),
+        v_pre=kv.path("data.v_pre", required=True),
+        v_post=kv.path("data.v_post", required=True),
+        cutover=parse_quarter(kv.text("data.cutover", required=True)),
         unit=unit,
-        regimes=path_of("data.regimes", required=True),
-        recessions=path_of("data.recessions", required=False),
-        calibration=path_of("calibration.profile", required=True),
-        kappa=number("gap.kappa"),
-        kappa_file=path_of("gap.kappa_file", required=False),
-        zeta=number("gap.zeta"),
-        zeta_list=parse_zeta_list(get("sensitivity.zeta_list", "0 0.25 0.5 0.96")),
-        tolerance=number("gap.tolerance", default="0.01"),
-        exclude_gap_quarters=_parse_bool(get("gap.exclude_gap_quarters", "false")),
-        implied_zeta=_parse_bool(get("sensitivity.implied_zeta", "false")),
-        scenario=path_of("simulate.scenario", required=False),
-        seed=number("simulate.seed", int),
-        noise_scale=number("simulate.noise_scale"),
-        out_dir=path_of("output.out_dir", required=False) or Path("out"),
+        regimes=kv.path("data.regimes", required=True),
+        recessions=kv.path("data.recessions"),
+        calibration=kv.path("calibration.profile", required=True),
+        kappa=kv.number("gap.kappa"),
+        kappa_file=kv.path("gap.kappa_file"),
+        zeta=kv.number("gap.zeta"),
+        zeta_list=parse_zeta_list(kv.text("sensitivity.zeta_list", "0 0.25 0.5 0.96")),
+        tolerance=kv.number("gap.tolerance", default="0.01"),
+        exclude_gap_quarters=_parse_bool(kv.text("gap.exclude_gap_quarters", "false")),
+        implied_zeta=_parse_bool(kv.text("sensitivity.implied_zeta", "false")),
+        scenario=kv.path("simulate.scenario"),
+        seed=kv.number("simulate.seed", int),
+        noise_scale=kv.number("simulate.noise_scale"),
+        out_dir=kv.path("output.out_dir") or Path("out"),
     )
 
     if overrides:

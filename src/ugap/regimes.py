@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import parse_table
+from .config import parse_table, read_text
 from .errors import ConfigError, DomainError, FirstFault
 from .fitting import ElasticityEstimate
 from .quarters import parse_quarters
@@ -38,6 +38,10 @@ class RegimeTable:
     regimes: tuple[Regime, ...]
 
     def __post_init__(self):
+        labels = [r.label for r in self.regimes]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(f"regime {label!r} is listed twice")
         ordered = sorted(self.regimes, key=lambda r: r.start)
         if list(ordered) != list(self.regimes):
             raise ConfigError("regimes must be listed in chronological order")
@@ -52,10 +56,10 @@ class RegimeTable:
         return len(self.regimes)
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> RegimeTable:
+    def from_text(cls, text: str) -> RegimeTable:
         """Parse `label,start,end` lines with quarters as YYYYQn."""
         faults = FirstFault()
-        linenos, (labels, start, end) = parse_table(lines, ("label", "start", "end"), "regime", faults)
+        linenos, (labels, start, end) = parse_table(text, ("label", "start", "end"), "regime", faults)
         starts = parse_quarters(start, linenos, "regime", faults).tolist()
         ends = parse_quarters(end, linenos, "regime", faults).tolist()
         # Regime raises for a row that ends before it starts; only rows
@@ -68,8 +72,7 @@ class RegimeTable:
 
     @classmethod
     def from_file(cls, path) -> RegimeTable:
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh)
+        return cls.from_text(read_text(path))
 
 
 @dataclass(frozen=True, eq=False)

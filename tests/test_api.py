@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ugap"
@@ -46,3 +47,36 @@ def test_every_public_name_is_used_in_the_package():
         if not name.startswith("_") and name not in used and name not in NO_CALLER_NEEDED
     ]
     assert unused == []
+
+
+def reads_a_file(call: ast.Call) -> bool:
+    """Whether call opens a file in a mode that is not w, a or x, or is a .read_text() or .read_bytes() method."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        # a bare read_text(...) or config.read_text(...) calls the UTF-8 gate
+        return isinstance(func, ast.Attribute) and not (isinstance(func.value, ast.Name) and func.value.id == "config")
+    if name != "open":
+        return False
+    args = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+    modes = [a.value for a in args if isinstance(a, ast.Constant) and re.fullmatch(r"[rwaxbt+]+", str(a.value))]
+    return not any(set(mode) & set("wax") for mode in modes)
+
+
+def test_every_file_is_read_through_config_read_text():
+    """Only config.read_text reads a file, so every input gets the one UTF-8 check and its exit 2."""
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        gate = {
+            id(node)
+            for fn in tree.body
+            if path.name == "config.py" and isinstance(fn, ast.FunctionDef) and fn.name == "read_text"
+            for node in ast.walk(fn)
+        }
+        reads += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in gate and reads_a_file(node)
+        ]
+    assert reads == []

@@ -129,6 +129,23 @@ class TestFit:
         lines = (tmp_path / "estimates.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("modern,")
 
+    @pytest.mark.parametrize("label", ["70s/../../../escaped", "a\x00b"])
+    def test_label_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, label):
+        regimes = tmp_path / "regimes.csv"
+        regimes.write_text(bundled_text("regimes_default.csv").replace("1951Q1-1959Q2,", f"{label},"))
+        out = tmp_path / "a" / "b" / "out"
+        assert run("fit", "--out", out, "--regimes", regimes) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: regime {label!r}: a figure file name cannot hold a path separator or NUL\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["regimes.csv"]
+
+    def test_repeated_label_exits_2(self, tmp_path, capsys):
+        regimes = tmp_path / "regimes.csv"
+        regimes.write_text(bundled_text("regimes_default.csv").replace("1959Q4-1971Q1,", "1951Q1-1959Q2,"))
+        assert run("fit", "--out", tmp_path / "out", "--regimes", regimes) == 2
+        assert capsys.readouterr().err == "error: regime '1951Q1-1959Q2' is listed twice\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestGapCommand:
     def test_baseline_summary(self, tmp_path):
@@ -170,6 +187,22 @@ class TestGapCommand:
         kfile.write_text(f"regime,kappa\n1951Q1-1959Q2,0.8\n2010Q1-2019Q4,{value}\n")
         assert run("gap", "--out", tmp_path, "--kappa-file", kfile) == 2
         assert "kappa file line 3: kappa must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("1951Q1-1959Q2,0.5\n1951Q1-1959Q2,2.0\n", "line 3: regime '1951Q1-1959Q2' is listed twice"),
+            # on one row the repeat is checked before the value, after the label
+            ("1951Q1-1959Q2,0.5\n1951Q1-1959Q2,0\n", "line 3: regime '1951Q1-1959Q2' is listed twice"),
+            ("1959Q4-1971Q1,0\n1951Q1-1959Q2,0.5\n1951Q1-1959Q2,2.0\n", "line 2: kappa must be positive and finite"),
+        ],
+    )
+    def test_kappa_file_repeated_regime_exits_2(self, tmp_path, capsys, rows, message):
+        kfile = tmp_path / "kappa.csv"
+        kfile.write_text("regime,kappa\n" + rows)
+        assert run("gap", "--out", tmp_path / "out", "--kappa-file", kfile) == 2
+        assert capsys.readouterr().err == f"error: kappa file {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_minus_infinite_zeta_exits_2(self, tmp_path, capsys):
         assert run("gap", "--out", tmp_path, "--zeta=-inf") == 2
@@ -580,7 +613,7 @@ def test_wrong_column_count_names_the_line(tmp_path, capsys, what):
     message = f"{what} line 3: expected"
     if what == "regime":
         with pytest.raises(ParseError, match=message):
-            RegimeTable.from_lines(text.splitlines())
+            RegimeTable.from_text(text)
     path = tmp_path / "table.csv"
     path.write_text(text)
     assert run(*argv(tmp_path, path), "--out", tmp_path / "out") == 2
@@ -653,6 +686,38 @@ class TestUnreadableArtifacts:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path} does not hold the gap and sensitivity results")
         assert f"'{drop}'" in err
+
+
+# input: (the file of a copy of the bundled data that gets a 0xe9 byte, the command that reads it)
+NON_UTF8_INPUTS = {
+    "--u-series": ("unemployment_monthly.csv", "gap"),
+    "--v-pre": ("vacancy_hwi_monthly.csv", "gap"),
+    "--v-post": ("vacancy_jolts_monthly.csv", "gap"),
+    "--regimes": ("regimes_default.csv", "gap"),
+    "--recessions": ("recessions_nber.csv", "gap"),
+    "--kappa-file": ("kappa.csv", "gap"),
+    "--calibration": ("calibration_default.cfg", "gap"),
+    "--config": ("default.cfg", "gap"),
+    "--scenario": ("scenario_default.cfg", "simulate"),
+    "shocks": ("shocks_default.csv", "simulate"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_exits_2(config_copy, tmp_path, capsys, flag):
+    name, command = NON_UTF8_INPUTS[flag]
+    data = config_copy.parent
+    (data / "kappa.csv").write_text("regime,kappa\n1951Q1-1959Q2,0.8\n")
+    path = data / name
+    path.write_bytes(b"# caf\xe9\n" + path.read_bytes())
+    argv = [command, "--config", config_copy, "--kappa-file", data / "kappa.csv"]
+    if flag.startswith("--"):
+        argv += [flag, path]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path} is not UTF-8 text: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("zetas,values", [("0.1,0.1000001", "0.1 and 0.1000001"), ("0.25,0.5,0.25", "0.25 and 0.25")])

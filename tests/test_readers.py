@@ -134,8 +134,7 @@ def reference_quarter(text, what, lineno):
 
 
 def reference_table(text, columns, what):
-    lines = text.splitlines() if isinstance(text, str) else text
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -213,10 +212,10 @@ def reference_shocks(text):
     return path
 
 
-def reference_regimes(lines):
+def reference_regimes(text):
     regimes = [
         Regime(label, reference_quarter(start, "regime", lineno), reference_quarter(end, "regime", lineno))
-        for lineno, (label, start, end) in reference_table(lines, ("label", "start", "end"), "regime")
+        for lineno, (label, start, end) in reference_table(text, ("label", "start", "end"), "regime")
     ]
     if not regimes:
         raise ConfigError("regime table is empty")
@@ -278,7 +277,7 @@ def test_readers_raise_only_input_errors(text, unit):
     only_input_errors(parse_series_csv, "date,value\n" + text, unit)
     only_input_errors(parse_series_csv, text, unit)
     only_input_errors(raising(parse_table), text, ("label", "start", "end"), "regime")
-    only_input_errors(RegimeTable.from_lines, lines)
+    only_input_errors(RegimeTable.from_text, text)
     only_input_errors(shock_path, text)
     only_input_errors(parse_kv_text, text)
     fields = [f for line in lines for f in line.split(",")]
@@ -297,11 +296,10 @@ def test_series_reader_matches_per_line_reference(text, unit):
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
 @given(table_text, st.sampled_from([("label", "start", "end"), SHOCK_COLUMNS, ("start", "end"), ("regime", "kappa")]))
 def test_table_reader_matches_per_line_reference(text, columns):
-    for lines in (text, text.splitlines(keepends=True)):
-        got = outcome(raising(parse_table), lines, columns, "table")
-        if not isinstance(got[0], type):
-            got = table_rows(*got)
-        assert got == outcome(lambda: list(reference_table(lines, columns, "table")))
+    got = outcome(raising(parse_table), text, columns, "table")
+    if not isinstance(got[0], type):
+        got = table_rows(*got)
+    assert got == outcome(lambda: list(reference_table(text, columns, "table")))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
@@ -313,8 +311,7 @@ def test_shock_reader_matches_per_line_reference(text):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(lines_of(LABELS, QUARTERS, QUARTERS))
 def test_regime_reader_matches_per_line_reference(text):
-    lines = text.splitlines()
-    assert outcome(RegimeTable.from_lines, lines) == outcome(reference_regimes, lines)
+    assert outcome(RegimeTable.from_text, text) == outcome(reference_regimes, text)
 
 
 def test_the_first_faulty_line_wins_across_columns_and_checks():
@@ -328,8 +325,8 @@ def test_the_first_faulty_line_wins_across_columns_and_checks():
     # on one row the quarter label is checked before the multipliers
     assert outcome(shock_path, "2000Q9,x,1\n")[1].startswith("shock line 1: bad quarter label")
     # a regime that ends before it starts on line 1 beats the bad label on line 2
-    lines = ["a,1960Q1,1950Q1", "b,1970Q1,19X0Q1"]
-    assert outcome(RegimeTable.from_lines, lines) == (ConfigError, "regime 'a' ends before it starts")
+    text = "a,1960Q1,1950Q1\nb,1970Q1,19X0Q1\n"
+    assert outcome(RegimeTable.from_text, text) == (ConfigError, "regime 'a' ends before it starts")
 
 
 def test_an_overlong_csv_field_is_a_parse_error():

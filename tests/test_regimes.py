@@ -89,10 +89,12 @@ def test_table_validation():
                 regime("early", "1951Q1", "1960Q1"),
             )
         )
+    with pytest.raises(ConfigError, match="^regime 'a' is listed twice$"):
+        RegimeTable((regime("a", "1951Q1", "1959Q2"), regime("b", "1960Q1", "1969Q4"), regime("a", "1970Q1", "1979Q4")))
 
 
-def test_from_lines_parses_and_skips_comments():
-    table = RegimeTable.from_lines(["# comment", "fifties,1951Q1,1959Q2", ""])
+def test_from_text_parses_and_skips_comments():
+    table = RegimeTable.from_text("# comment\nfifties,1951Q1,1959Q2\n\n")
     assert table.regimes == (regime("fifties", "1951Q1", "1959Q2"),)
 
 
