@@ -501,14 +501,12 @@ def cmd_simulate(run: Run) -> int:
     return 0
 
 
-def _markdown_table(path: Path) -> list[str]:
+def _estimate_rows(path: Path) -> list[list[str]]:
+    """The header and the regime rows of estimates.csv; ConfigError when it lists no regime."""
     rows = [line.split(",") for line in read_text(path).strip().splitlines()]
-    if not rows:
-        raise ConfigError(f"{path} is empty; run fit or pass --recompute")
-    header, body = rows[0], rows[1:]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    lines += ["| " + " | ".join(r) + " |" for r in body]
-    return lines
+    if len(rows) < 2:
+        raise ConfigError(f"{path} is {'without a regime row' if rows else 'empty'}; run fit or pass --recompute")
+    return rows
 
 
 def _summary_lines(summary: dict) -> list[str]:
@@ -553,14 +551,17 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
         cmd_gap(run)
         cmd_sensitivity(run)
 
-    fit_figure = _fit_figure(run.table.regimes[-1].label)
+    estimates = out / "estimates.csv"
+    rows = _estimate_rows(estimates) if estimates.is_file() else []
+    # the report links the fit figure of the last regime estimates.csv lists
+    fit_figures = [_fit_figure(row[0]) for row in rows[-1:]]
     required = [
-        out / "estimates.csv",
+        estimates,
         out / "gap.csv",
         out / "sensitivity.csv",
         out / "summary.json",
         out / "figures" / "rates_timeseries.svg",
-        out / "figures" / fit_figure,
+        *(out / "figures" / name for name in fit_figures),
         out / "figures" / "gap_unemployment.svg",
         out / "figures" / "sensitivity.svg",
     ]
@@ -582,12 +583,13 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
 
     lines = ["# Unemployment gap report", ""]
     lines += ["## Beveridge-curve estimates", ""]
-    lines += _markdown_table(out / "estimates.csv")
+    lines += ["| " + " | ".join(rows[0]) + " |", "|" + "---|" * len(rows[0])]
+    lines += ["| " + " | ".join(row) + " |" for row in rows[1:]]
     lines += summary_lines
     lines += ["", "## Figures", ""]
     lines += [
         "![rates](figures/rates_timeseries.svg)",
-        f"![fit](figures/{fit_figure})",
+        f"![fit](figures/{fit_figures[0]})",
         "![gap](figures/gap_unemployment.svg)",
         "![sensitivity](figures/sensitivity.svg)",
     ]

@@ -24,9 +24,9 @@ from .quarters import parse_quarter
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file, the one way ugap reads a file; ConfigError when it is not UTF-8."""
+    """The text of a UTF-8 file less any byte-order mark, the one way ugap reads a file; ConfigError if not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 

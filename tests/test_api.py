@@ -2,7 +2,11 @@ import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ugap"
+import reconstruction
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ugap"
+TOOLS = ROOT / "tools"
 
 # Public names that stay without a caller in src/ugap: the calibration and
 # fitting helpers are the evidence behind acceptance criteria, and the
@@ -80,3 +84,34 @@ def test_every_file_is_read_through_config_read_text():
             if isinstance(node, ast.Call) and id(node) not in gate and reads_a_file(node)
         ]
     assert reads == []
+
+
+def test_the_package_imports_nothing_from_tools():
+    """An installed ugap has no tools/ directory, so no module under src/ugap may import one of its scripts."""
+    forbidden = {"tools"} | {path.stem for path in TOOLS.glob("*.py")}
+    assert "reconstruction" in forbidden
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                continue
+            if any(set(name.split(".")) & forbidden for name in names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
+
+
+def test_reconstruction_main_writes_the_five_derived_files(tmp_path, capsys):
+    names = [
+        "unemployment_monthly.csv",
+        "vacancy_hwi_monthly.csv",
+        "vacancy_jolts_monthly.csv",
+        "regimes_default.csv",
+        "shocks_default.csv",
+    ]
+    assert reconstruction.main([str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+    assert capsys.readouterr().out == "".join(f"wrote {tmp_path / name}\n" for name in names)

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import re
@@ -449,6 +450,16 @@ class TestReport:
         assert run("report", "--out", tmp_path) == 0
         assert (tmp_path / "report.md").read_bytes() == first
 
+    def test_plain_report_reads_no_regimes_file(self, config_copy, tmp_path):
+        # the fit figure it links is named by the last regime in estimates.csv
+        out = tmp_path / "out"
+        assert run("report", "--recompute", "--config", config_copy, "--out", out) == 0
+        first = (out / "report.md").read_bytes()
+        (out / "report.md").unlink()
+        (config_copy.parent / "regimes_default.csv").unlink()
+        assert run("report", "--config", config_copy, "--out", out) == 0
+        assert (out / "report.md").read_bytes() == first
+
 
 def test_repeated_runs_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
@@ -664,7 +675,7 @@ class TestUnreadableArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {out / 'summary.json'} is not")
 
-    @pytest.mark.parametrize("text", ["", "\n\n", "\xff"])
+    @pytest.mark.parametrize("text", ["", "\n\n", "\xff", "regime,start,end,epsilon,se,log_v0,r2,n_obs\n"])
     def test_unreadable_estimates_fail_report_with_2(self, tmp_path, capsys, text):
         assert run("report", "--recompute", "--out", tmp_path) == 0
         (tmp_path / "estimates.csv").write_text(text, encoding="latin-1")
@@ -718,6 +729,28 @@ def test_non_utf8_input_exits_2(config_copy, tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {path} is not UTF-8 text: ")
     assert not out.exists()
+
+
+def output_files(out: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("flag", sorted(NON_UTF8_INPUTS))
+def test_byte_order_mark_is_accepted(config_copy, tmp_path, capsys, flag):
+    name, command = NON_UTF8_INPUTS[flag]
+    data = config_copy.parent
+    (data / "kappa.csv").write_text("regime,kappa\n1951Q1-1959Q2,0.8\n")
+    path = data / name
+    argv = [command, "--config", config_copy, "--kappa-file", data / "kappa.csv"]
+    if flag.startswith("--"):
+        argv += [flag, path]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert run(*argv, "--out", plain) == 0
+    printed = capsys.readouterr()
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert run(*argv, "--out", marked) == 0
+    assert capsys.readouterr() == (printed.out.replace(str(plain), str(marked)), printed.err)
+    assert output_files(marked) == output_files(plain)
 
 
 @pytest.mark.parametrize("zetas,values", [("0.1,0.1000001", "0.1 and 0.1000001"), ("0.25,0.5,0.25", "0.25 and 0.25")])

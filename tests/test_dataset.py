@@ -11,7 +11,7 @@ from conftest import bundled_text
 from ugap.calibration import CalibrationProfile
 from ugap.cli import _load_scenario, _recession_bands
 from ugap.config import bundled_data_dir, load_config
-from ugap.reconstruction import (
+from reconstruction import (
     QUARTERLY_U,
     REGIME_DESIGN,
     build_dataset,

@@ -22,7 +22,8 @@ build_dataset writes the three monthly series, regimes_default.csv and
 shocks_default.csv. The three .cfg files and recessions_nber.csv in the
 data directory are hand-maintained and have no copy here.
 
-Regenerate with: python -m ugap.reconstruction <out_dir>
+Regenerate with: python tools/reconstruction.py <out_dir>, with src/ on
+PYTHONPATH unless ugap is installed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quarters import parse_quarter, quarter_label
+from ugap.quarters import parse_quarter, quarter_label
 
 SEED = 19512019
 KAPPA = 0.72
@@ -257,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m ugap.reconstruction",
+        prog="python tools/reconstruction.py",
         description="Regenerate the derived bundled data files.",
     )
     parser.add_argument("out_dir", type=Path, help="directory to write the data files into")
