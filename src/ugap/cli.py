@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gap as gap_mod
-from .calibration import CalibrationProfile, SufficientStats
+from .calibration import CalibrationProfile
 from .config import (  # parse_kv_text stays bound here for tools that trace the CLI by name
     KeyValues,
     RunConfig,
@@ -435,7 +435,7 @@ def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, tuple[np.ndarray, np.nda
     return econ, shocks, noise, seed
 
 
-def _round_trip_error(panel: LaborMarketPanel, stats: SufficientStats, u_star: float) -> float:
+def _round_trip_error(panel: LaborMarketPanel, epsilon: float, kappa: float, zeta: float, u_star: float) -> float:
     """The largest relative error of the u* formula over the panel's quarters against the planner's u_star.
 
     The error is a difference near 1e-10, whose reported digits a last-ulp
@@ -443,7 +443,7 @@ def _round_trip_error(panel: LaborMarketPanel, stats: SufficientStats, u_star: f
     the built-in pow takes it for one quarter at a time.
     """
     with np.errstate(over="ignore"):  # an inf u* is an inf error
-        formula = gap_mod._u_star(panel.u, panel.v, stats.epsilon, stats.kappa, stats.zeta, libm_power)
+        formula = gap_mod._u_star(panel.u, panel.v, epsilon, kappa, zeta, libm_power)
     return float((np.abs(formula - u_star) / u_star).max())
 
 
@@ -453,7 +453,7 @@ def cmd_simulate(run: Run) -> int:
     zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(panel.u, panel.v, label="synthetic")
     planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
-    max_rel = _round_trip_error(panel, SufficientStats(est.epsilon, kappa, zeta), planner.u_star)
+    max_rel = _round_trip_error(panel, est.epsilon, kappa, zeta, planner.u_star)
     round_trip_tol = 1e-3
     round_trip_checked = noise == 0.0
     round_trip_ok = (not round_trip_checked) or max_rel < round_trip_tol

@@ -1,7 +1,7 @@
 """Sufficient-statistic formulas for efficient tightness and unemployment.
 
-Everything here is closed-form arithmetic on (u, v) and the statistics
-triple; the numerical planner in ``planner`` provides the independent
+Everything here is closed-form arithmetic on (u, v), epsilon, kappa and
+zeta; the numerical planner in ``planner`` provides the independent
 cross-check of these formulas. The series builders apply it to the
 panel's u and v columns and the schedule's epsilon and kappa columns at
 once. The schedule checks epsilon and kappa where it picks them, so each
@@ -91,10 +91,10 @@ def gap_series(panel: LaborMarketPanel, schedule: Schedule, zeta: float, tol: fl
         u_star = _u_star(panel.u, panel.v, epsilon, kappa, zeta)
     _check_finite(panel, {"u*": u_star, "theta*": theta_star})
     theta = panel.theta
+    with np.errstate(over="ignore"):  # a dead band wider than any theta has infinite bounds: efficient
+        upper, lower = theta_star * (1.0 + tol), theta_star * (1.0 - tol)
     classification = np.where(
-        theta > theta_star * (1.0 + tol),
-        INEFFICIENTLY_TIGHT,
-        np.where(theta < theta_star * (1.0 - tol), INEFFICIENTLY_SLACK, EFFICIENT),
+        theta > upper, INEFFICIENTLY_TIGHT, np.where(theta < lower, INEFFICIENTLY_SLACK, EFFICIENT)
     )
     return GapSeries(
         epsilon=epsilon,

@@ -6,9 +6,28 @@ The per-point forms they replaced are kept here so that tests can check
 the columns quarter by quarter against plain scalar arithmetic.
 """
 
-from ugap.calibration import SufficientStats
+import math
+from dataclasses import dataclass
+
 from ugap.errors import DomainError
 from ugap.gap import EFFICIENT, INEFFICIENTLY_SLACK, INEFFICIENTLY_TIGHT, _u_star
+
+
+@dataclass(frozen=True)
+class SufficientStats:
+    """The (epsilon, kappa, zeta) triple feeding the gap formulas."""
+
+    epsilon: float
+    kappa: float
+    zeta: float
+
+    def __post_init__(self):
+        if not self.epsilon > 0.0:
+            raise DomainError(f"elasticity must be positive, got {self.epsilon}")
+        if not 0.0 < self.kappa < math.inf:
+            raise DomainError(f"recruiting cost must be positive and finite, got {self.kappa}")
+        if not -math.inf < self.zeta < 1.0:
+            raise DomainError(f"social value of nonwork must be finite and below 1, got {self.zeta}")
 
 
 def efficient_tightness(stats: SufficientStats) -> float:

@@ -7,11 +7,11 @@ independent.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ugap.calibration import RecruitingSurvey, SufficientStats, kappa_from_survey
 from ugap.cli import _round_trip_error, main as cli_main
 from ugap.fitting import dmp_elasticity, fit_elasticity
 from ugap.gap import gap_series, implied_zeta_series, sensitivity, summarize
@@ -68,8 +68,8 @@ def test_criterion_02_fit_quality(estimates):
     check("A02 fit-quality", ok, f"min R2 {worst_r2:.3f}, max se {worst_se:.3f}")
 
 
-def test_criterion_03_kappa_calibration():
-    kappa = kappa_from_survey(RecruitingSurvey(0.025, 0.049, 0.033))
+def test_criterion_03_kappa_calibration(profile):
+    kappa = replace(profile, recruiting_share=0.025, u_survey=0.049, v_survey=0.033).kappa()
     ok = abs(kappa - 0.72) <= 0.005
     check("A03 kappa", ok, f"kappa = {kappa:.4f}")
 
@@ -172,7 +172,7 @@ def test_criterion_11_round_trip():
     est = fit_elasticity(synthetic.u, synthetic.v)
     planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
     # the round-trip error ugap simulate reports
-    worst = _round_trip_error(synthetic, SufficientStats(est.epsilon, kappa, zeta), planner.u_star)
+    worst = _round_trip_error(synthetic, est.epsilon, kappa, zeta, planner.u_star)
     ok = worst < 1e-3
     check("A11 round-trip", ok, f"max relative u* error {worst:.2e} over {len(synthetic)} quarters")
 

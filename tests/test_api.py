@@ -86,6 +86,27 @@ def test_every_file_is_read_through_config_read_text():
     assert reads == []
 
 
+def test_only_key_values_parses_key_value_text():
+    """Only config.KeyValues calls parse_kv_text, so the config, the scenario and the profile share one dialect."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node)
+            for cls in tree.body
+            if path.name == "config.py" and isinstance(cls, ast.ClassDef) and cls.name == "KeyValues"
+            for node in ast.walk(cls)
+        }
+        calls += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and id(node) not in owner
+            and "parse_kv_text" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert calls == []
+
+
 def test_the_package_imports_nothing_from_tools():
     """An installed ugap has no tools/ directory, so no module under src/ugap may import one of its scripts."""
     forbidden = {"tools"} | {path.stem for path in TOOLS.glob("*.py")}

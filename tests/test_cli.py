@@ -156,6 +156,14 @@ class TestGapCommand:
         assert summary["kappa"] == pytest.approx(0.72, abs=0.005)
         assert (tmp_path / "figures" / "gap_unemployment.svg").is_file()
 
+    def test_dead_band_wider_than_any_theta_is_all_efficient(self, tmp_path):
+        # a fresh interpreter prints any warning, as a user would see it
+        done = run_child("gap", "--out", tmp_path, "--tol", "1e308", "--kappa", "0.1")
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = (tmp_path / "gap.csv").read_text().splitlines()
+        column = rows[0].split(",").index("classification")
+        assert len(rows) > 1 and {row.split(",")[column] for row in rows[1:]} == {"efficient"}
+
     def test_high_zeta_profile(self, tmp_path):
         assert run("gap", "--out", tmp_path, "--zeta", "0.96") == 0
         summary = json.loads((tmp_path / "summary.json").read_text())["gap"]
@@ -520,6 +528,21 @@ class TestBadConfigExits2:
         assert run("ingest", "--config", config_copy, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "u_series" in err
+
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            pytest.param(lambda text: re.sub(r"(?m)^ui_tax = .*$", "", text), "ui_tax", id="missing"),
+            pytest.param(lambda text: text.replace("ui_tax = 0.83", "ui_tax = abc"), "ui_tax", id="non-numeric"),
+            pytest.param(lambda text: "[calibration]\n" + text, "recruiting_share", id="section"),
+        ],
+    )
+    def test_bad_calibration_profile(self, tmp_path, capsys, edit, key):
+        profile = tmp_path / "profile.cfg"
+        profile.write_text(edit(bundled_text("calibration_default.cfg")), encoding="utf-8")
+        assert run("gap", "--calibration", profile, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: calibration profile") and repr(key) in err
 
     def test_missing_recessions_file(self, tmp_path, capsys):
         assert run("ingest", "--out", tmp_path, "--recessions", tmp_path / "nope.csv") == 2

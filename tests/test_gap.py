@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_formulas import classify, efficient_tightness, efficient_unemployment, implied_zeta
-from ugap.calibration import SufficientStats
+from scalar_formulas import SufficientStats, classify, efficient_tightness, efficient_unemployment, implied_zeta
 from ugap.errors import DomainError
 from ugap.gap import (
     EFFICIENT,

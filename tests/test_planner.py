@@ -7,9 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from scalar_formulas import efficient_unemployment
+from scalar_formulas import SufficientStats, efficient_unemployment
 from ugap import planner
-from ugap.calibration import SufficientStats
 from ugap.errors import DomainError, PropertyViolation
 from ugap.fitting import dmp_elasticity, fit_elasticity
 from ugap.planner import (

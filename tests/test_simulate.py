@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_formulas import efficient_unemployment
-from ugap.calibration import SufficientStats
+from scalar_formulas import SufficientStats, efficient_unemployment
 from ugap.cli import _load_scenario, _round_trip_error, main
 from ugap.config import bundled_data_dir, load_config
 from ugap.errors import DomainError, InputError
@@ -239,5 +238,5 @@ def test_round_trip_error_is_the_scalar_loops(scenario, monkeypatch):
     zeta, kappa = dmp_stats(econ)
     stats = SufficientStats(fit_elasticity(panel.u, panel.v).epsilon, kappa, zeta)
     u_star = solve_planner_numeric(DmpCurve(econ), zeta, kappa).u_star
-    got = _round_trip_error(panel, stats, u_star)
+    got = _round_trip_error(panel, stats.epsilon, kappa, zeta, u_star)
     assert bits(got) == bits(reference_round_trip(panel, stats, u_star))
