@@ -9,10 +9,11 @@ and net of public benefits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from . import config
-from .errors import DomainError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,16 @@ class CalibrationProfile:
 
     @classmethod
     def from_file(cls, path) -> CalibrationProfile:
-        """The flat `key = value` profile at path; ConfigError naming the first key missing or not a number."""
+        """The flat `key = value` profile at path; InputError naming the first key missing or not a number."""
         kv = config.KeyValues(path, "calibration profile")
         return cls(**{f.name: kv.number(f.name, required=True) for f in fields(cls)})
 
     def _reject(self, names: tuple[str, ...], bad, rule: str) -> None:
-        """DomainError naming the first key in names whose value is bad."""
+        """InputError naming the first key in names whose value is bad."""
         for name in names:
             x = getattr(self, name)
             if bad(x):
-                raise DomainError(f"calibration profile key {name!r} must be {rule}, got {x}")
+                raise InputError(f"calibration profile key {name!r} must be {rule}, got {x}")
 
     def kappa(self) -> float:
         """The survey identity: kappa = recruiting_share * (1 - u_survey) / v_survey."""
@@ -81,7 +82,7 @@ class CalibrationProfile:
         offset. High factors pair with low bounds because dividing by a
         larger factor shrinks the value.
         """
-        self._reject(("mpl_wedge_lo", "payroll_tax", "mpl_wedge_hi", "recency_undo"), lambda x: x < 1.0, ">= 1")
+        self._reject(("mpl_wedge_lo", "payroll_tax", "mpl_wedge_hi", "recency_undo"), lambda x: not x >= 1.0, ">= 1")
         factor_lo = self.mpl_wedge_lo * self.payroll_tax
         factor_hi = self.mpl_wedge_hi * self.payroll_tax
         return {
@@ -92,6 +93,7 @@ class CalibrationProfile:
         }
 
     def zeta_from_midrange(self) -> float:
+        self._reject(("zeta_lo", "zeta_hi"), lambda x: not math.isfinite(x), "finite")
         if self.zeta_hi < self.zeta_lo:
-            raise DomainError(f"calibration profile zeta_lo {self.zeta_lo} is above zeta_hi {self.zeta_hi}")
+            raise InputError(f"calibration profile zeta_lo {self.zeta_lo} is above zeta_hi {self.zeta_hi}")
         return 0.5 * (self.zeta_lo + self.zeta_hi)

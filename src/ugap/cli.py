@@ -38,7 +38,7 @@ from .config import (  # parse_kv_text stays bound here for tools that trace the
     parse_zeta_list,
     read_text,
 )
-from .errors import ConfigError, FirstFault, InputError, ParseError, PropertyViolation
+from .errors import FirstFault, InputError, PropertyViolation
 from .fitting import ElasticityEstimate, fit_all, fit_elasticity, write_estimates_csv
 from .ingest import (
     LaborMarketPanel,
@@ -84,14 +84,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _fit_figure(label: str) -> str:
-    """The file name of a regime's fit figure; ConfigError when a file name cannot hold the label."""
+    """The file name of a regime's fit figure; InputError when a file name cannot hold the label."""
     if set(label) & {"\x00", "/", os.sep}:
-        raise ConfigError(f"regime {label!r}: a figure file name cannot hold a path separator or NUL")
+        raise InputError(f"regime {label!r}: a figure file name cannot hold a path separator or NUL")
     try:
         os.fsencode(label)
     except UnicodeEncodeError:
         encoding = sys.getfilesystemencoding()
-        raise ConfigError(f"regime {label!r}: the file system encoding {encoding} cannot name its figure") from None
+        raise InputError(f"regime {label!r}: the file system encoding {encoding} cannot name its figure") from None
     return f"fit_{label}.svg"
 
 
@@ -102,9 +102,9 @@ def _read_summary(path: Path) -> dict:
     try:
         summary = json.loads(read_text(path))
     except ValueError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(summary, dict):
-        raise ConfigError(f"{path} is not a JSON object")
+        raise InputError(f"{path} is not a JSON object")
     return summary
 
 
@@ -121,7 +121,7 @@ def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int,
     linenos, (first, last) = parse_table(read_text(path), ("start", "end"), "recessions", faults)
     starts = parse_quarters(first, linenos, "recessions", faults)
     ends = parse_quarters(last, linenos, "recessions", faults)
-    faults.check(ends < starts, lambda i: ConfigError(f"recessions line {linenos[i]}: ends before it starts"))
+    faults.check(ends < starts, lambda i: InputError(f"recessions line {linenos[i]}: ends before it starts"))
     faults.raise_first()
     lo = np.searchsorted(quarters, starts, side="left")
     hi = np.searchsorted(quarters, ends, side="right")
@@ -141,7 +141,12 @@ class Run:
         cfg = self.cfg
         series = {}
         for name, path in (("u", cfg.u_series), ("v_pre", cfg.v_pre), ("v_post", cfg.v_post)):
-            series[name] = to_quarterly(parse_series_csv(read_text(path), cfg.unit))
+            text = read_text(path)  # names the path in its own error
+            try:
+                months = parse_series_csv(text, cfg.unit)
+            except InputError as exc:
+                raise InputError(f"{path}: {exc}") from None
+            series[name] = to_quarterly(months)
         (u_q, _), (pre_q, _), (post_q, _) = series.values()
         v_q = splice_vacancy(pre_q, post_q, cfg.cutover)
         pre_val, post_val = splice_jump(pre_q, post_q, cfg.cutover)
@@ -185,7 +190,7 @@ class Run:
         estimates, failures = self.fits
         if failures:
             label, exc = failures[0]
-            raise type(exc)(f"regime {label!r}: {exc}")
+            raise InputError(f"regime {label!r}: {exc}")
         kappa, _zeta = self.calibration
         return build_schedule(self.table, estimates, self.panel.quarters, kappa, self.kappa_overrides)
 
@@ -206,21 +211,21 @@ class Run:
         text = read_text(self.cfg.kappa_file)
         linenos, (labels, raw) = parse_table(text, ("regime", "kappa"), "kappa file", faults)
         values = parse_floats(
-            raw, faults, lambda i: ParseError(f"kappa file line {linenos[i]}: bad kappa {raw[i]!r}")
+            raw, faults, lambda i: InputError(f"kappa file line {linenos[i]}: bad kappa {raw[i]!r}")
         )
         known = {regime.label for regime in self.table}
         faults.check(
             [label not in known for label in labels],
-            lambda i: ConfigError(f"kappa file line {linenos[i]}: unknown regime {labels[i]!r}"),
+            lambda i: InputError(f"kappa file line {linenos[i]}: unknown regime {labels[i]!r}"),
         )
         first: dict[str, int] = {}
         faults.check(
             [first.setdefault(label, i) != i for i, label in enumerate(labels)],
-            lambda i: ConfigError(f"kappa file line {linenos[i]}: regime {labels[i]!r} is listed twice"),
+            lambda i: InputError(f"kappa file line {linenos[i]}: regime {labels[i]!r} is listed twice"),
         )
         faults.check(
             ~((0.0 < values) & (values < math.inf)),
-            lambda i: ConfigError(f"kappa file line {linenos[i]}: kappa must be positive and finite"),
+            lambda i: InputError(f"kappa file line {linenos[i]}: kappa must be positive and finite"),
         )
         faults.raise_first()
         return dict(zip(labels, values.tolist()))
@@ -399,15 +404,15 @@ def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     linenos, (labels, s, mu) = parse_table(text, columns, "shock", faults)
     quarters = parse_quarters(labels, linenos, "shock", faults)
 
-    def bad_multiplier(i: int) -> ParseError:
+    def bad_multiplier(i: int) -> InputError:
         row = ",".join((labels[i], s[i], mu[i]))
-        return ParseError(f"shock line {linenos[i]}: bad multiplier in {row!r}")
+        return InputError(f"shock line {linenos[i]}: bad multiplier in {row!r}")
 
     s_mult = parse_floats(s, faults, bad_multiplier)
     mu_mult = parse_floats(mu, faults, bad_multiplier)
     faults.check(
         np.diff(quarters, prepend=quarters[:1] - 1) <= 0,
-        lambda i: ParseError(
+        lambda i: InputError(
             f"shock line {linenos[i]}: quarters must increase, {labels[i]} follows {labels[i - 1]}"
         ),
     )
@@ -417,7 +422,7 @@ def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, tuple[np.ndarray, np.ndarray, np.ndarray], float, int]:
     if cfg.scenario is None:
-        raise ConfigError("simulate needs a scenario file (simulate.scenario)")
+        raise InputError("simulate needs a scenario file (simulate.scenario)")
     kv = KeyValues(cfg.scenario, "scenario")
     econ = DmpEconomy(**{f.name: kv.number(f"economy.{f.name}", required=True) for f in fields(DmpEconomy)})
     shocks = _shock_columns(read_text(check_path(kv.path("shocks.path", required=True), "shocks.path")))
@@ -429,7 +434,7 @@ def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, tuple[np.ndarray, np.nda
         try:
             seed = int(os.environ["TOOLKIT_SEED"])
         except ValueError:
-            raise ConfigError(f"TOOLKIT_SEED is not a number: {os.environ['TOOLKIT_SEED']!r}") from None
+            raise InputError(f"TOOLKIT_SEED is not a number: {os.environ['TOOLKIT_SEED']!r}") from None
     if seed is None:
         seed = kv.number("shocks.seed", int, default="0")
     return econ, shocks, noise, seed
@@ -502,10 +507,10 @@ def cmd_simulate(run: Run) -> int:
 
 
 def _estimate_rows(path: Path) -> list[list[str]]:
-    """The header and the regime rows of estimates.csv; ConfigError when it lists no regime."""
+    """The header and the regime rows of estimates.csv; InputError when it lists no regime."""
     rows = [line.split(",") for line in read_text(path).strip().splitlines()]
     if len(rows) < 2:
-        raise ConfigError(f"{path} is {'without a regime row' if rows else 'empty'}; run fit or pass --recompute")
+        raise InputError(f"{path} is {'without a regime row' if rows else 'empty'}; run fit or pass --recompute")
     return rows
 
 
@@ -567,7 +572,7 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
     ]
     missing = [p for p in required if not p.is_file()]
     if missing:
-        raise ConfigError(
+        raise InputError(
             "missing artifacts (run ingest/fit/gap/sensitivity or pass --recompute): "
             + ", ".join(str(p) for p in missing)
         )
@@ -576,7 +581,7 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
     try:
         summary_lines = _summary_lines(_read_summary(path))
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(
+        raise InputError(
             f"{path} does not hold the gap and sensitivity results ({type(exc).__name__}: {exc}); "
             "run gap and sensitivity or pass --recompute"
         ) from None

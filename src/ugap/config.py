@@ -19,16 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FirstFault, ParseError
+from .errors import FirstFault, InputError
 from .quarters import parse_quarter
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file less any byte-order mark, the one way ugap reads a file; ConfigError if not UTF-8."""
+    """The text of a UTF-8 file less any byte-order mark, the one way ugap reads a file; InputError if not UTF-8."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -43,7 +43,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
             section = line[1:-1].strip()
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise InputError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         full = f"{section}.{key.strip()}" if section else key.strip()
         values[full] = value.strip()
@@ -58,7 +58,7 @@ def parse_table(
     Blank lines, `#` comments and the header row (first field equal to
     columns[0], in any case) are skipped; every other row must have
     exactly len(columns) fields, and each field is stripped of blanks.
-    For the first row that does not, a ParseError naming its line goes
+    For the first row that does not, an InputError naming its line goes
     to faults, and the columns stop before the row.
     """
     lines = list(map(str.strip, text.splitlines()))
@@ -78,7 +78,7 @@ def parse_table(
     commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
     faults.check(
         commas != len(columns) - 1,
-        lambda i: ParseError(f"{what} line {linenos[i]}: expected '{','.join(columns)}'"),
+        lambda i: InputError(f"{what} line {linenos[i]}: expected '{','.join(columns)}'"),
     )
     linenos = linenos[: faults.rows]
     # every row left has exactly len(columns) fields, so one split cuts them
@@ -108,19 +108,19 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise InputError(f"expected a boolean, got {text!r}")
 
 
 def parse_zeta_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"bad zeta list {text!r}") from None
+        raise InputError(f"bad zeta list {text!r}") from None
     if not values:
-        raise ConfigError("zeta list is empty")
+        raise InputError("zeta list is empty")
     for z in values:
         if not -math.inf < z < 1.0:
-            raise ConfigError(f"zeta values must be finite and below 1, got {z}")
+            raise InputError(f"zeta values must be finite and below 1, got {z}")
     return values
 
 
@@ -158,7 +158,7 @@ def default_config_path() -> Path:
 class KeyValues:
     """The `key = value` file at path, looked up by `section.key` with the type the caller needs.
 
-    A key with no value and no default is None, or a ConfigError naming
+    A key with no value and no default is None, or an InputError naming
     it when required. Relative paths resolve against the file's own
     directory.
     """
@@ -171,7 +171,7 @@ class KeyValues:
     def text(self, key: str, default: str | None = None, required: bool = False) -> str | None:
         value = self.values.get(key, default)
         if value is None and required:
-            raise ConfigError(f"{self.what} is missing required key {key!r}")
+            raise InputError(f"{self.what} is missing required key {key!r}")
         return value
 
     def number(self, key: str, kind=float, default: str | None = None, required: bool = False):
@@ -179,13 +179,13 @@ class KeyValues:
         try:
             return None if raw is None else kind(raw)
         except ValueError:
-            raise ConfigError(f"{self.what} key {key!r} is not a number: {raw!r}") from None
+            raise InputError(f"{self.what} key {key!r} is not a number: {raw!r}") from None
 
     def path(self, key: str, required: bool = False) -> Path | None:
         raw = self.text(key, required=required)
         if not raw:
             if required:
-                raise ConfigError(f"{self.what} key {key!r} is empty, not a path")
+                raise InputError(f"{self.what} key {key!r} is empty, not a path")
             return None
         return self.base / raw  # an absolute raw stays as it is
 
@@ -199,7 +199,7 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
     kv = KeyValues(path if path is not None else default_config_path(), "config")
     unit = kv.text("data.unit", "fraction")
     if unit not in ("fraction", "percent"):
-        raise ConfigError(f"data.unit must be fraction or percent, got {unit!r}")
+        raise InputError(f"data.unit must be fraction or percent, got {unit!r}")
 
     cfg = RunConfig(
         u_series=kv.path("data.u_series", required=True),
@@ -228,7 +228,7 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
         if applied:
             cfg = replace(cfg, **applied)
     if not cfg.tolerance >= 0.0:
-        raise ConfigError(f"gap tolerance must be non-negative, got {cfg.tolerance}")
+        raise InputError(f"gap tolerance must be non-negative, got {cfg.tolerance}")
     for f in fields(cfg):
         if isinstance(getattr(cfg, f.name), Path):
             check_path(getattr(cfg, f.name), f.name)
@@ -236,11 +236,11 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
 
 
 def check_path(path: Path, what: str) -> Path:
-    """path, unless it holds a NUL or a character the file system encoding cannot encode: then ConfigError."""
+    """path, unless it holds a NUL or a character the file system encoding cannot encode: then InputError."""
     if "\x00" in str(path):
-        raise ConfigError(f"{what} is not a file name: {str(path)!r}")
+        raise InputError(f"{what} is not a file name: {str(path)!r}")
     try:
         os.fsencode(path)
     except UnicodeEncodeError:
-        raise ConfigError(f"{what}: the file system encoding {sys.getfilesystemencoding()} cannot name {str(path)!r}") from None
+        raise InputError(f"{what}: the file system encoding {sys.getfilesystemencoding()} cannot name {str(path)!r}") from None
     return path

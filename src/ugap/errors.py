@@ -1,47 +1,17 @@
-"""Exception types shared across the toolkit.
+"""The two exceptions behind ugap's exit codes, and a helper for readers.
 
-``InputError`` subclasses map to CLI exit code 2 (bad inputs or
-configuration); ``PropertyViolation`` maps to exit code 1 (a verified
-invariant failed on otherwise valid inputs). ``FirstFault`` lets a reader
-that checks whole columns report the fault a row-by-row reader would.
+``InputError`` is exit code 2: an input file, option or configuration
+value is bad, and its message names what is wrong and where.
+``PropertyViolation`` is exit code 1: the inputs were valid but a
+verified property failed. No caller tells input faults apart by kind,
+so there is one class for them. ``FirstFault`` lets a reader that checks
+whole columns report the fault a row-by-row reader would.
 """
 
 import numpy as np
 
 
 class InputError(Exception):
-    pass
-
-
-class ParseError(InputError):
-    pass
-
-
-class DuplicateKeyError(InputError):
-    pass
-
-
-class DomainError(InputError):
-    pass
-
-
-class CoverageError(InputError):
-    pass
-
-
-class AlignmentError(InputError):
-    pass
-
-
-class ConfigError(InputError):
-    pass
-
-
-class SampleSizeError(InputError):
-    pass
-
-
-class DegenerateDataError(InputError):
     pass
 
 

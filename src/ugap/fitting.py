@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, InputError, SampleSizeError
+from .errors import InputError
 from .quarters import quarter_label
 
 if TYPE_CHECKING:
@@ -35,11 +35,11 @@ class ElasticityEstimate:
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
-            raise DegenerateDataError(
+            raise InputError(
                 f"estimated elasticity must be positive, got {self.epsilon} ({self.label!r})"
             )
         if self.se_epsilon < 0.0 or not 0.0 <= self.r_squared <= 1.0 or self.n_obs < 2:
-            raise DegenerateDataError(f"malformed estimate for {self.label!r}")
+            raise InputError(f"malformed estimate for {self.label!r}")
 
 
 def fit_elasticity(u: Sequence[float], v: Sequence[float], label: str = "") -> ElasticityEstimate:
@@ -51,13 +51,13 @@ def fit_elasticity(u: Sequence[float], v: Sequence[float], label: str = "") -> E
     """
     n = len(u)
     if n < 3:
-        raise SampleSizeError(f"need at least 3 rows to fit a curve, got {n} ({label!r})")
+        raise InputError(f"need at least 3 rows to fit a curve, got {n} ({label!r})")
     x = np.log(np.asarray(u, dtype=float))
     y = np.log(np.asarray(v, dtype=float))
     dx = x - x.mean()
     sxx = float(dx @ dx)
     if sxx <= 0.0:
-        raise DegenerateDataError(f"log unemployment has zero variance ({label!r})")
+        raise InputError(f"log unemployment has zero variance ({label!r})")
     slope = float(dx @ (y - y.mean())) / sxx
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
@@ -82,7 +82,7 @@ def fit_all(
         sub = panel.between(regime.start, regime.end)
         try:
             estimates.append(fit_elasticity(sub.u, sub.v, label=regime.label))
-        except (SampleSizeError, DegenerateDataError) as exc:
+        except InputError as exc:
             failures.append((regime.label, exc))
     return estimates, failures
 
@@ -94,9 +94,9 @@ def dmp_elasticity(alpha: float, u: float) -> float:
     curve elasticity is (alpha + u/(1-u)) / (1-alpha).
     """
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"matching elasticity must be in (0,1), got {alpha}")
+        raise InputError(f"matching elasticity must be in (0,1), got {alpha}")
     if not 0.0 < u < 1.0:
-        raise DomainError(f"unemployment rate must be in (0,1), got {u}")
+        raise InputError(f"unemployment rate must be in (0,1), got {u}")
     return (alpha + u / (1.0 - u)) / (1.0 - alpha)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import InputError
 from .ingest import LaborMarketPanel
 from .quarters import quarter_label, write_quarter_rows
 from .regimes import Schedule
@@ -38,22 +38,22 @@ def _u_star(u, v, epsilon, kappa, zeta, power=pow):
 
 
 def _check_inputs(panel: LaborMarketPanel, schedule: Schedule, zetas: Iterable[float]) -> None:
-    """Raise ValueError for a schedule not aligned with the panel, DomainError for a zeta not finite and below 1."""
+    """Raise ValueError for a schedule not aligned with the panel, InputError for a zeta not finite and below 1."""
     if len(schedule) != len(panel):
         raise ValueError(f"schedule has {len(schedule)} quarters, the panel {len(panel)}")
     for z in zetas:
         if not -math.inf < z < 1.0:
-            raise DomainError(f"social value of nonwork must be finite and below 1, got {z}")
+            raise InputError(f"social value of nonwork must be finite and below 1, got {z}")
 
 
 def _check_finite(panel: LaborMarketPanel, columns: Mapping[str, np.ndarray]) -> None:
-    """Raise DomainError naming the first quarter where any column is not finite."""
+    """Raise InputError naming the first quarter where any column is not finite."""
     bad = ~np.logical_and.reduce([np.isfinite(c) for c in columns.values()])
     if bad.any():
         i = int(np.argmax(bad))
         values = ", ".join(f"{name}={c[i]}" for name, c in columns.items())
         quarter = quarter_label(panel.quarters[i])
-        raise DomainError(f"{quarter}: efficient values must be finite, got {values}")
+        raise InputError(f"{quarter}: efficient values must be finite, got {values}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +81,7 @@ def gap_series(panel: LaborMarketPanel, schedule: Schedule, zeta: float, tol: fl
     Each quarter's theta* is (1 - zeta) / (kappa * epsilon) and its
     classification is tight or slack when theta lies above or below theta*
     by more than the relative dead band tol, which absorbs measurement
-    noise in theta. A u* or theta* that is not finite raises DomainError
+    noise in theta. A u* or theta* that is not finite raises InputError
     naming the first quarter it occurs in.
     """
     _check_inputs(panel, schedule, (zeta,))
@@ -128,7 +128,7 @@ def summarize(
     keep = ~series.is_gap_quarter if exclude_gap_quarters else np.ones(len(series), dtype=bool)
     kept = np.flatnonzero(keep)
     if not kept.size:
-        raise DomainError("no quarters left to summarize")
+        raise InputError("no quarters left to summarize")
     gap = series.gap[kept]
     hi, lo = kept[np.argmax(gap)], kept[np.argmin(gap)]
     classification = series.classification[kept]
@@ -168,15 +168,15 @@ def sensitivity(panel: LaborMarketPanel, schedule: Schedule, zetas: Sequence[flo
 
     Builds a u* column for each distinct zeta of the sweep, BASELINE_ZETA
     and WIDTH_PAIR. Two zetas of the sweep with one zeta_tag, which names
-    their CSV column and summary entry, raise ConfigError; a u* that is
-    not finite in any column raises DomainError naming the first quarter
+    their CSV column and summary entry, raise InputError; a u* that is
+    not finite in any column raises InputError naming the first quarter
     it occurs in.
     """
     tagged: dict[str, float] = {}
     for z in zetas:
         tag = zeta_tag(z)
         if tag in tagged:
-            raise ConfigError(f"zeta values {tagged[tag]!r} and {z!r} share the column tag {tag}")
+            raise InputError(f"zeta values {tagged[tag]!r} and {z!r} share the column tag {tag}")
         tagged[tag] = z
     every = dict.fromkeys((*zetas, BASELINE_ZETA, *WIDTH_PAIR))
     _check_inputs(panel, schedule, every)

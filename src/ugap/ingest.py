@@ -13,6 +13,7 @@ v, which the fitting and gap layers read directly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TextIO
@@ -20,14 +21,7 @@ from typing import TextIO
 import numpy as np
 
 from .config import parse_floats
-from .errors import (
-    AlignmentError,
-    CoverageError,
-    DomainError,
-    DuplicateKeyError,
-    FirstFault,
-    ParseError,
-)
+from .errors import FirstFault, InputError
 from .quarters import quarter_label, write_quarter_rows, year_month
 
 
@@ -72,12 +66,12 @@ class LaborMarketPanel:
         _freeze_column(self, "u", np.float64)
         _freeze_column(self, "v", np.float64)
         if not len(self.quarters) == len(self.u) == len(self.v):
-            raise AlignmentError("panel quarters, u and v differ in length")
+            raise InputError("panel quarters, u and v differ in length")
         bad = ~((self.u > 0.0) & (self.v > 0.0))
         if bad.any():
             i = int(np.argmax(bad))
             q, u, v = quarter_label(self.quarters[i]), self.u[i], self.v[i]
-            raise DomainError(f"rates at {q} must be positive: u={u}, v={v}")
+            raise InputError(f"rates at {q} must be positive: u={u}, v={v}")
 
     def __len__(self) -> int:
         return len(self.quarters)
@@ -111,21 +105,21 @@ def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
     checked a column at a time.
     """
     if value_unit not in ("fraction", "percent"):
-        raise ParseError(f"unknown value unit {value_unit!r}")
+        raise InputError(f"unknown value unit {value_unit!r}")
     reader = csv.reader(text.splitlines())
     rows: list[list[str]] = []
     try:
         rows.extend(reader)  # a failing extend keeps the rows before the bad one
         unreadable = None
     except csv.Error as exc:
-        unreadable = ParseError(f"line {reader.line_num}: {exc}")
+        unreadable = InputError(f"line {reader.line_num}: {exc}")
         if not rows:
             raise unreadable from None
     if not rows:
-        raise ParseError("empty series file")
+        raise InputError("empty series file")
     header = rows[0]
     if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
-        raise ParseError(f"expected header 'date,value', got {','.join(header)!r}")
+        raise InputError(f"expected header 'date,value', got {','.join(header)!r}")
 
     # rows are numbered from the header on; empty rows and rows of one
     # blank field are skipped
@@ -141,27 +135,27 @@ def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
         faults.at(len(rows), lambda i: unreadable)
     faults.check(
         width[kept] < 2,
-        lambda i: ParseError(f"line {linenos[i]}: expected 'date,value', got {','.join(rows[i])!r}"),
+        lambda i: InputError(f"line {linenos[i]}: expected 'date,value', got {','.join(rows[i])!r}"),
     )
     dates = list(map(itemgetter(0), rows[: faults.rows]))
     raw = list(map(itemgetter(1), rows[: faults.rows]))
     year, month, bad_date = year_month(dates)
     faults.check(
-        bad_date, lambda i: ParseError(f"line {linenos[i]}: bad date {dates[i]!r}, expected YYYY-MM")
+        bad_date, lambda i: InputError(f"line {linenos[i]}: bad date {dates[i]!r}, expected YYYY-MM")
     )
     faults.check(
         (month < 1) | (month > 12),
-        lambda i: ParseError(f"line {linenos[i]}: month out of range in {dates[i]!r}"),
+        lambda i: InputError(f"line {linenos[i]}: month out of range in {dates[i]!r}"),
     )
     values = parse_floats(
-        raw[: faults.rows], faults, lambda i: ParseError(f"line {linenos[i]}: bad value {raw[i]!r}")
+        raw[: faults.rows], faults, lambda i: InputError(f"line {linenos[i]}: bad value {raw[i]!r}")
     )
     faults.check(
-        ~np.isfinite(values), lambda i: ParseError(f"line {linenos[i]}: non-finite value {raw[i]!r}")
+        ~np.isfinite(values), lambda i: InputError(f"line {linenos[i]}: non-finite value {raw[i]!r}")
     )
     faults.check(
         values < 0,
-        lambda i: DomainError(
+        lambda i: InputError(
             f"line {linenos[i]}: negative rate {float(values[i])} at {year[i]}-{month[i]:02d}"
         ),
     )
@@ -177,7 +171,7 @@ def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
         linenos_sorted = linenos[order]
         i = repeats[np.argmin(linenos_sorted[repeats])]
         year, month = divmod(int(index[i]), 12)
-        raise DuplicateKeyError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
+        raise InputError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
     column = values[order]
     if value_unit == "percent":
         column /= 100.0
@@ -214,13 +208,13 @@ def splice_vacancy(pre: Series, post: Series, cutover: int) -> Series:
     before, after = pre.index < cutover, post.index >= cutover
     index = np.concatenate([pre.index[before], post.index[after]])
     if not (post.index == cutover).any():
-        raise CoverageError(
+        raise InputError(
             f"post series does not cover the cutover quarter {quarter_label(cutover)}"
         )
     holes = np.flatnonzero(np.diff(index) != 1)
     if holes.size:
         prev, cur = index[holes[0]], index[holes[0] + 1]
-        raise CoverageError(
+        raise InputError(
             f"spliced series has a gap: {quarter_label(prev + 1)} missing between "
             f"{quarter_label(prev)} and {quarter_label(cur)}"
         )
@@ -228,22 +222,32 @@ def splice_vacancy(pre: Series, post: Series, cutover: int) -> Series:
 
 
 def splice_jump(pre: Series, post: Series, cutover: int) -> tuple[float, float]:
-    """Values straddling the cutover: (last pre value, first post value)."""
-    before = pre.values[pre.index < cutover]
+    """Values straddling the cutover: (last pre value, first post value).
+
+    The jump post / pre - 1 must be finite, so a last pre value of zero, or
+    one so small that the ratio overflows, is an error naming its quarter.
+    """
+    before = np.flatnonzero(pre.index < cutover)
     at = post.values[post.index == cutover]
     if not before.size or not at.size:
-        raise CoverageError(f"cannot audit splice at {quarter_label(cutover)}: missing flank")
-    return float(before[-1]), float(at[0])
+        raise InputError(f"cannot audit splice at {quarter_label(cutover)}: missing flank")
+    last, first = float(pre.values[before[-1]]), float(at[0])
+    if not (last > 0.0 and first / last < math.inf):
+        quarter = quarter_label(pre.index[before[-1]])
+        raise InputError(
+            f"cannot audit splice at {quarter_label(cutover)}: last pre value {last} at {quarter} gives no finite jump"
+        )
+    return last, first
 
 
 def build_panel(u_series: Series, v_series: Series) -> LaborMarketPanel:
     """Inner-join unemployment and vacancy series into the analysis panel.
 
     The first quarter with a rate that is not in (0,1), or whose tightness
-    v/u overflows, raises DomainError.
+    v/u overflows, raises InputError.
     """
     if not len(u_series) or not len(v_series):
-        raise AlignmentError("cannot build panel from an empty series")
+        raise InputError("cannot build panel from an empty series")
     quarters, iu, iv = np.intersect1d(u_series.index, v_series.index, return_indices=True)
     u, v = u_series.values[iu], v_series.values[iv]
     zero = (u <= 0.0) | (v <= 0.0)
@@ -255,10 +259,10 @@ def build_panel(u_series: Series, v_series: Series) -> LaborMarketPanel:
         i = int(np.argmax(bad))
         q, ui, vi = quarter_label(quarters[i]), float(u[i]), float(v[i])
         if zero[i]:
-            raise DomainError(f"zero rate at {q}: u={ui}, v={vi}")
+            raise InputError(f"zero rate at {q}: u={ui}, v={vi}")
         if one_or_more[i]:
-            raise DomainError(f"rate at {q} is not a fraction: u={ui}, v={vi}")
-        raise DomainError(f"tightness v/u at {q} overflows: u={ui}, v={vi}")
+            raise InputError(f"rate at {q} is not a fraction: u={ui}, v={vi}")
+        raise InputError(f"tightness v/u at {q} overflows: u={ui}, v={vi}")
     if not quarters.size:
-        raise AlignmentError("unemployment and vacancy series share no quarters")
+        raise InputError("unemployment and vacancy series share no quarters")
     return LaborMarketPanel(quarters, u, v)

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FirstFault, PropertyViolation
+from .errors import FirstFault, InputError, PropertyViolation
 from .ingest import LaborMarketPanel
 from .quarters import quarter_label
 
@@ -64,11 +64,11 @@ class IsoelasticCurve:
 
     def __post_init__(self):
         if not (0.0 < self.v0 < math.inf and 0.0 < self.epsilon < math.inf):
-            raise DomainError("isoelastic curve needs positive finite v0 and epsilon")
+            raise InputError("isoelastic curve needs positive finite v0 and epsilon")
 
     def value(self, u: float) -> float:
         if u <= 0.0:
-            raise DomainError(f"unemployment rate must be positive, got {u}")
+            raise InputError(f"unemployment rate must be positive, got {u}")
         return self.v0 * u ** (-self.epsilon)
 
     def slope(self, u: float) -> float:
@@ -95,15 +95,15 @@ class DmpEconomy:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"matching elasticity must be in (0,1), got {self.alpha}")
+            raise InputError(f"matching elasticity must be in (0,1), got {self.alpha}")
         for name in ("mu", "s", "p", "labor_force"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
+                raise InputError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("c", "z"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+                raise InputError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         if not self.z < self.p:
-            raise DomainError("unemployed productivity must be below employed productivity")
+            raise InputError("unemployed productivity must be below employed productivity")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def dmp_beveridge(econ: DmpEconomy, u):
         v[np.isnan(v)] = np.inf
         return v
     if not 0.0 < u < 1.0:
-        raise DomainError(f"unemployment rate must be in (0,1), got {u}")
+        raise InputError(f"unemployment rate must be in (0,1), got {u}")
     try:
         return _flow_balance(econ, u, pow)
     except (OverflowError, ZeroDivisionError):  # a denominator that underflows to 0 is an overflow too
@@ -234,9 +234,9 @@ def _golden_lanes(
 
 def _check_planner_stats(zeta: float, kappa: float) -> None:
     if not -math.inf < zeta < 1.0:
-        raise DomainError(f"zeta must be finite and below 1, got {zeta}")
+        raise InputError(f"zeta must be finite and below 1, got {zeta}")
     if not 0.0 < kappa < math.inf:
-        raise DomainError(f"kappa must be positive and finite, got {kappa}")
+        raise InputError(f"kappa must be positive and finite, got {kappa}")
 
 
 def solve_planner_numeric(curve: IsoelasticCurve | DmpCurve, zeta: float, kappa: float) -> PlannerSolution:
@@ -340,7 +340,7 @@ def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float)
     u* and lower theta*.
     """
     if not zeta + _ZETA_SHIFT < 1.0:
-        raise DomainError("zeta_shift pushes zeta to 1 or above")
+        raise InputError("zeta_shift pushes zeta to 1 or above")
 
     base = solve_planner_numeric(curve, zeta, kappa)
 
@@ -393,17 +393,17 @@ def synth_panel(
     positive, an unemployment rate outside (0,1), a vacancy rate on the
     curve that overflows, a noisy vacancy rate that is not finite, a
     tightness v/u that overflows and a vacancy rate outside (0,1); the
-    first failing quarter raises DomainError for its first failing check.
+    first failing quarter raises InputError for its first failing check.
     """
     if not 0.0 <= noise_scale < math.inf:
-        raise DomainError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
+        raise InputError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
     if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if not len(quarters):
-        raise DomainError("shock path is empty")
+        raise InputError("shock path is empty")
     ref = solve_planner_numeric(DmpCurve(econ), *dmp_stats(econ))
     if ref.boundary_warning:
-        raise DomainError(
+        raise InputError(
             f"the economy's efficient unemployment {ref.u_star:.6g} is at the edge of "
             f"the planner's search bracket {_BRACKET}; no interior optimum to simulate around"
         )
@@ -411,8 +411,8 @@ def synth_panel(
 
     faults = FirstFault()
 
-    def fault(message: Callable[[int], str]) -> Callable[[int], DomainError]:
-        return lambda i: DomainError(f"{quarter_label(quarters[i])}: {message(i)}")
+    def fault(message: Callable[[int], str]) -> Callable[[int], InputError]:
+        return lambda i: InputError(f"{quarter_label(quarters[i])}: {message(i)}")
 
     faults.check((s_mult <= 0.0) | (mu_mult <= 0.0), fault(lambda i: "shock multipliers must be positive"))
     s_t = econ.s * s_mult
@@ -453,7 +453,7 @@ def oracle_grid_check(
     is compared against the sufficient-statistic formula evaluated at an
     arbitrary on-curve point, and the curve slope at the optimum against
     the isowelfare slope -(1-zeta)/kappa. Returns one record per grid
-    point, in itertools.product order; raises DomainError for the first
+    point, in itertools.product order; raises InputError for the first
     invalid point and PropertyViolation on the first boundary hit or
     disagreement.
 
@@ -529,7 +529,7 @@ def oracle_grid_check(
         rec = records[i]
         if overflow[i]:
             e, z, k, v = rec["epsilon"], rec["zeta"], rec["kappa"], rec["v0"]
-            raise DomainError(f"formula overflows at epsilon={e}, zeta={z}, kappa={k}, v0={v}")
+            raise InputError(f"formula overflows at epsilon={e}, zeta={z}, kappa={k}, v0={v}")
         if boundary[i]:
             raise PropertyViolation(f"planner hit bracket boundary at {rec}")
         raise PropertyViolation(f"oracle disagreement at {rec}")

@@ -13,7 +13,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import FirstFault, ParseError
+from .errors import FirstFault, InputError
 
 _PLACES = np.array([1000, 100, 10, 1])
 
@@ -52,21 +52,21 @@ def parse_quarter(text: str) -> int:
     """The index of a YYYYQn label (surrounding blanks and a lower-case q allowed)."""
     index, bad = _quarters([text])
     if bad[0]:
-        raise ParseError(f"bad quarter label {text!r}, expected YYYYQn")
+        raise InputError(f"bad quarter label {text!r}, expected YYYYQn")
     return int(index[0])
 
 
 def parse_quarters(labels: Sequence[str], linenos: Sequence[int], what: str, faults: FirstFault) -> np.ndarray:
     """The int64 index of every YYYYQn label of a column, in one pass.
 
-    For the first bad label, a ParseError naming its line from linenos
+    For the first bad label, an InputError naming its line from linenos
     goes to faults, so that a table can check its other columns before
     it raises; the indices of bad labels are meaningless.
     """
     index, bad = _quarters(labels)
     faults.check(
         bad,
-        lambda i: ParseError(f"{what} line {linenos[i]}: bad quarter label {labels[i]!r}, expected YYYYQn"),
+        lambda i: InputError(f"{what} line {linenos[i]}: bad quarter label {labels[i]!r}, expected YYYYQn"),
     )
     return index
 

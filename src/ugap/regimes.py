@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import parse_table, read_text
-from .errors import ConfigError, DomainError, FirstFault
+from .errors import FirstFault, InputError
 from .fitting import ElasticityEstimate
 from .quarters import parse_quarters
 
@@ -30,7 +30,7 @@ class Regime:
 
     def __post_init__(self):
         if self.end < self.start:
-            raise ConfigError(f"regime {self.label!r} ends before it starts")
+            raise InputError(f"regime {self.label!r} ends before it starts")
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,13 @@ class RegimeTable:
         labels = [r.label for r in self.regimes]
         for i, label in enumerate(labels):
             if label in labels[:i]:
-                raise ConfigError(f"regime {label!r} is listed twice")
+                raise InputError(f"regime {label!r} is listed twice")
         ordered = sorted(self.regimes, key=lambda r: r.start)
         if list(ordered) != list(self.regimes):
-            raise ConfigError("regimes must be listed in chronological order")
+            raise InputError("regimes must be listed in chronological order")
         for a, b in zip(ordered, ordered[1:]):
             if not (a.end < b.start):
-                raise ConfigError(f"regimes {a.label!r} and {b.label!r} overlap")
+                raise InputError(f"regimes {a.label!r} and {b.label!r} overlap")
 
     def __iter__(self):
         return iter(self.regimes)
@@ -67,7 +67,7 @@ class RegimeTable:
         regimes = [Regime(*row) for row in zip(labels[: faults.rows], starts, ends)]
         faults.raise_first()
         if not regimes:
-            raise ConfigError("regime table is empty")
+            raise InputError("regime table is empty")
         return cls(tuple(regimes))
 
     @classmethod
@@ -98,7 +98,7 @@ def build_schedule(
 
     Quarters inside a regime use that regime's estimate and kappa: its
     entry in kappa_by_regime (robustness runs), else kappa; one that is
-    not positive and finite raises DomainError. Shift quarters between
+    not positive and finite raises InputError. Shift quarters between
     regimes carry forward the most recent preceding regime's values and
     are flagged; quarters before the first regime borrow the first
     regime's values, also flagged. Carry-forward is causal on purpose: no
@@ -108,11 +108,11 @@ def build_schedule(
     by_label = {e.label: e for e in estimates}
     for regime in table:
         if regime.label not in by_label:
-            raise ConfigError(f"no elasticity estimate for regime {regime.label!r}")
+            raise InputError(f"no elasticity estimate for regime {regime.label!r}")
     kappas = [(kappa_by_regime or {}).get(r.label, kappa) for r in table]
     for k in kappas:
         if not 0.0 < k < math.inf:
-            raise DomainError(f"recruiting cost must be positive and finite, got {k}")
+            raise InputError(f"recruiting cost must be positive and finite, got {k}")
 
     quarters = np.asarray(quarters, dtype=np.int64)
     starts = np.array([r.start for r in table], dtype=np.int64)

@@ -9,7 +9,7 @@ the columns quarter by quarter against plain scalar arithmetic.
 import math
 from dataclasses import dataclass
 
-from ugap.errors import DomainError
+from ugap.errors import InputError
 from ugap.gap import EFFICIENT, INEFFICIENTLY_SLACK, INEFFICIENTLY_TIGHT, _u_star
 
 
@@ -23,11 +23,11 @@ class SufficientStats:
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
-            raise DomainError(f"elasticity must be positive, got {self.epsilon}")
+            raise InputError(f"elasticity must be positive, got {self.epsilon}")
         if not 0.0 < self.kappa < math.inf:
-            raise DomainError(f"recruiting cost must be positive and finite, got {self.kappa}")
+            raise InputError(f"recruiting cost must be positive and finite, got {self.kappa}")
         if not -math.inf < self.zeta < 1.0:
-            raise DomainError(f"social value of nonwork must be finite and below 1, got {self.zeta}")
+            raise InputError(f"social value of nonwork must be finite and below 1, got {self.zeta}")
 
 
 def efficient_tightness(stats: SufficientStats) -> float:
@@ -42,7 +42,7 @@ def classify(theta: float, theta_star: float, tol: float = 0.01) -> str:
     measurement noise in theta.
     """
     if theta <= 0.0 or theta_star <= 0.0:
-        raise DomainError("tightness must be positive to classify")
+        raise InputError("tightness must be positive to classify")
     if theta > theta_star * (1.0 + tol):
         return INEFFICIENTLY_TIGHT
     if theta < theta_star * (1.0 - tol):
@@ -57,12 +57,12 @@ def efficient_unemployment(u: float, v: float, stats: SufficientStats) -> float:
     can happen under extreme zeta; series builders flag that case.
     """
     if u <= 0.0 or v <= 0.0:
-        raise DomainError(f"rates must be positive, got u={u}, v={v}")
+        raise InputError(f"rates must be positive, got u={u}, v={v}")
     return _u_star(u, v, stats.epsilon, stats.kappa, stats.zeta)
 
 
 def implied_zeta(theta: float, kappa: float, epsilon: float) -> float:
     """Social value of nonwork that would make observed tightness efficient."""
     if theta <= 0.0 or kappa <= 0.0 or epsilon <= 0.0:
-        raise DomainError("theta, kappa, epsilon must all be positive")
+        raise InputError("theta, kappa, epsilon must all be positive")
     return 1.0 - kappa * epsilon * theta

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -105,6 +106,33 @@ def test_only_key_values_parses_key_value_text():
             and "parse_kv_text" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
     assert calls == []
+
+
+def test_one_exception_class_per_exit_code():
+    """InputError (exit 2) and PropertyViolation (exit 1) are the only exception classes under src/ugap.
+
+    A class is an exception when one of its bases names a built-in
+    exception or an exception class of the package, at any depth.
+    """
+    classes = [
+        (path.name, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    known = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    found = set()
+    while True:
+        new = {
+            (module, node.name)
+            for module, node in classes
+            if {getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases} & known
+        } - found
+        if not new:
+            break
+        found |= new
+        known |= {name for _, name in new}
+    assert sorted(found) == [("errors.py", "InputError"), ("errors.py", "PropertyViolation")]
 
 
 def test_the_package_imports_nothing_from_tools():

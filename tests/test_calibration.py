@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from scalar_formulas import SufficientStats
-from ugap.errors import DomainError
+from ugap.errors import InputError
 
 
 def survey_kappa(profile, share, u, v):
@@ -54,7 +54,7 @@ class TestKappa:
             assert survey_kappa(profile, 0.02 * c, 0.05, 0.03) == pytest.approx(base * c)
 
     def test_survey_validation(self, profile):
-        with pytest.raises(DomainError, match="'v_survey' must be in"):
+        with pytest.raises(InputError, match="'v_survey' must be in"):
             survey_kappa(profile, 0.025, 0.049, 0.0)
 
 
@@ -69,8 +69,13 @@ class TestMplFactor:
         assert mpl_factors(profile, mpl_wedge_lo=1.0, mpl_wedge_hi=1.0, payroll_tax=1.0, recency_undo=1.0) == (1.0, 1.0)
 
     def test_factors_below_one_rejected(self, profile):
-        with pytest.raises(DomainError, match="'mpl_wedge_lo' must be >= 1"):
+        with pytest.raises(InputError, match="'mpl_wedge_lo' must be >= 1"):
             mpl_factors(profile, mpl_wedge_lo=0.9, payroll_tax=1.077)
+
+    @pytest.mark.parametrize("key", ["mpl_wedge_lo", "payroll_tax", "mpl_wedge_hi", "recency_undo"])
+    def test_nan_factor_rejected(self, profile, key):
+        with pytest.raises(InputError, match=f"^calibration profile key '{key}' must be >= 1, got nan$"):
+            replace(profile, **{key: math.nan}).study_bounds()
 
 
 class TestBenefitOffset:
@@ -85,7 +90,7 @@ class TestBenefitOffset:
         assert offset(profile, 0.2, 1, 1, 1, 1, 0) == pytest.approx(0.2)
 
     def test_chain_outside_unit_interval_rejected(self, profile):
-        with pytest.raises(DomainError, match="'ui_tax' must be in"):
+        with pytest.raises(InputError, match="'ui_tax' must be in"):
             offset(profile, 0.2, 1, 1.5, 1, 1, 0)
 
 
@@ -119,8 +124,13 @@ class TestZetaMidrange:
         assert midrange(profile, 0.03, 0.49) == pytest.approx(0.26)
 
     def test_inverted_rejected(self, profile):
-        with pytest.raises(DomainError, match="zeta_lo 0.5 is above zeta_hi 0.0"):
+        with pytest.raises(InputError, match="zeta_lo 0.5 is above zeta_hi 0.0"):
             midrange(profile, 0.5, 0.0)
+
+    @pytest.mark.parametrize("key", ["zeta_lo", "zeta_hi"])
+    def test_nan_bound_rejected(self, profile, key):
+        with pytest.raises(InputError, match=f"^calibration profile key '{key}' must be finite, got nan$"):
+            replace(profile, **{key: math.nan}).zeta_from_midrange()
 
 
 class TestProfile:
@@ -156,11 +166,11 @@ class TestProfile:
 class TestSufficientStats:
     def test_validation(self):
         SufficientStats(1.0, 0.72, 0.25)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^elasticity must be positive, got 0.0$"):
             SufficientStats(0.0, 0.72, 0.25)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^recruiting cost must be positive and finite, got 0.0$"):
             SufficientStats(1.0, 0.0, 0.25)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^social value of nonwork must be finite and below 1, got 1.0$"):
             SufficientStats(1.0, 0.72, 1.0)
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             SufficientStats(1.0, 0.72, -math.inf)

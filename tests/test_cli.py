@@ -13,7 +13,7 @@ import pytest
 from conftest import bundled_text
 from ugap.cli import main
 from ugap.config import bundled_data_dir
-from ugap.errors import ParseError
+from ugap.errors import InputError
 from ugap.regimes import RegimeTable
 
 
@@ -59,6 +59,31 @@ class TestIngest:
         assert captured.err.startswith("error: tightness v/u at 1960Q1 overflows: u=5e-324")
         assert captured.out == ""
         assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_zero_rate_before_the_cutover_exits_2(self, tmp_path, capsys):
+        lines = bundled_text("vacancy_hwi_monthly.csv").splitlines()
+        lines = [f"{line[:7]},0.0" if line[:7] in ("2000-10", "2000-11", "2000-12") else line for line in lines]
+        series = tmp_path / "v_pre.csv"
+        series.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--v-pre", series, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot audit splice at 2001Q1: last pre value 0.0 at 2000Q4 gives no finite jump\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--u-series", "--v-pre", "--v-post"])
+    def test_series_parse_error_names_its_file(self, tmp_path, capsys, flag):
+        series = tmp_path / "series.csv"
+        series.write_text("date,value\n2001-01,3.8\n2001-02,3.7\n2001-03,3.6\n2001-04,abc\n")
+        assert run("ingest", flag, series, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {series}: line 5: bad value 'abc'\n"
+
+    def test_series_ending_mid_quarter_reports_the_dropped_quarter(self, tmp_path, capsys):
+        series = tmp_path / "u.csv"
+        series.write_text(bundled_text("unemployment_monthly.csv").rstrip("\n") + "\n2020-01,3.6\n2020-02,3.5\n")
+        assert run("ingest", "--u-series", series, "--out", tmp_path / "out") == 0
+        assert "dropped incomplete quarter in u: 2020Q1 (2 months)\n" in capsys.readouterr().out
 
     def test_percent_flag_equivalent_to_prescaled_fractions(self, tmp_path):
         frac = tmp_path / "fraction_inputs"
@@ -239,6 +264,11 @@ class TestSensitivity:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "must be finite and below 1" in err
         assert not (tmp_path / "sensitivity.csv").exists()
+
+    def test_unparsable_zeta_list_flag_exits_2(self, tmp_path, capsys):
+        assert run("sensitivity", "--out", tmp_path / "out", "--zeta-list", "abc") == 2
+        assert capsys.readouterr().err == "error: bad zeta list 'abc'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_default_band(self, tmp_path):
         assert run("sensitivity", "--out", tmp_path) == 0
@@ -429,6 +459,12 @@ class TestSimulate:
         assert not (tmp_path / "out" / "simulation_report.json").exists()
 
 
+    def test_matching_elasticity_of_one_exits_2(self, tmp_path, capsys):
+        scenario = edited_scenario(tmp_path, alpha=1)
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: matching elasticity must be in (0,1), got 1.0\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("economy", [{"s": "1e308", "c": "1e308"}, {"mu": "5e-324"}])
     def test_overflowing_curve_exits_2(self, tmp_path, capsys, economy):
         # the curve value overflows (or divides by an underflowed 0) inside the planner's search
@@ -520,6 +556,12 @@ class TestBadConfigExits2:
         with open(config_copy, "a", encoding="utf-8") as fh:
             fh.write("\n[gap]\ntolerance = -0.1\n")
         assert run("gap", "--config", config_copy, "--out", tmp_path / "out") == 2
+
+    def test_empty_zeta_list_in_config(self, config_copy, tmp_path, capsys):
+        text = re.sub(r"^zeta_list = .*$", "zeta_list =", config_copy.read_text(), flags=re.M)
+        config_copy.write_text(text)
+        assert run("sensitivity", "--config", config_copy, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: zeta list is empty\n"
 
     @pytest.mark.parametrize("value", ["", "a\x00b.csv"])
     def test_unusable_series_path_in_config(self, config_copy, tmp_path, capsys, value):
@@ -646,7 +688,7 @@ def test_wrong_column_count_names_the_line(tmp_path, capsys, what):
     text, argv = SHORT_ROWS[what]
     message = f"{what} line 3: expected"
     if what == "regime":
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(InputError, match=message):
             RegimeTable.from_text(text)
     path = tmp_path / "table.csv"
     path.write_text(text)

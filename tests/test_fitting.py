@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ugap.errors import DegenerateDataError, DomainError, SampleSizeError
+from ugap.errors import InputError
 from ugap.fitting import dmp_elasticity, fit_all, fit_elasticity
 from ugap.planner import IsoelasticCurve
 from ugap.quarters import parse_quarter
@@ -83,18 +83,18 @@ def test_estimator_consistency_in_sample_size():
 
 def test_small_sample_rejected():
     u = [0.04, 0.05]
-    with pytest.raises(SampleSizeError):
+    with pytest.raises(InputError, match=r"^need at least 3 rows to fit a curve, got 2 \(''\)$"):
         fit_elasticity(*rows_on_curve(0.002, 1.0, u))
 
 
 def test_degenerate_regressor_rejected():
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(InputError, match=r"^log unemployment has zero variance \(''\)$"):
         fit_elasticity([0.05, 0.05, 0.05], [0.030, 0.031, 0.032])
 
 
 def test_upward_sloping_data_rejected():
     us, vs = rows_on_curve(0.002, 1.0, [0.03, 0.05, 0.08])
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(InputError, match=r"^estimated elasticity must be positive, got -1.0 \(''\)$"):
         fit_elasticity(us, [0.002 / v for v in vs])
 
 
@@ -109,7 +109,7 @@ class TestPredictedVacancy:
         assert IsoelasticCurve(math.exp(math.log(0.0123)), 7.7).value(1.0) == pytest.approx(0.0123)
 
     def test_nonpositive_u_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^unemployment rate must be positive, got 0.0$"):
             IsoelasticCurve(0.09, 1.2).value(0.0)
 
 
@@ -135,7 +135,8 @@ class TestDmpElasticity:
 
     @pytest.mark.parametrize("alpha,u", [(0.0, 0.05), (1.0, 0.05), (0.5, 0.0), (0.5, 1.0)])
     def test_domain(self, alpha, u):
-        with pytest.raises(DomainError):
+        name, value = ("matching elasticity", alpha) if u == 0.05 else ("unemployment rate", u)
+        with pytest.raises(InputError, match=rf"^{name} must be in \(0,1\), got {value}$"):
             dmp_elasticity(alpha, u)
 
 
@@ -153,4 +154,5 @@ class TestFitAll:
         estimates, failures = fit_all(panel, sparse)
         assert estimates == []
         [(label, exc)] = failures
-        assert label == "tiny" and isinstance(exc, SampleSizeError)
+        assert label == "tiny" and isinstance(exc, InputError)
+        assert str(exc) == "need at least 3 rows to fit a curve, got 2 ('tiny')"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_formulas import SufficientStats, classify, efficient_tightness, efficient_unemployment, implied_zeta
-from ugap.errors import DomainError
+from ugap.errors import InputError
 from ugap.gap import (
     EFFICIENT,
     INEFFICIENTLY_SLACK,
@@ -65,7 +65,7 @@ class TestClassify:
         assert classify(0.9899, 1.0, 0.01) == INEFFICIENTLY_SLACK
 
     def test_positivity_required(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^tightness must be positive to classify$"):
             classify(0.0, 1.0)
 
 
@@ -85,7 +85,7 @@ class TestEfficientUnemployment:
         assert efficient_unemployment(0.05, 0.03, stats) == pytest.approx(0.1643, abs=5e-4)
 
     def test_positivity_required(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^rates must be positive, got u=0.0, v=0.03$"):
             efficient_unemployment(0.0, 0.03, BASELINE)
 
     def test_monotone_in_kappa_zeta_and_v(self):
@@ -151,7 +151,7 @@ class TestGapAndImpliedZeta:
                         )
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^theta, kappa, epsilon must all be positive$"):
             implied_zeta(0.0, 0.72, 1.0)
 
 
@@ -196,7 +196,7 @@ class TestGapSeries:
         panel = single_quarter_panel(0.05, 0.03)
         # build_schedule rejects such a kappa; a hand-built column ends in a non-finite u*
         schedule = constant_schedule(panel, 1.0, -1.0)
-        with pytest.raises(DomainError, match="2000Q1"):
+        with pytest.raises(InputError, match="2000Q1"):
             gap_series(panel, schedule, zeta=0.25)
 
     def test_bundled_series_consistency(self, panel, schedule):
@@ -219,7 +219,7 @@ class TestSummaries:
     def test_empty_rejected(self):
         panel = single_quarter_panel(0.05, 0.03)
         series = gap_series(panel, constant_schedule(panel, 1.0, 0.72, is_gap=True), 0.25)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^no quarters left to summarize$"):
             summarize(panel, series, exclude_gap_quarters=True)
 
 
@@ -236,7 +236,7 @@ class TestSensitivity:
         assert band.u_star[0.25] == pytest.approx(series.u_star)
 
     def test_zeta_must_be_below_one(self, panel, schedule):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^social value of nonwork must be finite and below 1, got 1.0$"):
             sensitivity(panel, schedule, (0.25, 1.0))
 
     def test_kappa_overrides_match_gap_series(self, panel, regime_table, estimates, schedule):

@@ -3,14 +3,7 @@ from statistics import mean
 
 import pytest
 
-from ugap.errors import (
-    AlignmentError,
-    CoverageError,
-    DomainError,
-    DuplicateKeyError,
-    FirstFault,
-    ParseError,
-)
+from ugap.errors import FirstFault, InputError
 from ugap.config import parse_table
 from ugap.ingest import (
     LaborMarketPanel,
@@ -50,10 +43,10 @@ class TestParseSeries:
         assert series.values[0] == 0.037
 
     def test_duplicate_date_rejected(self):
-        with pytest.raises(DuplicateKeyError, match="line 3: duplicate date 1951-01"):
+        with pytest.raises(InputError, match="line 3: duplicate date 1951-01"):
             parse_series_csv("date,value\n1951-01,3.7\n1951-01,3.8\n", "percent")
         text = "date,value\n1951-03,1\n1951-02,1\n1951-01,1\n1951-02,1\n1951-03,1\n"
-        with pytest.raises(DuplicateKeyError, match="line 5: duplicate date 1951-02"):
+        with pytest.raises(InputError, match="line 5: duplicate date 1951-02"):
             parse_series_csv(text, "percent")
 
     def test_rows_sorted_ascending(self):
@@ -63,19 +56,19 @@ class TestParseSeries:
         assert series.values.tolist() == [0.01, 0.02, 0.03]
 
     def test_malformed_row_reports_line_number(self):
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(InputError, match="line 3"):
             parse_series_csv("date,value\n1951-01,3.7\n1951/02,3.8\n", "percent")
 
     def test_negative_value_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^line 2: negative rate -3.7 at 1951-01$"):
             parse_series_csv("date,value\n1951-01,-3.7\n", "percent")
 
     def test_header_required(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^expected header 'date,value', got 'month,rate'$"):
             parse_series_csv("month,rate\n1951-01,3.7\n", "percent")
 
     def test_unknown_unit_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^unknown value unit 'bps'$"):
             parse_series_csv("date,value\n1951-01,3.7\n", "bps")
 
 
@@ -134,21 +127,29 @@ class TestSplice:
         pre = qs(("2000Q3", 0.040))
         post = qs(("2001Q1", 0.037))
         message = "spliced series has a gap: 2000Q4 missing between 2000Q3 and 2001Q1"
-        with pytest.raises(CoverageError, match=message):
+        with pytest.raises(InputError, match=message):
             splice_vacancy(pre, post, parse_quarter("2001Q1"))
 
     def test_missing_cutover_quarter_rejected(self):
         pre = qs(("2000Q4", 0.041))
         post = qs(("2001Q2", 0.036))
-        with pytest.raises(CoverageError, match="does not cover the cutover quarter 2001Q1"):
+        with pytest.raises(InputError, match="does not cover the cutover quarter 2001Q1"):
             splice_vacancy(pre, post, parse_quarter("2001Q1"))
 
     def test_jump_audit(self):
         pre = qs(("2000Q4", 0.040))
         post = qs(("2001Q1", 0.037))
         assert splice_jump(pre, post, parse_quarter("2001Q1")) == (0.040, 0.037)
-        with pytest.raises(CoverageError, match="cannot audit splice at 2001Q2"):
+        with pytest.raises(InputError, match="cannot audit splice at 2001Q2"):
             splice_jump(pre, post, parse_quarter("2001Q2"))
+
+    @pytest.mark.parametrize("last", [0.0, 5e-324])
+    def test_jump_from_a_vanishing_pre_value_names_its_quarter(self, last):
+        pre = qs(("2000Q3", 0.040), ("2000Q4", last))
+        post = qs(("2001Q1", 0.037))
+        message = f"^cannot audit splice at 2001Q1: last pre value {last} at 2000Q4 gives no finite jump$"
+        with pytest.raises(InputError, match=message):
+            splice_jump(pre, post, parse_quarter("2001Q1"))
 
 
 class TestBuildPanel:
@@ -162,24 +163,24 @@ class TestBuildPanel:
         assert panel.theta[0] == pytest.approx(0.673, abs=5e-4)
 
     def test_disjoint_quarters_rejected(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(InputError, match="^unemployment and vacancy series share no quarters$"):
             build_panel(qs(("1997Q1", 0.05)), qs(("1998Q1", 0.03)))
 
     def test_zero_rate_names_quarter(self):
-        with pytest.raises(DomainError, match="zero rate at 1997Q1: u=0.0, v=0.03"):
+        with pytest.raises(InputError, match="zero rate at 1997Q1: u=0.0, v=0.03"):
             build_panel(qs(("1997Q1", 0.0)), qs(("1997Q1", 0.03)))
         u = qs(("1997Q1", 0.05), ("1997Q2", 1.5))
-        with pytest.raises(DomainError, match="rate at 1997Q2 is not a fraction: u=1.5"):
+        with pytest.raises(InputError, match="rate at 1997Q2 is not a fraction: u=1.5"):
             build_panel(u, qs(("1997Q1", 0.03), ("1997Q2", 0.03)))
 
     def test_overflowing_tightness_names_quarter(self):
         u = qs(("1997Q1", 0.05), ("1997Q2", 5e-324), ("1997Q3", 0.0))
         v = qs(("1997Q1", 0.03), ("1997Q2", 0.03), ("1997Q3", 0.03))
-        with pytest.raises(DomainError, match="tightness v/u at 1997Q2 overflows: u=5e-324, v=0.03"):
+        with pytest.raises(InputError, match="tightness v/u at 1997Q2 overflows: u=5e-324, v=0.03"):
             build_panel(u, v)
 
     def test_empty_series_rejected(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(InputError, match="^cannot build panel from an empty series$"):
             build_panel(qs(), qs(("1997Q1", 0.03)))
 
 

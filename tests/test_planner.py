@@ -9,7 +9,7 @@ import pytest
 
 from scalar_formulas import SufficientStats, efficient_unemployment
 from ugap import planner
-from ugap.errors import DomainError, PropertyViolation
+from ugap.errors import InputError, PropertyViolation
 from ugap.fitting import dmp_elasticity, fit_elasticity
 from ugap.planner import (
     DmpCurve,
@@ -64,9 +64,9 @@ class TestDmpBeveridge:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"^unemployment rate must be in \(0,1\), got 0.0$"):
             dmp_beveridge(BASE_ECON, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"^unemployment rate must be in \(0,1\), got 1.0$"):
             dmp_beveridge(BASE_ECON, 1.0)
 
     def test_curve_slope_matches_finite_differences(self):
@@ -138,9 +138,9 @@ class TestPlanner:
 
     def test_invalid_inputs(self):
         curve = IsoelasticCurve(0.0016, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^zeta must be finite and below 1, got 1.0$"):
             solve_planner_numeric(curve, 1.0, 0.72)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^kappa must be positive and finite, got 0.0$"):
             solve_planner_numeric(curve, 0.25, 0.0)
 
     def test_dmp_curve_optimum_consistent_with_local_elasticity(self):
@@ -263,7 +263,7 @@ class TestOracleLockstep:
         ],
     )
     def test_bad_parameters_are_input_errors(self, grid, message):
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(InputError, match=message):
             oracle_grid_check(**grid)
 
 
@@ -280,7 +280,7 @@ class TestComparativeStatics:
         assert v0_check.passed
 
     def test_bad_perturbations_rejected(self):
-        with pytest.raises(DomainError, match="zeta_shift pushes zeta to 1 or above"):
+        with pytest.raises(InputError, match="zeta_shift pushes zeta to 1 or above"):
             comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.8, 0.72)
 
 
@@ -315,9 +315,9 @@ class TestSynthPanel:
         assert render(a) != render(c)
 
     def test_bad_multiplier_rejected(self):
-        with pytest.raises(DomainError, match="2000Q1: shock multipliers must be positive"):
+        with pytest.raises(InputError, match="2000Q1: shock multipliers must be positive"):
             synth_panel(BASE_ECON, np.array([parse_quarter("2000Q1")]), np.array([0.0]), np.array([1.0]))
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^shock path is empty$"):
             synth_panel(BASE_ECON, *flat_shocks("2000Q1", "1999Q4"))
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugap.errors import ParseError
+from ugap.errors import InputError
 from ugap.quarters import parse_quarter, quarter_label
 
 
@@ -15,7 +15,7 @@ def test_parse_and_format():
 
 @pytest.mark.parametrize("bad", ["1951", "1951Q5", "Q1", "1951-01", "195Q1"])
 def test_parse_rejects_bad_labels(bad):
-    with pytest.raises(ParseError, match="expected YYYYQn"):
+    with pytest.raises(InputError, match="expected YYYYQn"):
         parse_quarter(bad)
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ugap.cli import _shock_columns
 from ugap.config import parse_kv_text, parse_table
-from ugap.errors import ConfigError, DomainError, DuplicateKeyError, FirstFault, InputError, ParseError
+from ugap.errors import FirstFault, InputError
 from ugap.ingest import Series, parse_series_csv, to_quarterly
 from ugap.quarters import parse_quarter, parse_quarters, quarter_label
 from ugap.regimes import Regime, RegimeTable
@@ -129,7 +129,7 @@ def reference_quarter(text, what, lineno):
     m = _QUARTER_RE.match(text.strip())
     if m is None:
         # deliberate change: the per-line readers named no line here
-        raise ParseError(f"{what} line {lineno}: bad quarter label {text!r}, expected YYYYQn")
+        raise InputError(f"{what} line {lineno}: bad quarter label {text!r}, expected YYYYQn")
     return 4 * int(m.group(1)) + int(m.group(2)) - 1
 
 
@@ -142,42 +142,42 @@ def reference_table(text, columns, what):
         if fields[0].lower() == columns[0]:
             continue
         if len(fields) != len(columns):
-            raise ParseError(f"{what} line {lineno}: expected '{','.join(columns)}'")
+            raise InputError(f"{what} line {lineno}: expected '{','.join(columns)}'")
         yield lineno, fields
 
 
 def reference_series(text, value_unit="fraction"):
     if value_unit not in ("fraction", "percent"):
-        raise ParseError(f"unknown value unit {value_unit!r}")
+        raise InputError(f"unknown value unit {value_unit!r}")
     lines = text.splitlines() if isinstance(text, str) else list(text)
     reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
-        raise ParseError("empty series file") from None
+        raise InputError("empty series file") from None
     if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
-        raise ParseError(f"expected header 'date,value', got {','.join(header)!r}")
+        raise InputError(f"expected header 'date,value', got {','.join(header)!r}")
 
     months, values, linenos = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:
-            raise ParseError(f"line {lineno}: expected 'date,value', got {','.join(row)!r}")
+            raise InputError(f"line {lineno}: expected 'date,value', got {','.join(row)!r}")
         m = _DATE_RE.match(row[0].strip())
         if m is None:
-            raise ParseError(f"line {lineno}: bad date {row[0]!r}, expected YYYY-MM")
+            raise InputError(f"line {lineno}: bad date {row[0]!r}, expected YYYY-MM")
         year, month = int(m.group(1)), int(m.group(2))
         if not 1 <= month <= 12:
-            raise ParseError(f"line {lineno}: month out of range in {row[0]!r}")
+            raise InputError(f"line {lineno}: month out of range in {row[0]!r}")
         try:
             value = float(row[1])
         except ValueError:
-            raise ParseError(f"line {lineno}: bad value {row[1]!r}") from None
+            raise InputError(f"line {lineno}: bad value {row[1]!r}") from None
         if not math.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite value {row[1]!r}")
+            raise InputError(f"line {lineno}: non-finite value {row[1]!r}")
         if value < 0:
-            raise DomainError(f"line {lineno}: negative rate {value} at {year}-{month:02d}")
+            raise InputError(f"line {lineno}: negative rate {value} at {year}-{month:02d}")
         months.append(12 * year + month - 1)
         values.append(value)
         linenos.append(lineno)
@@ -190,7 +190,7 @@ def reference_series(text, value_unit="fraction"):
         linenos_sorted = np.array(linenos)[order]
         i = repeats[np.argmin(linenos_sorted[repeats])]
         year, month = divmod(int(index[i]), 12)
-        raise DuplicateKeyError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
+        raise InputError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
     column = np.array(values, dtype=np.float64)[order]
     if value_unit == "percent":
         column /= 100.0
@@ -204,10 +204,10 @@ def reference_shocks(text):
         try:
             path.append((quarter, float(row[1]), float(row[2])))
         except ValueError:
-            raise ParseError(f"shock line {lineno}: bad multiplier in {','.join(row)!r}") from None
+            raise InputError(f"shock line {lineno}: bad multiplier in {','.join(row)!r}") from None
         # deliberate change: quarters must increase
         if len(path) > 1 and path[-1][0] <= path[-2][0]:
-            raise ParseError(f"shock line {lineno}: quarters must increase, {row[0]} follows {labels[-1]}")
+            raise InputError(f"shock line {lineno}: quarters must increase, {row[0]} follows {labels[-1]}")
         labels.append(row[0])
     return path
 
@@ -218,7 +218,7 @@ def reference_regimes(text):
         for lineno, (label, start, end) in reference_table(text, ("label", "start", "end"), "regime")
     ]
     if not regimes:
-        raise ConfigError("regime table is empty")
+        raise InputError("regime table is empty")
     return RegimeTable(tuple(regimes))
 
 
@@ -317,7 +317,7 @@ def test_regime_reader_matches_per_line_reference(text):
 def test_the_first_faulty_line_wins_across_columns_and_checks():
     # line 3 has a bad value and line 2 a month out of range
     assert outcome(parse_series_csv, "date,value\n1951-13,1\n1951-01,x\n") == (
-        ParseError, "line 2: month out of range in '1951-13'"
+        InputError, "line 2: month out of range in '1951-13'"
     )
     # the short row on line 4 comes after line 3's unknown quarter
     text = "quarter,s_multiplier,mu_multiplier\n2000Q1,1,1\n2000Q9,1,1\n2000Q3,1\n"
@@ -326,12 +326,12 @@ def test_the_first_faulty_line_wins_across_columns_and_checks():
     assert outcome(shock_path, "2000Q9,x,1\n")[1].startswith("shock line 1: bad quarter label")
     # a regime that ends before it starts on line 1 beats the bad label on line 2
     text = "a,1960Q1,1950Q1\nb,1970Q1,19X0Q1\n"
-    assert outcome(RegimeTable.from_text, text) == (ConfigError, "regime 'a' ends before it starts")
+    assert outcome(RegimeTable.from_text, text) == (InputError, "regime 'a' ends before it starts")
 
 
 def test_an_overlong_csv_field_is_a_parse_error():
     text = "date,value\n1951-01,1\n1951-02," + "9" * (csv.field_size_limit() + 1) + "\n"
-    assert outcome(parse_series_csv, text) == (ParseError, f"line 3: field larger than field limit ({csv.field_size_limit()})")
+    assert outcome(parse_series_csv, text) == (InputError, f"line 3: field larger than field limit ({csv.field_size_limit()})")
 
 
 def reference_quarterly(rows):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ugap.errors import ConfigError, DomainError
+from ugap.errors import InputError
 from ugap.fitting import ElasticityEstimate
 from ugap.gap import gap_series, implied_zeta_series, sensitivity
 from ugap.ingest import LaborMarketPanel
@@ -73,23 +73,23 @@ def test_assign_regime(regime_table, estimates):
 
 
 def test_table_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="^regime 'backwards' ends before it starts$"):
         regime("backwards", "1960Q1", "1959Q1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="^regimes 'a' and 'b' overlap$"):
         RegimeTable(
             (
                 regime("a", "1951Q1", "1960Q1"),
                 regime("b", "1960Q1", "1970Q1"),
             )
         )
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="^regimes must be listed in chronological order$"):
         RegimeTable(
             (
                 regime("late", "1970Q1", "1975Q1"),
                 regime("early", "1951Q1", "1960Q1"),
             )
         )
-    with pytest.raises(ConfigError, match="^regime 'a' is listed twice$"):
+    with pytest.raises(InputError, match="^regime 'a' is listed twice$"):
         RegimeTable((regime("a", "1951Q1", "1959Q2"), regime("b", "1960Q1", "1969Q4"), regime("a", "1970Q1", "1979Q4")))
 
 
@@ -153,7 +153,7 @@ class TestSchedule:
     @pytest.mark.parametrize("where", ["global", "override"])
     def test_bad_kappa_rejected(self, table, estimates, bad, where):
         kappa, overrides = (bad, None) if where == "global" else (0.72, {"late": bad})
-        with pytest.raises(DomainError, match="recruiting cost must be positive and finite"):
+        with pytest.raises(InputError, match="recruiting cost must be positive and finite"):
             build_schedule(table, estimates, quarters("1959Q1", "1960Q1"), kappa, overrides)
 
     def test_single_regime_schedule_is_constant(self, estimates):
@@ -164,7 +164,7 @@ class TestSchedule:
         assert set(entries(schedule)) == {(*self.EARLY, False)}
 
     def test_missing_estimate_rejected(self, table):
-        with pytest.raises(ConfigError, match="late"):
+        with pytest.raises(InputError, match="late"):
             build_schedule(table, [make_estimate("early")], [parse_quarter("1951Q1")], 0.72)
 
     def test_misaligned_schedule_fails(self, table, estimates):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scalar_formulas import SufficientStats, efficient_unemployment
 from ugap.cli import _load_scenario, _round_trip_error, main
 from ugap.config import bundled_data_dir, load_config
-from ugap.errors import DomainError, InputError
+from ugap.errors import InputError
 from ugap.fitting import fit_elasticity
 from ugap.ingest import LaborMarketPanel
 from ugap.planner import (
@@ -43,15 +43,15 @@ ALMOST_ONE = 1.0 - 2.0**-53  # the largest float below 1
 
 def reference_synth_panel(econ, shock_path, noise_scale=0.0, seed=0):
     if not 0.0 <= noise_scale < math.inf:
-        raise DomainError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
+        raise InputError(f"noise_scale must be nonnegative and finite, got {noise_scale}")
     if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if not shock_path:
-        raise DomainError("shock path is empty")
+        raise InputError("shock path is empty")
     curve = DmpCurve(econ)
     ref = solve_planner_numeric(curve, *dmp_stats(econ))
     if ref.boundary_warning:
-        raise DomainError(
+        raise InputError(
             f"the economy's efficient unemployment {ref.u_star:.6g} is at the edge of "
             f"the planner's search bracket {_BRACKET}; no interior optimum to simulate around"
         )
@@ -64,30 +64,30 @@ def reference_synth_panel(econ, shock_path, noise_scale=0.0, seed=0):
     us, vs = [], []
     for i, (quarter, s_mult, mu_mult) in enumerate(shock_path):
         if s_mult <= 0.0 or mu_mult <= 0.0:
-            raise DomainError(f"{quarter_label(quarter)}: shock multipliers must be positive")
+            raise InputError(f"{quarter_label(quarter)}: shock multipliers must be positive")
         s_t = econ.s * s_mult
         d = s_t + finding * mu_mult
         # deliberate change: 0 / 0 raised a raw ZeroDivisionError here
         u = s_t / d if d else math.nan
         if not 0.0 < u < 1.0:
-            raise DomainError(f"{quarter_label(quarter)}: shock drives unemployment to {u}")
+            raise InputError(f"{quarter_label(quarter)}: shock drives unemployment to {u}")
         v = curve.value(u)
         if v == math.inf:
-            raise DomainError(f"{quarter_label(quarter)}: the vacancy rate on the curve overflows at u={u:g}")
+            raise InputError(f"{quarter_label(quarter)}: the vacancy rate on the curve overflows at u={u:g}")
         if shocks is not None:
             shock = float(shocks[i])
             v = v * math.exp(shock) if shock <= _MAX_EXP else math.inf
             if not v < math.inf:
-                raise DomainError(
+                raise InputError(
                     f"{quarter_label(quarter)}: the noisy vacancy rate is not finite "
                     f"(log shock {shock:g})"
                 )
         # deliberate change: a tightness v/u that overflowed went into the panel as inf
         if not v / u < math.inf:
-            raise DomainError(f"{quarter_label(quarter)}: the tightness v/u overflows at u={u:g}, v={v:g}")
+            raise InputError(f"{quarter_label(quarter)}: the tightness v/u overflows at u={u:g}, v={v:g}")
         # deliberate change: a vacancy rate outside (0,1) went into the panel
         if not 0.0 < v < 1.0:
-            raise DomainError(f"{quarter_label(quarter)}: the vacancy rate {v:g} is not a fraction")
+            raise InputError(f"{quarter_label(quarter)}: the vacancy rate {v:g} is not a fraction")
         us.append(u)
         vs.append(v)
     return LaborMarketPanel([q for q, _, _ in shock_path], us, vs)
