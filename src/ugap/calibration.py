@@ -83,6 +83,8 @@ class CalibrationProfile:
         larger factor shrinks the value.
         """
         self._reject(("mpl_wedge_lo", "payroll_tax", "mpl_wedge_hi", "recency_undo"), lambda x: not x >= 1.0, ">= 1")
+        rates = ("benefit_replacement_lo", "benefit_replacement_hi", "wage_replacement", "benefit_offset")
+        self._reject(rates, lambda x: not 0.0 <= x <= 1.0, "in [0,1]")
         factor_lo = self.mpl_wedge_lo * self.payroll_tax
         factor_hi = self.mpl_wedge_hi * self.payroll_tax
         return {

@@ -10,6 +10,12 @@ reported digits are those of a quarter-by-quarter loop. Exit codes
 are a stable contract for scripting: 0 success, 1 a verified property
 failed, 2 bad input or configuration. All outputs are deterministic
 given the config and inputs, so repeated runs are byte-identical.
+
+At module level this imports only the standard library, config, errors
+and quarters; each layer is imported by the command or the Run property
+that first needs it. So `report` without --recompute, --help and every
+usage or config error start without numpy, and only simulate loads the
+planner.
 """
 
 from __future__ import annotations
@@ -21,13 +27,11 @@ import os
 import sys
 from dataclasses import asdict, fields
 from functools import cached_property
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import gap as gap_mod
-from .calibration import CalibrationProfile
-from .config import (  # parse_kv_text stays bound here for tools that trace the CLI by name
+from .config import (
     KeyValues,
     RunConfig,
     check_path,
@@ -39,28 +43,47 @@ from .config import (  # parse_kv_text stays bound here for tools that trace the
     read_text,
 )
 from .errors import FirstFault, InputError, PropertyViolation
-from .fitting import ElasticityEstimate, fit_all, fit_elasticity, write_estimates_csv
-from .ingest import (
-    LaborMarketPanel,
-    build_panel,
-    parse_series_csv,
-    splice_jump,
-    splice_vacancy,
-    to_quarterly,
-)
-from .planner import (
-    DmpCurve,
-    DmpEconomy,
-    IsoelasticCurve,
-    comparative_statics_check,
-    dmp_stats,
-    libm_power,
-    solve_planner_numeric,
-    synth_panel,
-)
 from .quarters import parse_quarter, parse_quarters, quarter_label
-from .regimes import RegimeTable, Schedule, build_schedule
-from .svgfig import scatter_fit_svg, timeseries_svg
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fitting import ElasticityEstimate
+    from .ingest import LaborMarketPanel
+    from .planner import DmpEconomy
+    from .regimes import RegimeTable, Schedule
+
+
+def _forward(module: str, name: str):
+    """A stand-in for ugap.module.name that imports the module on its first call and keeps the function it finds."""
+    # these, and parse_kv_text above, stay bound here for tools that trace the
+    # CLI by name; ROADMAP item 2's follow-up retires them
+    function = None
+
+    def forward(*args, **kwargs):
+        nonlocal function
+        if function is None:
+            function = getattr(import_module(f".{module}", __package__), name)
+        return function(*args, **kwargs)
+
+    return forward
+
+
+fit_all = _forward("fitting", "fit_all")
+fit_elasticity = _forward("fitting", "fit_elasticity")
+write_estimates_csv = _forward("fitting", "write_estimates_csv")
+parse_series_csv = _forward("ingest", "parse_series_csv")
+to_quarterly = _forward("ingest", "to_quarterly")
+splice_vacancy = _forward("ingest", "splice_vacancy")
+splice_jump = _forward("ingest", "splice_jump")
+build_panel = _forward("ingest", "build_panel")
+comparative_statics_check = _forward("planner", "comparative_statics_check")
+dmp_stats = _forward("planner", "dmp_stats")
+solve_planner_numeric = _forward("planner", "solve_planner_numeric")
+synth_panel = _forward("planner", "synth_panel")
+build_schedule = _forward("regimes", "build_schedule")
+scatter_fit_svg = _forward("svgfig", "scatter_fit_svg")
+timeseries_svg = _forward("svgfig", "timeseries_svg")
 
 
 def _round_floats(obj):
@@ -117,6 +140,8 @@ def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int,
     """(first, last) panel indices covered by each recession, for figure shading."""
     if path is None:
         return []
+    import numpy as np
+
     faults = FirstFault()
     linenos, (first, last) = parse_table(read_text(path), ("start", "end"), "recessions", faults)
     starts = parse_quarters(first, linenos, "recessions", faults)
@@ -179,6 +204,8 @@ class Run:
 
     @cached_property
     def table(self) -> RegimeTable:
+        from .regimes import RegimeTable
+
         return RegimeTable.from_file(self.cfg.regimes)
 
     @cached_property
@@ -197,6 +224,8 @@ class Run:
     @cached_property
     def calibration(self) -> tuple[float, float]:
         """(kappa, zeta): config values where set, else the calibration profile's."""
+        from .calibration import CalibrationProfile
+
         profile = CalibrationProfile.from_file(self.cfg.calibration)
         kappa = self.cfg.kappa if self.cfg.kappa is not None else profile.kappa()
         zeta = self.cfg.zeta if self.cfg.zeta is not None else profile.zeta
@@ -233,6 +262,8 @@ class Run:
     @cached_property
     def axis(self) -> tuple[list[int], list[str], list[tuple[int, int]]]:
         """Decade tick positions, their labels and the recession bands of the panel."""
+        import numpy as np
+
         quarters = self.panel.quarters
         # the first quarter of each decade: 4 * year with year a multiple of 10
         ticks = np.flatnonzero(quarters % 40 == 0)
@@ -276,6 +307,8 @@ def cmd_ingest(run: Run) -> int:
 
 
 def cmd_fit(run: Run) -> int:
+    from .regimes import RegimeTable
+
     estimates, failures = run.fits
     labels = {e.label for e in estimates}
     fitted = RegimeTable(tuple(r for r in run.table if r.label in labels))
@@ -304,6 +337,8 @@ def cmd_fit(run: Run) -> int:
 
 
 def cmd_gap(run: Run) -> int:
+    from . import gap as gap_mod
+
     cfg = run.cfg
     out = Path(cfg.out_dir)
     summary = run.summary
@@ -349,6 +384,8 @@ def cmd_gap(run: Run) -> int:
 
 
 def cmd_sensitivity(run: Run) -> int:
+    from . import gap as gap_mod
+
     cfg = run.cfg
     out = Path(cfg.out_dir)
     summary = run.summary
@@ -399,6 +436,8 @@ def cmd_sensitivity(run: Run) -> int:
 
 def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The quarter, s_multiplier and mu_multiplier columns of a shocks table; quarters must increase."""
+    import numpy as np
+
     faults = FirstFault()
     columns = ("quarter", "s_multiplier", "mu_multiplier")
     linenos, (labels, s, mu) = parse_table(text, columns, "shock", faults)
@@ -423,6 +462,8 @@ def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _load_scenario(cfg: RunConfig) -> tuple[DmpEconomy, tuple[np.ndarray, np.ndarray, np.ndarray], float, int]:
     if cfg.scenario is None:
         raise InputError("simulate needs a scenario file (simulate.scenario)")
+    from .planner import DmpEconomy
+
     kv = KeyValues(cfg.scenario, "scenario")
     econ = DmpEconomy(**{f.name: kv.number(f"economy.{f.name}", required=True) for f in fields(DmpEconomy)})
     shocks = _shock_columns(read_text(check_path(kv.path("shocks.path", required=True), "shocks.path")))
@@ -447,12 +488,19 @@ def _round_trip_error(panel: LaborMarketPanel, epsilon: float, kappa: float, zet
     change in the formula's power would move, so the power is libm's, as
     the built-in pow takes it for one quarter at a time.
     """
+    import numpy as np
+
+    from .gap import _u_star
+    from .planner import libm_power
+
     with np.errstate(over="ignore"):  # an inf u* is an inf error
-        formula = gap_mod._u_star(panel.u, panel.v, epsilon, kappa, zeta, libm_power)
+        formula = _u_star(panel.u, panel.v, epsilon, kappa, zeta, libm_power)
     return float((np.abs(formula - u_star) / u_star).max())
 
 
 def cmd_simulate(run: Run) -> int:
+    from .planner import DmpCurve, IsoelasticCurve
+
     econ, shocks, noise, seed = _load_scenario(run.cfg)
     panel = synth_panel(econ, *shocks, noise_scale=noise, seed=seed)
     zeta, kappa = dmp_stats(econ)

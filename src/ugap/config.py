@@ -15,12 +15,13 @@ from importlib import resources
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import FirstFault, InputError
 from .quarters import parse_quarter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def read_text(path) -> str:
@@ -61,6 +62,8 @@ def parse_table(
     For the first row that does not, an InputError naming its line goes
     to faults, and the columns stop before the row.
     """
+    import numpy as np
+
     lines = list(map(str.strip, text.splitlines()))
     n = len(lines)
     # a line is a header when its first field, stripped and in lower case, is columns[0]
@@ -94,6 +97,8 @@ def parse_floats(texts: Sequence[str], faults: FirstFault, error) -> np.ndarray:
 
     The values stop before that text.
     """
+    import numpy as np
+
     values: list[float] = []
     try:
         values.extend(map(float, texts))  # a failing extend keeps what it appended

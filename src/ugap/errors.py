@@ -5,10 +5,10 @@ value is bad, and its message names what is wrong and where.
 ``PropertyViolation`` is exit code 1: the inputs were valid but a
 verified property failed. No caller tells input faults apart by kind,
 so there is one class for them. ``FirstFault`` lets a reader that checks
-whole columns report the fault a row-by-row reader would.
+whole columns report the fault a row-by-row reader would. Only the
+column check loads numpy, so a command that reads no column starts
+without it.
 """
-
-import numpy as np
 
 
 class InputError(Exception):
@@ -41,6 +41,8 @@ class FirstFault:
 
     def check(self, bad, error) -> None:
         """Record error(i) for the first row i, before every fault so far, where bad is true."""
+        import numpy as np
+
         bad = np.asarray(bad[: self.rows], dtype=bool)
         if bad.any():
             self.at(int(bad.argmax()), error)

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import InputError
-from .ingest import LaborMarketPanel
 from .quarters import quarter_label, write_quarter_rows
-from .regimes import Schedule
+
+if TYPE_CHECKING:
+    from .ingest import LaborMarketPanel
+    from .regimes import Schedule
 
 INEFFICIENTLY_SLACK = "inefficiently_slack"
 INEFFICIENTLY_TIGHT = "inefficiently_tight"

@@ -9,17 +9,20 @@ a label is parsed or printed.
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .errors import FirstFault, InputError
 
-_PLACES = np.array([1000, 100, 10, 1])
+if TYPE_CHECKING:
+    import numpy as np
+
+_PLACES = (1000, 100, 10, 1)
 
 
 def _code_points(texts: Sequence[str], width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each text, stripped of surrounding blanks, as a row of width code points; and which have that width."""
+    import numpy as np
+
     stripped = list(map(str.strip, texts))
     fits = np.fromiter(map(len, stripped), np.int64, len(stripped)) == width
     codes = np.array(stripped, dtype=f"U{width}").view(np.uint32).reshape(-1, width)
@@ -28,6 +31,8 @@ def _code_points(texts: Sequence[str], width: int) -> tuple[np.ndarray, np.ndarr
 
 def _decimal(codes: np.ndarray) -> np.ndarray:
     """The digit each code point is to a regular expression's \\d (any Unicode decimal digit), else -1."""
+    import numpy as np
+
     digits = np.where((48 <= codes) & (codes <= 57), codes - 48, -1)
     wide = codes > 127
     if wide.any():
@@ -49,11 +54,11 @@ def _quarters(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_quarter(text: str) -> int:
-    """The index of a YYYYQn label (surrounding blanks and a lower-case q allowed)."""
-    index, bad = _quarters([text])
-    if bad[0]:
+    """The index of a YYYYQn label (surrounding blanks and a lower-case q allowed), by the grammar of _quarters."""
+    t = text.strip()
+    if len(t) != 6 or not t[:4].isdecimal() or t[4] not in "Qq" or t[5] not in "1234":
         raise InputError(f"bad quarter label {text!r}, expected YYYYQn")
-    return int(index[0])
+    return 4 * int(t[:4]) + int(t[5]) - 1
 
 
 def parse_quarters(labels: Sequence[str], linenos: Sequence[int], what: str, faults: FirstFault) -> np.ndarray:

@@ -9,6 +9,11 @@ from scalar_formulas import SufficientStats
 from ugap.errors import InputError
 
 
+# the keys study_bounds reads: the earnings-to-marginal-product factors and the rates they divide
+FACTORS = ["mpl_wedge_lo", "payroll_tax", "mpl_wedge_hi", "recency_undo"]
+RATES = ["benefit_replacement_lo", "benefit_replacement_hi", "wage_replacement", "benefit_offset"]
+
+
 def survey_kappa(profile, share, u, v):
     return replace(profile, recruiting_share=share, u_survey=u, v_survey=v).kappa()
 
@@ -72,9 +77,10 @@ class TestMplFactor:
         with pytest.raises(InputError, match="'mpl_wedge_lo' must be >= 1"):
             mpl_factors(profile, mpl_wedge_lo=0.9, payroll_tax=1.077)
 
-    @pytest.mark.parametrize("key", ["mpl_wedge_lo", "payroll_tax", "mpl_wedge_hi", "recency_undo"])
+    @pytest.mark.parametrize("key", FACTORS + RATES)
     def test_nan_factor_rejected(self, profile, key):
-        with pytest.raises(InputError, match=f"^calibration profile key '{key}' must be >= 1, got nan$"):
+        rule = ">= 1" if key in FACTORS else r"in \[0,1\]"
+        with pytest.raises(InputError, match=f"^calibration profile key '{key}' must be {rule}, got nan$"):
             replace(profile, **{key: math.nan}).study_bounds()
 
 

@@ -915,3 +915,51 @@ def test_import_loads_no_network_modules():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def loaded_modules(*args) -> tuple[int, set[str]]:
+    """The exit code of ugap with args in a fresh interpreter, and the modules loaded by its end."""
+    code = "\n".join([
+        "import sys",
+        "from ugap.cli import main",
+        "try:",
+        "    sys.exit(main(sys.argv[1:]))",
+        "finally:",
+        "    print(*sorted(sys.modules), file=sys.stderr)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True)
+    return done.returncode, set(done.stderr.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def recomputed(tmp_path_factory):
+    out = tmp_path_factory.mktemp("recomputed")
+    assert run("report", "--recompute", "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    ("args", "code"),
+    [(("report", "--out", "{recomputed}"), 0), (("--help",), 0), (("fit", "--zeta-list", "abc"), 2)],
+    ids=["report", "help", "usage-error"],
+)
+def test_light_commands_start_without_numpy(recomputed, args, code):
+    rc, modules = loaded_modules(*(arg.format(recomputed=recomputed) for arg in args))
+    assert rc == code
+    assert "ugap.cli" in modules and "numpy" not in modules
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit", "gap", "sensitivity"])
+def test_only_simulate_loads_the_planner(command, tmp_path):
+    rc, modules = loaded_modules(command, "--out", tmp_path)
+    assert rc == 0
+    assert "numpy" in modules and "ugap.planner" not in modules
+
+
+def test_simulate_loads_no_figure_regime_or_calibration_layer(tmp_path):
+    rc, modules = loaded_modules("simulate", "--out", tmp_path)
+    assert rc == 0
+    assert "ugap.planner" in modules
+    assert modules & {"ugap.svgfig", "ugap.regimes", "ugap.calibration"} == set()

@@ -4,8 +4,9 @@ Every reader must turn bad text into an InputError subclass, never a raw
 exception. The readers check whole columns; the per-line readers they
 replaced are kept here as references, and on every fuzzed file each
 reader must return bit-identical columns or raise the same exception
-type with the same message. to_quarterly must agree exactly with a plain
-per-bucket reference written here.
+type with the same message. The one-label parse_quarter must agree with
+the column reader on every fuzzed label. to_quarterly must agree exactly
+with a plain per-bucket reference written here.
 """
 
 import csv
@@ -63,6 +64,18 @@ def lines_of(*columns):
     )
     return st.lists(line, max_size=8).map("\n".join)
 
+
+# labels near YYYYQn: digits of any script and superscripts, either case
+# of Q or another letter, quarters past 4, blanks, NUL and a lone surrogate
+NEAR_DIGITS = st.characters(categories=["Nd", "No"]) | st.sampled_from("0123456789")
+near_quarter = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", "", " ", "\u3000", "\x00"]),
+    st.text(NEAR_DIGITS, min_size=4, max_size=4) | st.text(NEAR_DIGITS, max_size=5),
+    st.sampled_from("QqQqXＱ"),
+    st.sampled_from("1234") | st.text(NEAR_DIGITS | st.sampled_from("05"), max_size=2),
+    st.sampled_from(["", "", " ", "\x00", "\ud800"]),
+)
 
 table_text = st.one_of(
     lines_of(DATES, VALUES),
@@ -263,6 +276,14 @@ def raising(read):
     return call
 
 
+def one_quarter(label):
+    """parse_quarters on label alone, as parse_quarter answers: the index, or the message less its line prefix."""
+    got = outcome(raising(parse_quarters), [label], [1], "label")
+    if isinstance(got[0], type):
+        return got[0], got[1].removeprefix("label line 1: ")
+    return int(got[0])
+
+
 def only_input_errors(read, *args):
     try:
         read(*args)
@@ -271,8 +292,8 @@ def only_input_errors(read, *args):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(table_text, st.sampled_from(["fraction", "percent"]))
-def test_readers_raise_only_input_errors(text, unit):
+@given(table_text, st.sampled_from(["fraction", "percent"]), near_quarter)
+def test_readers_raise_only_input_errors(text, unit, near):
     lines = text.splitlines()
     only_input_errors(parse_series_csv, "date,value\n" + text, unit)
     only_input_errors(parse_series_csv, text, unit)
@@ -282,8 +303,8 @@ def test_readers_raise_only_input_errors(text, unit):
     only_input_errors(parse_kv_text, text)
     fields = [f for line in lines for f in line.split(",")]
     only_input_errors(raising(parse_quarters), fields, list(range(len(fields))), "label")
-    for label in [text, *fields]:
-        only_input_errors(parse_quarter, label)
+    for label in [text, *fields, near]:
+        assert outcome(parse_quarter, label) == one_quarter(label)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
