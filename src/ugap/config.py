@@ -1,8 +1,13 @@
-"""Run configuration: flat key = value files with section headers.
+"""Run configuration, and the two text grammars of ugap's inputs.
 
-Every key can be overridden by a CLI flag; flags win. Relative paths in
-a config file resolve against the file's own directory, which is what
-lets the bundled default config point at the bundled data.
+`key = value` files with section headers (the run config, the
+calibration profile and the scenario) are read through KeyValues. Every
+comma-separated table (the three monthly series, the regimes,
+recessions, kappa file and shocks) is read through parse_table, whose
+docstring states the grammar. Every config key can be overridden by a
+CLI flag; flags win. Relative paths in a config file resolve against
+the file's own directory, which is what lets the bundled default config
+point at the bundled data.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -56,28 +60,22 @@ def parse_table(
 ) -> tuple[np.ndarray, list[list[str]]]:
     """The line numbers and the columns of the data rows of a small comma-separated table.
 
-    Blank lines, `#` comments and the header row (first field equal to
-    columns[0], in any case) are skipped; every other row must have
-    exactly len(columns) fields, and each field is stripped of blanks.
-    For the first row that does not, an InputError naming its line goes
-    to faults, and the columns stop before the row.
+    This is the grammar of every CSV file ugap reads: blank lines and
+    lines starting with `#` are skipped; the first remaining line is the
+    header, and skipped, when its first field, stripped and in any case,
+    is columns[0]; every other line has exactly len(columns) fields,
+    comma-separated, each stripped of blanks; nothing is quoted. For the
+    first row that does not, an InputError naming its line goes to
+    faults, and the columns stop before the row.
     """
     import numpy as np
 
     lines = list(map(str.strip, text.splitlines()))
-    n = len(lines)
-    # a line is a header when its first field, stripped and in lower case, is columns[0]
-    first = map(str.lower, map(str.rstrip, map(itemgetter(0), map(str.partition, lines, repeat(",")))))
-    header = map(columns[0].__eq__, first)
-    data = (
-        np.fromiter(map(bool, lines), bool, n)
-        & ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, n)
-        & ~np.fromiter(header, bool, n)
-    )
-    del first, header  # they hold on to lines
-    kept = np.flatnonzero(data)
-    rows = list(map(lines.__getitem__, kept.tolist()))
-    linenos = kept + 1
+    kept = [i for i, line in enumerate(lines) if line and line[0] != "#"]
+    if kept and lines[kept[0]].partition(",")[0].rstrip().lower() == columns[0]:
+        del kept[0]
+    rows = list(map(lines.__getitem__, kept))
+    linenos = np.array(kept, dtype=np.int64) + 1
     commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
     faults.check(
         commas != len(columns) - 1,

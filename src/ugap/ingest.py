@@ -12,15 +12,13 @@ v, which the fitting and gap layers read directly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TextIO
 
 import numpy as np
 
-from .config import parse_floats
+from .config import parse_floats, parse_table
 from .errors import FirstFault, InputError
 from .quarters import quarter_label, write_quarter_rows, year_month
 
@@ -96,67 +94,38 @@ class LaborMarketPanel:
 
 
 def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
-    """Parse a `date,value` CSV with YYYY-MM dates into a month-indexed series.
+    """Parse a `date,value` table with YYYY-MM dates into a month-indexed series.
 
-    value_unit is "fraction" or "percent"; percent values are divided by
-    100. The series comes back sorted by month. Malformed rows, duplicate
-    dates and negative values are fatal, and the error names the first
-    faulty row. csv.reader splits the rows; the dates and values are then
-    checked a column at a time.
+    The table is read by config.parse_table, so it has that grammar:
+    `#` comments, a header on the first line only, exactly two unquoted
+    columns. value_unit is "fraction" or "percent"; percent values are
+    divided by 100. The series comes back sorted by month. Malformed
+    rows, duplicate dates and negative values are fatal, and the error
+    names the first faulty line; the dates and values are checked a
+    column at a time.
     """
     if value_unit not in ("fraction", "percent"):
         raise InputError(f"unknown value unit {value_unit!r}")
-    reader = csv.reader(text.splitlines())
-    rows: list[list[str]] = []
-    try:
-        rows.extend(reader)  # a failing extend keeps the rows before the bad one
-        unreadable = None
-    except csv.Error as exc:
-        unreadable = InputError(f"line {reader.line_num}: {exc}")
-        if not rows:
-            raise unreadable from None
-    if not rows:
-        raise InputError("empty series file")
-    header = rows[0]
-    if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
-        raise InputError(f"expected header 'date,value', got {','.join(header)!r}")
-
-    # rows are numbered from the header on; empty rows and rows of one
-    # blank field are skipped
-    body = rows[1:]
-    width = np.fromiter(map(len, body), np.int64, len(body))
-    blank = width == 0
-    single = np.flatnonzero(width == 1)
-    blank[single] = [not body[i][0].strip() for i in single.tolist()]
-    kept = np.flatnonzero(~blank)
-    rows, linenos = list(map(body.__getitem__, kept.tolist())), kept + 2
     faults = FirstFault()
-    if unreadable is not None:
-        faults.at(len(rows), lambda i: unreadable)
-    faults.check(
-        width[kept] < 2,
-        lambda i: InputError(f"line {linenos[i]}: expected 'date,value', got {','.join(rows[i])!r}"),
-    )
-    dates = list(map(itemgetter(0), rows[: faults.rows]))
-    raw = list(map(itemgetter(1), rows[: faults.rows]))
+    linenos, (dates, raw) = parse_table(text, ("date", "value"), "series", faults)
     year, month, bad_date = year_month(dates)
     faults.check(
-        bad_date, lambda i: InputError(f"line {linenos[i]}: bad date {dates[i]!r}, expected YYYY-MM")
+        bad_date, lambda i: InputError(f"series line {linenos[i]}: bad date {dates[i]!r}, expected YYYY-MM")
     )
     faults.check(
         (month < 1) | (month > 12),
-        lambda i: InputError(f"line {linenos[i]}: month out of range in {dates[i]!r}"),
+        lambda i: InputError(f"series line {linenos[i]}: month out of range in {dates[i]!r}"),
     )
     values = parse_floats(
-        raw[: faults.rows], faults, lambda i: InputError(f"line {linenos[i]}: bad value {raw[i]!r}")
+        raw[: faults.rows], faults, lambda i: InputError(f"series line {linenos[i]}: bad value {raw[i]!r}")
     )
     faults.check(
-        ~np.isfinite(values), lambda i: InputError(f"line {linenos[i]}: non-finite value {raw[i]!r}")
+        ~np.isfinite(values), lambda i: InputError(f"series line {linenos[i]}: non-finite value {raw[i]!r}")
     )
     faults.check(
         values < 0,
         lambda i: InputError(
-            f"line {linenos[i]}: negative rate {float(values[i])} at {year[i]}-{month[i]:02d}"
+            f"series line {linenos[i]}: negative rate {float(values[i])} at {year[i]}-{month[i]:02d}"
         ),
     )
     faults.raise_first()
@@ -171,7 +140,7 @@ def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
         linenos_sorted = linenos[order]
         i = repeats[np.argmin(linenos_sorted[repeats])]
         year, month = divmod(int(index[i]), 12)
-        raise InputError(f"line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
+        raise InputError(f"series line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
     column = values[order]
     if value_unit == "percent":
         column /= 100.0

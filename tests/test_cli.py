@@ -77,7 +77,7 @@ class TestIngest:
         series = tmp_path / "series.csv"
         series.write_text("date,value\n2001-01,3.8\n2001-02,3.7\n2001-03,3.6\n2001-04,abc\n")
         assert run("ingest", flag, series, "--out", tmp_path / "out") == 2
-        assert capsys.readouterr().err == f"error: {series}: line 5: bad value 'abc'\n"
+        assert capsys.readouterr().err == f"error: {series}: series line 5: bad value 'abc'\n"
 
     def test_series_ending_mid_quarter_reports_the_dropped_quarter(self, tmp_path, capsys):
         series = tmp_path / "u.csv"
@@ -956,10 +956,11 @@ def test_only_simulate_loads_the_planner(command, tmp_path):
     rc, modules = loaded_modules(command, "--out", tmp_path)
     assert rc == 0
     assert "numpy" in modules and "ugap.planner" not in modules
+    assert "csv" not in modules
 
 
 def test_simulate_loads_no_figure_regime_or_calibration_layer(tmp_path):
     rc, modules = loaded_modules("simulate", "--out", tmp_path)
     assert rc == 0
     assert "ugap.planner" in modules
-    assert modules & {"ugap.svgfig", "ugap.regimes", "ugap.calibration"} == set()
+    assert modules & {"ugap.svgfig", "ugap.regimes", "ugap.calibration", "csv"} == set()

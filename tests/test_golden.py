@@ -4,12 +4,19 @@ The table below holds the sha256 of each file the six commands write on
 the bundled data and config, and of each command's stdout with the output
 directory replaced by OUT, and of the parser's help and usage-error
 output. Any change to an output byte fails here; update a digest only for
-a change that is meant to alter that output.
+a change that is meant to alter that output. The pins must not depend on
+the SIMD kernels numpy picks for the host CPU, so the steps are also run
+with numpy's AVX-512 kernels disabled.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +31,10 @@ STEPS = (
     ("simulate",),
 )
 SIMULATE_FILES = {"synthetic_panel.csv", "simulation_report.json"}
+# twelve power columns, as in the benchmark's long-history workload
+TWELVE_ZETAS = ("sensitivity", "--zeta-list", "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.5,0.75,0.96")
+# numpy's AVX-512 dispatch targets, which NPY_DISABLE_CPU_FEATURES can turn off
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 GOLDEN_FILES = {
     "estimates.csv": "5d7054c4d6a8f7f2a6f88316df2832e70f43e59f2797873d373b86f43ca44598",
@@ -135,3 +146,59 @@ def test_parser_output_bytes(case, monkeypatch):
     written, empty = (out, err) if stream == "out" else (err, out)
     assert empty.getvalue() == ""
     assert sha256(written.getvalue().encode()) == digest
+
+
+def dispatches_avx512(dispatch, features) -> bool:
+    """Whether numpy runs an AVX-512 kernel: one of AVX512 is a dispatch target and is enabled on this CPU."""
+    return any(target in dispatch and features.get(target, False) for target in AVX512)
+
+
+def numpy_dispatches_avx512() -> bool:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return dispatches_avx512(umath.__cpu_dispatch__, umath.__cpu_features__)
+
+
+# run in a fresh interpreter: the golden steps, then the twelve zetas, each in its own directory
+AVX512_OFF_RUN = """
+import json, sys
+from pathlib import Path
+from test_golden import STEPS, TWELVE_ZETAS, numpy_dispatches_avx512, run_steps
+out = Path(sys.argv[1])
+print(json.dumps([run_steps(out / "golden", STEPS), run_steps(out / "zetas", [TWELVE_ZETAS]), numpy_dispatches_avx512()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "dispatch,features,expected",
+    [
+        (["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"], {"X86_V3": True, "X86_V4": True, "AVX512_ICL": True}, True),
+        (["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"], {"X86_V3": True, "X86_V4": False, "AVX512_ICL": False}, False),
+        (["X86_V3"], {"X86_V3": True, "X86_V4": True}, False),
+        (["ASIMD", "ASIMDHP"], {"ASIMD": True}, False),
+        ([], {}, False),
+    ],
+)
+def test_avx512_is_dispatched_only_when_built_and_enabled(dispatch, features, expected):
+    assert dispatches_avx512(dispatch, features) is expected
+
+
+def test_goldens_hold_with_numpy_avx512_disabled(fresh, tmp_path, monkeypatch):
+    if not numpy_dispatches_avx512():
+        pytest.skip("numpy dispatches no AVX-512 kernel here, so the default path is the only one")
+    monkeypatch.delenv("TOOLKIT_SEED", raising=False)
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512)}
+    done = subprocess.run(
+        [sys.executable, "-c", AVX512_OFF_RUN, str(tmp_path / "off")], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    (files, printed), zetas, avx512 = json.loads(done.stdout)
+    assert avx512 is False  # the variable took effect in the child
+    assert (files, printed) == fresh
+    assert files == GOLDEN_FILES
+    assert {step: sha256(text.encode()) for step, text in printed.items()} == GOLDEN_STDOUT
+    assert zetas == list(run_steps(tmp_path / "default", [TWELVE_ZETAS]))

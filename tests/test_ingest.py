@@ -60,12 +60,29 @@ class TestParseSeries:
             parse_series_csv("date,value\n1951-01,3.7\n1951/02,3.8\n", "percent")
 
     def test_negative_value_rejected(self):
-        with pytest.raises(InputError, match="^line 2: negative rate -3.7 at 1951-01$"):
+        with pytest.raises(InputError, match="^series line 2: negative rate -3.7 at 1951-01$"):
             parse_series_csv("date,value\n1951-01,-3.7\n", "percent")
 
-    def test_header_required(self):
-        with pytest.raises(InputError, match="^expected header 'date,value', got 'month,rate'$"):
-            parse_series_csv("month,rate\n1951-01,3.7\n", "percent")
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            pytest.param("1951-01,3.7\n", [(12 * 1951, 3.7)], id="no-header"),
+            pytest.param("date,value\n# note\n1951-01,3.7\n", [(12 * 1951, 3.7)], id="comment"),
+            pytest.param("", [], id="empty"),
+            pytest.param("month,rate\n1951-01,3.7\n", "series line 1: bad date 'month', expected YYYY-MM", id="month-rate"),
+            pytest.param('date,value\n"1951-05",3.7\n', "series line 2: bad date '\"1951-05\"', expected YYYY-MM", id="quoted-date"),
+            pytest.param("date,value\n1951-01,3.7,x\n", "series line 2: expected 'date,value'", id="third-field"),
+        ],
+    )
+    def test_series_grammar(self, text, expected):
+        """A series has the grammar of every other table: a header only on its first line, comments, no quotes."""
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as exc:
+                parse_series_csv(text)
+            assert str(exc.value) == expected
+        else:
+            series = parse_series_csv(text)
+            assert list(zip(series.index.tolist(), series.values.tolist())) == expected
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(InputError, match="^unknown value unit 'bps'$"):
