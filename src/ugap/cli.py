@@ -15,7 +15,9 @@ At module level this imports only the standard library, config, errors
 and quarters; each layer is imported by the command or the Run property
 that first needs it. So `report` without --recompute, --help and every
 usage or config error start without numpy, and only simulate loads the
-planner.
+planner. Before anything loads numpy, `main` sets OPENBLAS_NUM_THREADS
+to 1 unless it is set already, so OpenBLAS starts no worker thread that
+ugap would leave idle.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .config import (
     parse_zeta_list,
     read_text,
 )
-from .errors import FirstFault, InputError, PropertyViolation
+from .errors import FirstFault, InputError, PropertyViolation, quoted
 from .quarters import parse_quarter, parse_quarters, quarter_label
 
 if TYPE_CHECKING:
@@ -171,7 +173,9 @@ class Run:
                 months = parse_series_csv(text, cfg.unit)
             except InputError as exc:
                 raise InputError(f"{path}: {exc}") from None
-            series[name] = to_quarterly(months)
+            quarterly, _ = series[name] = to_quarterly(months)
+            if not len(quarterly):
+                raise InputError(f"{path}: series has no complete quarter")
         (u_q, _), (pre_q, _), (post_q, _) = series.values()
         v_q = splice_vacancy(pre_q, post_q, cfg.cutover)
         pre_val, post_val = splice_jump(pre_q, post_q, cfg.cutover)
@@ -240,17 +244,17 @@ class Run:
         text = read_text(self.cfg.kappa_file)
         linenos, (labels, raw) = parse_table(text, ("regime", "kappa"), "kappa file", faults)
         values = parse_floats(
-            raw, faults, lambda i: InputError(f"kappa file line {linenos[i]}: bad kappa {raw[i]!r}")
+            raw, faults, lambda i: InputError(f"kappa file line {linenos[i]}: bad kappa {quoted(raw[i])}")
         )
         known = {regime.label for regime in self.table}
         faults.check(
             [label not in known for label in labels],
-            lambda i: InputError(f"kappa file line {linenos[i]}: unknown regime {labels[i]!r}"),
+            lambda i: InputError(f"kappa file line {linenos[i]}: unknown regime {quoted(labels[i])}"),
         )
         first: dict[str, int] = {}
         faults.check(
             [first.setdefault(label, i) != i for i, label in enumerate(labels)],
-            lambda i: InputError(f"kappa file line {linenos[i]}: regime {labels[i]!r} is listed twice"),
+            lambda i: InputError(f"kappa file line {linenos[i]}: regime {quoted(labels[i])} is listed twice"),
         )
         faults.check(
             ~((0.0 < values) & (values < math.inf)),
@@ -445,7 +449,7 @@ def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     def bad_multiplier(i: int) -> InputError:
         row = ",".join((labels[i], s[i], mu[i]))
-        return InputError(f"shock line {linenos[i]}: bad multiplier in {row!r}")
+        return InputError(f"shock line {linenos[i]}: bad multiplier in {quoted(row)}")
 
     s_mult = parse_floats(s, faults, bad_multiplier)
     mu_mult = parse_floats(mu, faults, bad_multiplier)
@@ -695,6 +699,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # ugap's arrays are small and its math elementwise, so it never uses
+        # the worker thread OpenBLAS starts for each CPU beyond the first
+        # when numpy loads; that idle thread costs a fresh process about
+        # 70 ms. A value the user has set is kept, and a process that has
+        # numpy loaded already keeps its environment as it is.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     handlers = {
         "ingest": cmd_ingest,

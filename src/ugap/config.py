@@ -21,7 +21,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import FirstFault, InputError
+from .errors import FirstFault, InputError, quoted
 from .quarters import parse_quarter
 
 if TYPE_CHECKING:
@@ -48,7 +48,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
             section = line[1:-1].strip()
             continue
         if "=" not in line:
-            raise InputError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise InputError(f"config line {lineno}: expected 'key = value', got {quoted(raw)}")
         key, value = line.split("=", 1)
         full = f"{section}.{key.strip()}" if section else key.strip()
         values[full] = value.strip()
@@ -111,14 +111,14 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "no", "0", "off"):
         return False
-    raise InputError(f"expected a boolean, got {text!r}")
+    raise InputError(f"expected a boolean, got {quoted(text)}")
 
 
 def parse_zeta_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise InputError(f"bad zeta list {text!r}") from None
+        raise InputError(f"bad zeta list {quoted(text)}") from None
     if not values:
         raise InputError("zeta list is empty")
     for z in values:
@@ -182,7 +182,7 @@ class KeyValues:
         try:
             return None if raw is None else kind(raw)
         except ValueError:
-            raise InputError(f"{self.what} key {key!r} is not a number: {raw!r}") from None
+            raise InputError(f"{self.what} key {key!r} is not a number: {quoted(raw)}") from None
 
     def path(self, key: str, required: bool = False) -> Path | None:
         raw = self.text(key, required=required)
@@ -202,7 +202,7 @@ def load_config(path: Path | None, overrides: dict | None = None) -> RunConfig:
     kv = KeyValues(path if path is not None else default_config_path(), "config")
     unit = kv.text("data.unit", "fraction")
     if unit not in ("fraction", "percent"):
-        raise InputError(f"data.unit must be fraction or percent, got {unit!r}")
+        raise InputError(f"data.unit must be fraction or percent, got {quoted(unit)}")
 
     cfg = RunConfig(
         u_series=kv.path("data.u_series", required=True),

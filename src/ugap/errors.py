@@ -1,4 +1,4 @@
-"""The two exceptions behind ugap's exit codes, and a helper for readers.
+"""The two exceptions behind ugap's exit codes, and two helpers for readers.
 
 ``InputError`` is exit code 2: an input file, option or configuration
 value is bad, and its message names what is wrong and where.
@@ -7,7 +7,8 @@ verified property failed. No caller tells input faults apart by kind,
 so there is one class for them. ``FirstFault`` lets a reader that checks
 whole columns report the fault a row-by-row reader would. Only the
 column check loads numpy, so a command that reads no column starts
-without it.
+without it. ``quoted`` echoes a field read from an input file in a
+message, clipped so that a huge field gives a short message.
 """
 
 
@@ -50,3 +51,10 @@ class FirstFault:
     def raise_first(self) -> None:
         if self.error is not None:
             raise self.error
+
+
+def quoted(text: str) -> str:
+    """repr(text) for a field of up to 40 characters; a longer one shows its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"

@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from .config import parse_floats, parse_table
-from .errors import FirstFault, InputError
+from .errors import FirstFault, InputError, quoted
 from .quarters import quarter_label, write_quarter_rows, year_month
 
 
@@ -110,17 +110,17 @@ def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
     linenos, (dates, raw) = parse_table(text, ("date", "value"), "series", faults)
     year, month, bad_date = year_month(dates)
     faults.check(
-        bad_date, lambda i: InputError(f"series line {linenos[i]}: bad date {dates[i]!r}, expected YYYY-MM")
+        bad_date, lambda i: InputError(f"series line {linenos[i]}: bad date {quoted(dates[i])}, expected YYYY-MM")
     )
     faults.check(
         (month < 1) | (month > 12),
-        lambda i: InputError(f"series line {linenos[i]}: month out of range in {dates[i]!r}"),
+        lambda i: InputError(f"series line {linenos[i]}: month out of range in {quoted(dates[i])}"),
     )
     values = parse_floats(
-        raw[: faults.rows], faults, lambda i: InputError(f"series line {linenos[i]}: bad value {raw[i]!r}")
+        raw[: faults.rows], faults, lambda i: InputError(f"series line {linenos[i]}: bad value {quoted(raw[i])}")
     )
     faults.check(
-        ~np.isfinite(values), lambda i: InputError(f"series line {linenos[i]}: non-finite value {raw[i]!r}")
+        ~np.isfinite(values), lambda i: InputError(f"series line {linenos[i]}: non-finite value {quoted(raw[i])}")
     )
     faults.check(
         values < 0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence, TextIO
 
-from .errors import FirstFault, InputError
+from .errors import FirstFault, InputError, quoted
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,7 +57,7 @@ def parse_quarter(text: str) -> int:
     """The index of a YYYYQn label (surrounding blanks and a lower-case q allowed), by the grammar of _quarters."""
     t = text.strip()
     if len(t) != 6 or not t[:4].isdecimal() or t[4] not in "Qq" or t[5] not in "1234":
-        raise InputError(f"bad quarter label {text!r}, expected YYYYQn")
+        raise InputError(f"bad quarter label {quoted(text)}, expected YYYYQn")
     return 4 * int(t[:4]) + int(t[5]) - 1
 
 
@@ -71,7 +71,7 @@ def parse_quarters(labels: Sequence[str], linenos: Sequence[int], what: str, fau
     index, bad = _quarters(labels)
     faults.check(
         bad,
-        lambda i: InputError(f"{what} line {linenos[i]}: bad quarter label {labels[i]!r}, expected YYYYQn"),
+        lambda i: InputError(f"{what} line {linenos[i]}: bad quarter label {quoted(labels[i])}, expected YYYYQn"),
     )
     return index
 

@@ -1,4 +1,6 @@
+import os
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,19 @@ from ugap.fitting import fit_all
 from ugap.ingest import build_panel, parse_series_csv, splice_vacancy, to_quarterly
 from ugap.quarters import parse_quarter
 from ugap.regimes import RegimeTable, build_schedule
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(*path: Path, **env: str | None) -> dict[str, str]:
+    """This process's environment for a fresh interpreter that imports ugap from src/, then from each of path.
+
+    env is added to it; a variable given as None is left out.
+    """
+    search = os.pathsep.join(filter(None, [str(SRC), *map(str, path), os.environ.get("PYTHONPATH")]))
+    merged = {**os.environ, "PYTHONPATH": search, **env}
+    return {k: v for k, v in merged.items() if v is not None}
 
 
 def bundled_text(name: str) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bundled_text
+from conftest import bundled_text, child_env
 from ugap.cli import main
 from ugap.config import bundled_data_dir
 from ugap.errors import InputError
@@ -78,6 +78,24 @@ class TestIngest:
         series.write_text("date,value\n2001-01,3.8\n2001-02,3.7\n2001-03,3.6\n2001-04,abc\n")
         assert run("ingest", flag, series, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err == f"error: {series}: series line 5: bad value 'abc'\n"
+
+    @pytest.mark.parametrize("rows", ["", "2001-01,3.8\n"], ids=["header-only", "one-month"])
+    @pytest.mark.parametrize("flag", ["--u-series", "--v-pre", "--v-post"])
+    def test_series_with_no_complete_quarter_names_its_file(self, tmp_path, capsys, flag, rows):
+        series = tmp_path / "series.csv"
+        series.write_text("date,value\n" + rows)
+        out = tmp_path / "out"
+        assert run("ingest", flag, series, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {series}: series has no complete quarter\n"
+        assert not out.exists()
+
+    def test_a_huge_field_is_clipped_in_its_error(self, tmp_path, capsys):
+        series = tmp_path / "u.csv"
+        series.write_text("date,value\n2001-01," + "1" * 131073 + "\n")
+        assert run("ingest", "--u-series", series, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {series}: series line 2: non-finite value '{'1' * 40}'... (131073 characters)\n"
+        assert len(err) < 200
 
     def test_series_ending_mid_quarter_reports_the_dropped_quarter(self, tmp_path, capsys):
         series = tmp_path / "u.csv"
@@ -828,12 +846,8 @@ def test_zetas_sharing_a_tag_exit_2(tmp_path, capsys, zetas, values):
 
 def run_child(*args, **env) -> subprocess.CompletedProcess:
     """ugap in a fresh interpreter, with env added to this process's environment."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    child_env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
-    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child_env.update(env)
     argv = [sys.executable, "-m", "ugap.cli", *map(str, args)]
-    return subprocess.run(argv, env=child_env, capture_output=True, text=True)
+    return subprocess.run(argv, env=child_env(**{"PYTHONIOENCODING": None, **env}), capture_output=True, text=True)
 
 
 class TestTextEncoding:
@@ -911,26 +925,33 @@ def test_import_loads_no_network_modules():
         "import sys, ugap.cli; "
         "print(sorted(m for m in ('urllib.request', 'http', 'ssl', 'email', 'xml.sax') if m in sys.modules))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
-def loaded_modules(*args) -> tuple[int, set[str]]:
-    """The exit code of ugap with args in a fresh interpreter, and the modules loaded by its end."""
+def loaded_modules(*args, **env) -> tuple[int, set[str], int | None]:
+    """ugap with args in a fresh interpreter, env added to its environment (None leaves a variable out).
+
+    The exit code, the modules loaded by its end, and its thread count
+    then, from /proc/self/status, or None where that file is missing.
+    """
     code = "\n".join([
         "import sys",
         "from ugap.cli import main",
         "try:",
         "    sys.exit(main(sys.argv[1:]))",
         "finally:",
+        "    try:",
+        "        threads = [line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')]",
+        "    except OSError:",
+        "        threads = []",
+        "    print(*threads, file=sys.stderr)",
         "    print(*sorted(sys.modules), file=sys.stderr)",
     ])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True)
-    return done.returncode, set(done.stderr.splitlines()[-1].split())
+    argv = [sys.executable, "-c", code, *map(str, args)]
+    done = subprocess.run(argv, env=child_env(**env), capture_output=True, text=True)
+    *_, threads, modules = done.stderr.splitlines()
+    return done.returncode, set(modules.split()), int(threads) if threads else None
 
 
 @pytest.fixture(scope="module")
@@ -946,21 +967,50 @@ def recomputed(tmp_path_factory):
     ids=["report", "help", "usage-error"],
 )
 def test_light_commands_start_without_numpy(recomputed, args, code):
-    rc, modules = loaded_modules(*(arg.format(recomputed=recomputed) for arg in args))
+    rc, modules, _ = loaded_modules(*(arg.format(recomputed=recomputed) for arg in args))
     assert rc == code
     assert "ugap.cli" in modules and "numpy" not in modules
 
 
 @pytest.mark.parametrize("command", ["ingest", "fit", "gap", "sensitivity"])
 def test_only_simulate_loads_the_planner(command, tmp_path):
-    rc, modules = loaded_modules(command, "--out", tmp_path)
+    rc, modules, _ = loaded_modules(command, "--out", tmp_path)
     assert rc == 0
     assert "numpy" in modules and "ugap.planner" not in modules
     assert "csv" not in modules
 
 
+def threads_at_exit(*args, **env) -> int:
+    """The thread count at the end of a fresh, successful ugap run; skips where it cannot be read."""
+    rc, _, threads = loaded_modules(*args, **env)
+    assert rc == 0
+    if threads is None:
+        pytest.skip("no /proc/self/status to count threads in")
+    return threads
+
+
+@pytest.mark.parametrize("command", ["gap", "simulate"])
+def test_fresh_commands_start_openblas_with_one_thread(command, tmp_path):
+    # OpenBLAS would start a worker for each CPU beyond the first
+    assert threads_at_exit(command, "--out", tmp_path, OPENBLAS_NUM_THREADS=None) == 1
+
+
+def test_a_set_openblas_thread_count_is_kept(tmp_path):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no worker thread on one CPU")
+    assert threads_at_exit("gap", "--out", tmp_path, OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_in_process_main_leaves_the_environment_alone(tmp_path, monkeypatch):
+    assert "numpy" in sys.modules  # conftest imports the layers that load it
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert run("gap", "--out", tmp_path) == 0
+    assert dict(os.environ) == before
+
+
 def test_simulate_loads_no_figure_regime_or_calibration_layer(tmp_path):
-    rc, modules = loaded_modules("simulate", "--out", tmp_path)
+    rc, modules, _ = loaded_modules("simulate", "--out", tmp_path)
     assert rc == 0
     assert "ugap.planner" in modules
     assert modules & {"ugap.svgfig", "ugap.regimes", "ugap.calibration", "csv"} == set()

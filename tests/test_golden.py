@@ -13,13 +13,13 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from ugap.cli import main
 
 STEPS = (
@@ -189,9 +189,7 @@ def test_goldens_hold_with_numpy_avx512_disabled(fresh, tmp_path, monkeypatch):
     if not numpy_dispatches_avx512():
         pytest.skip("numpy dispatches no AVX-512 kernel here, so the default path is the only one")
     monkeypatch.delenv("TOOLKIT_SEED", raising=False)
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512)}
+    env = child_env(Path(__file__).resolve().parent, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
     done = subprocess.run(
         [sys.executable, "-c", AVX512_OFF_RUN, str(tmp_path / "off")], env=env, capture_output=True, text=True
     )

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ugap.cli import _shock_columns
 from ugap.config import parse_kv_text, parse_table
-from ugap.errors import FirstFault, InputError
+from ugap.errors import FirstFault, InputError, quoted
 from ugap.ingest import Series, parse_series_csv, to_quarterly
 from ugap.quarters import parse_quarter, parse_quarters, quarter_label
 from ugap.regimes import Regime, RegimeTable
@@ -141,7 +141,7 @@ def reference_quarter(text, what, lineno):
     m = _QUARTER_RE.match(text.strip())
     if m is None:
         # deliberate change: the per-line readers named no line here
-        raise InputError(f"{what} line {lineno}: bad quarter label {text!r}, expected YYYYQn")
+        raise InputError(f"{what} line {lineno}: bad quarter label {quoted(text)}, expected YYYYQn")
     return 4 * int(m.group(1)) + int(m.group(2)) - 1
 
 
@@ -167,16 +167,16 @@ def reference_series(text, value_unit="fraction"):
     for lineno, (date, raw) in reference_table(text, ("date", "value"), "series"):
         m = _DATE_RE.match(date)
         if m is None:
-            raise InputError(f"series line {lineno}: bad date {date!r}, expected YYYY-MM")
+            raise InputError(f"series line {lineno}: bad date {quoted(date)}, expected YYYY-MM")
         year, month = int(m.group(1)), int(m.group(2))
         if not 1 <= month <= 12:
-            raise InputError(f"series line {lineno}: month out of range in {date!r}")
+            raise InputError(f"series line {lineno}: month out of range in {quoted(date)}")
         try:
             value = float(raw)
         except ValueError:
-            raise InputError(f"series line {lineno}: bad value {raw!r}") from None
+            raise InputError(f"series line {lineno}: bad value {quoted(raw)}") from None
         if not math.isfinite(value):
-            raise InputError(f"series line {lineno}: non-finite value {raw!r}")
+            raise InputError(f"series line {lineno}: non-finite value {quoted(raw)}")
         if value < 0:
             raise InputError(f"series line {lineno}: negative rate {value} at {year}-{month:02d}")
         months.append(12 * year + month - 1)
@@ -205,7 +205,7 @@ def reference_shocks(text):
         try:
             path.append((quarter, float(row[1]), float(row[2])))
         except ValueError:
-            raise InputError(f"shock line {lineno}: bad multiplier in {','.join(row)!r}") from None
+            raise InputError(f"shock line {lineno}: bad multiplier in {quoted(','.join(row))}") from None
         # deliberate change: quarters must increase
         if len(path) > 1 and path[-1][0] <= path[-2][0]:
             raise InputError(f"shock line {lineno}: quarters must increase, {row[0]} follows {labels[-1]}")
@@ -339,6 +339,16 @@ def test_the_first_faulty_line_wins_across_columns_and_checks():
     # a regime that ends before it starts on line 1 beats the bad label on line 2
     text = "a,1960Q1,1950Q1\nb,1970Q1,19X0Q1\n"
     assert outcome(RegimeTable.from_text, text) == (InputError, "regime 'a' ends before it starts")
+
+
+def test_fields_past_40_characters_are_clipped_in_messages():
+    assert quoted("a'b") == repr("a'b")
+    assert quoted("x" * 40) == repr("x" * 40)
+    assert quoted("x" * 41) == f"'{'x' * 40}'... (41 characters)"
+    assert outcome(parse_kv_text, "no equals sign " * 1000)[1] == (
+        f"config line 1: expected 'key = value', got '{('no equals sign ' * 3)[:40]}'... (15000 characters)"
+    )
+    assert outcome(parse_quarter, "1" * 5000)[1] == f"bad quarter label '{'1' * 40}'... (5000 characters), expected YYYYQn"
 
 
 def reference_quarterly(rows):
