@@ -6,7 +6,15 @@ invocation builds one lazy `Run`, and every command renders from it, so
 schedule and reads the kappa file once for all four steps. `simulate`
 keeps the shock table as columns from the reader through synth_panel to
 the round-trip error, which takes its powers through libm, so the
-reported digits are those of a quarter-by-quarter loop. Exit codes
+reported digits are those of a quarter-by-quarter loop.
+
+Each output is written once per invocation. ingest, gap and sensitivity
+only record their sections of summary.json in the Run, and `main` writes
+the file once, at the end of the command, also when a later step fails,
+so it holds the section of every step that finished; `report
+--recompute` writes it before it reads the sections back for report.md.
+The Run makes each output directory once, when the command writes its
+first file there. Exit codes
 are a stable contract for scripting: 0 success, 1 a verified property
 failed, 2 bad input or configuration. All outputs are deterministic
 given the config and inputs, so repeated runs are byte-identical.
@@ -98,14 +106,8 @@ def _round_floats(obj):
     return obj
 
 
-def _made(path: Path) -> Path:
-    """path, once its directory exists: a command makes no directory before it writes its first file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    _made(path).write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _fit_figure(label: str) -> str:
@@ -133,11 +135,6 @@ def _read_summary(path: Path) -> dict:
     return summary
 
 
-def _update_summary(out_dir: Path, summary: dict, section: str, payload: dict) -> None:
-    summary[section] = payload
-    _write_json(out_dir / "summary.json", summary)
-
-
 def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int, int]]:
     """(first, last) panel indices covered by each recession, for figure shading."""
     if path is None:
@@ -161,6 +158,15 @@ class Run:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self._made_dirs: set[Path] = set()
+        self._summary_pending = False
+
+    def made(self, path: Path) -> Path:
+        """path, once its directory exists: a run makes each directory once, and none before its first file."""
+        if path.parent not in self._made_dirs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._made_dirs.add(path.parent)
+        return path
 
     @cached_property
     def ingested(self) -> tuple[LaborMarketPanel, dict]:
@@ -202,9 +208,22 @@ class Run:
         """The sections of the output directory's summary.json, which ingest, gap and sensitivity add to.
 
         Each of them reads it before it writes anything, so a bad file
-        stops the command with no artifact written.
+        stops the command with no artifact written. A step only records
+        its section here; the command writes the file once, at its end
+        (`write_summary`), with the section of every step that finished,
+        also when a later step fails.
         """
         return _read_summary(Path(self.cfg.out_dir) / "summary.json")
+
+    def update_summary(self, section: str, payload: dict) -> None:
+        self.summary[section] = payload
+        self._summary_pending = True
+
+    def write_summary(self) -> None:
+        """Write summary.json if a step recorded a section since it was last written."""
+        if self._summary_pending:
+            _write_json(self.made(Path(self.cfg.out_dir) / "summary.json"), self.summary)
+            self._summary_pending = False
 
     @cached_property
     def table(self) -> RegimeTable:
@@ -283,13 +302,13 @@ class Run:
 
 def cmd_ingest(run: Run) -> int:
     out = Path(run.cfg.out_dir)
-    summary = run.summary
+    run.summary  # read first: a bad summary.json stops the command before it writes
     panel, audit = run.ingested
     svg = run.timeseries(  # first: it reads the recessions file, which must fail before any output
         "Unemployment and vacancy rates",
         [("unemployment", panel.u), ("vacancies", panel.v)],
     )
-    with open(_made(out / "panel.csv"), "w", encoding="utf-8") as fh:
+    with open(run.made(out / "panel.csv"), "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
     for series, dropped in audit["dropped"].items():
         for item in dropped:
@@ -303,8 +322,8 @@ def cmd_ingest(run: Run) -> int:
             jump=splice["relative_jump"],
         )
     )
-    _made(out / "figures" / "rates_timeseries.svg").write_text(svg, encoding="utf-8")
-    _update_summary(out, summary, "ingest", {"n_quarters": len(panel), "splice": splice})
+    run.made(out / "figures" / "rates_timeseries.svg").write_text(svg, encoding="utf-8")
+    run.update_summary("ingest", {"n_quarters": len(panel), "splice": splice})
     first, last = quarter_label(panel.quarters[0]), quarter_label(panel.quarters[-1])
     print(f"panel: {len(panel)} quarters {first}..{last} -> {out / 'panel.csv'}")
     return 0
@@ -318,7 +337,7 @@ def cmd_fit(run: Run) -> int:
     fitted = RegimeTable(tuple(r for r in run.table if r.label in labels))
     names = [_fit_figure(regime.label) for regime in fitted]  # checked before anything is written
     out = Path(run.cfg.out_dir)
-    with open(_made(out / "estimates.csv"), "w", encoding="utf-8") as fh:
+    with open(run.made(out / "estimates.csv"), "w", encoding="utf-8") as fh:
         write_estimates_csv(estimates, fitted, fh)
     for regime, est, name in zip(fitted, estimates, names):
         sub = run.panel.between(regime.start, regime.end)
@@ -329,7 +348,7 @@ def cmd_fit(run: Run) -> int:
             slope=-est.epsilon,
             intercept=est.log_v0,
         )
-        _made(out / "figures" / name).write_text(svg, encoding="utf-8")
+        run.made(out / "figures" / name).write_text(svg, encoding="utf-8")
         print(
             f"{regime.label}: epsilon={est.epsilon:.4f} se={est.se_epsilon:.4f} "
             f"r2={est.r_squared:.4f} n={est.n_obs}"
@@ -345,7 +364,7 @@ def cmd_gap(run: Run) -> int:
 
     cfg = run.cfg
     out = Path(cfg.out_dir)
-    summary = run.summary
+    run.summary  # read first: a bad summary.json stops the command before it writes
     schedule = run.schedule
     kappa, zeta = run.calibration
     panel = run.panel
@@ -354,7 +373,7 @@ def cmd_gap(run: Run) -> int:
         "Actual and efficient unemployment rate",
         [("unemployment", panel.u), ("efficient rate", series.u_star)],
     )
-    with open(_made(out / "gap.csv"), "w", encoding="utf-8") as fh:
+    with open(run.made(out / "gap.csv"), "w", encoding="utf-8") as fh:
         gap_mod.write_gap_csv(panel, series, fh)
 
     summary_all = gap_mod.summarize(panel, series, exclude_gap_quarters=False)
@@ -368,8 +387,8 @@ def cmd_gap(run: Run) -> int:
         "all_quarters": asdict(summary_all),
         "excluding_gap_quarters": asdict(summary_core),
     }
-    _update_summary(out, summary, "gap", payload)
-    _made(out / "figures" / "gap_unemployment.svg").write_text(svg, encoding="utf-8")
+    run.update_summary("gap", payload)
+    run.made(out / "figures" / "gap_unemployment.svg").write_text(svg, encoding="utf-8")
 
     shown = summary_core if cfg.exclude_gap_quarters else summary_all
     print(
@@ -392,7 +411,7 @@ def cmd_sensitivity(run: Run) -> int:
 
     cfg = run.cfg
     out = Path(cfg.out_dir)
-    summary = run.summary
+    run.summary  # read first: a bad summary.json stops the command before it writes
     panel, schedule = run.panel, run.schedule
     band = gap_mod.sensitivity(panel, schedule, cfg.zeta_list)
     series = [("unemployment", panel.u)]
@@ -400,7 +419,7 @@ def cmd_sensitivity(run: Run) -> int:
     svg = run.timeseries(
         "Efficient unemployment under alternative social values of nonwork", series
     )
-    with open(_made(out / "sensitivity.csv"), "w", encoding="utf-8") as fh:
+    with open(run.made(out / "sensitivity.csv"), "w", encoding="utf-8") as fh:
         gap_mod.write_sensitivity_csv(band, panel, fh)
 
     tag = gap_mod.zeta_tag
@@ -413,11 +432,11 @@ def cmd_sensitivity(run: Run) -> int:
         "width_pair": list(gap_mod.WIDTH_PAIR),
         "mean_width": band.mean_width,
     }
-    _made(out / "figures" / "sensitivity.svg").write_text(svg, encoding="utf-8")
+    run.made(out / "figures" / "sensitivity.svg").write_text(svg, encoding="utf-8")
 
     if cfg.implied_zeta:
         zeta_star = gap_mod.implied_zeta_series(panel, schedule)
-        with open(_made(out / "implied_zeta.csv"), "w", encoding="utf-8") as fh:
+        with open(run.made(out / "implied_zeta.csv"), "w", encoding="utf-8") as fh:
             gap_mod.write_implied_zeta_csv(panel, schedule, zeta_star, fh)
         lo, hi = int(zeta_star.argmin()), int(zeta_star.argmax())
         payload["implied_zeta"] = {
@@ -428,7 +447,7 @@ def cmd_sensitivity(run: Run) -> int:
         }
         print(f"implied zeta series -> {out / 'implied_zeta.csv'}")
 
-    _update_summary(out, summary, "sensitivity", payload)
+    run.update_summary("sensitivity", payload)
     print(
         "sensitivity: mean width between zeta={:g} and {:g} is {:.2f}pp".format(
             *gap_mod.WIDTH_PAIR, 100.0 * band.mean_width
@@ -539,9 +558,9 @@ def cmd_simulate(run: Run) -> int:
     }
     # written only once every input error has had its chance to stop the run
     out = Path(run.cfg.out_dir)
-    with open(_made(out / "synthetic_panel.csv"), "w", encoding="utf-8") as fh:
+    with open(run.made(out / "synthetic_panel.csv"), "w", encoding="utf-8") as fh:
         panel.to_csv(fh)
-    _write_json(out / "simulation_report.json", report)
+    _write_json(run.made(out / "simulation_report.json"), report)
     print(f"synthetic panel ({len(panel)} quarters) -> {out / 'synthetic_panel.csv'}")
     print(
         "round trip: max |u* error| = {:.3g} (tol {:g}, {})".format(
@@ -607,6 +626,7 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
         cmd_fit(run)
         cmd_gap(run)
         cmd_sensitivity(run)
+        run.write_summary()  # the sections report.md reads back
 
     estimates = out / "estimates.csv"
     rows = _estimate_rows(estimates) if estimates.is_file() else []
@@ -716,9 +736,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         run = Run(_config_from_args(args))
-        if args.command == "report":
-            return cmd_report(run, recompute=args.recompute)
-        return handlers[args.command](run)
+        try:
+            if args.command == "report":
+                return cmd_report(run, recompute=args.recompute)
+            return handlers[args.command](run)
+        finally:
+            run.write_summary()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,15 +54,17 @@ def fit_elasticity(u: Sequence[float], v: Sequence[float], label: str = "") -> E
         raise InputError(f"need at least 3 rows to fit a curve, got {n} ({label!r})")
     x = np.log(np.asarray(u, dtype=float))
     y = np.log(np.asarray(v, dtype=float))
-    dx = x - x.mean()
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
     sxx = float(dx @ dx)
     if sxx <= 0.0:
         raise InputError(f"log unemployment has zero variance ({label!r})")
-    slope = float(dx @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
+    dy = y - y_mean
+    slope = float(dx @ dy) / sxx
+    intercept = float(y_mean - slope * x_mean)
     resid = y - (intercept + slope * x)
     ssr = float(resid @ resid)
-    sst = float((y - y.mean()) @ (y - y.mean()))
+    sst = float(dy @ dy)
     r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     r_squared = min(max(r_squared, 0.0), 1.0)
     se = float(np.sqrt(max(ssr, 0.0) / (n - 2) / sxx))

@@ -2,7 +2,9 @@
 
 Hand-rolled on purpose: figures are plain text, diff well in golden
 tests, and carry no rendering dependency or embedded timestamps. Every
-number a figure shows is also exported as CSV elsewhere.
+number a figure shows is also exported as CSV elsewhere. The series of a
+time-series figure share one x text: each quarter's x coordinate is
+formatted once per figure, not once per series.
 """
 
 from __future__ import annotations
@@ -155,10 +157,13 @@ def timeseries_svg(
         _nice_ticks(frame.ylo, frame.yhi),
         xtick_labels=list(tick_labels),
     )
+    # point j of every series sits at x = j, so each x is formatted once, into
+    # a "x,%.2f" template that takes the y of point j of each series
+    xs = frame.x(np.arange(max(map(len, columns)), dtype=float)).tolist()
+    x_text = ["%.2f,%%.2f" % x for x in xs]
     for i, ((label, _), ys) in enumerate(zip(series, columns)):
         color = PALETTE[i % len(PALETTE)]
-        xy = np.column_stack((frame.x(np.arange(len(ys), dtype=float)), frame.y(ys)))
-        pts = " ".join(["%.2f,%.2f"] * len(ys)) % tuple(xy.ravel().tolist())
+        pts = " ".join(x_text[: len(ys)]) % tuple(frame.y(ys).tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN_R - 6:g}" y="{MARGIN_T + 16 + 16 * i:g}" text-anchor="end" '

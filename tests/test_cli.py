@@ -506,6 +506,26 @@ class TestReport:
         assert report.count("![") == 4
         assert "Gap summary" in report
 
+    def test_recompute_writes_summary_once_and_makes_each_directory_once(self, tmp_path, monkeypatch):
+        dumped, written, made = [], [], []
+        dumps, write_text, mkdir = json.dumps, Path.write_text, Path.mkdir
+        monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(sorted(obj)) or dumps(obj, **kw))
+        monkeypatch.setattr(Path, "write_text", lambda p, *a, **kw: written.append(p.name) or write_text(p, *a, **kw))
+        monkeypatch.setattr(Path, "mkdir", lambda p, *a, **kw: made.append(p) or mkdir(p, *a, **kw))
+        out = tmp_path / "out"
+        assert run("report", "--recompute", "--out", out) == 0
+        assert dumped == [["gap", "ingest", "sensitivity"]]
+        assert written.count("summary.json") == 1
+        assert len(made) == len(set(made)) and set(made) == {out, out / "figures"}
+
+    def test_failed_step_leaves_the_summary_of_the_steps_before_it(self, tmp_path, capsys):
+        # the zeta list fails in the sensitivity step, after gap has run
+        assert run("report", "--recompute", "--zeta-list", "0.1,0.1000001", "--out", tmp_path) == 2
+        assert capsys.readouterr().err == "error: zeta values 0.1 and 0.1000001 share the column tag z10\n"
+        assert sorted(json.loads((tmp_path / "summary.json").read_text())) == ["gap", "ingest"]
+        assert all((tmp_path / name).is_file() for name in ("panel.csv", "estimates.csv", "gap.csv"))
+        assert not (tmp_path / "sensitivity.csv").exists()
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         assert run("report", "--out", tmp_path, "--recompute") == 0
         first = (tmp_path / "report.md").read_bytes()

@@ -79,13 +79,16 @@ def wiggle(n, seed, scale=1.0, level=5.0):
     return level + scale * np.cumsum(rng.normal(0.0, 0.3, n))
 
 
-# (n_points, series lengths): series as long as the axis, shorter than it and
-# of one point, and a one-point axis, whose x span max(n_points - 1, 1) is 1
+# (n_points, series lengths): series as long as the axis, shorter and longer
+# than it and of one point, a one-point axis, whose x span max(n_points - 1, 1)
+# is 1, and the 13 full series of a sensitivity figure
 SHAPES = {
     "1200 points": (1200, [1200, 1200, 1200]),
     "one point": (1, [1]),
     "one point, two series": (1, [1, 1]),
     "shorter than the axis": (40, [40, 25, 1]),
+    "longer than the axis": (40, [60, 40, 1]),
+    "13 series of 1200": (1200, [1200] * 13),
 }
 
 
