@@ -8,13 +8,15 @@ keeps the shock table as columns from the reader through synth_panel to
 the round-trip error, which takes its powers through libm, so the
 reported digits are those of a quarter-by-quarter loop.
 
-Each output is written once per invocation. ingest, gap and sensitivity
-only record their sections of summary.json in the Run, and `main` writes
-the file once, at the end of the command, also when a later step fails,
-so it holds the section of every step that finished; `report
---recompute` writes it before it reads the sections back for report.md.
-The Run makes each output directory once, when the command writes its
-first file there. Exit codes
+Every input is read through config.read_text and every output file is
+written through `Run.write`, the one place ugap writes a file: the
+writers return their text, and `Run.write` makes each output directory
+once, when the command writes its first file there. Each output is
+written once per invocation. ingest, gap and sensitivity only record
+their sections of summary.json in the Run, and `main` writes the file
+once, at the end of the command, also when a later step fails, so it
+holds the section of every step that finished; `report --recompute`
+writes it before it reads the sections back for report.md. Exit codes
 are a stable contract for scripting: 0 success, 1 a verified property
 failed, 2 bad input or configuration. All outputs are deterministic
 given the config and inputs, so repeated runs are byte-identical.
@@ -106,8 +108,8 @@ def _round_floats(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _json_text(payload: dict) -> str:
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
 
 def _fit_figure(label: str) -> str:
@@ -128,7 +130,7 @@ def _read_summary(path: Path) -> dict:
         return {}
     try:
         summary = json.loads(read_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested deeper than the decoder recurses
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(summary, dict):
         raise InputError(f"{path} is not a JSON object")
@@ -154,19 +156,20 @@ def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int,
 
 
 class Run:
-    """The artifacts of one invocation, each built on first use and then kept."""
+    """The artifacts of one invocation, each built on first use and then kept; `write` writes every output file."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._made_dirs: set[Path] = set()
         self._summary_pending = False
 
-    def made(self, path: Path) -> Path:
-        """path, once its directory exists: a run makes each directory once, and none before its first file."""
+    def write(self, name: str, text: str) -> None:
+        """Write text as UTF-8 to name under the output directory, making each directory once per run."""
+        path = Path(self.cfg.out_dir) / name
         if path.parent not in self._made_dirs:
             path.parent.mkdir(parents=True, exist_ok=True)
             self._made_dirs.add(path.parent)
-        return path
+        path.write_text(text, encoding="utf-8")
 
     @cached_property
     def ingested(self) -> tuple[LaborMarketPanel, dict]:
@@ -222,7 +225,7 @@ class Run:
     def write_summary(self) -> None:
         """Write summary.json if a step recorded a section since it was last written."""
         if self._summary_pending:
-            _write_json(self.made(Path(self.cfg.out_dir) / "summary.json"), self.summary)
+            self.write("summary.json", _json_text(self.summary))
             self._summary_pending = False
 
     @cached_property
@@ -308,8 +311,7 @@ def cmd_ingest(run: Run) -> int:
         "Unemployment and vacancy rates",
         [("unemployment", panel.u), ("vacancies", panel.v)],
     )
-    with open(run.made(out / "panel.csv"), "w", encoding="utf-8") as fh:
-        panel.to_csv(fh)
+    run.write("panel.csv", panel.to_csv())
     for series, dropped in audit["dropped"].items():
         for item in dropped:
             print(f"dropped incomplete quarter in {series}: {item}")
@@ -322,7 +324,7 @@ def cmd_ingest(run: Run) -> int:
             jump=splice["relative_jump"],
         )
     )
-    run.made(out / "figures" / "rates_timeseries.svg").write_text(svg, encoding="utf-8")
+    run.write("figures/rates_timeseries.svg", svg)
     run.update_summary("ingest", {"n_quarters": len(panel), "splice": splice})
     first, last = quarter_label(panel.quarters[0]), quarter_label(panel.quarters[-1])
     print(f"panel: {len(panel)} quarters {first}..{last} -> {out / 'panel.csv'}")
@@ -337,8 +339,7 @@ def cmd_fit(run: Run) -> int:
     fitted = RegimeTable(tuple(r for r in run.table if r.label in labels))
     names = [_fit_figure(regime.label) for regime in fitted]  # checked before anything is written
     out = Path(run.cfg.out_dir)
-    with open(run.made(out / "estimates.csv"), "w", encoding="utf-8") as fh:
-        write_estimates_csv(estimates, fitted, fh)
+    run.write("estimates.csv", write_estimates_csv(estimates, fitted))
     for regime, est, name in zip(fitted, estimates, names):
         sub = run.panel.between(regime.start, regime.end)
         svg = scatter_fit_svg(
@@ -348,7 +349,7 @@ def cmd_fit(run: Run) -> int:
             slope=-est.epsilon,
             intercept=est.log_v0,
         )
-        run.made(out / "figures" / name).write_text(svg, encoding="utf-8")
+        run.write(f"figures/{name}", svg)
         print(
             f"{regime.label}: epsilon={est.epsilon:.4f} se={est.se_epsilon:.4f} "
             f"r2={est.r_squared:.4f} n={est.n_obs}"
@@ -373,8 +374,7 @@ def cmd_gap(run: Run) -> int:
         "Actual and efficient unemployment rate",
         [("unemployment", panel.u), ("efficient rate", series.u_star)],
     )
-    with open(run.made(out / "gap.csv"), "w", encoding="utf-8") as fh:
-        gap_mod.write_gap_csv(panel, series, fh)
+    run.write("gap.csv", gap_mod.write_gap_csv(panel, series))
 
     summary_all = gap_mod.summarize(panel, series, exclude_gap_quarters=False)
     summary_core = gap_mod.summarize(panel, series, exclude_gap_quarters=True)
@@ -388,7 +388,7 @@ def cmd_gap(run: Run) -> int:
         "excluding_gap_quarters": asdict(summary_core),
     }
     run.update_summary("gap", payload)
-    run.made(out / "figures" / "gap_unemployment.svg").write_text(svg, encoding="utf-8")
+    run.write("figures/gap_unemployment.svg", svg)
 
     shown = summary_core if cfg.exclude_gap_quarters else summary_all
     print(
@@ -419,8 +419,7 @@ def cmd_sensitivity(run: Run) -> int:
     svg = run.timeseries(
         "Efficient unemployment under alternative social values of nonwork", series
     )
-    with open(run.made(out / "sensitivity.csv"), "w", encoding="utf-8") as fh:
-        gap_mod.write_sensitivity_csv(band, panel, fh)
+    run.write("sensitivity.csv", gap_mod.write_sensitivity_csv(band, panel))
 
     tag = gap_mod.zeta_tag
     payload = {
@@ -432,12 +431,11 @@ def cmd_sensitivity(run: Run) -> int:
         "width_pair": list(gap_mod.WIDTH_PAIR),
         "mean_width": band.mean_width,
     }
-    run.made(out / "figures" / "sensitivity.svg").write_text(svg, encoding="utf-8")
+    run.write("figures/sensitivity.svg", svg)
 
     if cfg.implied_zeta:
         zeta_star = gap_mod.implied_zeta_series(panel, schedule)
-        with open(run.made(out / "implied_zeta.csv"), "w", encoding="utf-8") as fh:
-            gap_mod.write_implied_zeta_csv(panel, schedule, zeta_star, fh)
+        run.write("implied_zeta.csv", gap_mod.write_implied_zeta_csv(panel, schedule, zeta_star))
         lo, hi = int(zeta_star.argmin()), int(zeta_star.argmax())
         payload["implied_zeta"] = {
             "min": float(zeta_star[lo]),
@@ -557,11 +555,9 @@ def cmd_simulate(run: Run) -> int:
         "all_passed": round_trip_ok and statics.all_passed,
     }
     # written only once every input error has had its chance to stop the run
-    out = Path(run.cfg.out_dir)
-    with open(run.made(out / "synthetic_panel.csv"), "w", encoding="utf-8") as fh:
-        panel.to_csv(fh)
-    _write_json(run.made(out / "simulation_report.json"), report)
-    print(f"synthetic panel ({len(panel)} quarters) -> {out / 'synthetic_panel.csv'}")
+    run.write("synthetic_panel.csv", panel.to_csv())
+    run.write("simulation_report.json", _json_text(report))
+    print(f"synthetic panel ({len(panel)} quarters) -> {Path(run.cfg.out_dir) / 'synthetic_panel.csv'}")
     print(
         "round trip: max |u* error| = {:.3g} (tol {:g}, {})".format(
             max_rel, round_trip_tol, "checked" if round_trip_checked else "not checked, noisy run"
@@ -671,7 +667,7 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
         "![sensitivity](figures/sensitivity.svg)",
     ]
     lines += ["", "Every figure's underlying numbers are in the CSV exports next to it.", ""]
-    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")  # out holds the artifacts
+    run.write("report.md", "\n".join(lines))
     print(f"report -> {out / 'report.md'}")
     return 0
 

@@ -10,7 +10,7 @@ used downstream, so no HAC correction is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -102,12 +102,14 @@ def dmp_elasticity(alpha: float, u: float) -> float:
     return (alpha + u / (1.0 - u)) / (1.0 - alpha)
 
 
-def write_estimates_csv(estimates: Sequence[ElasticityEstimate], table: "RegimeTable", stream: TextIO) -> None:
-    stream.write("regime,start,end,epsilon,se,log_v0,r2,n_obs\n")
+def write_estimates_csv(estimates: Sequence[ElasticityEstimate], table: "RegimeTable") -> str:
+    """The text of estimates.csv: one row per regime of table, each with its estimate."""
     by_label = {e.label: e for e in estimates}
+    rows = ["regime,start,end,epsilon,se,log_v0,r2,n_obs\n"]
     for regime in table:
         e = by_label[regime.label]
-        stream.write(
+        rows.append(
             f"{regime.label},{quarter_label(regime.start)},{quarter_label(regime.end)},"
             f"{e.epsilon:.8g},{e.se_epsilon:.8g},{e.log_v0:.8g},{e.r_squared:.8g},{e.n_obs}\n"
         )
+    return "".join(rows)

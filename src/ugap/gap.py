@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -200,31 +200,29 @@ def implied_zeta_series(panel: LaborMarketPanel, schedule: Schedule) -> np.ndarr
     return 1.0 - schedule.kappa * schedule.epsilon * panel.theta
 
 
-def write_gap_csv(panel: LaborMarketPanel, series: GapSeries, stream: TextIO) -> None:
+def write_gap_csv(panel: LaborMarketPanel, series: GapSeries) -> str:
+    """The text of gap.csv."""
     header = "quarter,u,v,theta,epsilon,u_star,theta_star,gap,classification,is_gap_quarter"
     columns = (
         panel.u, panel.v, panel.theta, series.epsilon, series.u_star, series.theta_star,
         series.gap, series.classification, series.is_gap_quarter,
     )
-    write_quarter_rows(stream, header, panel.quarters, "%.8g," * 7 + "%s,%d", columns)
+    return write_quarter_rows(header, panel.quarters, "%.8g," * 7 + "%s,%d", columns)
 
 
 def zeta_tag(z: float) -> str:
     return f"z{100.0 * z:g}"
 
 
-def write_sensitivity_csv(band: SensitivityBand, panel: LaborMarketPanel, stream: TextIO) -> None:
+def write_sensitivity_csv(band: SensitivityBand, panel: LaborMarketPanel) -> str:
+    """The text of sensitivity.csv."""
     tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
     template = "%.8g," + ",".join(["%.8g"] * len(band.zetas))
     columns = [panel.u, *(band.u_star[z] for z in band.zetas)]
-    write_quarter_rows(stream, f"quarter,u,{tags}", panel.quarters, template, columns)
+    return write_quarter_rows(f"quarter,u,{tags}", panel.quarters, template, columns)
 
 
-def write_implied_zeta_csv(
-    panel: LaborMarketPanel,
-    schedule: Schedule,
-    zeta_star: np.ndarray,
-    stream: TextIO,
-) -> None:
+def write_implied_zeta_csv(panel: LaborMarketPanel, schedule: Schedule, zeta_star: np.ndarray) -> str:
+    """The text of implied_zeta.csv."""
     columns = (panel.theta, schedule.epsilon, zeta_star)
-    write_quarter_rows(stream, "quarter,theta,epsilon,zeta_star", panel.quarters, "%.8g,%.8g,%.8g", columns)
+    return write_quarter_rows("quarter,theta,epsilon,zeta_star", panel.quarters, "%.8g,%.8g,%.8g", columns)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -88,9 +87,10 @@ class LaborMarketPanel:
         hi = np.searchsorted(self.quarters, end, side="right")
         return LaborMarketPanel(self.quarters[lo:hi], self.u[lo:hi], self.v[lo:hi])
 
-    def to_csv(self, stream: TextIO) -> None:
+    def to_csv(self) -> str:
+        """The text of panel.csv."""
         columns = (self.u, self.v, self.theta, self.n)
-        write_quarter_rows(stream, "quarter,u,v,theta,n", self.quarters, "%.8g,%.8g,%.8g,%.8g", columns)
+        return write_quarter_rows("quarter,u,v,theta,n", self.quarters, "%.8g,%.8g,%.8g,%.8g", columns)
 
 
 def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:

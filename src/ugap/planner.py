@@ -305,6 +305,8 @@ def _compensated_v0(base_v0: float, target: float, new_epsilon: float, zeta: flo
         hi *= 2.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # lo and hi are adjacent floats, more than 1e-10 apart for a large v0
+            break
         if peak(mid) > target:
             lo = mid
         else:

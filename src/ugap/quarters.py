@@ -9,7 +9,7 @@ a label is parsed or printed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import FirstFault, InputError, quoted
 
@@ -90,12 +90,11 @@ def quarter_label(index: int) -> str:
     return f"{year}Q{q + 1}"
 
 
-def write_quarter_rows(
-    stream: TextIO, header: str, quarters: np.ndarray, template: str, columns: Sequence[np.ndarray]
-) -> None:
-    """Write a CSV header, then per quarter its label and its column values %-formatted by template."""
-    stream.write(header + "\n")
-    for i in range(0, len(quarters), 1024):  # a block at a time bounds the memory of the row text
+def write_quarter_rows(header: str, quarters: np.ndarray, template: str, columns: Sequence[np.ndarray]) -> str:
+    """The text of a CSV table: its header, then per quarter its label and its column values %-formatted by template."""
+    blocks = [header + "\n"]
+    for i in range(0, len(quarters), 1024):  # a block at a time bounds the memory of the Python row values
         year, q = divmod(quarters[i : i + 1024], 4)
         rows = zip(year.tolist(), (q + 1).tolist(), *(c[i : i + 1024].tolist() for c in columns))
-        stream.write("".join(map(f"%dQ%d,{template}\n".__mod__, rows)))
+        blocks.append("".join(map(f"%dQ%d,{template}\n".__mod__, rows)))
+    return "".join(blocks)

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InputError
+
 WIDTH, HEIGHT = 760.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 44.0, 52.0
 # the number of axis intervals _nice_ticks aims for
@@ -27,18 +29,23 @@ def escape(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Multiples of 1, 2, 2.5 or 5 times a power of ten from lo to hi; InputError unless the span is finite and > 0."""
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / _TICK_INTERVALS
+    if not 0.0 < raw < math.inf:
+        raise InputError(f"a figure axis cannot span {lo:g} to {hi:g}")
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw), default=10.0) * mag
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        ticks.append(round(t, 10))
-        t += step
-    return ticks
+    # a step is at least a fifth of the span, so tick k = 5 is the last that can fit
+    ticks = (first + k * step for k in range(_TICK_INTERVALS + 2))
+    return [round(t, 10) for t in ticks if t <= hi + 1e-12 * step]
+
+
+def _check_finite(what: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise InputError(f"figure {what} holds a value that is not finite")
 
 
 class _Frame:
@@ -104,6 +111,8 @@ def scatter_fit_svg(
     intercept: float,
 ) -> str:
     """Log-log scatter with its fitted line; one circle per observation."""
+    _check_finite(f"{title!r} log unemployment", log_u)
+    _check_finite(f"{title!r} log vacancies", log_v)
     frame = _Frame(min(log_u), max(log_u), min(log_v), max(log_v))
     parts = _header(title)
     parts += _axes(
@@ -140,6 +149,8 @@ def timeseries_svg(
     pairs drawn behind the lines.
     """
     columns = [np.asarray(ys, dtype=float) for _, ys in series]
+    for (label, _), ys in zip(series, columns):
+        _check_finite(f"{title!r} series {label!r}", ys)
     values = np.concatenate(columns)
     frame = _Frame(0.0, float(max(n_points - 1, 1)), float(values.min()), float(values.max()))
     parts = _header(title)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +25,20 @@ def child_env(*path: Path, **env: str | None) -> dict[str, str]:
     search = os.pathsep.join(filter(None, [str(SRC), *map(str, path), os.environ.get("PYTHONPATH")]))
     merged = {**os.environ, "PYTHONPATH": search, **env}
     return {k: v for k, v in merged.items() if v is not None}
+
+
+def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports ugap from src/; the test fails if it is still running after timeout s.
+
+    For code that might never return: a regression then fails the test
+    instead of stalling the suite.
+    """
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {timeout} s:\n{code}")
 
 
 def bundled_text(name: str) -> str:

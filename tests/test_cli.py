@@ -767,9 +767,13 @@ def test_bad_quarter_label_names_its_line(tmp_path, capsys, what, text, argv):
     assert err.count("error:") == 1 and f"error: {what} line 3: bad quarter label" in err
 
 
+# valid JSON nested deeper than the decoder can recurse
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
 class TestUnreadableArtifacts:
     @pytest.mark.parametrize("command", ["ingest", "gap", "sensitivity"])
-    @pytest.mark.parametrize("text", ['{"gap": ', "[]", "\xff"])
+    @pytest.mark.parametrize("text", ['{"gap": ', "[]", "\xff", pytest.param(DEEP_JSON, id="deep")])
     def test_unreadable_summary_exits_2(self, tmp_path, capsys, command, text):
         out = tmp_path / "out"
         out.mkdir()
@@ -777,6 +781,14 @@ class TestUnreadableArtifacts:
         assert run(command, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {out / 'summary.json'} is not")
+
+    def test_deep_summary_fails_report_with_2(self, tmp_path, capsys):
+        assert run("report", "--recompute", "--out", tmp_path) == 0
+        (tmp_path / "summary.json").write_text(DEEP_JSON)
+        capsys.readouterr()
+        assert run("report", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / 'summary.json'} is not valid JSON")
 
     @pytest.mark.parametrize("text", ["", "\n\n", "\xff", "regime,start,end,epsilon,se,log_v0,r2,n_obs\n"])
     def test_unreadable_estimates_fail_report_with_2(self, tmp_path, capsys, text):

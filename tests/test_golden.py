@@ -6,7 +6,8 @@ directory replaced by OUT, and of the parser's help and usage-error
 output. Any change to an output byte fails here; update a digest only for
 a change that is meant to alter that output. The pins must not depend on
 the SIMD kernels numpy picks for the host CPU, so the steps are also run
-with numpy's AVX-512 kernels disabled.
+with numpy's AVX-512 kernels disabled, together with the scaled runs
+that test_scaled_runs pins.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
+from test_scaled_runs import BENCH, SCALED_FILES, SCALED_INPUTS, SCALED_STDOUT
 from ugap.cli import main
 
 STEPS = (
@@ -161,13 +163,19 @@ def numpy_dispatches_avx512() -> bool:
     return dispatches_avx512(umath.__cpu_dispatch__, umath.__cpu_features__)
 
 
-# run in a fresh interpreter: the golden steps, then the twelve zetas, each in its own directory
+# run in a fresh interpreter: the golden steps, the twelve zetas and the scaled runs, each in its own directory
 AVX512_OFF_RUN = """
 import json, sys
 from pathlib import Path
 from test_golden import STEPS, TWELVE_ZETAS, numpy_dispatches_avx512, run_steps
+from test_scaled_runs import scaled_runs
 out = Path(sys.argv[1])
-print(json.dumps([run_steps(out / "golden", STEPS), run_steps(out / "zetas", [TWELVE_ZETAS]), numpy_dispatches_avx512()]))
+print(json.dumps([
+    run_steps(out / "golden", STEPS),
+    run_steps(out / "zetas", [TWELVE_ZETAS]),
+    scaled_runs(out / "scaled"),
+    numpy_dispatches_avx512(),
+]))
 """
 
 
@@ -189,14 +197,15 @@ def test_goldens_hold_with_numpy_avx512_disabled(fresh, tmp_path, monkeypatch):
     if not numpy_dispatches_avx512():
         pytest.skip("numpy dispatches no AVX-512 kernel here, so the default path is the only one")
     monkeypatch.delenv("TOOLKIT_SEED", raising=False)
-    env = child_env(Path(__file__).resolve().parent, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
+    env = child_env(Path(__file__).resolve().parent, BENCH, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
     done = subprocess.run(
         [sys.executable, "-c", AVX512_OFF_RUN, str(tmp_path / "off")], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    (files, printed), zetas, avx512 = json.loads(done.stdout)
+    (files, printed), zetas, scaled, avx512 = json.loads(done.stdout)
     assert avx512 is False  # the variable took effect in the child
     assert (files, printed) == fresh
     assert files == GOLDEN_FILES
     assert {step: sha256(text.encode()) for step, text in printed.items()} == GOLDEN_STDOUT
     assert zetas == list(run_steps(tmp_path / "default", [TWELVE_ZETAS]))
+    assert scaled == [SCALED_INPUTS, SCALED_FILES, SCALED_STDOUT]

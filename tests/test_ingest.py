@@ -1,4 +1,3 @@
-import io
 from statistics import mean
 
 import pytest
@@ -212,10 +211,8 @@ def test_bundled_panel_identities(panel):
 
 
 def test_panel_csv_roundtrip(panel):
-    buf = io.StringIO()
-    panel.to_csv(buf)
     faults = FirstFault()
-    linenos, (quarters, u, v, _, _) = parse_table(buf.getvalue(), ("quarter", "u", "v", "theta", "n"), "panel", faults)
+    linenos, (quarters, u, v, _, _) = parse_table(panel.to_csv(), ("quarter", "u", "v", "theta", "n"), "panel", faults)
     index = parse_quarters(quarters, linenos, "panel", faults)
     faults.raise_first()
     again = LaborMarketPanel(index, [float(x) for x in u], [float(x) for x in v])

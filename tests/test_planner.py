@@ -1,5 +1,4 @@
 import inspect
-import io
 import itertools
 import math
 import re
@@ -7,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import run_python
 from scalar_formulas import SufficientStats, efficient_unemployment
 from ugap import planner
 from ugap.errors import InputError, PropertyViolation
@@ -283,6 +283,19 @@ class TestComparativeStatics:
         with pytest.raises(InputError, match="zeta_shift pushes zeta to 1 or above"):
             comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.8, 0.72)
 
+    def test_returns_for_a_large_v0(self):
+        # beyond v0 ~ 5e5 adjacent floats are more than the compensated-v0
+        # bisection's 1e-10 width apart, so only a midpoint that stops moving can end it
+        done = run_python(
+            "from ugap.planner import IsoelasticCurve, comparative_statics_check\n"
+            "for v0, kappa in ((1e6, 1e-8), (1e8, 1e-10)):\n"
+            "    report = comparative_statics_check(IsoelasticCurve(v0, 1.0), 0.0, kappa)\n"
+            "    print(report.checks[-1].name, report.checks[-1].passed)\n",
+            timeout=20,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["compensated_epsilon_up_raises_u_star_lowers_theta_star True"] * 2
+
 
 class TestSynthPanel:
     def test_constant_shocks_give_identical_points(self):
@@ -303,16 +316,11 @@ class TestSynthPanel:
         assert est.epsilon == pytest.approx(dmp_elasticity(BASE_ECON.alpha, u_bar), abs=0.05)
 
     def test_seeded_runs_are_byte_identical(self):
-        def render(panel):
-            buf = io.StringIO()
-            panel.to_csv(buf)
-            return buf.getvalue()
-
         a = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
         b = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
         c = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=8)
-        assert render(a) == render(b)
-        assert render(a) != render(c)
+        assert a.to_csv() == b.to_csv()
+        assert a.to_csv() != c.to_csv()
 
     def test_bad_multiplier_rejected(self):
         with pytest.raises(InputError, match="2000Q1: shock multipliers must be positive"):

@@ -5,11 +5,14 @@ and format them with one %-template; the references below are the
 per-point loops they replace, and the SVG text must be the same bytes.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import run_python
+from ugap.errors import InputError
 from ugap.svgfig import PALETTE, _axes, _Frame, _header, _nice_ticks, scatter_fit_svg, timeseries_svg
 
 
@@ -121,3 +124,27 @@ def test_scatter_matches_scalar_reference(n):
     log_v = [math.log(v) for v in rng.uniform(0.01, 0.07, n).tolist()]
     expected = reference_scatter("b", log_u, log_v, -1.13, -7.2)
     assert_same_text(scatter_fit_svg("b", log_u, log_v, slope=-1.13, intercept=-7.2), expected)
+
+
+def test_ticks_return_where_a_step_is_below_the_float_spacing():
+    # at 1e16 the step of 1.0 is below the float spacing, so adding it to a tick would not move it
+    code = "import json\nfrom ugap.svgfig import _nice_ticks\nprint(json.dumps(_nice_ticks(1e16, 1e16 + 4)))"
+    done = run_python(code, timeout=20)
+    assert done.returncode == 0, done.stderr
+    ticks = json.loads(done.stdout)
+    assert 1 <= len(ticks) <= 6 and ticks == sorted(ticks) and 1e16 <= ticks[0] and ticks[-1] <= 1e16 + 4
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)])
+def test_ticks_over_a_span_that_is_not_finite_are_input_errors(lo, hi):
+    with pytest.raises(InputError, match="a figure axis cannot span"):
+        _nice_ticks(lo, hi)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_figures_name_the_series_holding_a_value_that_is_not_finite(bad):
+    ok = [1.0, 2.0, 3.0]
+    with pytest.raises(InputError, match=r"^figure 't' series 'u\*' holds a value that is not finite$"):
+        timeseries_svg("t", [0], ["a"], 3, [("u", ok), ("u*", [1.0, bad, 3.0])])
+    with pytest.raises(InputError, match=r"^figure 'b' log vacancies holds a value that is not finite$"):
+        scatter_fit_svg("b", ok, [1.0, bad, 3.0], slope=-1.0, intercept=0.0)

@@ -6,8 +6,6 @@ Both must give the same bytes for any float64 value, including ties at
 the eighth significant digit, signed zeros and overflowing ratios.
 """
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,12 +51,6 @@ def tables(draw, min_rows=1, max_rows=12):
         column(labels),
         column(st.booleans()),
     )
-
-
-def run(write, *args) -> str:
-    stream = io.StringIO()
-    write(*args, stream)
-    return stream.getvalue()
 
 
 def reference_panel_csv(panel):
@@ -107,7 +99,7 @@ def test_row_writer_matches_per_row_format(table, width):
     quarters, _u, _v, columns, labels, flags = table
     columns = columns[:width]
     template = ",".join(["%.8g"] * width + ["%s", "%d"])
-    text = run(lambda stream: write_quarter_rows(stream, "h", quarters, template, [*columns, labels, flags]))
+    text = write_quarter_rows("h", quarters, template, [*columns, labels, flags])
     rows = zip(quarters.tolist(), *(c.tolist() for c in columns), labels.tolist(), flags.tolist())
     expected = "".join(
         f"{quarter_label(q)},{''.join(f'{x:.8g},' for x in xs)}{label},{int(flag)}\n"
@@ -131,10 +123,10 @@ def test_csv_writers_match_per_row_references(table, zetas):
     )
     schedule = Schedule(epsilon, theta_star, flags)  # the writer reads no kappa, so any column will do
     with np.errstate(over="ignore"):  # theta = v / u may overflow to inf, which both write alike
-        assert run(panel.to_csv) == reference_panel_csv(panel)
-        assert run(write_gap_csv, panel, series) == reference_gap_csv(panel, series)
-        assert run(write_sensitivity_csv, band, panel) == reference_sensitivity_csv(band, panel)
-        assert run(write_implied_zeta_csv, panel, schedule, zeta_star) == reference_implied_zeta_csv(
+        assert panel.to_csv() == reference_panel_csv(panel)
+        assert write_gap_csv(panel, series) == reference_gap_csv(panel, series)
+        assert write_sensitivity_csv(band, panel) == reference_sensitivity_csv(band, panel)
+        assert write_implied_zeta_csv(panel, schedule, zeta_star) == reference_implied_zeta_csv(
             panel, schedule, zeta_star
         )
 
@@ -147,5 +139,5 @@ def test_writers_match_across_row_blocks(n):
     panel = LaborMarketPanel(quarters, rng.uniform(0.02, 0.1, n), rng.uniform(0.01, 0.07, n))
     labels = rng.choice([INEFFICIENTLY_SLACK, INEFFICIENTLY_TIGHT, EFFICIENT], n)
     series = GapSeries(*rng.normal(0.0, 1.0, (4, n)), labels, rng.random(n) < 0.1)
-    assert run(panel.to_csv) == reference_panel_csv(panel)
-    assert run(write_gap_csv, panel, series) == reference_gap_csv(panel, series)
+    assert panel.to_csv() == reference_panel_csv(panel)
+    assert write_gap_csv(panel, series) == reference_gap_csv(panel, series)
