@@ -25,14 +25,20 @@ At module level this imports only the standard library, config, errors
 and quarters; each layer is imported by the command or the Run property
 that first needs it. So `report` without --recompute, --help and every
 usage or config error start without numpy, and only simulate loads the
-planner. Before anything loads numpy, `main` sets OPENBLAS_NUM_THREADS
-to 1 unless it is set already, so OpenBLAS starts no worker thread that
-ugap would leave idle.
+planner. Only the program changes process-wide state: `main` with no
+argv, as the console script calls it, sets OPENBLAS_NUM_THREADS to 1
+unless it is set, so OpenBLAS starts no worker thread that ugap would
+leave idle, and turns the cyclic garbage collector off before it parses
+the arguments: a run's only cycles are a few hundred objects of argparse
+and the JSON encoder, however long its input. As it returns it freezes
+the heap, so the collection at exit skips numpy's objects. `main(argv)`
+leaves the environment and the collector as it found them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -124,6 +130,15 @@ def _fit_figure(label: str) -> str:
     return f"fit_{label}.svg"
 
 
+def _nesting(obj) -> int:
+    """How many dicts and lists deep obj nests, counted level by level rather than by recursion."""
+    depth, level = 0, [obj]
+    while level := [o for o in level if isinstance(o, (dict, list))]:
+        depth += 1
+        level = [v for o in level for v in (o.values() if isinstance(o, dict) else o)]
+    return depth
+
+
 def _read_summary(path: Path) -> dict:
     """The sections of an existing summary.json, or none when there is no such file."""
     if not path.is_file():
@@ -134,6 +149,8 @@ def _read_summary(path: Path) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(summary, dict):
         raise InputError(f"{path} is not a JSON object")
+    if _nesting(summary) > 100:  # ugap's own sections nest 3 deep; writing it back recurses once or twice a level
+        raise InputError(f"{path} nests deeper than 100 levels")
     return summary
 
 
@@ -648,7 +665,8 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
     path = out / "summary.json"
     try:
         summary_lines = _summary_lines(_read_summary(path))
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        "".join(summary_lines).encode("utf-8")  # UnicodeEncodeError for a lone surrogate the JSON escapes
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InputError(
             f"{path} does not hold the gap and sensitivity results ({type(exc).__name__}: {exc}); "
             "run gap and sensitivity or pass --recompute"
@@ -715,13 +733,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if "numpy" not in sys.modules:
-        # ugap's arrays are small and its math elementwise, so it never uses
-        # the worker thread OpenBLAS starts for each CPU beyond the first
-        # when numpy loads; that idle thread costs a fresh process about
-        # 70 ms. A value the user has set is kept, and a process that has
-        # numpy loaded already keeps its environment as it is.
+    """The exit code of the command in argv; with no argv, of the program's, from sys.argv (see the module docstring)."""
+    if argv is None:
+        # the idle OpenBLAS thread would cost a fresh process about 70 ms, the
+        # collector's passes during the command and at exit about 30 ms
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        gc.disable()
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
     args = build_parser().parse_args(argv)
     handlers = {
         "ingest": cmd_ingest,

@@ -45,7 +45,7 @@ _KAPPA_FACTOR = 1.25
 _ZETA_SHIFT = 0.25
 _V0_FACTOR = 1.5
 _EPSILON_FACTOR = 1.25
-# the largest theta* drift an outward shift of the curve may cause and still count as invariant
+# the largest theta* drift, relative to theta*, an outward shift of the curve may cause and still count as invariant
 _THETA_INVARIANCE_TOL = 1e-8
 # the largest |u* numeric - u* formula| an oracle grid point may show
 _ORACLE_U_TOL = 1e-6
@@ -337,7 +337,7 @@ def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float)
     """Verify the four comparative-statics sign patterns numerically.
 
     Raising kappa or zeta must raise u* and lower theta*; an outward
-    shift (v0 up) must raise u* and leave theta* unchanged to
+    shift (v0 up) must raise u* and leave theta* unchanged to a relative
     _THETA_INVARIANCE_TOL; a compensated elasticity increase must raise
     u* and lower theta*.
     """
@@ -360,7 +360,7 @@ def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float)
     theta_drift = abs(out.theta_star - base.theta_star)
     shift = StaticsCheck(
         "v0_up_raises_u_star_theta_star_invariant",
-        out.u_star > base.u_star and theta_drift < _THETA_INVARIANCE_TOL,
+        out.u_star > base.u_star and theta_drift < _THETA_INVARIANCE_TOL * base.theta_star,
         f"u*: {base.u_star:.9g} -> {out.u_star:.9g}, |theta* drift| = {theta_drift:.3g}",
     )
 

@@ -40,7 +40,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     # a step is at least a fifth of the span, so tick k = 5 is the last that can fit
     ticks = (first + k * step for k in range(_TICK_INTERVALS + 2))
-    return [round(t, 10) for t in ticks if t <= hi + 1e-12 * step]
+    # near 1e16 the step is a few ulps, so neighbouring ticks can round to the same float
+    return list(dict.fromkeys(round(t, 10) for t in ticks if t <= hi + 1e-12 * step))
 
 
 def _check_finite(what: str, values) -> None:

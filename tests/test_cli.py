@@ -1,4 +1,5 @@
 import codecs
+import gc
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -790,6 +792,38 @@ class TestUnreadableArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / 'summary.json'} is not valid JSON")
 
+    @pytest.mark.parametrize(
+        ("key", "value", "error"),
+        [("mean_u", 10**400, "OverflowError"), ("max_gap_quarter", "\ud800", "UnicodeEncodeError")],
+        ids=["integer-too-large-for-a-float", "lone-surrogate"],
+    )
+    def test_summary_value_report_cannot_render_fails_report_with_2(self, tmp_path, capsys, key, value, error):
+        assert run("report", "--recompute", "--out", tmp_path) == 0
+        path = tmp_path / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["gap"]["all_quarters"][key] = value
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run("report", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path} does not hold the gap and sensitivity results ({error}: ")
+
+    @pytest.mark.parametrize("command", ["ingest", "gap", "sensitivity"])
+    @pytest.mark.parametrize("depth", [600, 900])
+    def test_summary_nested_too_deep_to_write_back_writes_nothing(self, tmp_path, capsys, command, depth):
+        # the decoder returns it; writing it back would recurse deeper than the interpreter allows
+        out = tmp_path / "out"
+        out.mkdir()
+        text = '{"extra": ' + "[" * depth + "]" * depth + "}"
+        (out / "summary.json").write_text(text)
+        assert run(command, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out / 'summary.json'} nests deeper than 100 levels\n"
+        assert captured.out == ""
+        assert [p.name for p in out.rglob("*")] == ["summary.json"]
+        assert (out / "summary.json").read_text() == text
+
     @pytest.mark.parametrize("text", ["", "\n\n", "\xff", "regime,start,end,epsilon,se,log_v0,r2,n_obs\n"])
     def test_unreadable_estimates_fail_report_with_2(self, tmp_path, capsys, text):
         assert run("report", "--recompute", "--out", tmp_path) == 0
@@ -961,29 +995,42 @@ def test_import_loads_no_network_modules():
     assert out.stdout.strip() == "[]"
 
 
-def loaded_modules(*args, **env) -> tuple[int, set[str], int | None]:
-    """ugap with args in a fresh interpreter, env added to its environment (None leaves a variable out).
+class Fresh(NamedTuple):
+    """What a fresh `ugap` process reports as its main() returns."""
 
-    The exit code, the modules loaded by its end, and its thread count
-    then, from /proc/self/status, or None where that file is missing.
+    rc: int
+    modules: set[str]  # the modules loaded by then
+    threads: int | None  # from /proc/self/status, or None where that file is missing
+    collections: int  # the passes the cyclic collector made during main()
+    collector_on: bool
+    frozen: int  # gc.get_freeze_count()
+
+
+def run_fresh(*args, **env) -> Fresh:
+    """ugap with args in a fresh interpreter, called as the console script calls it, env added to its environment.
+
+    A None value in env leaves that variable out.
     """
     code = "\n".join([
-        "import sys",
+        "import gc, sys",
         "from ugap.cli import main",
+        "passes = []",
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and passes.append(info['generation']))",
         "try:",
-        "    sys.exit(main(sys.argv[1:]))",
+        "    sys.exit(main())",
         "finally:",
         "    try:",
         "        threads = [line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')]",
         "    except OSError:",
         "        threads = []",
-        "    print(*threads, file=sys.stderr)",
+        "    print(len(passes), int(gc.isenabled()), gc.get_freeze_count(), *threads, file=sys.stderr)",
         "    print(*sorted(sys.modules), file=sys.stderr)",
     ])
     argv = [sys.executable, "-c", code, *map(str, args)]
     done = subprocess.run(argv, env=child_env(**env), capture_output=True, text=True)
-    *_, threads, modules = done.stderr.splitlines()
-    return done.returncode, set(modules.split()), int(threads) if threads else None
+    *_, facts, modules = done.stderr.splitlines()
+    collections, on, frozen, *threads = map(int, facts.split())
+    return Fresh(done.returncode, set(modules.split()), threads[0] if threads else None, collections, bool(on), frozen)
 
 
 @pytest.fixture(scope="module")
@@ -999,26 +1046,26 @@ def recomputed(tmp_path_factory):
     ids=["report", "help", "usage-error"],
 )
 def test_light_commands_start_without_numpy(recomputed, args, code):
-    rc, modules, _ = loaded_modules(*(arg.format(recomputed=recomputed) for arg in args))
-    assert rc == code
-    assert "ugap.cli" in modules and "numpy" not in modules
+    fresh = run_fresh(*(arg.format(recomputed=recomputed) for arg in args))
+    assert fresh.rc == code
+    assert "ugap.cli" in fresh.modules and "numpy" not in fresh.modules
 
 
 @pytest.mark.parametrize("command", ["ingest", "fit", "gap", "sensitivity"])
 def test_only_simulate_loads_the_planner(command, tmp_path):
-    rc, modules, _ = loaded_modules(command, "--out", tmp_path)
-    assert rc == 0
-    assert "numpy" in modules and "ugap.planner" not in modules
-    assert "csv" not in modules
+    fresh = run_fresh(command, "--out", tmp_path)
+    assert fresh.rc == 0
+    assert "numpy" in fresh.modules and "ugap.planner" not in fresh.modules
+    assert "csv" not in fresh.modules
 
 
 def threads_at_exit(*args, **env) -> int:
     """The thread count at the end of a fresh, successful ugap run; skips where it cannot be read."""
-    rc, _, threads = loaded_modules(*args, **env)
-    assert rc == 0
-    if threads is None:
+    fresh = run_fresh(*args, **env)
+    assert fresh.rc == 0
+    if fresh.threads is None:
         pytest.skip("no /proc/self/status to count threads in")
-    return threads
+    return fresh.threads
 
 
 @pytest.mark.parametrize("command", ["gap", "simulate"])
@@ -1034,15 +1081,62 @@ def test_a_set_openblas_thread_count_is_kept(tmp_path):
 
 
 def test_in_process_main_leaves_the_environment_alone(tmp_path, monkeypatch):
-    assert "numpy" in sys.modules  # conftest imports the layers that load it
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     before = dict(os.environ)
     assert run("gap", "--out", tmp_path) == 0
     assert dict(os.environ) == before
 
 
+@pytest.mark.parametrize(
+    ("args", "code"),
+    [(("gap", "--out", "{tmp}"), 0), (("simulate", "--out", "{tmp}"), 0), (("report", "--out", "{tmp}"), 2),
+     (("--help",), 0)],
+    ids=["gap", "simulate", "input-error", "help"],
+)
+def test_the_program_runs_without_the_collector_and_exits_frozen(tmp_path, args, code):
+    fresh = run_fresh(*(arg.format(tmp=tmp_path) for arg in args))
+    assert fresh.rc == code
+    assert fresh.collections == 0 and not fresh.collector_on
+    assert fresh.frozen > 0
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+@pytest.mark.parametrize(("args", "code"), [(("gap",), 0), (("gap", "--kappa", "-1"), 2)], ids=["ok", "input-error"])
+def test_in_process_main_leaves_the_collector_alone(tmp_path, collector_on, args, code):
+    was_on, frozen, thresholds = gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        assert run(*args, "--out", tmp_path) == code
+        assert (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()) == (collector_on, frozen, thresholds)
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
+
+def test_no_reference_cycle_grows_with_the_input(tmp_path, monkeypatch):
+    """The premise of running without the collector: the garbage in cycles is the same for 40 and 8000 quarters."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.delenv("TOOLKIT_SEED", raising=False)
+    import inputs
+
+    inputs.verify_inputs(7, 8, 8000, bundled_data_dir(), tmp_path / "verify")
+    bundled = ("simulate", "--out", tmp_path / "bundled")
+    long_path = ("simulate", "--scenario", tmp_path / "verify" / "scenario.cfg", "--out", tmp_path / "long")
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        assert run(*bundled) == 0  # warm-up: first-use caches
+        gc.collect()
+        assert run(*bundled) == 0
+        in_cycles = gc.collect()
+        assert run(*long_path) == 0
+        assert gc.collect() == in_cycles
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def test_simulate_loads_no_figure_regime_or_calibration_layer(tmp_path):
-    rc, modules, _ = loaded_modules("simulate", "--out", tmp_path)
-    assert rc == 0
-    assert "ugap.planner" in modules
-    assert modules & {"ugap.svgfig", "ugap.regimes", "ugap.calibration", "csv"} == set()
+    fresh = run_fresh("simulate", "--out", tmp_path)
+    assert fresh.rc == 0
+    assert "ugap.planner" in fresh.modules
+    assert fresh.modules & {"ugap.svgfig", "ugap.regimes", "ugap.calibration", "csv"} == set()

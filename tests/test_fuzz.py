@@ -1,13 +1,17 @@
-"""Fuzzed run configs, scenarios and shock files against the exit-code contract.
+"""Fuzzed run configs, scenarios, shock files and summary.json files against the exit-code contract.
 
 `cli.main` must never raise. It returns 0 or 2, and `simulate` may also
 return 1, for a verified property that failed. Each file starts from the
 bundled one, with a few values swapped for other valid ones, wrong ones
-or junk text, or dropped, and maybe a junk line.
+or junk text, or dropped, and maybe a junk line. A summary.json starts
+from the one `report --recompute` writes, with values under its gap and
+sensitivity sections swapped for arbitrary JSON: big integers, deep
+nests, wrong types.
 """
 
 import contextlib
 import io
+import json
 import shutil
 
 import pytest
@@ -54,6 +58,21 @@ SCENARIO = {
     "shocks.seed": (("1951", "0"), ("-1", "x", "1.5")),
 }
 COMMANDS = (["ingest"], ["fit"], ["gap"], ["sensitivity"], ["simulate"], ["report"], ["report", "--recompute"])
+# stands in for a deep nest in the JSON text, which json.dumps would have to recurse through
+DEEP = "\x00deep\x00"
+JSON_SCALARS = st.one_of(
+    st.just(DEEP),
+    st.integers(-(10**1000), 10**1000),
+    st.floats(),
+    st.text(max_size=6),
+    st.none(),
+    st.booleans(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
 
 
 @st.composite
@@ -100,6 +119,27 @@ def data(tmp_path_factory):
     return data
 
 
+@st.composite
+def summary_text(draw, base: dict) -> str:
+    """The JSON text of base with one to three values under its gap and sensitivity keys swapped for arbitrary JSON.
+
+    One time in ten it is arbitrary JSON alone. Each DEEP in it becomes a nest of a drawn depth.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        summary = draw(JSON_VALUES)
+    else:
+        summary = json.loads(json.dumps(base))
+        for _ in range(draw(st.integers(1, 3))):
+            node = summary
+            path = [draw(st.sampled_from(["gap", "sensitivity"]))]
+            while isinstance(node.get(path[-1]), dict) and node[path[-1]] and draw(st.booleans()):
+                node = node[path[-1]]
+                path.append(draw(st.sampled_from(sorted(node))))
+            node[path[-1]] = draw(JSON_VALUES)
+    depth = draw(st.sampled_from([1, 50, 99, 100, 400, 600, 900, 1200]))
+    return json.dumps(summary).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
 def run(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -130,3 +170,23 @@ def test_simulate_on_fuzzed_scenarios_and_shocks(data, fuzz):
     assert rc in (0, 1, 2), err
     if rc == 1:
         assert err.startswith("property violation:"), err
+
+
+@pytest.fixture(scope="module")
+def recomputed(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "recomputed"
+    assert run(["report", "--recompute", "--out", out])[0] == 0
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_main_on_fuzzed_summaries(recomputed, fuzz):
+    base = json.loads((recomputed / "summary.json").read_text())
+    out = recomputed.parent / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.copytree(recomputed, out)
+    (out / "summary.json").write_text(fuzz.draw(summary_text(base)))
+    command = fuzz.draw(st.sampled_from([["ingest"], ["gap"], ["report"]]))
+    rc, err = run([*command, "--out", out])
+    assert rc in (0, 2), err

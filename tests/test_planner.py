@@ -296,6 +296,14 @@ class TestComparativeStatics:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["compensated_epsilon_up_raises_u_star_lowers_theta_star True"] * 2
 
+    @pytest.mark.parametrize(("v0", "kappa"), [(1e6, 1e-8), (1e8, 1e-10)])
+    def test_theta_star_invariance_is_judged_relative_to_theta_star(self, v0, kappa):
+        # theta* is 1e8 and 1e10 here, so a drift of a few ulps exceeds 1e-8 in absolute terms
+        report = comparative_statics_check(IsoelasticCurve(v0, 1.0), 0.0, kappa)
+        v0_check = next(c for c in report.checks if c.name.startswith("v0_up"))
+        assert v0_check.passed, v0_check.details
+        assert report.all_passed, report.failures()
+
 
 class TestSynthPanel:
     def test_constant_shocks_give_identical_points(self):

@@ -127,12 +127,12 @@ def test_scatter_matches_scalar_reference(n):
 
 
 def test_ticks_return_where_a_step_is_below_the_float_spacing():
-    # at 1e16 the step of 1.0 is below the float spacing, so adding it to a tick would not move it
+    # at 1e16 the step of 1.0 is below the float spacing, so adding it to a tick would not move it,
+    # and neighbouring ticks round to the same float: each is kept once
     code = "import json\nfrom ugap.svgfig import _nice_ticks\nprint(json.dumps(_nice_ticks(1e16, 1e16 + 4)))"
     done = run_python(code, timeout=20)
     assert done.returncode == 0, done.stderr
-    ticks = json.loads(done.stdout)
-    assert 1 <= len(ticks) <= 6 and ticks == sorted(ticks) and 1e16 <= ticks[0] and ticks[-1] <= 1e16 + 4
+    assert json.loads(done.stdout) == [1e16, 1.0000000000000002e16, 1.0000000000000004e16]
 
 
 @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)])
