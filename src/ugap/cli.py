@@ -591,15 +591,24 @@ def cmd_simulate(run: Run) -> int:
 
 
 def _estimate_rows(path: Path) -> list[list[str]]:
-    """The header and the regime rows of estimates.csv; InputError when it lists no regime."""
-    rows = [line.split(",") for line in read_text(path).strip().splitlines()]
-    if len(rows) < 2:
-        raise InputError(f"{path} is {'without a regime row' if rows else 'empty'}; run fit or pass --recompute")
-    return rows
+    """The header and the regime rows of estimates.csv; InputError for a malformed row or when it lists no regime."""
+    header = ["regime", "start", "end", "epsilon", "se", "log_v0", "r2", "n_obs"]  # as fitting writes it
+    text, faults = read_text(path), FirstFault()
+    _linenos, columns = parse_table(text, header, str(path), faults)
+    faults.raise_first()
+    if not columns[0]:
+        raise InputError(f"{path} is {'without a regime row' if text.strip() else 'empty'}; run fit or pass --recompute")
+    return [header, *map(list, zip(*columns))]
 
 
 def _summary_lines(summary: dict) -> list[str]:
     """The gap and sensitivity sections of the report, from summary.json."""
+
+    def pct(value) -> float:
+        if not isinstance(value, (int, float)):  # checked first: 100 times a str or list is a copy 100 times its size
+            raise TypeError(f"expected a number, got {type(value).__name__}")
+        return 100 * value
+
     gap_sum = summary["gap"]["all_quarters"]
     gap_core = summary["gap"]["excluding_gap_quarters"]
     sens = summary["sensitivity"]
@@ -607,21 +616,21 @@ def _summary_lines(summary: dict) -> list[str]:
     lines = ["", "## Gap summary", ""]
     lines += [
         f"- calibration: kappa = {summary['gap']['kappa']:.4g}, zeta = {summary['gap']['zeta']:.4g}",
-        f"- mean unemployment rate: {100 * gap_sum['mean_u']:.2f}%",
-        f"- mean efficient rate: {100 * gap_sum['mean_u_star']:.2f}%",
-        f"- mean gap: {100 * gap_sum['mean_gap']:.2f}pp "
-        f"({100 * gap_core['mean_gap']:.2f}pp excluding shift quarters)",
-        f"- largest gap: {100 * gap_sum['max_gap']:.2f}pp in {gap_sum['max_gap_quarter']}",
-        f"- most negative gap: {100 * gap_sum['min_gap']:.2f}pp in {gap_sum['min_gap_quarter']}",
+        f"- mean unemployment rate: {pct(gap_sum['mean_u']):.2f}%",
+        f"- mean efficient rate: {pct(gap_sum['mean_u_star']):.2f}%",
+        f"- mean gap: {pct(gap_sum['mean_gap']):.2f}pp "
+        f"({pct(gap_core['mean_gap']):.2f}pp excluding shift quarters)",
+        f"- largest gap: {pct(gap_sum['max_gap']):.2f}pp in {gap_sum['max_gap_quarter']}",
+        f"- most negative gap: {pct(gap_sum['min_gap']):.2f}pp in {gap_sum['min_gap_quarter']}",
         f"- quarters flagged as curve shifts: {summary['gap']['n_gap_quarters']}",
     ]
     lines += ["", "## Sensitivity to the social value of nonwork", ""]
     for tag, value in sorted(sens["mean_u_star"].items()):
         shift = sens["mean_shift_vs_baseline"][tag]
-        lines.append(f"- {tag}: mean u* = {100 * value:.2f}% (shift {100 * shift:+.2f}pp)")
+        lines.append(f"- {tag}: mean u* = {pct(value):.2f}% (shift {pct(shift):+.2f}pp)")
     lines.append(
         f"- mean band width between zeta={sens['width_pair'][0]:g} and "
-        f"{sens['width_pair'][1]:g}: {100 * sens['mean_width']:.2f}pp"
+        f"{sens['width_pair'][1]:g}: {pct(sens['mean_width']):.2f}pp"
     )
     if "implied_zeta" in sens:
         iz = sens["implied_zeta"]
@@ -667,8 +676,10 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
         summary_lines = _summary_lines(_read_summary(path))
         "".join(summary_lines).encode("utf-8")  # UnicodeEncodeError for a lone surrogate the JSON escapes
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        detail = str(exc)  # clipped as an input field is, when it is long
         raise InputError(
-            f"{path} does not hold the gap and sensitivity results ({type(exc).__name__}: {exc}); "
+            f"{path} does not hold the gap and sensitivity results "
+            f"({type(exc).__name__}: {detail if len(detail) <= 40 else quoted(detail)}); "
             "run gap and sensitivity or pass --recompute"
         ) from None
 

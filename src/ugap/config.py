@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
@@ -55,9 +56,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return values
 
 
-def parse_table(
-    text: str, columns: Sequence[str], what: str, faults: FirstFault
-) -> tuple[np.ndarray, list[list[str]]]:
+def parse_table(text: str, columns: Sequence[str], what: str, faults: FirstFault) -> tuple[array, list[list[str]]]:
     """The line numbers and the columns of the data rows of a small comma-separated table.
 
     This is the grammar of every CSV file ugap reads: blank lines and
@@ -66,21 +65,19 @@ def parse_table(
     is columns[0]; every other line has exactly len(columns) fields,
     comma-separated, each stripped of blanks; nothing is quoted. For the
     first row that does not, an InputError naming its line goes to
-    faults, and the columns stop before the row.
+    faults, and the columns stop before the row. It loads no numpy, so a
+    command that reads only tables starts without it.
     """
-    import numpy as np
-
-    lines = list(map(str.strip, text.splitlines()))
+    lines = ["", *map(str.strip, text.splitlines())]  # a blank line 0, so each index is a line number
     kept = [i for i, line in enumerate(lines) if line and line[0] != "#"]
     if kept and lines[kept[0]].partition(",")[0].rstrip().lower() == columns[0]:
         del kept[0]
     rows = list(map(lines.__getitem__, kept))
-    linenos = np.array(kept, dtype=np.int64) + 1
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
-    faults.check(
-        commas != len(columns) - 1,
-        lambda i: InputError(f"{what} line {linenos[i]}: expected '{','.join(columns)}'"),
-    )
+    linenos = array("q", kept)  # 8 bytes a line, as a numpy column would take
+    commas = list(map(str.count, rows, repeat(",")))
+    if commas.count(len(columns) - 1) < len(rows):
+        first = next(i for i, n in enumerate(commas) if n != len(columns) - 1)
+        faults.at(first, lambda i: InputError(f"{what} line {linenos[i]}: expected '{','.join(columns)}'"))
     linenos = linenos[: faults.rows]
     # every row left has exactly len(columns) fields, so one split cuts them
     # all; the line strings go first, so that they and the fields never coexist

@@ -137,7 +137,7 @@ def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
     # line reported is the first that repeats an earlier date
     repeats = np.flatnonzero(index[1:] == index[:-1]) + 1
     if repeats.size:
-        linenos_sorted = linenos[order]
+        linenos_sorted = np.array(linenos)[order]
         i = repeats[np.argmin(linenos_sorted[repeats])]
         year, month = divmod(int(index[i]), 12)
         raise InputError(f"series line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")

@@ -9,13 +9,13 @@ tangency condition kappa * (-v'(u)) = 1 - zeta; welfare comparisons
 alone hit a noise floor near sqrt(machine epsilon) and cannot certify
 the tightest tolerances used by the comparative-statics checks.
 
-There are two copies of the search. The scalar one serves single solves
-and sequential chains (the compensated-v0 interval halving, the economy's
-reference optimum in synthetic panels, the simulate command): there the
-fixed cost of numpy calls dominates, and a one-lane numpy search takes
-about 40 times as long as the scalar one. The oracle grid instead runs
-every grid point as one lane of a lockstep numpy search; each lane takes
-the steps the scalar search would take on it alone.
+There are two solvers. The scalar one serves single solves and chains
+(the compensated-v0 halving, a synthetic economy's reference optimum):
+a one-lane numpy solve costs about 40 scalar ones, and simulate's bytes
+rest on the scalar golden steps and halving, so both stay. The oracle
+grid runs each point as a lane of _isoelastic_lanes: golden lanes to a
+coarse bracket, then lockstep Newton steps on the tangency condition,
+which reach machine precision in a few numpy passes.
 
 A synthetic panel is built as columns, with numpy's + - * / (correctly
 rounded, as Python's float arithmetic is) and with every power and
@@ -40,6 +40,10 @@ from .quarters import quarter_label
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = (1e-4, 0.5)
 _TOL = 1e-9
+# the bracket width at which the oracle's golden-section lanes hand over to Newton steps, and the most
+# Newton passes, which only a lane that never settles would reach
+_LANE_TOL = 3e-3
+_NEWTON_STEPS = 100
 # the perturbations comparative_statics_check applies: kappa, v0 and epsilon scaled up, zeta shifted up
 _KAPPA_FACTOR = 1.25
 _ZETA_SHIFT = 0.25
@@ -47,10 +51,10 @@ _V0_FACTOR = 1.5
 _EPSILON_FACTOR = 1.25
 # the largest theta* drift, relative to theta*, an outward shift of the curve may cause and still count as invariant
 _THETA_INVARIANCE_TOL = 1e-8
-# the largest |u* numeric - u* formula| an oracle grid point may show
-_ORACLE_U_TOL = 1e-6
+# the largest |u* numeric - u* formula|, relative to u* formula, an oracle grid point may show
+_ORACLE_U_TOL = 1e-12
 # the largest relative gap between curve and isowelfare slope at an oracle grid point's optimum
-_ORACLE_TANGENCY_TOL = 1e-6
+_ORACLE_TANGENCY_TOL = 1e-12
 # the largest argument math.exp takes without overflowing
 _MAX_EXP = math.log(sys.float_info.max)
 
@@ -204,12 +208,12 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
 
 def _golden_lanes(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
-) -> np.ndarray:
-    """Lockstep _golden_max with one lane per element of the brackets lo, hi.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep _golden_max with one lane per element of the brackets lo, hi; each lane's last bracket a, b.
 
     f maps an array of points, one per lane, to their values. Each lane
     keeps its own bracket [a, b] and stops moving once b - a is down to
-    tol, so it ends where the scalar search would end on it alone. The
+    tol; its midpoint is where the scalar search ends on it alone. The
     interior points of a stopped lane keep moving inside its frozen
     bracket; they no longer feed the result.
     """
@@ -229,7 +233,43 @@ def _golden_lanes(
         c, d = np.where(up, x, d), np.where(up, c, x)
         fc, fd = np.where(up, fx, fd), np.where(up, fc, fx)
         active = h > tol
-    return 0.5 * (a + b)
+    return a, b
+
+
+def _isoelastic_lanes(epsilon, zeta, kappa, v0) -> tuple[np.ndarray, np.ndarray]:
+    """u* and a boundary mask for the planner on v0 * u ** -epsilon, one lane per element of the aligned columns.
+
+    Golden-section lanes close each lane's bracket [a, b] to _LANE_TOL,
+    without derivatives. A lane is a boundary hit unless the tangency
+    residual r(u) = kappa epsilon v0 u^(-epsilon-1) - (1 - zeta) goes from
+    positive and finite at a to negative at b. Every other lane takes
+    lockstep Newton steps on r from a until none moves by more than
+    1e-15 u: r is convex and decreasing, so the steps rise to its root and
+    never overshoot it. A boundary lane returns its bracket's midpoint.
+    _LANE_TOL = 3e-3 is measured on the 4096-lane verify grid (2-vCPU
+    x86-64, medians): 11 golden steps and 6 Newton passes took 1.7 ms,
+    1e-3 took 1.9 ms, and 1e-2 took 1.4 ms, but on wide draws its lanes
+    can start so far below the root that they need ~50 Newton passes.
+    """
+    lo, hi = _BRACKET
+    with np.errstate(all="ignore"):  # a lane whose residual is not finite at a is a boundary hit
+        # welfare less its constant 1, which no comparison needs
+        slope, cost, power = zeta - 1.0, kappa * v0, -epsilon
+        a, b = _golden_lanes(
+            lambda u: slope * u - cost * u**power, np.full(epsilon.shape, lo), np.full(epsilon.shape, hi), _LANE_TOL
+        )
+        k, p, c = cost * epsilon, epsilon + 1.0, 1.0 - zeta
+        r = k * a**-p - c
+        interior = (0.0 < r) & (r < np.inf) & (k * b**-p < c)
+        u = np.where(interior, a, 0.5 * (a + b))
+        for _ in range(_NEWTON_STEPS):
+            # Newton on r, with r'(u) = -p (r + c) / u; a finite r > 0 at a keeps every step finite
+            step = np.where(interior, r * u / (p * (r + c)), 0.0)
+            u = u + step
+            if not (step > 1e-15 * u).any():
+                break
+            r = k * u**-p - c
+    return u, ~interior
 
 
 def _check_planner_stats(zeta: float, kappa: float) -> None:
@@ -459,12 +499,11 @@ def oracle_grid_check(
     invalid point and PropertyViolation on the first boundary hit or
     disagreement.
 
-    All grid points are searched at once by _golden_lanes, the numpy
-    twin of _golden_max, the derivative-free search that
-    solve_planner_numeric then polishes. numpy's power can differ from
-    libm's pow in the last ulp, which may flip a near-tie comparison and
-    move a lane's optimum by a few 1e-9; that is far inside
-    _ORACLE_U_TOL. The formula side is gap._u_star, the u* formula that
+    All grid points are solved at once by _isoelastic_lanes, which never
+    evaluates the formula. Its u* is good to about 1e-15 relative (worst
+    7.2e-16, and tangency residual 1.5e-15, over 300 random 4^4 grids in
+    the default ranges, with numpy's AVX-512 power on and off), far inside
+    the relative _ORACLE_U_TOL. The formula side is gap._u_star, the u* formula that
     gap_series and sensitivity run, on columns. The records are built
     from whole columns; the first failing point in product order is then
     checked for, in this order, an overflowing formula, a boundary hit
@@ -484,28 +523,21 @@ def oracle_grid_check(
         IsoelasticCurve(float(v0[i]), float(eps[i]))
         _check_planner_stats(float(zeta[i]), float(kappa[i]))
 
-    lo, hi = _BRACKET
     u_pt = 0.08
     # a curve value that overflows is -inf welfare to the search and an
     # infinite tangency residual, which the checks below report
+    u_star, boundary = _isoelastic_lanes(eps, zeta, kappa, v0)
     with np.errstate(over="ignore"):
-        u_star = _golden_lanes(
-            lambda u: (1.0 - u) + zeta * u - kappa * (v0 * u ** (-eps)),
-            np.full(eps.shape, lo),
-            np.full(eps.shape, hi),
-            _TOL,
-        )
         slope = -eps * (v0 * u_star ** (-eps)) / u_star
         # the formula's on-curve point; a power that overflows here is one the
         # scalar pow raises OverflowError for
         power = u_pt ** (-eps)
         u_formula = _u_star(u_pt, v0 * power, eps, kappa, zeta)
-    boundary = (u_star - lo < 10.0 * _TOL) | (hi - u_star < 10.0 * _TOL)
     iso_slope = -(1.0 - zeta) / kappa
     tangency = np.abs(slope - iso_slope) / np.abs(iso_slope)
     u_error = np.abs(u_star - u_formula)
     overflow = np.isinf(power)
-    disagree = (u_error >= _ORACLE_U_TOL) | (tangency >= _ORACLE_TANGENCY_TOL)
+    disagree = (u_error >= _ORACLE_U_TOL * u_formula) | (tangency >= _ORACLE_TANGENCY_TOL)
 
     # the grid values as given, in product order, then the computed columns
     columns = (u_star, u_formula, u_error, tangency, boundary)

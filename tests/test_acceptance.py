@@ -146,13 +146,13 @@ def test_criterion_08_implied_zeta_extremes(panel, schedule, profile):
 
 def test_criterion_09_oracle_equivalence():
     records = oracle_grid_check()
-    worst_u = max(r["u_error"] for r in records)
+    worst_u = max(r["u_error"] / r["u_star_formula"] for r in records)
     worst_t = max(r["tangency_residual"] for r in records)
-    ok = len(records) == 81 and worst_u < 1e-6 and worst_t < 1e-6
+    ok = len(records) == 81 and worst_u < 1e-12 and worst_t < 1e-12
     check(
         "A09 oracle-equivalence",
         ok,
-        f"81 grid points, max |u* error| {worst_u:.2e}, max tangency residual {worst_t:.2e}",
+        f"81 grid points, max relative u* error {worst_u:.2e}, max tangency residual {worst_t:.2e}",
     )
 
 

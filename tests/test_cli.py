@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -809,6 +810,34 @@ class TestUnreadableArtifacts:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path} does not hold the gap and sensitivity results ({error}: ")
 
+    def test_summary_string_is_not_multiplied_before_it_is_rejected(self, tmp_path, capsys):
+        assert run("report", "--recompute", "--out", tmp_path) == 0
+        path = tmp_path / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["gap"]["all_quarters"]["mean_u"] = "x" * 1_000_000
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run("report", "--out", tmp_path) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith(f"error: {path} does not hold the gap and sensitivity results")
+        assert peak < 20_000_000  # a 100-fold copy of the string is 100 MB
+
+    def test_summary_error_clips_a_long_key(self, tmp_path, capsys):
+        assert run("report", "--recompute", "--out", tmp_path) == 0
+        path = tmp_path / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["sensitivity"]["mean_u_star"]["k" * 5000] = 0.05
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run("report", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} does not hold the gap and sensitivity results (KeyError: ")
+        assert err.count("\n") == 1 and len(err) < len(str(path)) + 200 and "(5002 characters)" in err
+
     @pytest.mark.parametrize("command", ["ingest", "gap", "sensitivity"])
     @pytest.mark.parametrize("depth", [600, 900])
     def test_summary_nested_too_deep_to_write_back_writes_nothing(self, tmp_path, capsys, command, depth):
@@ -832,6 +861,18 @@ class TestUnreadableArtifacts:
         assert run("report", "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / 'estimates.csv'} is ")
+
+    def test_estimates_row_with_a_missing_field_names_its_line(self, tmp_path, capsys):
+        assert run("report", "--recompute", "--out", tmp_path) == 0
+        path = tmp_path / "estimates.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rpartition(",")[0] + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("report", "--out", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} line 3: expected 'regime,start,end,epsilon,se,log_v0,r2,n_obs'\n"
+        )
 
     @pytest.mark.parametrize("drop", ["gap", "sensitivity"])
     def test_summary_without_a_section_fails_report_with_2(self, tmp_path, capsys, drop):

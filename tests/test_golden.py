@@ -168,13 +168,18 @@ AVX512_OFF_RUN = """
 import json, sys
 from pathlib import Path
 from test_golden import STEPS, TWELVE_ZETAS, numpy_dispatches_avx512, run_steps
+from test_planner import random_oracle_axes
 from test_scaled_runs import scaled_runs
+from ugap.planner import oracle_grid_check
 out = Path(sys.argv[1])
+oracles = [oracle_grid_check(), oracle_grid_check(*random_oracle_axes())]
 print(json.dumps([
     run_steps(out / "golden", STEPS),
     run_steps(out / "zetas", [TWELVE_ZETAS]),
     scaled_runs(out / "scaled"),
     numpy_dispatches_avx512(),
+    [max(r["u_error"] / r["u_star_formula"] for r in records) for records in oracles],
+    [max(r["tangency_residual"] for r in records) for records in oracles],
 ]))
 """
 
@@ -202,8 +207,10 @@ def test_goldens_hold_with_numpy_avx512_disabled(fresh, tmp_path, monkeypatch):
         [sys.executable, "-c", AVX512_OFF_RUN, str(tmp_path / "off")], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    (files, printed), zetas, scaled, avx512 = json.loads(done.stdout)
+    (files, printed), zetas, scaled, avx512, u_errors, tangencies = json.loads(done.stdout)
     assert avx512 is False  # the variable took effect in the child
+    # the oracle's bounds, relative u* error and tangency residual on the default and a random grid
+    assert max(u_errors) < 1e-12 and max(tangencies) < 1e-12
     assert (files, printed) == fresh
     assert files == GOLDEN_FILES
     assert {step: sha256(text.encode()) for step, text in printed.items()} == GOLDEN_STDOUT

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_python
 from scalar_formulas import SufficientStats, efficient_unemployment
@@ -164,8 +166,8 @@ def test_verification_entry_points_take_only_their_inputs():
 def test_oracle_grid_agrees_with_formula():
     records = oracle_grid_check()
     assert len(records) == 81
-    assert max(r["u_error"] for r in records) < 1e-6
-    assert max(r["tangency_residual"] for r in records) < 1e-6
+    assert max(r["u_error"] / r["u_star_formula"] for r in records) < 1e-12
+    assert max(r["tangency_residual"] for r in records) < 1e-12
 
 
 ORACLE_KEYS = [
@@ -185,7 +187,7 @@ def random_oracle_axes(seed=2019, n=5):
 
 
 class TestOracleLockstep:
-    """The lockstep oracle against one scalar search per grid point."""
+    """The lockstep oracle against one polished scalar solve per grid point."""
 
     @pytest.mark.parametrize(
         "axes",
@@ -198,9 +200,9 @@ class TestOracleLockstep:
         assert [(r["epsilon"], r["zeta"], r["kappa"], r["v0"]) for r in records] == points
         for rec, (eps, zeta, kappa, v0) in zip(records, points):
             assert list(rec) == ORACLE_KEYS
-            curve = IsoelasticCurve(v0, eps)
-            assert abs(rec["u_star_numeric"] - search(curve, zeta, kappa)) < 1e-8
-            assert rec["boundary_warning"] is solve_planner_numeric(curve, zeta, kappa).boundary_warning
+            solved = solve_planner_numeric(IsoelasticCurve(v0, eps), zeta, kappa)
+            assert abs(rec["u_star_numeric"] - solved.u_star) < 1e-13 * solved.u_star
+            assert rec["boundary_warning"] is solved.boundary_warning
 
     @pytest.mark.parametrize(
         "axes",
@@ -233,12 +235,27 @@ class TestOracleLockstep:
         lo = rng.uniform(0.0, 0.2, 64)
         hi = lo + np.exp(rng.uniform(-8.0, 0.0, 64))
         peaks = rng.uniform(-0.1, 1.2, 64)
-        lanes = _golden_lanes(lambda u: -(u - peaks) * (u - peaks), lo, hi, 1e-9)
+        left, right = _golden_lanes(lambda u: -(u - peaks) * (u - peaks), lo, hi, 1e-9)
         scalar = [
             _golden_max(lambda u, m=m: -(u - m) * (u - m), a, b, 1e-9)
             for m, a, b in zip(peaks.tolist(), lo.tolist(), hi.tolist())
         ]
-        assert lanes.tolist() == scalar
+        assert (0.5 * (left + right)).tolist() == scalar
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        st.lists(st.floats(0.8, 1.25), min_size=1, max_size=2),
+        st.lists(st.floats(0.0, 0.5), min_size=1, max_size=2),
+        st.lists(st.floats(0.3, 1.0), min_size=1, max_size=2),
+        st.lists(st.floats(math.log(3e-4), math.log(3e-2)).map(math.exp), min_size=1, max_size=2),
+    )
+    def test_random_axes_meet_the_bounds_and_flag_as_the_scalar_solve(self, epsilons, zetas, kappas, v0s):
+        records = oracle_grid_check(epsilons, zetas, kappas, v0s)
+        for rec, (eps, zeta, kappa, v0) in zip(records, itertools.product(epsilons, zetas, kappas, v0s), strict=True):
+            assert rec["u_error"] < 1e-12 * rec["u_star_formula"]
+            assert rec["tangency_residual"] < 1e-12
+            solved = solve_planner_numeric(IsoelasticCurve(v0, eps), zeta, kappa)
+            assert rec["boundary_warning"] is solved.boundary_warning
 
     def test_empty_axis(self):
         assert oracle_grid_check(zetas=()) == []

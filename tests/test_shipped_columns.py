@@ -1,13 +1,17 @@
-"""The u* columns ugap writes for the bundled panel agree with the numerical planner.
+"""The columns ugap writes for the bundled panel agree with the numerical planner.
 
 Each quarter is its own economy: the isoelastic curve v(u) = v0 u^-epsilon
 through its observed (u, v), so v0 = v u^epsilon, with the schedule's
-epsilon and kappa for that quarter. All 276 quarters are searched at
-once, as lanes of planner._golden_lanes over _BRACKET and _TOL, the
-search the oracle grid check runs; no closed form enters the planner
-side. Each check is also shown to fail against a deliberately wrong
-formula.
+epsilon and kappa for that quarter. All 276 quarters are solved at once,
+as lanes of planner._isoelastic_lanes, the solver the oracle grid check
+runs; no closed form enters the planner side. Each check gives a list of
+errors, all of which must be below the oracle's bound _ORACLE_U_TOL: a
+relative error for a column the planner computes, a count of quarters
+for a column that must hold exactly. Each check is also shown to fail
+against a deliberately wrong formula.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import pytest
 from ugap import gap
 from ugap.cli import Run
 from ugap.config import load_config
-from ugap.planner import _BRACKET, _ORACLE_U_TOL, _TOL, _golden_lanes
+from ugap.planner import _ORACLE_U_TOL, _isoelastic_lanes
 
 SWEEP = (0.0, 0.25, 0.5, 0.96)
 
@@ -26,25 +30,53 @@ def run():
     return Run(load_config(None))
 
 
+def curve_v0(run):
+    """Per quarter, the v0 of the isoelastic curve through its observed (u, v)."""
+    return run.panel.v * run.panel.u**run.schedule.epsilon
+
+
 def planner_u_star(run, zeta):
     """Per quarter, the u that maximizes (1 - u) + zeta u - kappa v(u) on the quarter's own curve."""
-    u, v = run.panel.u, run.panel.v
-    epsilon, kappa = run.schedule.epsilon, run.schedule.kappa
-    v0 = v * u**epsilon
-    lo, hi = (np.full(u.shape, bound) for bound in _BRACKET)
-    u_star = _golden_lanes(lambda x: (1.0 - x) + zeta * x - kappa * (v0 * x**-epsilon), lo, hi, _TOL)
-    assert ((u_star - lo > 10.0 * _TOL) & (hi - u_star > 10.0 * _TOL)).all(), "planner hit the bracket"
+    u_star, boundary = _isoelastic_lanes(run.schedule.epsilon, zeta, run.schedule.kappa, curve_v0(run))
+    assert not boundary.any(), "planner hit the bracket"
     return u_star
 
 
-def worst(column, u_star) -> float:
-    return float(np.abs(column - u_star).max())
+def worst(column, expected) -> float:
+    return float((np.abs(column - expected) / expected).max())
+
+
+def baseline(run):
+    """gap_series at the profile's zeta, and the planner's u* there."""
+    _kappa, zeta = run.calibration
+    return gap.gap_series(run.panel, run.schedule, zeta), planner_u_star(run, zeta)
 
 
 def gap_errors(run) -> list[float]:
     """The u_star column of gap.csv, at the profile's zeta."""
-    _kappa, zeta = run.calibration
-    return [worst(gap.gap_series(run.panel, run.schedule, zeta).u_star, planner_u_star(run, zeta))]
+    series, u_star = baseline(run)
+    return [worst(series.u_star, u_star)]
+
+
+def theta_star_errors(run) -> list[float]:
+    """The theta_star column of gap.csv: the planner's v(u*) / u* on each quarter's curve."""
+    series, u_star = baseline(run)
+    return [worst(series.theta_star, curve_v0(run) * u_star**-run.schedule.epsilon / u_star)]
+
+
+def gap_column_errors(run) -> list[float]:
+    """The gap column of gap.csv: the quarters where it is not u - u_star bit for bit."""
+    series, _u_star = baseline(run)
+    return [float((series.gap != run.panel.u - series.u_star).sum())]
+
+
+def classification_errors(run) -> list[float]:
+    """The classification column of gap.csv: slack quarters with u <= u*, tight ones with u >= u*, by the planner."""
+    series, u_star = baseline(run)
+    u, labels = run.panel.u, series.classification
+    slack, tight = labels == gap.INEFFICIENTLY_SLACK, labels == gap.INEFFICIENTLY_TIGHT
+    assert slack.any() and tight.any()
+    return [float((slack & (u <= u_star)).sum()), float((tight & (u >= u_star)).sum())]
 
 
 def sensitivity_errors(run) -> list[float]:
@@ -59,7 +91,14 @@ def implied_zeta_errors(run) -> list[float]:
     return [worst(run.panel.u, planner_u_star(run, zeta))]
 
 
-CHECKS = {"gap": gap_errors, "sensitivity": sensitivity_errors, "implied_zeta": implied_zeta_errors}
+CHECKS = {
+    "gap": gap_errors,
+    "theta_star": theta_star_errors,
+    "gap_column": gap_column_errors,
+    "classification": classification_errors,
+    "sensitivity": sensitivity_errors,
+    "implied_zeta": implied_zeta_errors,
+}
 
 
 def wrong_u_star(u, v, epsilon, kappa, zeta, power=pow):
@@ -68,6 +107,30 @@ def wrong_u_star(u, v, epsilon, kappa, zeta, power=pow):
 
 def wrong_implied_zeta(panel, schedule):
     return 1.0 - schedule.kappa * panel.theta  # epsilon left out
+
+
+def wrong_column(name, formula):
+    """gap_series with one column replaced by formula(panel, schedule, zeta, series)."""
+    right = gap.gap_series
+
+    def gap_series(panel, schedule, zeta, tol=0.01):
+        series = right(panel, schedule, zeta, tol)
+        return dataclasses.replace(series, **{name: formula(panel, schedule, zeta, series)})
+
+    return gap_series
+
+
+WRONG_THETA_STAR = wrong_column("theta_star", lambda panel, schedule, zeta, s: (1.0 - zeta) / schedule.kappa)
+WRONG_GAP = wrong_column("gap", lambda panel, schedule, zeta, s: s.u_star - panel.u)
+# tight and slack swapped
+WRONG_CLASSIFICATION = wrong_column(
+    "classification",
+    lambda panel, schedule, zeta, s: np.where(
+        s.classification == gap.INEFFICIENTLY_SLACK,
+        gap.INEFFICIENTLY_TIGHT,
+        np.where(s.classification == gap.INEFFICIENTLY_TIGHT, gap.INEFFICIENTLY_SLACK, s.classification),
+    ),
+)
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -79,6 +142,9 @@ def test_column_agrees_with_the_planner(run, check):
     "check,name,wrong",
     [
         ("gap", "_u_star", wrong_u_star),
+        ("theta_star", "gap_series", WRONG_THETA_STAR),
+        ("gap_column", "gap_series", WRONG_GAP),
+        ("classification", "gap_series", WRONG_CLASSIFICATION),
         ("sensitivity", "_u_star", wrong_u_star),
         ("implied_zeta", "implied_zeta_series", wrong_implied_zeta),
     ],
