@@ -69,7 +69,7 @@ if TYPE_CHECKING:
     from .fitting import ElasticityEstimate
     from .ingest import LaborMarketPanel
     from .planner import DmpEconomy
-    from .regimes import RegimeTable, Schedule
+    from .regimes import Regime, RegimeTable, Schedule
 
 
 def _forward(module: str, name: str):
@@ -252,16 +252,17 @@ class Run:
         return RegimeTable.from_file(self.cfg.regimes)
 
     @cached_property
-    def fits(self) -> tuple[list[ElasticityEstimate], list[tuple[str, InputError]]]:
+    def fits(self) -> tuple[list[tuple[Regime, ElasticityEstimate]], list[tuple[str, InputError]]]:
         return fit_all(self.panel, self.table)
 
     @cached_property
     def schedule(self) -> Schedule:
-        estimates, failures = self.fits
+        fits, failures = self.fits
         if failures:
             label, exc = failures[0]
             raise InputError(f"regime {label!r}: {exc}")
         kappa, _zeta = self.calibration
+        estimates = [est for _regime, est in fits]
         return build_schedule(self.table, estimates, self.panel.quarters, kappa, self.kappa_overrides)
 
     @cached_property
@@ -349,15 +350,11 @@ def cmd_ingest(run: Run) -> int:
 
 
 def cmd_fit(run: Run) -> int:
-    from .regimes import RegimeTable
-
-    estimates, failures = run.fits
-    labels = {e.label for e in estimates}
-    fitted = RegimeTable(tuple(r for r in run.table if r.label in labels))
-    names = [_fit_figure(regime.label) for regime in fitted]  # checked before anything is written
+    fits, failures = run.fits
+    names = [_fit_figure(regime.label) for regime, _est in fits]  # checked before anything is written
     out = Path(run.cfg.out_dir)
-    run.write("estimates.csv", write_estimates_csv(estimates, fitted))
-    for regime, est, name in zip(fitted, estimates, names):
+    run.write("estimates.csv", write_estimates_csv(fits))
+    for (regime, est), name in zip(fits, names):
         sub = run.panel.between(regime.start, regime.end)
         svg = scatter_fit_svg(
             f"Beveridge curve {regime.label}",
@@ -391,15 +388,15 @@ def cmd_gap(run: Run) -> int:
         "Actual and efficient unemployment rate",
         [("unemployment", panel.u), ("efficient rate", series.u_star)],
     )
-    run.write("gap.csv", gap_mod.write_gap_csv(panel, series))
+    run.write("gap.csv", gap_mod.write_gap_csv(panel, schedule, series))
 
-    summary_all = gap_mod.summarize(panel, series, exclude_gap_quarters=False)
-    summary_core = gap_mod.summarize(panel, series, exclude_gap_quarters=True)
+    summary_all = gap_mod.summarize(panel, schedule, series, exclude_gap_quarters=False)
+    summary_core = gap_mod.summarize(panel, schedule, series, exclude_gap_quarters=True)
     payload = {
         "kappa": kappa,
         "kappa_overrides": run.kappa_overrides,
         "zeta": zeta,
-        "n_gap_quarters": int(series.is_gap_quarter.sum()),
+        "n_gap_quarters": int(schedule.is_gap_quarter.sum()),
         "n_out_of_range": int(series.u_star_out_of_range.sum()),
         "all_quarters": asdict(summary_all),
         "excluding_gap_quarters": asdict(summary_core),
@@ -566,10 +563,8 @@ def cmd_simulate(run: Run) -> int:
             "checked": round_trip_checked,
             "passed": round_trip_ok,
         },
-        "comparative_statics": [
-            {"name": c.name, "passed": c.passed, "details": c.details} for c in statics.checks
-        ],
-        "all_passed": round_trip_ok and statics.all_passed,
+        "comparative_statics": [asdict(c) for c in statics],
+        "all_passed": round_trip_ok and all(c.passed for c in statics),
     }
     # written only once every input error has had its chance to stop the run
     run.write("synthetic_panel.csv", panel.to_csv())
@@ -580,10 +575,10 @@ def cmd_simulate(run: Run) -> int:
             max_rel, round_trip_tol, "checked" if round_trip_checked else "not checked, noisy run"
         )
     )
-    for check in statics.checks:
+    for check in statics:
         print(f"comparative statics {check.name}: {'pass' if check.passed else 'FAIL'}")
     if not report["all_passed"]:
-        failures = [c.name for c in statics.failures()]
+        failures = [c.name for c in statics if not c.passed]
         if not round_trip_ok:
             failures.append("round_trip")
         raise PropertyViolation(f"simulation checks failed: {', '.join(failures)}")
@@ -770,10 +765,7 @@ def main(argv: list[str] | None = None) -> int:
             return handlers[args.command](run)
         finally:
             run.write_summary()
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PropertyViolation as exc:

@@ -19,7 +19,7 @@ from .quarters import quarter_label
 
 if TYPE_CHECKING:
     from .ingest import LaborMarketPanel
-    from .regimes import RegimeTable
+    from .regimes import Regime, RegimeTable
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,21 @@ def fit_elasticity(u: Sequence[float], v: Sequence[float], label: str = "") -> E
 
 def fit_all(
     panel: "LaborMarketPanel", table: "RegimeTable"
-) -> tuple[list[ElasticityEstimate], list[tuple[str, InputError]]]:
+) -> tuple[list[tuple["Regime", ElasticityEstimate]], list[tuple[str, InputError]]]:
     """Fit each regime on its own, so one bad regime does not hide the rest.
 
-    Returns the estimates in regime order and a (regime label, error) pair
-    for every regime that failed to fit.
+    Returns a (regime, estimate) pair for every fitted regime, in regime
+    order, and a (regime label, error) pair for every regime that failed
+    to fit.
     """
-    estimates, failures = [], []
+    fits, failures = [], []
     for regime in table:
         sub = panel.between(regime.start, regime.end)
         try:
-            estimates.append(fit_elasticity(sub.u, sub.v, label=regime.label))
+            fits.append((regime, fit_elasticity(sub.u, sub.v, label=regime.label)))
         except InputError as exc:
             failures.append((regime.label, exc))
-    return estimates, failures
+    return fits, failures
 
 
 def dmp_elasticity(alpha: float, u: float) -> float:
@@ -102,12 +103,10 @@ def dmp_elasticity(alpha: float, u: float) -> float:
     return (alpha + u / (1.0 - u)) / (1.0 - alpha)
 
 
-def write_estimates_csv(estimates: Sequence[ElasticityEstimate], table: "RegimeTable") -> str:
-    """The text of estimates.csv: one row per regime of table, each with its estimate."""
-    by_label = {e.label: e for e in estimates}
+def write_estimates_csv(fits: Sequence[tuple["Regime", ElasticityEstimate]]) -> str:
+    """The text of estimates.csv: one row per (regime, estimate) pair of fit_all."""
     rows = ["regime,start,end,epsilon,se,log_v0,r2,n_obs\n"]
-    for regime in table:
-        e = by_label[regime.label]
+    for regime, e in fits:
         rows.append(
             f"{regime.label},{quarter_label(regime.start)},{quarter_label(regime.end)},"
             f"{e.epsilon:.8g},{e.se_epsilon:.8g},{e.log_v0:.8g},{e.r_squared:.8g},{e.n_obs}\n"

@@ -60,14 +60,12 @@ def _check_finite(panel: LaborMarketPanel, columns: Mapping[str, np.ndarray]) ->
 
 @dataclass(frozen=True, eq=False)
 class GapSeries:
-    """Per-quarter efficiency columns, aligned with the panel they were computed on."""
+    """Per-quarter efficiency columns, aligned with the panel and schedule they were computed on."""
 
-    epsilon: np.ndarray
     u_star: np.ndarray
     theta_star: np.ndarray
     gap: np.ndarray
     classification: np.ndarray
-    is_gap_quarter: np.ndarray
 
     def __len__(self) -> int:
         return len(self.u_star)
@@ -98,14 +96,7 @@ def gap_series(panel: LaborMarketPanel, schedule: Schedule, zeta: float, tol: fl
     classification = np.where(
         theta > upper, INEFFICIENTLY_TIGHT, np.where(theta < lower, INEFFICIENTLY_SLACK, EFFICIENT)
     )
-    return GapSeries(
-        epsilon=epsilon,
-        u_star=u_star,
-        theta_star=theta_star,
-        gap=panel.u - u_star,
-        classification=classification,
-        is_gap_quarter=schedule.is_gap_quarter,
-    )
+    return GapSeries(u_star=u_star, theta_star=theta_star, gap=panel.u - u_star, classification=classification)
 
 
 @dataclass(frozen=True)
@@ -124,10 +115,10 @@ class GapSummary:
 
 
 def summarize(
-    panel: LaborMarketPanel, series: GapSeries, exclude_gap_quarters: bool = False
+    panel: LaborMarketPanel, schedule: Schedule, series: GapSeries, exclude_gap_quarters: bool = False
 ) -> GapSummary:
-    """Unweighted quarterly averages, optionally dropping flagged quarters."""
-    keep = ~series.is_gap_quarter if exclude_gap_quarters else np.ones(len(series), dtype=bool)
+    """Unweighted quarterly averages, optionally dropping the quarters the schedule flags."""
+    keep = ~schedule.is_gap_quarter if exclude_gap_quarters else np.ones(len(series), dtype=bool)
     kept = np.flatnonzero(keep)
     if not kept.size:
         raise InputError("no quarters left to summarize")
@@ -200,12 +191,12 @@ def implied_zeta_series(panel: LaborMarketPanel, schedule: Schedule) -> np.ndarr
     return 1.0 - schedule.kappa * schedule.epsilon * panel.theta
 
 
-def write_gap_csv(panel: LaborMarketPanel, series: GapSeries) -> str:
+def write_gap_csv(panel: LaborMarketPanel, schedule: Schedule, series: GapSeries) -> str:
     """The text of gap.csv."""
     header = "quarter,u,v,theta,epsilon,u_star,theta_star,gap,classification,is_gap_quarter"
     columns = (
-        panel.u, panel.v, panel.theta, series.epsilon, series.u_star, series.theta_star,
-        series.gap, series.classification, series.is_gap_quarter,
+        panel.u, panel.v, panel.theta, schedule.epsilon, series.u_star, series.theta_star,
+        series.gap, series.classification, schedule.is_gap_quarter,
     )
     return write_quarter_rows(header, panel.quarters, "%.8g," * 7 + "%s,%d", columns)
 

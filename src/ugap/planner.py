@@ -61,7 +61,7 @@ _MAX_EXP = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class IsoelasticCurve:
-    """v(u) = v0 * u ** (-epsilon)."""
+    """v(u) = v0 * u ** (-epsilon); inf where the power overflows, as on DmpCurve."""
 
     v0: float
     epsilon: float
@@ -73,7 +73,7 @@ class IsoelasticCurve:
     def value(self, u: float) -> float:
         if u <= 0.0:
             raise InputError(f"unemployment rate must be positive, got {u}")
-        return self.v0 * u ** (-self.epsilon)
+        return self.v0 * _pow_or_inf(u, -self.epsilon)
 
     def slope(self, u: float) -> float:
         return -self.epsilon * self.value(u) / u
@@ -332,10 +332,16 @@ def _compensated_v0(base_v0: float, target: float, new_epsilon: float, zeta: flo
 
     Maximized welfare is strictly decreasing in v0, so interval halving
     on v0 is safe. Mirrors a compensated price change: elasticity rises,
-    location adjusts to stay on the original isowelfare line.
+    location adjusts to stay on the original isowelfare line. A search
+    that halves or doubles v0 out of the positive finite floats raises
+    InputError.
     """
 
     def peak(v0: float) -> float:
+        if not 0.0 < v0 < math.inf:
+            raise InputError(
+                f"the compensated search for the v0 of the curve with epsilon {new_epsilon:g} reached v0 = {v0:g}"
+            )
         return solve_planner_numeric(IsoelasticCurve(v0, new_epsilon), zeta, kappa).welfare
 
     lo, hi = base_v0, base_v0
@@ -361,20 +367,8 @@ class StaticsCheck:
     details: str
 
 
-@dataclass(frozen=True)
-class StaticsReport:
-    checks: tuple[StaticsCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[StaticsCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float) -> StaticsReport:
-    """Verify the four comparative-statics sign patterns numerically.
+def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float) -> tuple[StaticsCheck, ...]:
+    """Verify the four comparative-statics sign patterns numerically; one check per pattern.
 
     Raising kappa or zeta must raise u* and lower theta*; an outward
     shift (v0 up) must raise u* and leave theta* unchanged to a relative
@@ -409,7 +403,7 @@ def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float)
     comp = raises_u_star_lowers_theta_star(
         "compensated_epsilon", solve_planner_numeric(IsoelasticCurve(comp_v0, new_eps), zeta, kappa)
     )
-    return StaticsReport((kap, zet, shift, comp))
+    return kap, zet, shift, comp
 
 
 def synth_panel(

@@ -52,9 +52,6 @@ class RegimeTable:
     def __iter__(self):
         return iter(self.regimes)
 
-    def __len__(self) -> int:
-        return len(self.regimes)
-
     @classmethod
     def from_text(cls, text: str) -> RegimeTable:
         """Parse `label,start,end` lines with quarters as YYYYQn."""

@@ -61,9 +61,9 @@ def regime_table():
 
 @pytest.fixture(scope="session")
 def estimates(panel, regime_table):
-    estimates, failures = fit_all(panel, regime_table)
+    fits, failures = fit_all(panel, regime_table)
     assert failures == []
-    return estimates
+    return [est for _regime, est in fits]
 
 
 @pytest.fixture(scope="session")

@@ -486,6 +486,16 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: matching elasticity must be in (0,1), got 1.0\n"
         assert not (tmp_path / "out").exists()
 
+    def test_steep_economy_ends_in_an_exit_code(self, tmp_path, capsys):
+        # the fitted curve is so steep (epsilon ~ 76, v0 ~ 1e-253) that the compensated
+        # statics check raises u to a power that overflows, then halves its v0 toward 0;
+        # a raw exception would leave main and fail the test
+        scenario = edited_scenario(tmp_path, alpha="0.987", mu="200")
+        rc = run("simulate", "--scenario", scenario, "--out", tmp_path / "out")
+        lines = capsys.readouterr().err.splitlines()
+        assert rc in (0, 1, 2) and len(lines) == (rc != 0), lines
+        assert all(line.startswith(("error: ", "property violation: ")) for line in lines), lines
+
     @pytest.mark.parametrize("economy", [{"s": "1e308", "c": "1e308"}, {"mu": "5e-324"}])
     def test_overflowing_curve_exits_2(self, tmp_path, capsys, economy):
         # the curve value overflows (or divides by an underflowed 0) inside the planner's search

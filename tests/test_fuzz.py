@@ -1,4 +1,4 @@
-"""Fuzzed run configs, scenarios, shock files and summary.json files against the exit-code contract.
+"""Fuzzed run configs, scenarios, shock files, summary.json files and library arguments against the exit-code contract.
 
 `cli.main` must never raise. It returns 0 or 2, and `simulate` may also
 return 1, for a verified property that failed. Each file starts from the
@@ -6,7 +6,8 @@ bundled one, with a few values swapped for other valid ones, wrong ones
 or junk text, or dropped, and maybe a junk line. A summary.json starts
 from the one `report --recompute` writes, with values under its gap and
 sensitivity sections swapped for arbitrary JSON: big integers, deep
-nests, wrong types.
+nests, wrong types. The public numerical routines must return or raise
+InputError for any float they are given.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from test_readers import MULTIPLIERS, SPECIAL_LINES, mostly, pick
 from ugap.cli import main
 from ugap.config import bundled_data_dir, parse_kv_text
@@ -46,8 +48,8 @@ CONFIG = {
     "simulate.noise_scale": (("0", "0.01"), ("-1", "nan", "1e308", "abc")),
 }
 SCENARIO = {
-    "economy.alpha": (("0.5", "0.3"), ("0", "1", "nan", "abc")),
-    "economy.mu": (("2.055", "1.5"), ("0", "-1", "nan", "inf", "1e308")),
+    "economy.alpha": (("0.5", "0.3", "0.987"), ("0", "1", "nan", "abc")),
+    "economy.mu": (("2.055", "1.5", "200"), ("0", "-1", "nan", "inf", "1e308")),
     "economy.s": (("0.105", "0.2"), ("0", "nan", "1e308")),
     "economy.p": (("1.0",), ("0", "inf", "0.1")),
     "economy.z": (("0.25", "0"), ("-1", "1", "nan")),
@@ -190,3 +192,68 @@ def test_main_on_fuzzed_summaries(recomputed, fuzz):
     command = fuzz.draw(st.sampled_from([["ingest"], ["gap"], ["report"]]))
     rc, err = run([*command, "--out", out])
     assert rc in (0, 2), err
+
+
+# Run in a child, so that a routine that never returns fails the test instead of stalling the suite.
+PUBLIC_ROUTINES = """
+import math
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ugap.errors import InputError
+from ugap.fitting import fit_elasticity
+from ugap.planner import IsoelasticCurve, comparative_statics_check, solve_planner_numeric
+from ugap.svgfig import scatter_fit_svg, timeseries_svg
+
+# the contract is on what a call returns or raises; numpy's warnings on inf and nan are not part of it
+warnings.simplefilter("ignore", RuntimeWarning)
+# log-uniform from 1e-300 to 1e300 nine times in ten, else 0, a negative, an infinity or nan
+magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+number = st.integers(0, 9).flatmap(
+    lambda i: st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]) if i == 0 else magnitude
+)
+signed = st.one_of(number, number.map(lambda x: -x))
+column = st.lists(signed, min_size=1, max_size=6)
+fuzz = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def returns_or_input_error(call, *args):
+    try:
+        call(*args)
+    except InputError:
+        pass
+
+
+for routine in (solve_planner_numeric, comparative_statics_check):
+    @fuzz
+    @given(number, number, signed, number)
+    def planner(v0, epsilon, zeta, kappa):
+        returns_or_input_error(lambda: routine(IsoelasticCurve(v0, epsilon), zeta, kappa))
+
+    planner()
+
+
+@fuzz
+@given(column, column, signed, signed)
+def figures(xs, ys, slope, intercept):
+    returns_or_input_error(scatter_fit_svg, "t", xs, ys, slope, intercept)
+    bands = [(slope, intercept)]
+    returns_or_input_error(timeseries_svg, "t", xs, ["x"] * len(xs), len(ys), [("a", ys), ("b", xs)], bands)
+
+
+@fuzz
+@given(column, column)
+def fit(u, v):
+    returns_or_input_error(fit_elasticity, u, (v + u)[: len(u)])
+
+
+figures()
+fit()
+"""
+
+
+def test_public_routines_return_or_raise_input_error():
+    done = run_python(PUBLIC_ROUTINES, timeout=60)
+    assert done.returncode == 0, done.stderr

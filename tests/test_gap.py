@@ -210,17 +210,18 @@ class TestGapSeries:
 class TestSummaries:
     def test_exclude_gap_quarters(self, panel, schedule):
         series = gap_series(panel, schedule, 0.25)
-        full = summarize(panel, series)
-        core = summarize(panel, series, exclude_gap_quarters=True)
-        flagged = sum(series.is_gap_quarter)
+        full = summarize(panel, schedule, series)
+        core = summarize(panel, schedule, series, exclude_gap_quarters=True)
+        flagged = sum(schedule.is_gap_quarter)
         assert full.n_quarters - core.n_quarters == flagged
         assert full.n_slack + full.n_tight + full.n_efficient == full.n_quarters
 
     def test_empty_rejected(self):
         panel = single_quarter_panel(0.05, 0.03)
-        series = gap_series(panel, constant_schedule(panel, 1.0, 0.72, is_gap=True), 0.25)
+        schedule = constant_schedule(panel, 1.0, 0.72, is_gap=True)
+        series = gap_series(panel, schedule, 0.25)
         with pytest.raises(InputError, match="^no quarters left to summarize$"):
-            summarize(panel, series, exclude_gap_quarters=True)
+            summarize(panel, schedule, series, exclude_gap_quarters=True)
 
 
 class TestSensitivity:
@@ -322,7 +323,6 @@ class TestColumnsMatchScalars:
             assert abs(series.u_star[i] - u_star) <= 1e-15 * u_star
             assert series.theta_star[i] == theta_star
             assert series.classification[i] == classify(theta, theta_star, tol)
-            assert series.is_gap_quarter[i] == schedule.is_gap_quarter[i]
             assert zeta_star[i] == implied_zeta(theta, stats.kappa, stats.epsilon)
 
     @settings(derandomize=True, database=None, deadline=None)

@@ -8,14 +8,17 @@ runs; no closed form enters the planner side. Each check gives a list of
 errors, all of which must be below the oracle's bound _ORACLE_U_TOL: a
 relative error for a column the planner computes, a count of quarters
 for a column that must hold exactly. Each check is also shown to fail
-against a deliberately wrong formula.
+against a deliberately wrong formula. A property over small random
+panels and schedules runs the gap.csv checks the same way.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from test_gap import gap_inputs
 from ugap import gap
 from ugap.cli import Run
 from ugap.config import load_config
@@ -153,3 +156,37 @@ def test_check_fails_against_a_wrong_formula(run, monkeypatch, check, name, wron
     monkeypatch.setattr(gap, name, wrong)
     # every column of the check disagrees with the planner
     assert min(CHECKS[check](run)) >= _ORACLE_U_TOL
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(gap_inputs())
+def test_random_panels_agree_with_the_planner(inputs):
+    """gap_series on a random panel and schedule, each quarter whose lane is interior against its own planner."""
+    panel, schedule, zeta = inputs
+    series = gap.gap_series(panel, schedule, zeta)
+    v0 = panel.v * panel.u**schedule.epsilon
+    u_star, boundary = _isoelastic_lanes(schedule.epsilon, zeta, schedule.kappa, v0)
+    theta_star = v0 * u_star**-schedule.epsilon / u_star
+    checked = ~boundary
+    assert (np.abs(series.u_star - u_star) < _ORACLE_U_TOL * u_star)[checked].all()
+    assert (np.abs(series.theta_star - theta_star) < _ORACLE_U_TOL * theta_star)[checked].all()
+    assert (series.gap == panel.u - series.u_star)[checked].all()
+    slack = series.classification == gap.INEFFICIENTLY_SLACK
+    tight = series.classification == gap.INEFFICIENTLY_TIGHT
+    assert not (checked & ((slack & (panel.u <= u_star)) | (tight & (panel.u >= u_star)))).any()
+
+
+@pytest.mark.parametrize(
+    "name,wrong",
+    [
+        ("_u_star", wrong_u_star),
+        ("gap_series", WRONG_THETA_STAR),
+        ("gap_series", WRONG_GAP),
+        ("gap_series", WRONG_CLASSIFICATION),
+    ],
+    ids=["u_star", "theta_star", "gap", "classification"],
+)
+def test_random_panel_property_fails_against_a_wrong_formula(monkeypatch, name, wrong):
+    monkeypatch.setattr(gap, name, wrong)
+    with pytest.raises(AssertionError):
+        test_random_panels_agree_with_the_planner()

@@ -61,11 +61,11 @@ def reference_panel_csv(panel):
     return "".join(lines)
 
 
-def reference_gap_csv(panel, s):
+def reference_gap_csv(panel, schedule, s):
     lines = ["quarter,u,v,theta,epsilon,u_star,theta_star,gap,classification,is_gap_quarter\n"]
     columns = (
-        panel.quarters, panel.u, panel.v, panel.theta, s.epsilon, s.u_star, s.theta_star,
-        s.gap, s.classification, s.is_gap_quarter,
+        panel.quarters, panel.u, panel.v, panel.theta, schedule.epsilon, s.u_star, s.theta_star,
+        s.gap, s.classification, schedule.is_gap_quarter,
     )
     for q, u, v, theta, eps, u_star, theta_star, gap, label, flag in zip(*(c.tolist() for c in columns)):
         lines.append(
@@ -113,7 +113,7 @@ def test_row_writer_matches_per_row_format(table, width):
 def test_csv_writers_match_per_row_references(table, zetas):
     quarters, u, v, (epsilon, u_star, theta_star, gap, zeta_star), labels, flags = table
     panel = LaborMarketPanel(quarters, u, v)
-    series = GapSeries(epsilon, u_star, theta_star, gap, labels, flags)
+    series = GapSeries(u_star, theta_star, gap, labels)
     # each zeta's column is a rotation of the u* column, so the columns differ
     band = SensitivityBand(
         zetas=tuple(zetas),
@@ -121,10 +121,10 @@ def test_csv_writers_match_per_row_references(table, zetas):
         mean_shift={},
         mean_width=0.0,
     )
-    schedule = Schedule(epsilon, theta_star, flags)  # the writer reads no kappa, so any column will do
+    schedule = Schedule(epsilon, theta_star, flags)  # the writers read no kappa, so any column will do
     with np.errstate(over="ignore"):  # theta = v / u may overflow to inf, which both write alike
         assert panel.to_csv() == reference_panel_csv(panel)
-        assert write_gap_csv(panel, series) == reference_gap_csv(panel, series)
+        assert write_gap_csv(panel, schedule, series) == reference_gap_csv(panel, schedule, series)
         assert write_sensitivity_csv(band, panel) == reference_sensitivity_csv(band, panel)
         assert write_implied_zeta_csv(panel, schedule, zeta_star) == reference_implied_zeta_csv(
             panel, schedule, zeta_star
@@ -138,6 +138,8 @@ def test_writers_match_across_row_blocks(n):
     quarters = np.arange(4 * 1951, 4 * 1951 + n)
     panel = LaborMarketPanel(quarters, rng.uniform(0.02, 0.1, n), rng.uniform(0.01, 0.07, n))
     labels = rng.choice([INEFFICIENTLY_SLACK, INEFFICIENTLY_TIGHT, EFFICIENT], n)
-    series = GapSeries(*rng.normal(0.0, 1.0, (4, n)), labels, rng.random(n) < 0.1)
+    epsilon, *columns = rng.normal(0.0, 1.0, (4, n))
+    series = GapSeries(*columns, labels)
+    schedule = Schedule(epsilon, epsilon, rng.random(n) < 0.1)  # the writer reads no kappa, so any column will do
     assert panel.to_csv() == reference_panel_csv(panel)
-    assert write_gap_csv(panel, series) == reference_gap_csv(panel, series)
+    assert write_gap_csv(panel, schedule, series) == reference_gap_csv(panel, schedule, series)
