@@ -74,8 +74,8 @@ if TYPE_CHECKING:
 
 def _forward(module: str, name: str):
     """A stand-in for ugap.module.name that imports the module on its first call and keeps the function it finds."""
-    # these, and parse_kv_text above, stay bound here for tools that trace the
-    # CLI by name; ROADMAP item 2's follow-up retires them
+    # these stay bound here for tools that trace the CLI by name, as do parse_kv_text above and
+    # solve_planner_numeric, which no command calls; ROADMAP item 2's follow-up retires them
     function = None
 
     def forward(*args, **kwargs):
@@ -534,14 +534,13 @@ def _round_trip_error(panel: LaborMarketPanel, epsilon: float, kappa: float, zet
 
 
 def cmd_simulate(run: Run) -> int:
-    from .planner import DmpCurve, IsoelasticCurve
+    from .planner import IsoelasticCurve
 
     econ, shocks, noise, seed = _load_scenario(run.cfg)
-    panel = synth_panel(econ, *shocks, noise_scale=noise, seed=seed)
+    panel, optimum = synth_panel(econ, *shocks, noise_scale=noise, seed=seed)
     zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(panel.u, panel.v, label="synthetic")
-    planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
-    max_rel = _round_trip_error(panel, est.epsilon, kappa, zeta, planner.u_star)
+    max_rel = _round_trip_error(panel, est.epsilon, kappa, zeta, optimum.u_star)
     round_trip_tol = 1e-3
     round_trip_checked = noise == 0.0
     round_trip_ok = (not round_trip_checked) or max_rel < round_trip_tol
@@ -549,6 +548,7 @@ def cmd_simulate(run: Run) -> int:
     statics = comparative_statics_check(
         IsoelasticCurve(math.exp(est.log_v0), est.epsilon), zeta, kappa
     )
+    failures = [c.name for c in statics if not c.passed] + ([] if round_trip_ok else ["round_trip"])
 
     report = {
         "economy": asdict(econ),
@@ -557,14 +557,14 @@ def cmd_simulate(run: Run) -> int:
         "n_quarters": len(panel),
         "fit": {"epsilon": est.epsilon, "r_squared": est.r_squared, "se": est.se_epsilon},
         "round_trip": {
-            "planner_u_star": planner.u_star,
+            "planner_u_star": optimum.u_star,
             "max_relative_error": max_rel,
             "tolerance": round_trip_tol,
             "checked": round_trip_checked,
             "passed": round_trip_ok,
         },
         "comparative_statics": [asdict(c) for c in statics],
-        "all_passed": round_trip_ok and all(c.passed for c in statics),
+        "all_passed": not failures,
     }
     # written only once every input error has had its chance to stop the run
     run.write("synthetic_panel.csv", panel.to_csv())
@@ -577,10 +577,7 @@ def cmd_simulate(run: Run) -> int:
     )
     for check in statics:
         print(f"comparative statics {check.name}: {'pass' if check.passed else 'FAIL'}")
-    if not report["all_passed"]:
-        failures = [c.name for c in statics if not c.passed]
-        if not round_trip_ok:
-            failures.append("round_trip")
+    if failures:
         raise PropertyViolation(f"simulation checks failed: {', '.join(failures)}")
     return 0
 

@@ -45,26 +45,32 @@ class ElasticityEstimate:
 def fit_elasticity(u: Sequence[float], v: Sequence[float], label: str = "") -> ElasticityEstimate:
     """OLS of ln v on ln u over aligned u and v columns.
 
-    Requires at least 3 rows and variation in u. Returns the elasticity
-    (minus the slope), the log intercept, the classical standard error of
-    the slope and the coefficient of determination.
+    Requires at least 3 rows of positive finite rates and variation in u.
+    Returns the elasticity (minus the slope), the log intercept, the
+    classical standard error of the slope and the coefficient of
+    determination. The sums are numpy's pairwise sums, whose order, unlike
+    a BLAS dot product's, does not depend on the CPU.
     """
     n = len(u)
     if n < 3:
         raise InputError(f"need at least 3 rows to fit a curve, got {n} ({label!r})")
-    x = np.log(np.asarray(u, dtype=float))
-    y = np.log(np.asarray(v, dtype=float))
+    x, y = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    for name, rates in (("unemployment", x), ("vacancy", y)):
+        bad = rates[~((0.0 < rates) & (rates < np.inf))]
+        if len(bad):
+            raise InputError(f"{name} rate {bad[0]} is not positive and finite ({label!r})")
+    x, y = np.log(x), np.log(y)
     x_mean, y_mean = x.mean(), y.mean()
     dx = x - x_mean
-    sxx = float(dx @ dx)
+    sxx = float((dx * dx).sum())
     if sxx <= 0.0:
         raise InputError(f"log unemployment has zero variance ({label!r})")
     dy = y - y_mean
-    slope = float(dx @ dy) / sxx
+    slope = float((dx * dy).sum()) / sxx
     intercept = float(y_mean - slope * x_mean)
     resid = y - (intercept + slope * x)
-    ssr = float(resid @ resid)
-    sst = float(dy @ dy)
+    ssr = float((resid * resid).sum())
+    sst = float((dy * dy).sum())
     r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     r_squared = min(max(r_squared, 0.0), 1.0)
     se = float(np.sqrt(max(ssr, 0.0) / (n - 2) / sxx))

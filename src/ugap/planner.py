@@ -61,7 +61,7 @@ _MAX_EXP = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class IsoelasticCurve:
-    """v(u) = v0 * u ** (-epsilon); inf where the power overflows, as on DmpCurve."""
+    """v(u) = v0 * u ** (-epsilon); inf where the power overflows, as on DmpEconomy."""
 
     v0: float
     epsilon: float
@@ -109,20 +109,32 @@ class DmpEconomy:
         if not self.z < self.p:
             raise InputError("unemployed productivity must be below employed productivity")
 
+    def value(self, u):
+        """The steady-state Beveridge curve v(u) = [s(1-u) / (mu u^alpha)] ** (1/(1-alpha)); inf where that overflows.
 
-@dataclass(frozen=True)
-class DmpCurve:
-    """Steady-state Beveridge curve of a matching economy."""
-
-    econ: DmpEconomy
-
-    def value(self, u: float) -> float:
-        return dmp_beveridge(self.econ, u)
+        u is a rate in (0,1), or a numpy column of rates that the caller has
+        checked to lie in (0,1). A column takes its powers through libm_power,
+        so each of its values is the float the call on that rate alone returns.
+        """
+        if isinstance(u, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                v = self._flow_balance(u, libm_power)
+            # a denominator that underflows to 0: numpy's x / 0 is inf too, but its 0 / 0 is nan
+            v[np.isnan(v)] = np.inf
+            return v
+        if not 0.0 < u < 1.0:
+            raise InputError(f"unemployment rate must be in (0,1), got {u}")
+        try:
+            return self._flow_balance(u, pow)
+        except (OverflowError, ZeroDivisionError):  # a denominator that underflows to 0 is an overflow too
+            return math.inf
 
     def slope(self, u: float) -> float:
-        e = self.econ
         # d ln v / d u = -(1/(1-alpha)) * (alpha/u + 1/(1-u))
-        return -self.value(u) / (1.0 - e.alpha) * (e.alpha / u + 1.0 / (1.0 - u))
+        return -self.value(u) / (1.0 - self.alpha) * (self.alpha / u + 1.0 / (1.0 - u))
+
+    def _flow_balance(self, u, power):
+        return power(self.s * (1.0 - u) / (self.mu * power(u, self.alpha)), 1.0 / (1.0 - self.alpha))
 
 
 def libm_power(x: np.ndarray, p: float) -> np.ndarray:
@@ -145,31 +157,6 @@ def _pow_or_inf(x: float, p: float) -> float:
         return x**p
     except OverflowError:
         return math.inf
-
-
-def dmp_beveridge(econ: DmpEconomy, u):
-    """v(u) = [s(1-u) / (mu u^alpha)] ** (1/(1-alpha)), the flow-balance locus; inf where that overflows.
-
-    u is a rate in (0,1), or a numpy column of rates that the caller has
-    checked to lie in (0,1). A column takes its powers through libm_power,
-    so each of its values is the float the call on that rate alone returns.
-    """
-    if isinstance(u, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = _flow_balance(econ, u, libm_power)
-        # a denominator that underflows to 0: numpy's x / 0 is inf too, but its 0 / 0 is nan
-        v[np.isnan(v)] = np.inf
-        return v
-    if not 0.0 < u < 1.0:
-        raise InputError(f"unemployment rate must be in (0,1), got {u}")
-    try:
-        return _flow_balance(econ, u, pow)
-    except (OverflowError, ZeroDivisionError):  # a denominator that underflows to 0 is an overflow too
-        return math.inf
-
-
-def _flow_balance(econ: DmpEconomy, u, power):
-    return power(econ.s * (1.0 - u) / (econ.mu * power(u, econ.alpha)), 1.0 / (1.0 - econ.alpha))
 
 
 def dmp_stats(econ: DmpEconomy) -> tuple[float, float]:
@@ -279,7 +266,7 @@ def _check_planner_stats(zeta: float, kappa: float) -> None:
         raise InputError(f"kappa must be positive and finite, got {kappa}")
 
 
-def solve_planner_numeric(curve: IsoelasticCurve | DmpCurve, zeta: float, kappa: float) -> PlannerSolution:
+def solve_planner_numeric(curve: IsoelasticCurve | DmpEconomy, zeta: float, kappa: float) -> PlannerSolution:
     """Maximize (1-u) + zeta u - kappa v(u) over _BRACKET, to within _TOL in u.
 
     Welfare is normalized per unit labor force; population scale moves
@@ -305,19 +292,9 @@ def solve_planner_numeric(curve: IsoelasticCurve | DmpCurve, zeta: float, kappa:
         def foc(u: float) -> float:
             return -kappa * curve.slope(u) - (1.0 - zeta)
 
-        a = max(lo, 0.5 * u_star)
-        b = min(hi, 2.0 * u_star)
-        fa, fb = foc(a), foc(b)
-        if fa > 0.0 > fb:
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                if mid <= a or mid >= b:
-                    break
-                if foc(mid) > 0.0:
-                    a = mid
-                else:
-                    b = mid
-            u_star = 0.5 * (a + b)
+        a, b = max(lo, 0.5 * u_star), min(hi, 2.0 * u_star)
+        if foc(a) > 0.0 > foc(b):
+            u_star = _halve(lambda u: foc(u) > 0.0, a, b, 0.0)
 
     return PlannerSolution(
         u_star=u_star,
@@ -325,6 +302,22 @@ def solve_planner_numeric(curve: IsoelasticCurve | DmpCurve, zeta: float, kappa:
         welfare=welfare(u_star),
         boundary_warning=boundary,
     )
+
+
+def _halve(below: Callable[[float], bool], a: float, b: float, tol: float) -> float:
+    """Interval halving for where below, true at a and false at b, turns false; the midpoint of the last bracket.
+
+    Stops once b - a is at most tol or a and b are adjacent floats; a tol of 0 runs to adjacent floats.
+    """
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if below(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _compensated_v0(base_v0: float, target: float, new_epsilon: float, zeta: float, kappa: float) -> float:
@@ -349,15 +342,7 @@ def _compensated_v0(base_v0: float, target: float, new_epsilon: float, zeta: flo
         lo /= 2.0
     while peak(hi) > target:
         hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # lo and hi are adjacent floats, more than 1e-10 apart for a large v0
-            break
-        if peak(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _halve(lambda v0: peak(v0) > target, lo, hi, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -413,8 +398,8 @@ def synth_panel(
     mu_mult: np.ndarray,
     noise_scale: float = 0.0,
     seed: int = 0,
-) -> LaborMarketPanel:
-    """Generate an on-curve synthetic panel from flow shocks.
+) -> tuple[LaborMarketPanel, PlannerSolution]:
+    """Generate an on-curve synthetic panel from flow shocks; the panel and the economy's optimum it is built around.
 
     The aligned columns s_mult and mu_mult scale, in each of the given
     quarters, the separation rate and matching efficiency in the
@@ -437,7 +422,7 @@ def synth_panel(
         raise InputError(f"seed must be nonnegative, got {seed}")
     if not len(quarters):
         raise InputError("shock path is empty")
-    ref = solve_planner_numeric(DmpCurve(econ), *dmp_stats(econ))
+    ref = solve_planner_numeric(econ, *dmp_stats(econ))
     if ref.boundary_warning:
         raise InputError(
             f"the economy's efficient unemployment {ref.u_star:.6g} is at the edge of "
@@ -457,7 +442,7 @@ def synth_panel(
     faults.check(~((0.0 < u) & (u < 1.0)), fault(lambda i: f"shock drives unemployment to {u[i].item()}"))
     # the later checks only look at quarters before the first fault found so far
     u = u[: faults.rows]
-    v = dmp_beveridge(econ, u)
+    v = econ.value(u)
     faults.check(v == np.inf, fault(lambda i: f"the vacancy rate on the curve overflows at u={u[i]:g}"))
     if noise_scale > 0.0:
         shocks = np.random.default_rng(seed).normal(0.0, noise_scale, size=len(quarters))[: len(v)]
@@ -474,7 +459,7 @@ def synth_panel(
     faults.check(overflow, fault(lambda i: f"the tightness v/u overflows at u={u[i]:g}, v={v[i]:g}"))
     faults.check(~((0.0 < v) & (v < 1.0)), fault(lambda i: f"the vacancy rate {v[i]:g} is not a fraction"))
     faults.raise_first()
-    return LaborMarketPanel(quarters, u, v)
+    return LaborMarketPanel(quarters, u, v), ref
 
 
 def oracle_grid_check(

@@ -16,7 +16,6 @@ from ugap.cli import _round_trip_error, main as cli_main
 from ugap.fitting import dmp_elasticity, fit_elasticity
 from ugap.gap import gap_series, implied_zeta_series, sensitivity, summarize
 from ugap.planner import (
-    DmpCurve,
     DmpEconomy,
     IsoelasticCurve,
     comparative_statics_check,
@@ -167,10 +166,10 @@ def test_criterion_11_round_trip():
     econ = DmpEconomy(alpha=0.5, mu=2.055, s=0.105, p=1.0, z=0.25, c=0.72)
     quarters = np.arange(parse_quarter("2000Q1"), parse_quarter("2009Q4") + 1)
     s_mult = 1.0 + 0.10 * np.array([math.sin(2.0 * math.pi * i / 16.0) for i in range(len(quarters))])
-    synthetic = synth_panel(econ, quarters, s_mult, np.ones(len(quarters)))
+    synthetic, _optimum = synth_panel(econ, quarters, s_mult, np.ones(len(quarters)))
     zeta, kappa = dmp_stats(econ)
     est = fit_elasticity(synthetic.u, synthetic.v)
-    planner = solve_planner_numeric(DmpCurve(econ), zeta, kappa)
+    planner = solve_planner_numeric(econ, zeta, kappa)
     # the round-trip error ugap simulate reports
     worst = _round_trip_error(synthetic, est.epsilon, kappa, zeta, planner.u_star)
     ok = worst < 1e-3

@@ -1,0 +1,92 @@
+"""simulate on every triple of valid scenario values, and on each wrong value alone.
+
+The cases come from a strength-3 covering array over the valid values of
+test_fuzz's SCENARIO, so that any three values meet in some case. A fault
+can need three: `ugap simulate` raised a raw OverflowError on the steep
+economy of alpha 0.987 and mu 200 only with vacancy cost c 0.72, and the
+strength-2 cases meet those two values with c 0.01. Each wrong value is run on
+its own against the bundled scenario. `main` must never raise: a valid
+case exits 0, 1 for a failed property check, or 2, and a wrong value
+exits 2.
+"""
+
+import itertools
+import shutil
+
+import pytest
+
+from covering import covering_cases
+from test_fuzz import CONFIG, SCENARIO, run
+from ugap.config import bundled_data_dir, parse_kv_text
+
+CASES = covering_cases({key: valid for key, (valid, _wrong) in SCENARIO.items()}, strength=3)
+WRONG = [(key, value) for key, (_valid, wrong) in SCENARIO.items() for value in wrong]
+# the valid shocks.csv: separations swing by 10% over two years, as in the bundled path
+SHOCKS = """quarter,s_multiplier,mu_multiplier
+2000Q1,1.000000,1
+2000Q2,1.070711,1
+2000Q3,1.100000,1
+2000Q4,1.070711,1
+2001Q1,1.000000,1
+2001Q2,0.929289,1
+2001Q3,0.900000,1
+2001Q4,0.929289,1
+"""
+
+
+# each table at a strength, and the most cases it may take: what the builder gives today
+@pytest.mark.parametrize(
+    ("table", "strength", "most"),
+    [(SCENARIO, 2, 10), (SCENARIO, 3, 37), (CONFIG, 2, 13)],
+    ids=["SCENARIO-2", "SCENARIO-3", "CONFIG-2"],
+)
+def test_every_combination_of_valid_values_meets_in_a_case(table, strength, most):
+    valid = {key: values for key, (values, _wrong) in table.items()}
+    cases = covering_cases(valid, strength)
+    assert all(list(case) == list(valid) and all(case[k] in valid[k] for k in case) for case in cases)
+    subsets = list(itertools.combinations(valid, strength))
+    met = {tuple((k, case[k]) for k in subset) for case in cases for subset in subsets}
+    every = {tuple(zip(subset, values)) for subset in subsets for values in itertools.product(*map(valid.get, subset))}
+    assert met == every
+    assert len(cases) <= most
+
+
+def scenario_text(entries: dict[str, str]) -> str:
+    lines = []
+    for key, value in entries.items():
+        section, name = key.split(".", 1)
+        lines += [f"[{section}]", f"{name} = {value}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("covering") / "data"
+    shutil.copytree(bundled_data_dir(), data)
+    (data / "shocks.csv").write_text(SHOCKS)
+    return data
+
+
+def simulate(data, entries: dict[str, str]) -> tuple[int, str]:
+    scenario = data / "scenario.cfg"
+    scenario.write_text(scenario_text(entries))
+    out = data.parent / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    return run(["simulate", "--scenario", scenario, "--out", out])
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"case{i}" for i in range(len(CASES))])
+def test_simulate_on_every_triple_of_valid_scenario_values(data, case):
+    rc, err = simulate(data, case)
+    assert rc in (0, 1, 2), err
+    if rc == 1:
+        assert err.startswith("property violation:"), err
+
+
+@pytest.mark.parametrize(("key", "value"), WRONG, ids=[f"{key}={value!r}" for key, value in WRONG])
+def test_simulate_on_each_wrong_scenario_value_alone(data, key, value):
+    entries = parse_kv_text((bundled_data_dir() / "scenario_default.cfg").read_text())
+    entries[key] = value
+    rc, err = simulate(data, entries)
+    assert rc == 2, err
+    assert err.startswith("error: "), err

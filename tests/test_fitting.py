@@ -98,6 +98,36 @@ def test_upward_sloping_data_rejected():
         fit_elasticity(us, [0.002 / v for v in vs])
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("column", ["unemployment", "vacancy"])
+def test_rate_outside_the_log_domain_is_named(column, rate):
+    u, v = [0.05, 0.1, 0.2], [0.1, 0.2, 0.3]
+    (u if column == "unemployment" else v)[0] = rate
+    with pytest.raises(InputError, match=rf"^{column} rate {rate} is not positive and finite \('1990s'\)$"):
+        fit_elasticity(u, v, label="1990s")
+
+
+# epsilon, log_v0, se and r2 of kernel_pin_fit as hex floats. Summed with OpenBLAS's dot product, the Katmai
+# kernel's four values differ from Haswell's and SkylakeX's, and all three differ from these in the last bit
+KERNEL_PIN = ("0x1.1a12a1adff7c5p+0", "-0x1.7445fd156cc40p+2", "0x1.b3cfd9e38f0dfp-9", "0x1.fa760967c6c67p-1")
+
+
+def kernel_pin_fit() -> list[str]:
+    """The fit of 1203 seeded rows near v = 0.003 u ** -1.1, as in KERNEL_PIN."""
+    rng = np.random.default_rng(2)
+    u = rng.uniform(0.02, 0.1, 1203)
+    noise = rng.normal(0.0, 0.05, 1203)
+    # v through libm, so that numpy's SIMD kernels do not move the pin's inputs either
+    v = [0.003 * a**-1.1 * math.exp(e) for a, e in zip(u.tolist(), noise.tolist())]
+    est = fit_elasticity(u, v)
+    return [x.hex() for x in (est.epsilon, est.log_v0, est.se_epsilon, est.r_squared)]
+
+
+def test_fit_sums_do_not_depend_on_the_blas_kernel():
+    # test_golden runs the fit again under OpenBLAS's Katmai and Haswell kernels
+    assert kernel_pin_fit() == list(KERNEL_PIN)
+
+
 class TestPredictedVacancy:
     """The fitted curve as simulate evaluates it: IsoelasticCurve(exp(log_v0), epsilon)."""
 

@@ -5,12 +5,14 @@ the bundled data and config, and of each command's stdout with the output
 directory replaced by OUT, and of the parser's help and usage-error
 output. Any change to an output byte fails here; update a digest only for
 a change that is meant to alter that output. The pins must not depend on
-the SIMD kernels numpy picks for the host CPU, so the steps are also run
-with numpy's AVX-512 kernels disabled, together with the scaled runs
-that test_scaled_runs pins.
+the SIMD kernels numpy picks for the host CPU, nor on the kernel OpenBLAS
+picks, so the steps are also run with numpy's AVX-512 kernels disabled
+and under two other OpenBLAS kernels, together with the scaled runs that
+test_scaled_runs pins and test_fitting's kernel pin.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
+from test_fitting import KERNEL_PIN
 from test_scaled_runs import BENCH, SCALED_FILES, SCALED_INPUTS, SCALED_STDOUT
 from ugap.cli import main
 
@@ -155,19 +158,39 @@ def dispatches_avx512(dispatch, features) -> bool:
     return any(target in dispatch and features.get(target, False) for target in AVX512)
 
 
-def numpy_dispatches_avx512() -> bool:
+def numpy_umath():
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
+    return umath
+
+
+def numpy_dispatches_avx512() -> bool:
+    umath = numpy_umath()
     return dispatches_avx512(umath.__cpu_dispatch__, umath.__cpu_features__)
 
 
+def openblas_core() -> str | None:
+    """The name of the OpenBLAS kernel numpy's BLAS runs, or None where numpy bundles no scipy-openblas library."""
+    import numpy
+
+    for path in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path))  # the library numpy has loaded, as dlopen hands out one copy
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            if hasattr(lib, symbol):
+                corename = getattr(lib, symbol)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 # run in a fresh interpreter: the golden steps, the twelve zetas and the scaled runs, each in its own directory
-AVX512_OFF_RUN = """
+CHILD_RUN = """
 import json, sys
 from pathlib import Path
-from test_golden import STEPS, TWELVE_ZETAS, numpy_dispatches_avx512, run_steps
+from test_fitting import kernel_pin_fit
+from test_golden import STEPS, TWELVE_ZETAS, numpy_dispatches_avx512, openblas_core, run_steps
 from test_planner import random_oracle_axes
 from test_scaled_runs import scaled_runs
 from ugap.planner import oracle_grid_check
@@ -180,6 +203,8 @@ print(json.dumps([
     numpy_dispatches_avx512(),
     [max(r["u_error"] / r["u_star_formula"] for r in records) for records in oracles],
     [max(r["tangency_residual"] for r in records) for records in oracles],
+    kernel_pin_fit(),
+    openblas_core(),
 ]))
 """
 
@@ -198,17 +223,20 @@ def test_avx512_is_dispatched_only_when_built_and_enabled(dispatch, features, ex
     assert dispatches_avx512(dispatch, features) is expected
 
 
-def test_goldens_hold_with_numpy_avx512_disabled(fresh, tmp_path, monkeypatch):
-    if not numpy_dispatches_avx512():
-        pytest.skip("numpy dispatches no AVX-512 kernel here, so the default path is the only one")
+def goldens_in_a_child(fresh, tmp_path, monkeypatch, **env: str) -> tuple[bool, str | None]:
+    """Run CHILD_RUN with env added and check every pin it reports.
+
+    Returns whether the child dispatched an AVX-512 kernel and the OpenBLAS kernel it ran.
+    """
     monkeypatch.delenv("TOOLKIT_SEED", raising=False)
-    env = child_env(Path(__file__).resolve().parent, BENCH, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
     done = subprocess.run(
-        [sys.executable, "-c", AVX512_OFF_RUN, str(tmp_path / "off")], env=env, capture_output=True, text=True
+        [sys.executable, "-c", CHILD_RUN, str(tmp_path / "child")],
+        env=child_env(Path(__file__).resolve().parent, BENCH, **env),
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
-    (files, printed), zetas, scaled, avx512, u_errors, tangencies = json.loads(done.stdout)
-    assert avx512 is False  # the variable took effect in the child
+    (files, printed), zetas, scaled, avx512, u_errors, tangencies, pin, core = json.loads(done.stdout)
     # the oracle's bounds, relative u* error and tangency residual on the default and a random grid
     assert max(u_errors) < 1e-12 and max(tangencies) < 1e-12
     assert (files, printed) == fresh
@@ -216,3 +244,26 @@ def test_goldens_hold_with_numpy_avx512_disabled(fresh, tmp_path, monkeypatch):
     assert {step: sha256(text.encode()) for step, text in printed.items()} == GOLDEN_STDOUT
     assert zetas == list(run_steps(tmp_path / "default", [TWELVE_ZETAS]))
     assert scaled == [SCALED_INPUTS, SCALED_FILES, SCALED_STDOUT]
+    assert pin == list(KERNEL_PIN)
+    return avx512, core
+
+
+def test_goldens_hold_with_numpy_avx512_disabled(fresh, tmp_path, monkeypatch):
+    if not numpy_dispatches_avx512():
+        pytest.skip("numpy dispatches no AVX-512 kernel here, so the default path is the only one")
+    avx512, _core = goldens_in_a_child(fresh, tmp_path, monkeypatch, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
+    assert avx512 is False  # the variable took effect in the child
+
+
+# OPENBLAS_CORETYPE, the name OpenBLAS then reports, and the numpy CPU feature the kernel needs
+@pytest.mark.parametrize(
+    ("coretype", "core", "feature"),
+    [("Prescott", "Katmai", "SSE3"), ("Haswell", "Haswell", "AVX2")],
+    ids=["Prescott", "Haswell"],
+)
+def test_goldens_hold_on_other_openblas_kernels(fresh, tmp_path, monkeypatch, coretype, core, feature):
+    if openblas_core() is None:
+        pytest.skip("numpy bundles no scipy-openblas library here")
+    if not numpy_umath().__cpu_features__.get(feature, False):
+        pytest.skip(f"this CPU lacks {feature}, which OpenBLAS's {coretype} kernel needs")
+    assert goldens_in_a_child(fresh, tmp_path, monkeypatch, OPENBLAS_CORETYPE=coretype)[1] == core

@@ -14,7 +14,6 @@ from ugap import planner
 from ugap.errors import InputError, PropertyViolation
 from ugap.fitting import dmp_elasticity, fit_elasticity
 from ugap.planner import (
-    DmpCurve,
     DmpEconomy,
     IsoelasticCurve,
     _BRACKET,
@@ -22,7 +21,6 @@ from ugap.planner import (
     _golden_lanes,
     _golden_max,
     comparative_statics_check,
-    dmp_beveridge,
     dmp_stats,
     oracle_grid_check,
     solve_planner_numeric,
@@ -54,25 +52,25 @@ class TestDmpBeveridge:
         # with m(u,u) = mu * u, flow balance at v = u needs s(1-u) = mu * u
         u = 0.05
         econ = DmpEconomy(alpha=0.5, mu=1.0, s=1.0 * u / (1.0 - u), p=1.0, z=0.25, c=0.7)
-        assert dmp_beveridge(econ, u) == pytest.approx(u, rel=1e-12)
+        assert econ.value(u) == pytest.approx(u, rel=1e-12)
 
     def test_hand_evaluation(self):
         econ = DmpEconomy(alpha=0.5, mu=1.2, s=0.035, p=1.0, z=0.25, c=0.7)
-        assert dmp_beveridge(econ, 0.058) == pytest.approx(0.01302, abs=2e-5)
+        assert econ.value(0.058) == pytest.approx(0.01302, abs=2e-5)
 
     def test_strictly_decreasing(self):
         grid = np.linspace(0.01, 0.4, 30)
-        values = [dmp_beveridge(BASE_ECON, u) for u in grid]
+        values = [BASE_ECON.value(u) for u in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_domain(self):
         with pytest.raises(InputError, match=r"^unemployment rate must be in \(0,1\), got 0.0$"):
-            dmp_beveridge(BASE_ECON, 0.0)
+            BASE_ECON.value(0.0)
         with pytest.raises(InputError, match=r"^unemployment rate must be in \(0,1\), got 1.0$"):
-            dmp_beveridge(BASE_ECON, 1.0)
+            BASE_ECON.value(1.0)
 
     def test_curve_slope_matches_finite_differences(self):
-        curve = DmpCurve(BASE_ECON)
+        curve = BASE_ECON
         for u in (0.02, 0.05, 0.2):
             h = 1e-7 * u
             fd = (curve.value(u + h) - curve.value(u - h)) / (2.0 * h)
@@ -154,7 +152,7 @@ class TestPlanner:
     def test_dmp_curve_optimum_consistent_with_local_elasticity(self):
         # at the DMP optimum, theta* must equal (1-zeta)/(kappa*eps(u*))
         zeta, kappa = dmp_stats(BASE_ECON)
-        sol = solve_planner_numeric(DmpCurve(BASE_ECON), zeta, kappa)
+        sol = solve_planner_numeric(BASE_ECON, zeta, kappa)
         eps_local = dmp_elasticity(BASE_ECON.alpha, sol.u_star)
         expected = (1.0 - zeta) / (kappa * eps_local)
         assert sol.theta_star == pytest.approx(expected, rel=1e-9)
@@ -330,26 +328,27 @@ class TestComparativeStatics:
 
 class TestSynthPanel:
     def test_constant_shocks_give_identical_points(self):
-        panel = synth_panel(BASE_ECON, *flat_shocks("2000Q1", "2001Q4"))
+        panel, _optimum = synth_panel(BASE_ECON, *flat_shocks("2000Q1", "2001Q4"))
         us = {round(u, 15) for u in panel.u.tolist()}
         vs = {round(v, 15) for v in panel.v.tolist()}
         assert len(us) == 1 and len(vs) == 1
 
     def test_baseline_sits_at_efficiency(self):
-        panel = synth_panel(BASE_ECON, *flat_shocks("2000Q1", "2000Q1"))
-        sol = solve_planner_numeric(DmpCurve(BASE_ECON), *dmp_stats(BASE_ECON))
+        panel, optimum = synth_panel(BASE_ECON, *flat_shocks("2000Q1", "2000Q1"))
+        sol = solve_planner_numeric(BASE_ECON, *dmp_stats(BASE_ECON))
+        assert optimum == sol
         assert panel.u[0] == pytest.approx(sol.u_star, rel=1e-9)
 
     def test_fit_recovers_matching_implied_elasticity(self):
-        panel = synth_panel(BASE_ECON, *sine_shocks())
+        panel, _optimum = synth_panel(BASE_ECON, *sine_shocks())
         est = fit_elasticity(panel.u, panel.v)
         u_bar = sum(panel.u.tolist()) / len(panel)
         assert est.epsilon == pytest.approx(dmp_elasticity(BASE_ECON.alpha, u_bar), abs=0.05)
 
     def test_seeded_runs_are_byte_identical(self):
-        a = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
-        b = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
-        c = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=8)
+        a, _optimum = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
+        b, _optimum = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=7)
+        c, _optimum = synth_panel(BASE_ECON, *sine_shocks(), noise_scale=0.03, seed=8)
         assert a.to_csv() == b.to_csv()
         assert a.to_csv() != c.to_csv()
 
@@ -362,10 +361,10 @@ class TestSynthPanel:
 
 def test_round_trip_reproduces_planner_everywhere():
     """Noiseless panel -> estimator -> formula must match the planner."""
-    panel = synth_panel(BASE_ECON, *sine_shocks())
+    panel, _optimum = synth_panel(BASE_ECON, *sine_shocks())
     zeta, kappa = dmp_stats(BASE_ECON)
     est = fit_elasticity(panel.u, panel.v)
-    planner = solve_planner_numeric(DmpCurve(BASE_ECON), zeta, kappa)
+    planner = solve_planner_numeric(BASE_ECON, zeta, kappa)
     for u, v in zip(panel.u.tolist(), panel.v.tolist()):
         u_star = efficient_unemployment(
             u, v, SufficientStats(est.epsilon, kappa, zeta)

@@ -24,9 +24,8 @@ from ugap.ingest import LaborMarketPanel
 from ugap.planner import (
     _BRACKET,
     _MAX_EXP,
-    DmpCurve,
     DmpEconomy,
-    dmp_beveridge,
+    IsoelasticCurve,
     dmp_stats,
     solve_planner_numeric,
     synth_panel,
@@ -48,8 +47,7 @@ def reference_synth_panel(econ, shock_path, noise_scale=0.0, seed=0):
         raise InputError(f"seed must be nonnegative, got {seed}")
     if not shock_path:
         raise InputError("shock path is empty")
-    curve = DmpCurve(econ)
-    ref = solve_planner_numeric(curve, *dmp_stats(econ))
+    ref = solve_planner_numeric(econ, *dmp_stats(econ))
     if ref.boundary_warning:
         raise InputError(
             f"the economy's efficient unemployment {ref.u_star:.6g} is at the edge of "
@@ -71,7 +69,7 @@ def reference_synth_panel(econ, shock_path, noise_scale=0.0, seed=0):
         u = s_t / d if d else math.nan
         if not 0.0 < u < 1.0:
             raise InputError(f"{quarter_label(quarter)}: shock drives unemployment to {u}")
-        v = curve.value(u)
+        v = econ.value(u)
         if v == math.inf:
             raise InputError(f"{quarter_label(quarter)}: the vacancy rate on the curve overflows at u={u:g}")
         if shocks is not None:
@@ -90,7 +88,7 @@ def reference_synth_panel(econ, shock_path, noise_scale=0.0, seed=0):
             raise InputError(f"{quarter_label(quarter)}: the vacancy rate {v:g} is not a fraction")
         us.append(u)
         vs.append(v)
-    return LaborMarketPanel([q for q, _, _ in shock_path], us, vs)
+    return LaborMarketPanel([q for q, _, _ in shock_path], us, vs), ref
 
 
 def reference_round_trip(panel, stats, u_star):
@@ -101,12 +99,12 @@ def reference_round_trip(panel, stats, u_star):
 
 
 def outcome(build, *args, **kwargs):
-    """The u and v columns' bits, or the type and message of the InputError raised."""
+    """The u and v columns' bits and the optimum, or the type and message of the InputError raised."""
     try:
-        panel = build(*args, **kwargs)
+        panel, optimum = build(*args, **kwargs)
     except InputError as exc:
         return type(exc), str(exc)
-    return panel.quarters.tolist(), panel.u.view(np.int64).tolist(), panel.v.view(np.int64).tolist()
+    return panel.quarters.tolist(), panel.u.view(np.int64).tolist(), panel.v.view(np.int64).tolist(), optimum
 
 
 def bits(x: float) -> int:
@@ -185,15 +183,15 @@ def test_column_synth_panel_matches_per_quarter_loop(econ, path, noise_scale, se
     ),
 )
 def test_curve_column_matches_scalar_curve(econ, rates):
-    got = dmp_beveridge(econ, np.array(rates))
-    assert got.view(np.int64).tolist() == [bits(dmp_beveridge(econ, u)) for u in rates]
+    got = econ.value(np.array(rates))
+    assert got.view(np.int64).tolist() == [bits(econ.value(u)) for u in rates]
 
 
 def test_zero_over_zero_on_the_curve_is_an_overflow():
     # s (1 - u) and mu u^alpha both underflow to 0 at u = 0.5
     econ = DmpEconomy(alpha=ALMOST_ONE, mu=TINY, s=TINY, p=1.0, z=0.25, c=0.72)
-    assert dmp_beveridge(econ, 0.5) == math.inf
-    assert dmp_beveridge(econ, np.array([0.25, 0.5])).tolist() == [math.inf, math.inf]
+    assert econ.value(0.5) == math.inf
+    assert econ.value(np.array([0.25, 0.5])).tolist() == [math.inf, math.inf]
 
 
 def test_zero_over_zero_unemployment_is_a_domain_error(tmp_path, capsys):
@@ -232,11 +230,40 @@ def long_path(n=8000, seed=7):
 def test_round_trip_error_is_the_scalar_loops(scenario, monkeypatch):
     monkeypatch.delenv("TOOLKIT_SEED", raising=False)
     econ, (quarters, s_mult, mu_mult), noise, seed = scenario()
-    panel = synth_panel(econ, quarters, s_mult, mu_mult, noise_scale=noise, seed=seed)
+    built = synth_panel(econ, quarters, s_mult, mu_mult, noise_scale=noise, seed=seed)
     path = list(zip(quarters.tolist(), s_mult.tolist(), mu_mult.tolist()))
-    assert outcome(lambda: panel) == outcome(reference_synth_panel, econ, path, noise, seed)
+    assert outcome(lambda: built) == outcome(reference_synth_panel, econ, path, noise, seed)
+    panel, _optimum = built
     zeta, kappa = dmp_stats(econ)
     stats = SufficientStats(fit_elasticity(panel.u, panel.v).epsilon, kappa, zeta)
-    u_star = solve_planner_numeric(DmpCurve(econ), zeta, kappa).u_star
+    u_star = solve_planner_numeric(econ, zeta, kappa).u_star
     got = _round_trip_error(panel, stats.epsilon, kappa, zeta, u_star)
     assert bits(got) == bits(reference_round_trip(panel, stats, u_star))
+
+
+# -- one optimum per run -----------------------------------------------------------
+
+
+def test_simulate_solves_the_economy_once(tmp_path, monkeypatch):
+    """simulate builds its panel and its round trip on the one optimum synth_panel solves.
+
+    Every solve is counted where the planner calls it and where the CLI
+    binds it. The CLI's binding is counted without passing through the
+    planner's, so a call that takes both routes counts once.
+    """
+    from ugap import cli, planner
+
+    solve = planner.solve_planner_numeric
+    curves = []
+
+    def counted(curve, zeta, kappa):
+        curves.append(curve)
+        return solve(curve, zeta, kappa)
+
+    monkeypatch.setattr(planner, "solve_planner_numeric", counted)
+    monkeypatch.setattr(cli, "solve_planner_numeric", counted)
+    monkeypatch.delenv("TOOLKIT_SEED", raising=False)
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    economies = [c for c in curves if not isinstance(c, IsoelasticCurve)]
+    assert len(economies) == 1
+    assert economies == [BASE_ECON]  # the bundled scenario's
