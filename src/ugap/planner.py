@@ -1,21 +1,20 @@
 """Numerical planner: ground truth for the closed-form efficiency results.
 
 A planner picks the point on a Beveridge curve that maximizes welfare
-per unit of labor force, (1 - u) + zeta * u - kappa * v(u). The search
-is a bracketed golden-section maximization, so it never touches the
-closed forms it is meant to verify. When the curve exposes an analytic
-slope, the optimum is then polished by interval halving on the
-tangency condition kappa * (-v'(u)) = 1 - zeta; welfare comparisons
-alone hit a noise floor near sqrt(machine epsilon) and cannot certify
-the tightest tolerances used by the comparative-statics checks.
+per unit of labor force, (1 - u) + zeta * u - kappa * v(u). On a convex
+decreasing curve welfare peaks where the tangency residual
+r(u) = -kappa * v'(u) - (1 - zeta) turns from positive to negative, so
+both solvers search on the sign of r alone, with the curve's analytic
+slope, and never touch the closed forms they are meant to verify. A
+solve is interior exactly when r > 0 at the low end of the bracket and
+r < 0 at the high end; otherwise it is a boundary hit.
 
-There are two solvers. The scalar one serves single solves and chains
-(the compensated-v0 halving, a synthetic economy's reference optimum):
-a one-lane numpy solve costs about 40 scalar ones, and simulate's bytes
-rest on the scalar golden steps and halving, so both stay. The oracle
-grid runs each point as a lane of _isoelastic_lanes: golden lanes to a
-coarse bracket, then lockstep Newton steps on the tangency condition,
-which reach machine precision in a few numpy passes.
+There are two solvers of that one search. The scalar one serves single
+solves and chains (the compensated-v0 halving, a synthetic economy's
+reference optimum): it halves the bracket on the sign of r down to
+adjacent floats. The oracle grid runs each point as a lane of
+_isoelastic_lanes: lockstep halving to a coarse bracket, then lockstep
+Newton steps on r, which reach machine precision in a few numpy passes.
 
 A synthetic panel is built as columns, with numpy's + - * / (correctly
 rounded, as Python's float arithmetic is) and with every power and
@@ -37,10 +36,8 @@ from .errors import FirstFault, InputError, PropertyViolation
 from .ingest import LaborMarketPanel
 from .quarters import quarter_label
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET = (1e-4, 0.5)
-_TOL = 1e-9
-# the bracket width at which the oracle's golden-section lanes hand over to Newton steps, and the most
+# the bracket width at which the oracle's halving lanes hand over to Newton steps, and the most
 # Newton passes, which only a lane that never settles would reach
 _LANE_TOL = 3e-3
 _NEWTON_STEPS = 100
@@ -172,80 +169,33 @@ class PlannerSolution:
     boundary_warning: bool
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _golden_lanes(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep _golden_max with one lane per element of the brackets lo, hi; each lane's last bracket a, b.
-
-    f maps an array of points, one per lane, to their values. Each lane
-    keeps its own bracket [a, b] and stops moving once b - a is down to
-    tol; its midpoint is where the scalar search ends on it alone. The
-    interior points of a stopped lane keep moving inside its frozen
-    bracket; they no longer feed the result.
-    """
-    a, b = lo, hi
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    active = h > tol
-    while active.any():
-        up = fc > fd
-        b = np.where(active & up, d, b)
-        a = np.where(active & ~up, c, a)
-        h = b - a
-        x = np.where(up, b - _INV_PHI * h, a + _INV_PHI * h)
-        fx = f(x)
-        c, d = np.where(up, x, d), np.where(up, c, x)
-        fc, fd = np.where(up, fx, fd), np.where(up, fc, fx)
-        active = h > tol
-    return a, b
-
-
 def _isoelastic_lanes(epsilon, zeta, kappa, v0) -> tuple[np.ndarray, np.ndarray]:
     """u* and a boundary mask for the planner on v0 * u ** -epsilon, one lane per element of the aligned columns.
 
-    Golden-section lanes close each lane's bracket [a, b] to _LANE_TOL,
-    without derivatives. A lane is a boundary hit unless the tangency
-    residual r(u) = kappa epsilon v0 u^(-epsilon-1) - (1 - zeta) goes from
-    positive and finite at a to negative at b. Every other lane takes
-    lockstep Newton steps on r from a until none moves by more than
-    1e-15 u: r is convex and decreasing, so the steps rise to its root and
-    never overshoot it. A boundary lane returns its bracket's midpoint.
-    _LANE_TOL = 3e-3 is measured on the 4096-lane verify grid (2-vCPU
-    x86-64, medians): 11 golden steps and 6 Newton passes took 1.7 ms,
-    1e-3 took 1.9 ms, and 1e-2 took 1.4 ms, but on wide draws its lanes
-    can start so far below the root that they need ~50 Newton passes.
+    Lockstep halving on the sign of the tangency residual
+    r(u) = kappa epsilon v0 u^(-epsilon-1) - (1 - zeta) closes every lane's
+    bracket [a, b] to the shared width _LANE_TOL. A lane is a boundary hit
+    unless r goes from positive and finite at a to negative at b. Every
+    other lane takes lockstep Newton steps on r from a until none moves by
+    more than 1e-15 u: r is convex and decreasing, so the steps rise to its
+    root and never overshoot it. A boundary lane returns its bracket's
+    midpoint. _LANE_TOL = 3e-3 is measured on a random 8^4 grid in the
+    oracle's default ranges (2-vCPU x86-64, medians of 101): 8 halving and
+    6 Newton passes took 0.9 ms, 1e-3 took 1.0 ms, and 1e-2, with 16 Newton
+    passes, 1.4 ms. On 20,000 wide draws (epsilon 0.05-20, zeta -1-0.95,
+    kappa 0.01-10, v0 1e-8-1) its lanes start so far below the root that
+    they need 18 Newton passes.
     """
     lo, hi = _BRACKET
     with np.errstate(all="ignore"):  # a lane whose residual is not finite at a is a boundary hit
-        # welfare less its constant 1, which no comparison needs
-        slope, cost, power = zeta - 1.0, kappa * v0, -epsilon
-        a, b = _golden_lanes(
-            lambda u: slope * u - cost * u**power, np.full(epsilon.shape, lo), np.full(epsilon.shape, hi), _LANE_TOL
-        )
-        k, p, c = cost * epsilon, epsilon + 1.0, 1.0 - zeta
+        k, p, c = kappa * v0 * epsilon, epsilon + 1.0, 1.0 - zeta
+        a, b = np.full(epsilon.shape, lo), np.full(epsilon.shape, hi)
+        width = hi - lo
+        while width > _LANE_TOL:
+            mid = 0.5 * (a + b)
+            rising = k * mid**-p > c
+            a, b = np.where(rising, mid, a), np.where(rising, b, mid)
+            width *= 0.5
         r = k * a**-p - c
         interior = (0.0 < r) & (r < np.inf) & (k * b**-p < c)
         u = np.where(interior, a, 0.5 * (a + b))
@@ -267,39 +217,33 @@ def _check_planner_stats(zeta: float, kappa: float) -> None:
 
 
 def solve_planner_numeric(curve: IsoelasticCurve | DmpEconomy, zeta: float, kappa: float) -> PlannerSolution:
-    """Maximize (1-u) + zeta u - kappa v(u) over _BRACKET, to within _TOL in u.
+    """Maximize (1-u) + zeta u - kappa v(u) over _BRACKET.
 
     Welfare is normalized per unit labor force; population scale moves
-    the level, never the argmax. The derivative-free golden-section
-    result is then refined by interval halving on the first-order
-    condition, with the curve's analytic slope, which pushes the u error
-    to machine level.
-
-    A boundary_warning on the solution means the maximizer sits against
-    the bracket, i.e. welfare was not interior-peaked.
+    the level, never the argmax. The optimum is interior when the tangency
+    residual r(u) = -kappa v'(u) - (1 - zeta), which is strictly decreasing
+    on a convex curve, is positive at the low end of the bracket and
+    negative at the high end; interval halving on its sign then runs to
+    adjacent floats. Otherwise the solution carries a boundary_warning and
+    sits at the end of the bracket that welfare rises toward.
     """
     _check_planner_stats(zeta, kappa)
     lo, hi = _BRACKET
 
-    def welfare(u: float) -> float:
-        return (1.0 - u) + zeta * u - kappa * curve.value(u)
+    def foc(u: float) -> float:
+        return -kappa * curve.slope(u) - (1.0 - zeta)
 
-    u_star = _golden_max(welfare, lo, hi, _TOL)
-    boundary = u_star - lo < 10.0 * _TOL or hi - u_star < 10.0 * _TOL
-
-    if not boundary:
-        # tangency residual is strictly decreasing in u on a convex curve
-        def foc(u: float) -> float:
-            return -kappa * curve.slope(u) - (1.0 - zeta)
-
-        a, b = max(lo, 0.5 * u_star), min(hi, 2.0 * u_star)
-        if foc(a) > 0.0 > foc(b):
-            u_star = _halve(lambda u: foc(u) > 0.0, a, b, 0.0)
-
+    rising = foc(lo) > 0.0
+    boundary = not (rising and foc(hi) < 0.0)
+    if boundary:
+        u_star = hi if rising else lo
+    else:
+        u_star = _halve(lambda u: foc(u) > 0.0, lo, hi, 0.0)
+    v = curve.value(u_star)
     return PlannerSolution(
         u_star=u_star,
-        theta_star=curve.value(u_star) / u_star,
-        welfare=welfare(u_star),
+        theta_star=v / u_star,
+        welfare=(1.0 - u_star) + zeta * u_star - kappa * v,
         boundary_warning=boundary,
     )
 
@@ -307,7 +251,8 @@ def solve_planner_numeric(curve: IsoelasticCurve | DmpEconomy, zeta: float, kapp
 def _halve(below: Callable[[float], bool], a: float, b: float, tol: float) -> float:
     """Interval halving for where below, true at a and false at b, turns false; the midpoint of the last bracket.
 
-    Stops once b - a is at most tol or a and b are adjacent floats; a tol of 0 runs to adjacent floats.
+    Stops once b - a is at most tol or a and b are adjacent floats; a tol of 0 runs to adjacent floats, which
+    takes ~56 passes from _BRACKET.
     """
     while b - a > tol:
         mid = 0.5 * (a + b)
@@ -470,8 +415,8 @@ def oracle_grid_check(
 ) -> list[dict]:
     """Planner-vs-formula agreement over the verification grid.
 
-    For every parameter combination the derivative-free planner optimum
-    is compared against the sufficient-statistic formula evaluated at an
+    For every parameter combination the planner optimum, found from the
+    curve's slope alone, is compared against the sufficient-statistic formula evaluated at an
     arbitrary on-curve point, and the curve slope at the optimum against
     the isowelfare slope -(1-zeta)/kappa. Returns one record per grid
     point, in itertools.product order; raises InputError for the first
@@ -480,7 +425,7 @@ def oracle_grid_check(
 
     All grid points are solved at once by _isoelastic_lanes, which never
     evaluates the formula. Its u* is good to about 1e-15 relative (worst
-    7.2e-16, and tangency residual 1.5e-15, over 300 random 4^4 grids in
+    6.6e-16, and tangency residual 1.5e-15, over 300 random 4^4 grids in
     the default ranges, with numpy's AVX-512 power on and off), far inside
     the relative _ORACLE_U_TOL. The formula side is gap._u_star, the u* formula that
     gap_series and sensitivity run, on columns. The records are built
@@ -503,8 +448,8 @@ def oracle_grid_check(
         _check_planner_stats(float(zeta[i]), float(kappa[i]))
 
     u_pt = 0.08
-    # a curve value that overflows is -inf welfare to the search and an
-    # infinite tangency residual, which the checks below report
+    # a curve value that overflows is an infinite tangency residual, which
+    # the checks below report
     u_star, boundary = _isoelastic_lanes(eps, zeta, kappa, v0)
     with np.errstate(over="ignore"):
         slope = -eps * (v0 * u_star ** (-eps)) / u_star

@@ -1,16 +1,24 @@
-"""The efficiency formulas one point at a time, as references for the column code.
+"""The efficiency formulas one point at a time, and a derivative-free maximizer, as references for the package code.
 
 gap_series, sensitivity, implied_zeta_series, the oracle's formula side
 and simulate's round-trip error evaluate these formulas on whole columns.
 The per-point forms they replaced are kept here so that tests can check
 the columns quarter by quarter against plain scalar arithmetic.
+
+The planner finds welfare's maximum from the sign of the tangency
+residual, through the curve's slope. _golden_max compares welfare values
+alone, so tests can check without derivatives that the welfare maximum
+meets the closed form.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from ugap.errors import InputError
 from ugap.gap import EFFICIENT, INEFFICIENTLY_SLACK, INEFFICIENTLY_TIGHT, _u_star
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -66,3 +74,24 @@ def implied_zeta(theta: float, kappa: float, epsilon: float) -> float:
     if theta <= 0.0 or kappa <= 0.0 or epsilon <= 0.0:
         raise InputError("theta, kappa, epsilon must all be positive")
     return 1.0 - kappa * epsilon * theta
+
+
+def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximization of a unimodal f on [lo, hi]."""
+    a, b = lo, hi
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc, fd = f(c), f(d)
+    while h > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INV_PHI * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INV_PHI * h
+            fd = f(d)
+    return 0.5 * (a + b)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from scalar_formulas import SufficientStats, efficient_unemployment
+from scalar_formulas import SufficientStats, _golden_max, efficient_unemployment
 from ugap import planner
 from ugap.errors import InputError, PropertyViolation
 from ugap.fitting import dmp_elasticity, fit_elasticity
@@ -17,9 +17,6 @@ from ugap.planner import (
     DmpEconomy,
     IsoelasticCurve,
     _BRACKET,
-    _TOL,
-    _golden_lanes,
-    _golden_max,
     comparative_statics_check,
     dmp_stats,
     oracle_grid_check,
@@ -38,8 +35,24 @@ def sine_shocks(n=40, amplitude=0.10):
 
 
 def search(curve, zeta, kappa):
-    """The derivative-free optimum, before solve_planner_numeric polishes it."""
-    return _golden_max(lambda u: (1.0 - u) + zeta * u - kappa * curve.value(u), *_BRACKET, _TOL)
+    """The derivative-free welfare maximum on the planner's bracket, to within 1e-9 in u."""
+    return _golden_max(lambda u: (1.0 - u) + zeta * u - kappa * curve.value(u), *_BRACKET, 1e-9)
+
+
+class CountedCurve:
+    """A curve that counts the calls made to its value and slope."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.calls = 0
+
+    def value(self, u):
+        self.calls += 1
+        return self.curve.value(u)
+
+    def slope(self, u):
+        self.calls += 1
+        return self.curve.slope(u)
 
 
 def flat_shocks(first, last):
@@ -149,6 +162,13 @@ class TestPlanner:
         with pytest.raises(InputError, match="^kappa must be positive and finite, got 0.0$"):
             solve_planner_numeric(curve, 0.25, 0.0)
 
+    @pytest.mark.parametrize("curve", [BASE_ECON, IsoelasticCurve(0.0016, 1.0)], ids=["dmp", "isoelastic"])
+    def test_a_solve_takes_at_most_64_curve_evaluations(self, curve):
+        # two residuals at the bracket ends, ~56 halvings to adjacent floats and one value at the optimum
+        counted = CountedCurve(curve)
+        solve_planner_numeric(counted, 0.25, 0.72)
+        assert counted.calls <= 64
+
     def test_dmp_curve_optimum_consistent_with_local_elasticity(self):
         # at the DMP optimum, theta* must equal (1-zeta)/(kappa*eps(u*))
         zeta, kappa = dmp_stats(BASE_ECON)
@@ -190,13 +210,22 @@ def random_oracle_axes(seed=2019, n=5):
     )
 
 
+# unit-elasticity curves whose tangency roots, sqrt(kappa v0 / (1 - zeta)), sit just inside either end of the bracket
+EDGE_ROOTS = (_BRACKET[0] * (1.0 + 1e-6), _BRACKET[1] * (1.0 - 1e-9))
+EDGE_AXES = ((1.0,), (0.25,), (0.72,), tuple(root * root * 0.75 / 0.72 for root in EDGE_ROOTS))
+
+
 class TestOracleLockstep:
-    """The lockstep oracle against one polished scalar solve per grid point."""
+    """The lockstep oracle against one scalar solve per grid point."""
 
     @pytest.mark.parametrize(
         "axes",
-        [((0.8, 1.0, 1.25), (0.0, 0.25, 0.5), (0.3, 0.72, 1.0), (3e-4, 3e-3, 3e-2)), random_oracle_axes()],
-        ids=["default", "random"],
+        [
+            ((0.8, 1.0, 1.25), (0.0, 0.25, 0.5), (0.3, 0.72, 1.0), (3e-4, 3e-3, 3e-2)),
+            random_oracle_axes(),
+            EDGE_AXES,
+        ],
+        ids=["default", "random", "bracket-edges"],
     )
     def test_matches_scalar_search(self, axes):
         records = oracle_grid_check(*axes)
@@ -230,21 +259,6 @@ class TestOracleLockstep:
             oracle_grid_check(v0s=(3e-3, 10.0))
         with pytest.raises(PropertyViolation, match=re.escape(f"planner hit bracket boundary at {first}10.0,")):
             oracle_grid_check(v0s=(10.0, 3e-3))
-
-    def test_lanes_take_the_scalar_steps(self):
-        # -(u - m)^2 needs only correctly rounded operations, so every lane must
-        # match the scalar search bit for bit; the brackets differ in width, so
-        # lanes stop at different iterations, and some peaks sit outside them
-        rng = np.random.default_rng(5)
-        lo = rng.uniform(0.0, 0.2, 64)
-        hi = lo + np.exp(rng.uniform(-8.0, 0.0, 64))
-        peaks = rng.uniform(-0.1, 1.2, 64)
-        left, right = _golden_lanes(lambda u: -(u - peaks) * (u - peaks), lo, hi, 1e-9)
-        scalar = [
-            _golden_max(lambda u, m=m: -(u - m) * (u - m), a, b, 1e-9)
-            for m, a, b in zip(peaks.tolist(), lo.tolist(), hi.tolist())
-        ]
-        assert (0.5 * (left + right)).tolist() == scalar
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(
