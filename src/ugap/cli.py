@@ -180,13 +180,14 @@ class Run:
         self._made_dirs: set[Path] = set()
         self._summary_pending = False
 
-    def write(self, name: str, text: str) -> None:
-        """Write text as UTF-8 to name under the output directory, making each directory once per run."""
+    def write(self, name: str, text: str) -> Path:
+        """Write text as UTF-8 to out_dir/name, making each directory once per run; the path written."""
         path = Path(self.cfg.out_dir) / name
         if path.parent not in self._made_dirs:
             path.parent.mkdir(parents=True, exist_ok=True)
             self._made_dirs.add(path.parent)
         path.write_text(text, encoding="utf-8")
+        return path
 
     @cached_property
     def ingested(self) -> tuple[LaborMarketPanel, dict]:
@@ -262,8 +263,7 @@ class Run:
             label, exc = failures[0]
             raise InputError(f"regime {label!r}: {exc}")
         kappa, _zeta = self.calibration
-        estimates = [est for _regime, est in fits]
-        return build_schedule(self.table, estimates, self.panel.quarters, kappa, self.kappa_overrides)
+        return build_schedule(fits, self.panel.quarters, kappa, self.kappa_overrides)
 
     @cached_property
     def calibration(self) -> tuple[float, float]:
@@ -322,14 +322,13 @@ class Run:
 
 
 def cmd_ingest(run: Run) -> int:
-    out = Path(run.cfg.out_dir)
     run.summary  # read first: a bad summary.json stops the command before it writes
     panel, audit = run.ingested
     svg = run.timeseries(  # first: it reads the recessions file, which must fail before any output
         "Unemployment and vacancy rates",
         [("unemployment", panel.u), ("vacancies", panel.v)],
     )
-    run.write("panel.csv", panel.to_csv())
+    csv = run.write("panel.csv", panel.to_csv())
     for series, dropped in audit["dropped"].items():
         for item in dropped:
             print(f"dropped incomplete quarter in {series}: {item}")
@@ -345,15 +344,14 @@ def cmd_ingest(run: Run) -> int:
     run.write("figures/rates_timeseries.svg", svg)
     run.update_summary("ingest", {"n_quarters": len(panel), "splice": splice})
     first, last = quarter_label(panel.quarters[0]), quarter_label(panel.quarters[-1])
-    print(f"panel: {len(panel)} quarters {first}..{last} -> {out / 'panel.csv'}")
+    print(f"panel: {len(panel)} quarters {first}..{last} -> {csv}")
     return 0
 
 
 def cmd_fit(run: Run) -> int:
     fits, failures = run.fits
     names = [_fit_figure(regime.label) for regime, _est in fits]  # checked before anything is written
-    out = Path(run.cfg.out_dir)
-    run.write("estimates.csv", write_estimates_csv(fits))
+    csv = run.write("estimates.csv", write_estimates_csv(fits))
     for (regime, est), name in zip(fits, names):
         sub = run.panel.between(regime.start, regime.end)
         svg = scatter_fit_svg(
@@ -370,7 +368,7 @@ def cmd_fit(run: Run) -> int:
         )
     for label, exc in failures:
         print(f"regime {label!r} failed to fit: {exc}", file=sys.stderr)
-    print(f"estimates -> {out / 'estimates.csv'}")
+    print(f"estimates -> {csv}")
     return 2 if failures else 0
 
 
@@ -378,7 +376,6 @@ def cmd_gap(run: Run) -> int:
     from . import gap as gap_mod
 
     cfg = run.cfg
-    out = Path(cfg.out_dir)
     run.summary  # read first: a bad summary.json stops the command before it writes
     schedule = run.schedule
     kappa, zeta = run.calibration
@@ -388,7 +385,7 @@ def cmd_gap(run: Run) -> int:
         "Actual and efficient unemployment rate",
         [("unemployment", panel.u), ("efficient rate", series.u_star)],
     )
-    run.write("gap.csv", gap_mod.write_gap_csv(panel, schedule, series))
+    csv = run.write("gap.csv", gap_mod.write_gap_csv(panel, schedule, series))
 
     summary_all = gap_mod.summarize(panel, schedule, series, exclude_gap_quarters=False)
     summary_core = gap_mod.summarize(panel, schedule, series, exclude_gap_quarters=True)
@@ -398,8 +395,8 @@ def cmd_gap(run: Run) -> int:
         "zeta": zeta,
         "n_gap_quarters": int(schedule.is_gap_quarter.sum()),
         "n_out_of_range": int(series.u_star_out_of_range.sum()),
-        "all_quarters": asdict(summary_all),
-        "excluding_gap_quarters": asdict(summary_core),
+        "all_quarters": summary_all,
+        "excluding_gap_quarters": summary_core,
     }
     run.update_summary("gap", payload)
     run.write("figures/gap_unemployment.svg", svg)
@@ -409,14 +406,14 @@ def cmd_gap(run: Run) -> int:
         "gap summary ({}): mean u={:.2%} mean u*={:.2%} mean gap={:.2f}pp "
         "max gap={:.2f}pp at {}".format(
             "excluding gap quarters" if cfg.exclude_gap_quarters else "all quarters",
-            shown.mean_u,
-            shown.mean_u_star,
-            100.0 * shown.mean_gap,
-            100.0 * shown.max_gap,
-            shown.max_gap_quarter,
+            shown["mean_u"],
+            shown["mean_u_star"],
+            100.0 * shown["mean_gap"],
+            100.0 * shown["max_gap"],
+            shown["max_gap_quarter"],
         )
     )
-    print(f"gap series -> {out / 'gap.csv'}")
+    print(f"gap series -> {csv}")
     return 0
 
 
@@ -424,7 +421,6 @@ def cmd_sensitivity(run: Run) -> int:
     from . import gap as gap_mod
 
     cfg = run.cfg
-    out = Path(cfg.out_dir)
     run.summary  # read first: a bad summary.json stops the command before it writes
     panel, schedule = run.panel, run.schedule
     band = gap_mod.sensitivity(panel, schedule, cfg.zeta_list)
@@ -433,7 +429,7 @@ def cmd_sensitivity(run: Run) -> int:
     svg = run.timeseries(
         "Efficient unemployment under alternative social values of nonwork", series
     )
-    run.write("sensitivity.csv", gap_mod.write_sensitivity_csv(band, panel))
+    csv = run.write("sensitivity.csv", gap_mod.write_sensitivity_csv(band, panel))
 
     tag = gap_mod.zeta_tag
     payload = {
@@ -449,7 +445,7 @@ def cmd_sensitivity(run: Run) -> int:
 
     if cfg.implied_zeta:
         zeta_star = gap_mod.implied_zeta_series(panel, schedule)
-        run.write("implied_zeta.csv", gap_mod.write_implied_zeta_csv(panel, schedule, zeta_star))
+        zeta_csv = run.write("implied_zeta.csv", gap_mod.write_implied_zeta_csv(panel, schedule, zeta_star))
         lo, hi = int(zeta_star.argmin()), int(zeta_star.argmax())
         payload["implied_zeta"] = {
             "min": float(zeta_star[lo]),
@@ -457,7 +453,7 @@ def cmd_sensitivity(run: Run) -> int:
             "max": float(zeta_star[hi]),
             "max_quarter": quarter_label(panel.quarters[hi]),
         }
-        print(f"implied zeta series -> {out / 'implied_zeta.csv'}")
+        print(f"implied zeta series -> {zeta_csv}")
 
     run.update_summary("sensitivity", payload)
     print(
@@ -465,7 +461,7 @@ def cmd_sensitivity(run: Run) -> int:
             *gap_mod.WIDTH_PAIR, 100.0 * band.mean_width
         )
     )
-    print(f"band -> {out / 'sensitivity.csv'}")
+    print(f"band -> {csv}")
     return 0
 
 
@@ -545,10 +541,8 @@ def cmd_simulate(run: Run) -> int:
     round_trip_checked = noise == 0.0
     round_trip_ok = (not round_trip_checked) or max_rel < round_trip_tol
 
-    statics = comparative_statics_check(
-        IsoelasticCurve(math.exp(est.log_v0), est.epsilon), zeta, kappa
-    )
-    failures = [c.name for c in statics if not c.passed] + ([] if round_trip_ok else ["round_trip"])
+    statics = comparative_statics_check(IsoelasticCurve(math.exp(est.log_v0), est.epsilon), zeta, kappa)
+    failures = [c["name"] for c in statics if not c["passed"]] + ([] if round_trip_ok else ["round_trip"])
 
     report = {
         "economy": asdict(econ),
@@ -563,20 +557,20 @@ def cmd_simulate(run: Run) -> int:
             "checked": round_trip_checked,
             "passed": round_trip_ok,
         },
-        "comparative_statics": [asdict(c) for c in statics],
+        "comparative_statics": statics,
         "all_passed": not failures,
     }
     # written only once every input error has had its chance to stop the run
-    run.write("synthetic_panel.csv", panel.to_csv())
+    csv = run.write("synthetic_panel.csv", panel.to_csv())
     run.write("simulation_report.json", _json_text(report))
-    print(f"synthetic panel ({len(panel)} quarters) -> {Path(run.cfg.out_dir) / 'synthetic_panel.csv'}")
+    print(f"synthetic panel ({len(panel)} quarters) -> {csv}")
     print(
         "round trip: max |u* error| = {:.3g} (tol {:g}, {})".format(
             max_rel, round_trip_tol, "checked" if round_trip_checked else "not checked, noisy run"
         )
     )
     for check in statics:
-        print(f"comparative statics {check.name}: {'pass' if check.passed else 'FAIL'}")
+        print(f"comparative statics {check['name']}: {'pass' if check['passed'] else 'FAIL'}")
     if failures:
         raise PropertyViolation(f"simulation checks failed: {', '.join(failures)}")
     return 0
@@ -688,8 +682,8 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
         "![sensitivity](figures/sensitivity.svg)",
     ]
     lines += ["", "Every figure's underlying numbers are in the CSV exports next to it.", ""]
-    run.write("report.md", "\n".join(lines))
-    print(f"report -> {out / 'report.md'}")
+    report = run.write("report.md", "\n".join(lines))
+    print(f"report -> {report}")
     return 0
 
 

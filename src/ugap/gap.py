@@ -99,25 +99,10 @@ def gap_series(panel: LaborMarketPanel, schedule: Schedule, zeta: float, tol: fl
     return GapSeries(u_star=u_star, theta_star=theta_star, gap=panel.u - u_star, classification=classification)
 
 
-@dataclass(frozen=True)
-class GapSummary:
-    n_quarters: int
-    mean_u: float
-    mean_u_star: float
-    mean_gap: float
-    max_gap: float
-    max_gap_quarter: str
-    min_gap: float
-    min_gap_quarter: str
-    n_slack: int
-    n_tight: int
-    n_efficient: int
-
-
 def summarize(
     panel: LaborMarketPanel, schedule: Schedule, series: GapSeries, exclude_gap_quarters: bool = False
-) -> GapSummary:
-    """Unweighted quarterly averages, optionally dropping the quarters the schedule flags."""
+) -> dict:
+    """The summary.json section of unweighted quarterly averages, optionally without the quarters the schedule flags."""
     keep = ~schedule.is_gap_quarter if exclude_gap_quarters else np.ones(len(series), dtype=bool)
     kept = np.flatnonzero(keep)
     if not kept.size:
@@ -125,19 +110,19 @@ def summarize(
     gap = series.gap[kept]
     hi, lo = kept[np.argmax(gap)], kept[np.argmin(gap)]
     classification = series.classification[kept]
-    return GapSummary(
-        n_quarters=int(kept.size),
-        mean_u=float(panel.u[kept].mean()),
-        mean_u_star=float(series.u_star[kept].mean()),
-        mean_gap=float(gap.mean()),
-        max_gap=float(series.gap[hi]),
-        max_gap_quarter=quarter_label(panel.quarters[hi]),
-        min_gap=float(series.gap[lo]),
-        min_gap_quarter=quarter_label(panel.quarters[lo]),
-        n_slack=int((classification == INEFFICIENTLY_SLACK).sum()),
-        n_tight=int((classification == INEFFICIENTLY_TIGHT).sum()),
-        n_efficient=int((classification == EFFICIENT).sum()),
-    )
+    return {
+        "n_quarters": int(kept.size),
+        "mean_u": float(panel.u[kept].mean()),
+        "mean_u_star": float(series.u_star[kept].mean()),
+        "mean_gap": float(gap.mean()),
+        "max_gap": float(series.gap[hi]),
+        "max_gap_quarter": quarter_label(panel.quarters[hi]),
+        "min_gap": float(series.gap[lo]),
+        "min_gap_quarter": quarter_label(panel.quarters[lo]),
+        "n_slack": int((classification == INEFFICIENTLY_SLACK).sum()),
+        "n_tight": int((classification == INEFFICIENTLY_TIGHT).sum()),
+        "n_efficient": int((classification == EFFICIENT).sum()),
+    }
 
 
 # Mean shifts are quoted against BASELINE_ZETA and the band width between

@@ -290,15 +290,8 @@ def _compensated_v0(base_v0: float, target: float, new_epsilon: float, zeta: flo
     return _halve(lambda v0: peak(v0) > target, lo, hi, 1e-10)
 
 
-@dataclass(frozen=True)
-class StaticsCheck:
-    name: str
-    passed: bool
-    details: str
-
-
-def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float) -> tuple[StaticsCheck, ...]:
-    """Verify the four comparative-statics sign patterns numerically; one check per pattern.
+def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float) -> tuple[dict, ...]:
+    """Verify the four comparative-statics sign patterns numerically; one {name, passed, details} dict per pattern.
 
     Raising kappa or zeta must raise u* and lower theta*; an outward
     shift (v0 up) must raise u* and leave theta* unchanged to a relative
@@ -310,11 +303,11 @@ def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float)
 
     base = solve_planner_numeric(curve, zeta, kappa)
 
-    def raises_u_star_lowers_theta_star(name: str, moved: PlannerSolution) -> StaticsCheck:
-        return StaticsCheck(
-            f"{name}_up_raises_u_star_lowers_theta_star",
-            moved.u_star > base.u_star and moved.theta_star < base.theta_star,
-            f"u*: {base.u_star:.9g} -> {moved.u_star:.9g}, theta*: {base.theta_star:.9g} -> {moved.theta_star:.9g}",
+    def raises_u_star_lowers_theta_star(name: str, moved: PlannerSolution) -> dict:
+        return dict(
+            name=f"{name}_up_raises_u_star_lowers_theta_star",
+            passed=moved.u_star > base.u_star and moved.theta_star < base.theta_star,
+            details=f"u*: {base.u_star:.9g} -> {moved.u_star:.9g}, theta*: {base.theta_star:.9g} -> {moved.theta_star:.9g}",
         )
 
     kap = raises_u_star_lowers_theta_star("kappa", solve_planner_numeric(curve, zeta, kappa * _KAPPA_FACTOR))
@@ -322,10 +315,10 @@ def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float)
 
     out = solve_planner_numeric(IsoelasticCurve(curve.v0 * _V0_FACTOR, curve.epsilon), zeta, kappa)
     theta_drift = abs(out.theta_star - base.theta_star)
-    shift = StaticsCheck(
-        "v0_up_raises_u_star_theta_star_invariant",
-        out.u_star > base.u_star and theta_drift < _THETA_INVARIANCE_TOL * base.theta_star,
-        f"u*: {base.u_star:.9g} -> {out.u_star:.9g}, |theta* drift| = {theta_drift:.3g}",
+    shift = dict(
+        name="v0_up_raises_u_star_theta_star_invariant",
+        passed=out.u_star > base.u_star and theta_drift < _THETA_INVARIANCE_TOL * base.theta_star,
+        details=f"u*: {base.u_star:.9g} -> {out.u_star:.9g}, |theta* drift| = {theta_drift:.3g}",
     )
 
     new_eps = curve.epsilon * _EPSILON_FACTOR

@@ -85,40 +85,38 @@ class Schedule:
 
 
 def build_schedule(
-    table: RegimeTable,
-    estimates: Sequence[ElasticityEstimate],
+    fits: Sequence[tuple[Regime, ElasticityEstimate]],
     quarters: Sequence[int],
     kappa: float,
     kappa_by_regime: Mapping[str, float] | None = None,
 ) -> Schedule:
-    """Curve parameters for every quarter index, in the order of `quarters`.
+    """Curve parameters for every quarter index, in the order of `quarters`, from fit_all's (regime, estimate) pairs.
 
-    Quarters inside a regime use that regime's estimate and kappa: its
-    entry in kappa_by_regime (robustness runs), else kappa; one that is
-    not positive and finite raises InputError. Shift quarters between
-    regimes carry forward the most recent preceding regime's values and
-    are flagged; quarters before the first regime borrow the first
-    regime's values, also flagged. Carry-forward is causal on purpose: no
-    lookahead, no interpolation, and flagged quarters can be excluded
-    from any summary downstream.
+    The pairs are in chronological order, as fit_all gives them; no pairs
+    raise InputError. Quarters inside a regime use its estimate and kappa:
+    its entry in kappa_by_regime (robustness runs), else kappa; one that
+    is not positive and finite raises InputError. Shift quarters between
+    regimes, and the quarters of a regime missing from the pairs, carry
+    forward the most recent preceding regime's values and are flagged;
+    quarters before the first regime borrow the first regime's values,
+    also flagged. Carry-forward is causal on purpose: no lookahead, no
+    interpolation, and flagged quarters can be excluded downstream.
     """
-    by_label = {e.label: e for e in estimates}
-    for regime in table:
-        if regime.label not in by_label:
-            raise InputError(f"no elasticity estimate for regime {regime.label!r}")
-    kappas = [(kappa_by_regime or {}).get(r.label, kappa) for r in table]
+    if not fits:
+        raise InputError("no fitted regime to build a schedule from")
+    kappas = [(kappa_by_regime or {}).get(r.label, kappa) for r, _est in fits]
     for k in kappas:
         if not 0.0 < k < math.inf:
             raise InputError(f"recruiting cost must be positive and finite, got {k}")
 
     quarters = np.asarray(quarters, dtype=np.int64)
-    starts = np.array([r.start for r in table], dtype=np.int64)
-    ends = np.array([r.end for r in table], dtype=np.int64)
+    starts = np.array([r.start for r, _est in fits], dtype=np.int64)
+    ends = np.array([r.end for r, _est in fits], dtype=np.int64)
     # the latest regime starting at or before each quarter either contains
     # it or is the most recent one that ended before it
     latest = np.searchsorted(starts, quarters, side="right") - 1
     source = np.maximum(latest, 0)
-    epsilon = np.array([by_label[r.label].epsilon for r in table], dtype=np.float64)
+    epsilon = np.array([est.epsilon for _r, est in fits], dtype=np.float64)
     return Schedule(
         epsilon=epsilon[source],
         kappa=np.array(kappas, dtype=np.float64)[source],

@@ -69,7 +69,7 @@ def estimates(panel, regime_table):
 @pytest.fixture(scope="session")
 def schedule(panel, regime_table, estimates):
     """The bundled schedule at kappa 0.72 in every regime."""
-    return build_schedule(regime_table, estimates, panel.quarters, 0.72)
+    return build_schedule(list(zip(regime_table, estimates)), panel.quarters, 0.72)
 
 
 @pytest.fixture(scope="session")

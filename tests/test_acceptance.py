@@ -36,7 +36,7 @@ def check(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def schedule(panel, regime_table, estimates, profile):
     """The bundled schedule at the calibration profile's kappa."""
-    return build_schedule(regime_table, estimates, panel.quarters, profile.kappa())
+    return build_schedule(list(zip(regime_table, estimates)), panel.quarters, profile.kappa())
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +100,9 @@ def test_criterion_06_gap_magnitudes(panel, schedule, baseline_points):
     peak_quarter = int(panel.quarters[gaps.index(peak_gap)])
     trough_1982 = max(g for q, g in zip(panel.quarters.tolist(), gaps) if q // 4 == 1982)
     ok = (
-        abs(100 * s.mean_u - 5.8) <= 0.2
-        and abs(100 * s.mean_u_star - 4.2) <= 0.3
-        and abs(100 * s.mean_gap - 1.6) <= 0.3
+        abs(100 * s["mean_u"] - 5.8) <= 0.2
+        and abs(100 * s["mean_u_star"] - 4.2) <= 0.3
+        and abs(100 * s["mean_gap"] - 1.6) <= 0.3
         and abs(100 * peak_gap - 6.5) <= 0.7
         and peak_quarter // 4 in (2009, 2010)
         and abs(100 * trough_1982 - 5.0) <= 0.7
@@ -110,8 +110,8 @@ def test_criterion_06_gap_magnitudes(panel, schedule, baseline_points):
     check(
         "A06 gap-magnitudes",
         ok,
-        f"mean u {100 * s.mean_u:.2f}%, mean u* {100 * s.mean_u_star:.2f}%, "
-        f"mean gap {100 * s.mean_gap:.2f}pp, max {100 * peak_gap:.2f}pp at {quarter_label(peak_quarter)}, "
+        f"mean u {100 * s['mean_u']:.2f}%, mean u* {100 * s['mean_u_star']:.2f}%, "
+        f"mean gap {100 * s['mean_gap']:.2f}pp, max {100 * peak_gap:.2f}pp at {quarter_label(peak_quarter)}, "
         f"1982 trough {100 * trough_1982:.2f}pp",
     )
 
@@ -157,8 +157,8 @@ def test_criterion_09_oracle_equivalence():
 
 def test_criterion_10_comparative_statics():
     checks = comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.25, 0.72)
-    ok = all(c.passed for c in checks) and len(checks) == 4
-    detail = "; ".join(f"{c.name}: {'ok' if c.passed else 'FAIL'}" for c in checks)
+    ok = all(c["passed"] for c in checks) and len(checks) == 4
+    detail = "; ".join(f"{c['name']}: {'ok' if c['passed'] else 'FAIL'}" for c in checks)
     check("A10 comparative-statics", ok, detail)
 
 

@@ -13,7 +13,8 @@ The config cases come from a strength-2 covering array over the valid
 values of test_fuzz's CONFIG, each run through `gap`, `sensitivity
 --implied-zeta` and `report --recompute`; they exit 0 or 2. Each wrong
 config value is run on its own against the bundled default.cfg, through
-the command that reads its key, and exits 2.
+the command that reads its key, and exits 2; each valid config value
+that default.cfg does not already hold is run the same way, and exits 0.
 """
 
 import itertools
@@ -29,6 +30,10 @@ CASES = covering_cases({key: valid for key, (valid, _wrong) in SCENARIO.items()}
 WRONG = [(key, value) for key, (_valid, wrong) in SCENARIO.items() for value in wrong]
 CONFIG_CASES = covering_cases({key: valid for key, (valid, _wrong) in CONFIG.items()})
 CONFIG_WRONG = [(key, value) for key, (_valid, wrong) in CONFIG.items() for value in wrong]
+DEFAULT_CONFIG = parse_kv_text((bundled_data_dir() / "default.cfg").read_text())
+CONFIG_VALID = [
+    (key, value) for key, (valid, _wrong) in CONFIG.items() for value in valid if DEFAULT_CONFIG.get(key) != value
+]
 CONFIG_COMMANDS = (["gap"], ["sensitivity", "--implied-zeta"], ["report", "--recompute"])
 # the valid shocks.csv: separations swing by 10% over two years, as in the bundled path
 SHOCKS = """quarter,s_multiplier,mu_multiplier
@@ -130,3 +135,10 @@ def test_the_command_that_reads_each_wrong_config_value_alone_exits_2(data, key,
     rc, err = run_config(data, entries, ["simulate"] if key.startswith("simulate.") else ["report", "--recompute"])
     assert rc == 2, err
     assert err.startswith("error: "), err
+
+
+@pytest.mark.parametrize(("key", "value"), CONFIG_VALID, ids=[f"{key}={value!r}" for key, value in CONFIG_VALID])
+def test_the_command_that_reads_each_valid_config_value_alone_exits_0(data, key, value):
+    entries = {**DEFAULT_CONFIG, key: value}
+    rc, err = run_config(data, entries, ["simulate"] if key.startswith("simulate.") else ["report", "--recompute"])
+    assert rc == 0, err

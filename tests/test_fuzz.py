@@ -32,7 +32,8 @@ CONFIG = {
     "data.v_pre": (("vacancy_hwi_monthly.csv",), ("missing.csv", "vacancy_jolts_monthly.csv", *DATA_FILES[2:])),
     "data.v_post": (("vacancy_jolts_monthly.csv",), ("vacancy_hwi_monthly.csv", "shocks_default.csv")),
     "data.unit": (("percent",), ("fraction", "bps", "")),
-    "data.cutover": (("2001Q1", "2001q1", "2005Q3"), ("2001Q5", "1800Q1", "2030Q1", "", "x")),
+    # the bundled HWI series ends in 2000Q4 and JOLTS starts in 2001Q1, so any later cutover leaves a gap
+    "data.cutover": (("2001Q1", "2001q1"), ("2001Q5", "1800Q1", "2030Q1", "", "x", "2005Q3")),
     "data.regimes": (("regimes_default.csv", "short_regimes.csv"), ("recessions_nber.csv", "missing.csv", "")),
     "data.recessions": (("recessions_nber.csv", ""), ("regimes_default.csv", "missing.csv", *DATA_FILES[:1])),
     "calibration.profile": (("calibration_default.cfg",), ("default.cfg", "missing.cfg", "", "scenario_default.cfg")),

@@ -213,8 +213,8 @@ class TestSummaries:
         full = summarize(panel, schedule, series)
         core = summarize(panel, schedule, series, exclude_gap_quarters=True)
         flagged = sum(schedule.is_gap_quarter)
-        assert full.n_quarters - core.n_quarters == flagged
-        assert full.n_slack + full.n_tight + full.n_efficient == full.n_quarters
+        assert full["n_quarters"] - core["n_quarters"] == flagged
+        assert full["n_slack"] + full["n_tight"] + full["n_efficient"] == full["n_quarters"]
 
     def test_empty_rejected(self):
         panel = single_quarter_panel(0.05, 0.03)
@@ -242,7 +242,7 @@ class TestSensitivity:
 
     def test_kappa_overrides_match_gap_series(self, panel, regime_table, estimates, schedule):
         overrides = {"2010Q1-2019Q4": 2.0}
-        robust = build_schedule(regime_table, estimates, panel.quarters, 0.72, overrides)
+        robust = build_schedule(list(zip(regime_table, estimates)), panel.quarters, 0.72, overrides)
         band = sensitivity(panel, robust, (0.25,))
         series = gap_series(panel, robust, 0.25)
         assert band.u_star[0.25].tolist() == series.u_star.tolist()
@@ -263,7 +263,7 @@ def test_implied_zeta_series_matches_pointwise(panel, schedule):
 
 
 def test_implied_zeta_series_takes_regime_kappa(panel, regime_table, estimates):
-    schedule = build_schedule(regime_table, estimates, panel.quarters, 0.72, {"2010Q1-2019Q4": 2.0})
+    schedule = build_schedule(list(zip(regime_table, estimates)), panel.quarters, 0.72, {"2010Q1-2019Q4": 2.0})
     zeta_star = implied_zeta_series(panel, schedule)
     # the last regime takes every quarter from its start on
     in_last = panel.quarters >= parse_quarter("2010Q1")

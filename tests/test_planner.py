@@ -305,14 +305,14 @@ class TestOracleLockstep:
 class TestComparativeStatics:
     def test_all_four_sign_patterns(self):
         checks = comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.25, 0.72)
-        assert all(c.passed for c in checks), checks
-        names = [c.name for c in checks]
+        assert all(c["passed"] for c in checks), checks
+        names = [c["name"] for c in checks]
         assert len(names) == 4 and len(set(names)) == 4
 
     def test_theta_star_invariance_is_tight(self):
         checks = comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.25, 0.72)
-        v0_check = next(c for c in checks if c.name.startswith("v0_up"))
-        assert v0_check.passed
+        v0_check = next(c for c in checks if c["name"].startswith("v0_up"))
+        assert v0_check["passed"]
 
     def test_bad_perturbations_rejected(self):
         with pytest.raises(InputError, match="zeta_shift pushes zeta to 1 or above"):
@@ -325,7 +325,7 @@ class TestComparativeStatics:
             "from ugap.planner import IsoelasticCurve, comparative_statics_check\n"
             "for v0, kappa in ((1e6, 1e-8), (1e8, 1e-10)):\n"
             "    checks = comparative_statics_check(IsoelasticCurve(v0, 1.0), 0.0, kappa)\n"
-            "    print(checks[-1].name, checks[-1].passed)\n",
+            "    print(checks[-1]['name'], checks[-1]['passed'])\n",
             timeout=20,
         )
         assert done.returncode == 0, done.stderr
@@ -335,9 +335,9 @@ class TestComparativeStatics:
     def test_theta_star_invariance_is_judged_relative_to_theta_star(self, v0, kappa):
         # theta* is 1e8 and 1e10 here, so a drift of a few ulps exceeds 1e-8 in absolute terms
         checks = comparative_statics_check(IsoelasticCurve(v0, 1.0), 0.0, kappa)
-        v0_check = next(c for c in checks if c.name.startswith("v0_up"))
-        assert v0_check.passed, v0_check.details
-        assert all(c.passed for c in checks), checks
+        v0_check = next(c for c in checks if c["name"].startswith("v0_up"))
+        assert v0_check["passed"], v0_check["details"]
+        assert all(c["passed"] for c in checks), checks
 
 
 class TestSynthPanel:

@@ -47,7 +47,7 @@ def distinct_kappas(table):
 def test_signatures_take_the_schedule_not_kappa():
     entry_points = (build_schedule, gap_series, sensitivity, implied_zeta_series)
     assert [list(inspect.signature(f).parameters) for f in entry_points] == [
-        ["table", "estimates", "quarters", "kappa", "kappa_by_regime"],
+        ["fits", "quarters", "kappa", "kappa_by_regime"],
         ["panel", "schedule", "zeta", "tol"],
         ["panel", "schedule", "zetas"],
         ["panel", "schedule"],
@@ -63,7 +63,7 @@ def test_default_table_matches_the_seven_subperiods(regime_table):
 
 def test_assign_regime(regime_table, estimates):
     probes = [parse_quarter(q) for q in ("2015Q2", "1959Q3", "1950Q4")]
-    schedule = build_schedule(regime_table, estimates, probes, 0.72, {"2010Q1-2019Q4": 2.0})
+    schedule = build_schedule(list(zip(regime_table, estimates)), probes, 0.72, {"2010Q1-2019Q4": 2.0})
     by_label = {e.label: e.epsilon for e in estimates}
     late, early = by_label["2010Q1-2019Q4"], by_label["1951Q1-1959Q2"]
     assert late != early
@@ -116,7 +116,7 @@ class TestSchedule:
     EARLY, LATE = (0.9, 0.72), (1.1, 2.0)
 
     def build(self, table, estimates, run):
-        return build_schedule(table, estimates, run, 0.72, {"late": 2.0})
+        return build_schedule(list(zip(table, estimates)), run, 0.72, {"late": 2.0})
 
     def test_one_entry_per_quarter_in_order(self, table, estimates):
         schedule = self.build(table, estimates, quarters("1959Q1", "1960Q1"))
@@ -146,7 +146,7 @@ class TestSchedule:
     def test_kappa_override_follows_the_carried_regime(self, table, estimates):
         # 1950Q1 borrows early, 1959Q3 carries early forward, 1972Q1 carries late forward
         probes = [parse_quarter(q) for q in ("1950Q1", "1959Q3", "1972Q1")]
-        schedule = build_schedule(table, estimates, probes, 0.72, {"early": 0.3})
+        schedule = build_schedule(list(zip(table, estimates)), probes, 0.72, {"early": 0.3})
         assert entries(schedule) == [(0.9, 0.3, True), (0.9, 0.3, True), (1.1, 0.72, True)]
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
@@ -154,7 +154,7 @@ class TestSchedule:
     def test_bad_kappa_rejected(self, table, estimates, bad, where):
         kappa, overrides = (bad, None) if where == "global" else (0.72, {"late": bad})
         with pytest.raises(InputError, match="recruiting cost must be positive and finite"):
-            build_schedule(table, estimates, quarters("1959Q1", "1960Q1"), kappa, overrides)
+            build_schedule(list(zip(table, estimates)), quarters("1959Q1", "1960Q1"), kappa, overrides)
 
     def test_single_regime_schedule_is_constant(self, estimates):
         table = RegimeTable((regime("early", "1951Q1", "1959Q2"),))
@@ -163,14 +163,29 @@ class TestSchedule:
         assert len(schedule) == len(run)
         assert set(entries(schedule)) == {(*self.EARLY, False)}
 
-    def test_missing_estimate_rejected(self, table):
-        with pytest.raises(InputError, match="late"):
-            build_schedule(table, [make_estimate("early")], [parse_quarter("1951Q1")], 0.72)
+    def test_regime_missing_from_the_pairs_carries_forward_and_flags(self, estimates):
+        early, _middle, late = RegimeTable(
+            (regime("early", "1951Q1", "1959Q2"), regime("middle", "1959Q4", "1971Q1"), regime("late", "1971Q3", "1975Q1"))
+        )
+        probes = [parse_quarter(q) for q in ("1959Q2", "1959Q4", "1965Q1", "1971Q1", "1971Q3")]
+        # middle has no pair, so its kappa override goes unused
+        schedule = build_schedule(list(zip((early, late), estimates)), probes, 0.72, {"middle": 5.0, "late": 2.0})
+        assert entries(schedule) == [
+            (*self.EARLY, False),  # 1959Q2, the last quarter of early
+            (*self.EARLY, True),  # 1959Q4, 1965Q1 and 1971Q1, the quarters of middle
+            (*self.EARLY, True),
+            (*self.EARLY, True),
+            (*self.LATE, False),  # 1971Q3, the first quarter of late
+        ]
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(InputError, match="^no fitted regime to build a schedule from$"):
+            build_schedule([], [parse_quarter("1951Q1")], 0.72)
 
     def test_misaligned_schedule_fails(self, table, estimates):
         panel = LaborMarketPanel(quarters("1951Q1", "1951Q2"), [0.05] * 2, [0.03] * 2)
         for n_entries in (1, 3):
-            schedule = build_schedule(table, estimates, quarters("1951Q1", f"1951Q{n_entries}"), 0.72)
+            schedule = build_schedule(list(zip(table, estimates)), quarters("1951Q1", f"1951Q{n_entries}"), 0.72)
             for series in (
                 lambda: gap_series(panel, schedule, 0.25),
                 lambda: sensitivity(panel, schedule, (0.25,)),
@@ -183,7 +198,7 @@ class TestSchedule:
 def test_schedule_equals_estimate_inside_regimes(panel, regime_table, estimates):
     by_label = {e.label: e for e in estimates}
     kappas = distinct_kappas(regime_table)
-    schedule = build_schedule(regime_table, estimates, panel.quarters, 0.72, kappas)
+    schedule = build_schedule(list(zip(regime_table, estimates)), panel.quarters, 0.72, kappas)
     assert len(schedule) == len(panel)
     for q, (epsilon, kappa, _) in zip(panel.quarters.tolist(), entries(schedule)):
         inside = [r for r in regime_table if r.start <= q <= r.end]
@@ -196,7 +211,7 @@ def test_schedule_equals_estimate_inside_regimes(panel, regime_table, estimates)
 
 def test_bundled_schedule_flags_shift_quarters(panel, regime_table, estimates):
     kappas = distinct_kappas(regime_table)
-    schedule = build_schedule(regime_table, estimates, panel.quarters, 0.72, kappas)
+    schedule = build_schedule(list(zip(regime_table, estimates)), panel.quarters, 0.72, kappas)
     flagged = [quarter_label(q) for q in panel.quarters[schedule.is_gap_quarter].tolist()]
     # 1959Q3, 1971Q2, 1975Q2, 1987Q4-1989Q4, 1999Q2-2000Q4, 2009Q4
     assert len(flagged) == 1 + 1 + 1 + 9 + 7 + 1
