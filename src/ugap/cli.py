@@ -318,7 +318,7 @@ class Run:
         """A time-series figure over the panel quarters, of rates given as fractions."""
         ticks, labels, bands = self.axis
         percent = [(label, 100.0 * rates) for label, rates in series]
-        return timeseries_svg(title, ticks, labels, len(self.panel), percent, bands=bands)
+        return timeseries_svg(title, ticks, labels, percent, bands=bands)
 
 
 def cmd_ingest(run: Run) -> int:
@@ -387,25 +387,17 @@ def cmd_gap(run: Run) -> int:
     )
     csv = run.write("gap.csv", gap_mod.write_gap_csv(panel, schedule, series))
 
-    summary_all = gap_mod.summarize(panel, schedule, series, exclude_gap_quarters=False)
-    summary_core = gap_mod.summarize(panel, schedule, series, exclude_gap_quarters=True)
-    payload = {
-        "kappa": kappa,
-        "kappa_overrides": run.kappa_overrides,
-        "zeta": zeta,
-        "n_gap_quarters": int(schedule.is_gap_quarter.sum()),
-        "n_out_of_range": int(series.u_star_out_of_range.sum()),
-        "all_quarters": summary_all,
-        "excluding_gap_quarters": summary_core,
-    }
+    payload = {"kappa": kappa, "kappa_overrides": run.kappa_overrides, "zeta": zeta}
+    payload.update(gap_mod.summarize(panel, schedule, series))
     run.update_summary("gap", payload)
     run.write("figures/gap_unemployment.svg", svg)
 
-    shown = summary_core if cfg.exclude_gap_quarters else summary_all
+    subset = "excluding_gap_quarters" if cfg.exclude_gap_quarters else "all_quarters"
+    shown = payload[subset]
     print(
         "gap summary ({}): mean u={:.2%} mean u*={:.2%} mean gap={:.2f}pp "
         "max gap={:.2f}pp at {}".format(
-            "excluding gap quarters" if cfg.exclude_gap_quarters else "all quarters",
+            subset.replace("_", " "),
             shown["mean_u"],
             shown["mean_u_star"],
             100.0 * shown["mean_gap"],
@@ -423,24 +415,13 @@ def cmd_sensitivity(run: Run) -> int:
     cfg = run.cfg
     run.summary  # read first: a bad summary.json stops the command before it writes
     panel, schedule = run.panel, run.schedule
-    band = gap_mod.sensitivity(panel, schedule, cfg.zeta_list)
+    pairs, payload = gap_mod.sensitivity(panel, schedule, cfg.zeta_list)
     series = [("unemployment", panel.u)]
-    series += [(f"u* (zeta={z:g})", band.u_star[z]) for z in band.zetas]
+    series += [(f"u* (zeta={z:g})", u_star) for z, u_star in pairs]
     svg = run.timeseries(
         "Efficient unemployment under alternative social values of nonwork", series
     )
-    csv = run.write("sensitivity.csv", gap_mod.write_sensitivity_csv(band, panel))
-
-    tag = gap_mod.zeta_tag
-    payload = {
-        "zetas": list(band.zetas),
-        "baseline_zeta": gap_mod.BASELINE_ZETA,
-        "mean_u_star": {tag(z): float(band.u_star[z].mean()) for z in band.zetas},
-        "mean_shift_vs_baseline": {tag(z): band.mean_shift[z] for z in band.zetas},
-        "min_u_star": {tag(z): float(band.u_star[z].min()) for z in band.zetas},
-        "width_pair": list(gap_mod.WIDTH_PAIR),
-        "mean_width": band.mean_width,
-    }
+    csv = run.write("sensitivity.csv", gap_mod.write_sensitivity_csv(pairs, panel))
     run.write("figures/sensitivity.svg", svg)
 
     if cfg.implied_zeta:
@@ -456,11 +437,8 @@ def cmd_sensitivity(run: Run) -> int:
         print(f"implied zeta series -> {zeta_csv}")
 
     run.update_summary("sensitivity", payload)
-    print(
-        "sensitivity: mean width between zeta={:g} and {:g} is {:.2f}pp".format(
-            *gap_mod.WIDTH_PAIR, 100.0 * band.mean_width
-        )
-    )
+    (zeta_a, zeta_b), width = payload["width_pair"], 100.0 * payload["mean_width"]
+    print(f"sensitivity: mean width between zeta={zeta_a:g} and {zeta_b:g} is {width:.2f}pp")
     print(f"band -> {csv}")
     return 0
 

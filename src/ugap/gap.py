@@ -7,6 +7,7 @@ panel's u and v columns and the schedule's epsilon and kappa columns at
 once. The schedule checks epsilon and kappa where it picks them, so each
 builder checks only its zetas. _u_star is the one copy of the u* formula,
 which the planner's oracle and simulate's round-trip error share.
+summarize and sensitivity return their summary.json sections whole.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class GapSeries:
     def __len__(self) -> int:
         return len(self.u_star)
 
-    @property
-    def u_star_out_of_range(self) -> np.ndarray:
-        return self.u_star >= 1.0
-
 
 def gap_series(panel: LaborMarketPanel, schedule: Schedule, zeta: float, tol: float = 0.01) -> GapSeries:
     """Per-quarter evaluation of the efficiency formulas over a panel.
@@ -99,12 +96,18 @@ def gap_series(panel: LaborMarketPanel, schedule: Schedule, zeta: float, tol: fl
     return GapSeries(u_star=u_star, theta_star=theta_star, gap=panel.u - u_star, classification=classification)
 
 
-def summarize(
-    panel: LaborMarketPanel, schedule: Schedule, series: GapSeries, exclude_gap_quarters: bool = False
-) -> dict:
-    """The summary.json section of unweighted quarterly averages, optionally without the quarters the schedule flags."""
-    keep = ~schedule.is_gap_quarter if exclude_gap_quarters else np.ones(len(series), dtype=bool)
-    kept = np.flatnonzero(keep)
+def summarize(panel: LaborMarketPanel, schedule: Schedule, series: GapSeries) -> dict:
+    """The gap section of summary.json: counts, and averages over all quarters and over those the schedule does not flag."""
+    return {
+        "n_gap_quarters": int(schedule.is_gap_quarter.sum()),
+        "n_out_of_range": int((series.u_star >= 1.0).sum()),
+        "all_quarters": _averages(panel, series, np.arange(len(series))),
+        "excluding_gap_quarters": _averages(panel, series, np.flatnonzero(~schedule.is_gap_quarter)),
+    }
+
+
+def _averages(panel: LaborMarketPanel, series: GapSeries, kept: np.ndarray) -> dict:
+    """The unweighted quarterly averages and extremes over the quarters at the indices kept."""
     if not kept.size:
         raise InputError("no quarters left to summarize")
     gap = series.gap[kept]
@@ -131,24 +134,13 @@ BASELINE_ZETA = 0.25
 WIDTH_PAIR = (0.0, 0.5)
 
 
-@dataclass(frozen=True, eq=False)
-class SensitivityBand:
-    """u* column under each zeta in a sweep, aligned with the panel, plus summary deltas."""
-
-    zetas: tuple[float, ...]
-    u_star: dict[float, np.ndarray]
-    mean_shift: dict[float, float]
-    mean_width: float
-
-
-def sensitivity(panel: LaborMarketPanel, schedule: Schedule, zetas: Sequence[float]) -> SensitivityBand:
+def sensitivity(panel: LaborMarketPanel, schedule: Schedule, zetas: Sequence[float]) -> tuple[list, dict]:
     """Sweep the social value of nonwork over a list of values.
 
-    Builds a u* column for each distinct zeta of the sweep, BASELINE_ZETA
-    and WIDTH_PAIR. Two zetas of the sweep with one zeta_tag, which names
-    their CSV column and summary entry, raise InputError; a u* that is
-    not finite in any column raises InputError naming the first quarter
-    it occurs in.
+    Returns the sweep's (zeta, u* column) pairs, not a dict, in which -0.0
+    and 0.0 would be one key, and the sensitivity section of summary.json.
+    Two zetas with one zeta_tag raise InputError, as does a u* that is not
+    finite in any column, naming the first quarter it occurs in.
     """
     tagged: dict[str, float] = {}
     for z in zetas:
@@ -162,12 +154,16 @@ def sensitivity(panel: LaborMarketPanel, schedule: Schedule, zetas: Sequence[flo
         columns = {z: _u_star(panel.u, panel.v, schedule.epsilon, schedule.kappa, z) for z in every}
     _check_finite(panel, {f"u*(zeta={z:g})": columns[z] for z in every})
     base = columns[BASELINE_ZETA]
-    return SensitivityBand(
-        zetas=tuple(zetas),
-        u_star={z: columns[z] for z in zetas},
-        mean_shift={z: float((columns[z] - base).mean()) for z in zetas},
-        mean_width=float((columns[WIDTH_PAIR[1]] - columns[WIDTH_PAIR[0]]).mean()),
-    )
+    section = {
+        "zetas": list(zetas),
+        "baseline_zeta": BASELINE_ZETA,
+        "mean_u_star": {tag: float(columns[z].mean()) for tag, z in tagged.items()},
+        "mean_shift_vs_baseline": {tag: float((columns[z] - base).mean()) for tag, z in tagged.items()},
+        "min_u_star": {tag: float(columns[z].min()) for tag, z in tagged.items()},
+        "width_pair": list(WIDTH_PAIR),
+        "mean_width": float((columns[WIDTH_PAIR[1]] - columns[WIDTH_PAIR[0]]).mean()),
+    }
+    return [(z, columns[z]) for z in zetas], section
 
 
 def implied_zeta_series(panel: LaborMarketPanel, schedule: Schedule) -> np.ndarray:
@@ -190,11 +186,11 @@ def zeta_tag(z: float) -> str:
     return f"z{100.0 * z:g}"
 
 
-def write_sensitivity_csv(band: SensitivityBand, panel: LaborMarketPanel) -> str:
-    """The text of sensitivity.csv."""
-    tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
-    template = "%.8g," + ",".join(["%.8g"] * len(band.zetas))
-    columns = [panel.u, *(band.u_star[z] for z in band.zetas)]
+def write_sensitivity_csv(pairs: Sequence[tuple[float, np.ndarray]], panel: LaborMarketPanel) -> str:
+    """The text of sensitivity.csv, from sensitivity's (zeta, u* column) pairs."""
+    tags = ",".join(f"u_star_{zeta_tag(z)}" for z, _ in pairs)
+    template = "%.8g," + ",".join(["%.8g"] * len(pairs))
+    columns = [panel.u, *(u_star for _, u_star in pairs)]
     return write_quarter_rows(f"quarter,u,{tags}", panel.quarters, template, columns)
 
 

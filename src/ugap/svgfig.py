@@ -140,20 +140,19 @@ def timeseries_svg(
     title: str,
     tick_positions: Sequence[int],
     tick_labels: Sequence[str],
-    n_points: int,
     series: Sequence[tuple[str, Sequence[float]]],
     bands: Sequence[tuple[int, int]] = (),
 ) -> str:
     """Multi-line quarterly chart of percents of the labor force, with optional shaded bands.
 
-    x positions are 0..n_points-1; bands are inclusive (start, end) index
-    pairs drawn behind the lines.
+    x positions are 0..n-1, for n the longest series' length; bands are
+    inclusive (start, end) index pairs drawn behind the lines.
     """
     columns = [np.asarray(ys, dtype=float) for _, ys in series]
     for (label, _), ys in zip(series, columns):
         _check_finite(f"{title!r} series {label!r}", ys)
-    values = np.concatenate(columns)
-    frame = _Frame(0.0, float(max(n_points - 1, 1)), float(values.min()), float(values.max()))
+    values, longest = np.concatenate(columns), max(map(len, columns))
+    frame = _Frame(0.0, float(max(longest - 1, 1)), float(values.min()), float(values.max()))
     parts = _header(title)
     for start, end in bands:
         x0, x1 = frame.x(float(start)), frame.x(float(end) + 1.0)
@@ -171,7 +170,7 @@ def timeseries_svg(
     )
     # point j of every series sits at x = j, so each x is formatted once, into
     # a "x,%.2f" template that takes the y of point j of each series
-    xs = frame.x(np.arange(max(map(len, columns)), dtype=float)).tolist()
+    xs = frame.x(np.arange(longest, dtype=float)).tolist()
     x_text = ["%.2f,%%.2f" % x for x in xs]
     for i, ((label, _), ys) in enumerate(zip(series, columns)):
         color = PALETTE[i % len(PALETTE)]

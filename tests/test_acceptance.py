@@ -94,7 +94,7 @@ def test_criterion_05_dmp_elasticity():
 
 
 def test_criterion_06_gap_magnitudes(panel, schedule, baseline_points):
-    s = summarize(panel, schedule, baseline_points)
+    s = summarize(panel, schedule, baseline_points)["all_quarters"]
     gaps = baseline_points.gap.tolist()
     peak_gap = max(gaps)
     peak_quarter = int(panel.quarters[gaps.index(peak_gap)])
@@ -117,10 +117,10 @@ def test_criterion_06_gap_magnitudes(panel, schedule, baseline_points):
 
 
 def test_criterion_07_sensitivity(panel, schedule, profile):
-    band = sensitivity(panel, schedule, (0.0, 0.5, 0.96))
-    shift_lo = 100 * band.mean_shift[0.0]
-    shift_hi = 100 * band.mean_shift[0.5]
-    col96 = band.u_star[0.96].tolist()
+    pairs, section = sensitivity(panel, schedule, (0.0, 0.5, 0.96))
+    shift_lo = 100 * section["mean_shift_vs_baseline"]["z0"]
+    shift_hi = 100 * section["mean_shift_vs_baseline"]["z50"]
+    col96 = dict(pairs)[0.96].tolist()
     mean96 = 100 * sum(col96) / len(col96)
     min96 = 100 * min(col96)
     ok = (

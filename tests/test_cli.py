@@ -298,6 +298,15 @@ class TestSensitivity:
         summary = json.loads((tmp_path / "summary.json").read_text())["sensitivity"]
         assert summary["mean_width"] * 100 < 1.5
 
+    def test_minus_zero_and_zero_keep_their_own_columns(self, tmp_path):
+        # -0.0 == 0.0, so a sweep keyed by zeta would merge the two tags into one column
+        assert run("sensitivity", "--out", tmp_path, "--zeta-list=-0,0,0.5") == 0
+        rows = [line.split(",") for line in (tmp_path / "sensitivity.csv").read_text().splitlines()]
+        assert rows[0] == ["quarter", "u", "u_star_z-0", "u_star_z0", "u_star_z50"]
+        assert all(row[2] == row[3] for row in rows[1:])
+        summary = json.loads((tmp_path / "summary.json").read_text())["sensitivity"]
+        assert list(summary["mean_u_star"]) == ["z-0", "z0", "z50"]
+
     def test_singleton_list_matches_gap_column(self, tmp_path):
         assert run("gap", "--out", tmp_path) == 0
         assert run("sensitivity", "--out", tmp_path, "--zeta-list", "0.25") == 0

@@ -241,7 +241,7 @@ for routine in (solve_planner_numeric, comparative_statics_check):
 def figures(xs, ys, slope, intercept):
     returns_or_input_error(scatter_fit_svg, "t", xs, ys, slope, intercept)
     bands = [(slope, intercept)]
-    returns_or_input_error(timeseries_svg, "t", xs, ["x"] * len(xs), len(ys), [("a", ys), ("b", xs)], bands)
+    returns_or_input_error(timeseries_svg, "t", xs, ["x"] * len(xs), [("a", ys), ("b", xs)], bands)
 
 
 @fuzz

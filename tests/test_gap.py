@@ -183,14 +183,14 @@ class TestGapSeries:
         series = gap_series(panel, schedule, BASELINE.zeta)
         assert series.gap[0] == pytest.approx(0.0, abs=1e-15)
         assert series.classification[0] == EFFICIENT
-        assert not series.u_star_out_of_range[0]
+        assert summarize(panel, schedule, series)["n_out_of_range"] == 0
 
     def test_out_of_range_flagged_not_fatal(self):
         panel = single_quarter_panel(0.4, 0.39)
         schedule = constant_schedule(panel, 1.0, 0.72)
         series = gap_series(panel, schedule, 0.99)
         assert series.u_star[0] >= 1.0
-        assert series.u_star_out_of_range[0]
+        assert summarize(panel, schedule, series)["n_out_of_range"] == 1
 
     def test_quarter_label_on_domain_error(self):
         panel = single_quarter_panel(0.05, 0.03)
@@ -210,8 +210,8 @@ class TestGapSeries:
 class TestSummaries:
     def test_exclude_gap_quarters(self, panel, schedule):
         series = gap_series(panel, schedule, 0.25)
-        full = summarize(panel, schedule, series)
-        core = summarize(panel, schedule, series, exclude_gap_quarters=True)
+        summary = summarize(panel, schedule, series)
+        full, core = summary["all_quarters"], summary["excluding_gap_quarters"]
         flagged = sum(schedule.is_gap_quarter)
         assert full["n_quarters"] - core["n_quarters"] == flagged
         assert full["n_slack"] + full["n_tight"] + full["n_efficient"] == full["n_quarters"]
@@ -221,20 +221,20 @@ class TestSummaries:
         schedule = constant_schedule(panel, 1.0, 0.72, is_gap=True)
         series = gap_series(panel, schedule, 0.25)
         with pytest.raises(InputError, match="^no quarters left to summarize$"):
-            summarize(panel, schedule, series, exclude_gap_quarters=True)
+            summarize(panel, schedule, series)
 
 
 class TestSensitivity:
     def test_u_star_strictly_increasing_in_zeta(self, panel, schedule):
-        band = sensitivity(panel, schedule, (0.0, 0.25, 0.5, 0.96))
+        pairs, _ = sensitivity(panel, schedule, (0.0, 0.25, 0.5, 0.96))
         for i in range(len(panel)):
-            column = [band.u_star[z][i] for z in band.zetas]
+            column = [u_star[i] for _, u_star in pairs]
             assert all(a < b for a, b in zip(column, column[1:]))
 
     def test_singleton_matches_gap_series(self, panel, schedule):
-        band = sensitivity(panel, schedule, (0.25,))
+        [(_, u_star)], _ = sensitivity(panel, schedule, (0.25,))
         series = gap_series(panel, schedule, 0.25)
-        assert band.u_star[0.25] == pytest.approx(series.u_star)
+        assert u_star == pytest.approx(series.u_star)
 
     def test_zeta_must_be_below_one(self, panel, schedule):
         with pytest.raises(InputError, match="^social value of nonwork must be finite and below 1, got 1.0$"):
@@ -243,16 +243,17 @@ class TestSensitivity:
     def test_kappa_overrides_match_gap_series(self, panel, regime_table, estimates, schedule):
         overrides = {"2010Q1-2019Q4": 2.0}
         robust = build_schedule(list(zip(regime_table, estimates)), panel.quarters, 0.72, overrides)
-        band = sensitivity(panel, robust, (0.25,))
+        [(_, u_star)], _ = sensitivity(panel, robust, (0.25,))
         series = gap_series(panel, robust, 0.25)
-        assert band.u_star[0.25].tolist() == series.u_star.tolist()
-        plain = sensitivity(panel, schedule, (0.25,))
-        assert band.u_star[0.25].tolist() != plain.u_star[0.25].tolist()
+        assert u_star.tolist() == series.u_star.tolist()
+        [(_, plain)], _ = sensitivity(panel, schedule, (0.25,))
+        assert u_star.tolist() != plain.tolist()
 
     def test_mean_shift_signs(self, panel, schedule):
-        band = sensitivity(panel, schedule, (0.0, 0.5))
-        assert band.mean_shift[0.0] < 0.0 < band.mean_shift[0.5]
-        assert band.mean_width > 0.0
+        _, section = sensitivity(panel, schedule, (0.0, 0.5))
+        shift = section["mean_shift_vs_baseline"]
+        assert shift["z0"] < 0.0 < shift["z50"]
+        assert section["mean_width"] > 0.0
 
 
 def test_implied_zeta_series_matches_pointwise(panel, schedule):
@@ -331,9 +332,10 @@ class TestColumnsMatchScalars:
         panel, schedule, zeta = inputs
         # zetas that share a column tag are rejected, so keep one of each tag
         sweep = list({zeta_tag(z): z for z in [zeta, *sweep]}.values())
-        band = sensitivity(panel, schedule, sweep)
-        for z in sweep:
+        pairs, _ = sensitivity(panel, schedule, sweep)
+        assert [z for z, _ in pairs] == sweep
+        for z, column in pairs:
             for i in range(len(schedule)):
                 stats = scalar_stats(schedule, i, z)
                 u_star = efficient_unemployment(float(panel.u[i]), float(panel.v[i]), stats)
-                assert abs(band.u_star[z][i] - u_star) <= 1e-15 * u_star
+                assert abs(column[i] - u_star) <= 1e-15 * u_star

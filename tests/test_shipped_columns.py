@@ -84,8 +84,8 @@ def classification_errors(run) -> list[float]:
 
 def sensitivity_errors(run) -> list[float]:
     """Each u_star_z* column of sensitivity.csv."""
-    band = gap.sensitivity(run.panel, run.schedule, SWEEP)
-    return [worst(band.u_star[z], planner_u_star(run, z)) for z in SWEEP]
+    pairs, _ = gap.sensitivity(run.panel, run.schedule, SWEEP)
+    return [worst(u_star, planner_u_star(run, z)) for z, u_star in pairs]
 
 
 def implied_zeta_errors(run) -> list[float]:

@@ -16,7 +16,6 @@ from ugap.gap import (
     INEFFICIENTLY_SLACK,
     INEFFICIENTLY_TIGHT,
     GapSeries,
-    SensitivityBand,
     write_gap_csv,
     write_implied_zeta_csv,
     write_sensitivity_csv,
@@ -75,10 +74,10 @@ def reference_gap_csv(panel, schedule, s):
     return "".join(lines)
 
 
-def reference_sensitivity_csv(band, panel):
-    tags = ",".join(f"u_star_{zeta_tag(z)}" for z in band.zetas)
+def reference_sensitivity_csv(pairs, panel):
+    tags = ",".join(f"u_star_{zeta_tag(z)}" for z, _ in pairs)
     lines = [f"quarter,u,{tags}\n"]
-    columns = [band.u_star[z].tolist() for z in band.zetas]
+    columns = [u_star.tolist() for _, u_star in pairs]
     for q, u, *u_stars in zip(panel.quarters.tolist(), panel.u.tolist(), *columns):
         cols = ",".join(f"{x:.8g}" for x in u_stars)
         lines.append(f"{quarter_label(q)},{u:.8g},{cols}\n")
@@ -115,17 +114,12 @@ def test_csv_writers_match_per_row_references(table, zetas):
     panel = LaborMarketPanel(quarters, u, v)
     series = GapSeries(u_star, theta_star, gap, labels)
     # each zeta's column is a rotation of the u* column, so the columns differ
-    band = SensitivityBand(
-        zetas=tuple(zetas),
-        u_star={z: np.roll(u_star, i) for i, z in enumerate(zetas)},
-        mean_shift={},
-        mean_width=0.0,
-    )
+    pairs = [(z, np.roll(u_star, i)) for i, z in enumerate(zetas)]
     schedule = Schedule(epsilon, theta_star, flags)  # the writers read no kappa, so any column will do
     with np.errstate(over="ignore"):  # theta = v / u may overflow to inf, which both write alike
         assert panel.to_csv() == reference_panel_csv(panel)
         assert write_gap_csv(panel, schedule, series) == reference_gap_csv(panel, schedule, series)
-        assert write_sensitivity_csv(band, panel) == reference_sensitivity_csv(band, panel)
+        assert write_sensitivity_csv(pairs, panel) == reference_sensitivity_csv(pairs, panel)
         assert write_implied_zeta_csv(panel, schedule, zeta_star) == reference_implied_zeta_csv(
             panel, schedule, zeta_star
         )
