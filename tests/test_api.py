@@ -3,7 +3,9 @@ import builtins
 import re
 from pathlib import Path
 
+import pytest
 import reconstruction
+from test_write_site import is_os_call, os_open_writes
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ugap"
@@ -55,7 +57,11 @@ def test_every_public_name_is_used_in_the_package():
 
 
 def reads_a_file(call: ast.Call) -> bool:
-    """Whether call opens a file in a mode that is not w, a or x, or is a .read_text() or .read_bytes() method."""
+    """Whether call opens a file to read, or is a .read_text() or .read_bytes() method.
+
+    An os.open reads unless its flags name O_WRONLY, O_RDWR, O_CREAT,
+    O_TRUNC or O_APPEND; any other open, unless its mode holds w, a or x.
+    """
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     if name in ("read_text", "read_bytes"):
@@ -63,9 +69,34 @@ def reads_a_file(call: ast.Call) -> bool:
         return isinstance(func, ast.Attribute) and not (isinstance(func.value, ast.Name) and func.value.id == "config")
     if name != "open":
         return False
+    if is_os_call(call, "open"):
+        return os_open_writes(call) is not True
     args = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
     modes = [a.value for a in args if isinstance(a, ast.Constant) and re.fullmatch(r"[rwaxbt+]+", str(a.value))]
     return not any(set(mode) & set("wax") for mode in modes)
+
+
+@pytest.mark.parametrize(
+    "source,reads",
+    [
+        ("open(p)", True),
+        ("open(p, 'rb')", True),
+        ("p.open('w')", False),
+        ("p.read_text()", True),
+        ("config.read_text(p)", False),
+        ("os.open(p, os.O_RDONLY)", True),
+        ("os.open(p, flags)", True),
+        ("os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)", False),
+        ("os.open(p, flags=os.O_RDWR)", False),
+        ("os.open(p, O_APPEND)", False),
+        ("os.open(p, os.O_TRUNC)", False),
+        ("os.write(fd, b'')", False),
+        ("os.ftruncate(fd, 0)", False),
+        ("f.truncate(0)", False),
+    ],
+)
+def test_reads_a_file_tells_reads_from_writes(source, reads):
+    assert reads_a_file(ast.parse(source).body[0].value) is reads
 
 
 def test_every_file_is_read_through_config_read_text():

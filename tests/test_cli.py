@@ -14,7 +14,7 @@ from typing import NamedTuple
 import pytest
 
 from conftest import bundled_text, child_env
-from ugap.cli import main
+from ugap.cli import Run, main
 from ugap.config import bundled_data_dir
 from ugap.errors import InputError
 from ugap.regimes import RegimeTable
@@ -530,9 +530,9 @@ class TestReport:
 
     def test_recompute_writes_summary_once_and_makes_each_directory_once(self, tmp_path, monkeypatch):
         dumped, written, made = [], [], []
-        dumps, write_text, mkdir = json.dumps, Path.write_text, Path.mkdir
+        dumps, write, mkdir = json.dumps, Run.write, Path.mkdir
         monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(sorted(obj)) or dumps(obj, **kw))
-        monkeypatch.setattr(Path, "write_text", lambda p, *a, **kw: written.append(p.name) or write_text(p, *a, **kw))
+        monkeypatch.setattr(Run, "write", lambda r, name, text: written.append(name) or write(r, name, text))
         monkeypatch.setattr(Path, "mkdir", lambda p, *a, **kw: made.append(p) or mkdir(p, *a, **kw))
         out = tmp_path / "out"
         assert run("report", "--recompute", "--out", out) == 0
@@ -576,6 +576,77 @@ def test_repeated_runs_are_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     for svg in sorted(p.name for p in (a / "figures").glob("*.svg")):
         assert (a / "figures" / svg).read_bytes() == (b / "figures" / svg).read_bytes(), svg
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRewriteInPlace:
+    """An output that exists is overwritten in place and cut to its new length."""
+
+    @pytest.mark.parametrize("extra", [5000, -100], ids=["longer", "shorter"])
+    def test_old_contents_leave_no_trace(self, recomputed, tmp_path, extra):
+        out = tmp_path / "out"
+        (out / "figures").mkdir(parents=True)
+        expected = tree_bytes(recomputed)
+        for name in ("gap.csv", "figures/gap_unemployment.svg"):
+            (out / name).write_bytes(b"#" * (len(expected[name]) + extra))
+        # summary.json is read back before it is written, so its junk is JSON: the same object, padded or cut short
+        summary = json.dumps(json.loads(expected["summary.json"]), indent=None if extra < 0 else 40)
+        assert (len(summary) > len(expected["summary.json"])) is (extra > 0)
+        (out / "summary.json").write_text(summary)
+        assert run("report", "--recompute", "--out", out) == 0
+        assert tree_bytes(out) == expected
+
+    def test_existing_output_keeps_its_inode_and_mode_and_a_new_one_gets_the_umask(self, tmp_path):
+        out = tmp_path / "out"
+        umask = os.umask(0o027)
+        try:
+            assert run("ingest", "--out", out) == 0
+        finally:
+            os.umask(umask)
+        panel = out / "panel.csv"
+        assert panel.stat().st_mode & 0o777 == 0o640
+        panel.chmod(0o604)
+        inode, first = panel.stat().st_ino, panel.read_bytes()
+        assert run("ingest", "--out", out) == 0
+        assert (panel.stat().st_ino, panel.stat().st_mode & 0o777) == (inode, 0o604)
+        assert panel.read_bytes() == first
+
+    def test_no_descriptor_is_left_open(self, recomputed, tmp_path):
+        # a raw descriptor has no finalizer to warn when it leaks, so count them
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count descriptors in")
+        shutil.copytree(recomputed, tmp_path / "out")
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert run("report", "--recompute", "--out", tmp_path / "out") == 0
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_an_output_linked_to_dev_null_is_written_there(self, tmp_path):
+        if not os.path.exists("/dev/null"):
+            pytest.skip("no /dev/null to link to")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "panel.csv").symlink_to("/dev/null")
+        assert run("ingest", "--out", out) == 0
+        assert (out / "panel.csv").is_symlink() and (out / "figures" / "rates_timeseries.svg").is_file()
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("sensitivity", "--zeta-list"), ("ingest", "--cutover"), ("ingest", "--out"), ("ingest", "--config")]
+    + [("ingest", flag) for flag in ("--u-series", "--v-pre", "--v-post", "--regimes", "--recessions")]
+    + [("gap", "--calibration"), ("gap", "--kappa-file"), ("simulate", "--scenario")],
+)
+def test_empty_flag_value_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    # an empty value would read as no flag (--zeta-list, --cutover) or as the directory "." (the paths)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, ""])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: expected a value, got an empty string\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture

@@ -2,12 +2,13 @@
 
 The goldens pin the bundled run only. These pin the seed-7 inputs of the
 benchmark's long-history and verify workloads, generated by
-bench/inputs.py, and every file and stdout line of one run on each:
+bench/inputs.py, and every file and stdout line of a run on each:
 `report --recompute --implied-zeta` with the twelve-zeta list over 1200
-quarters, and `simulate` over an 8000-quarter shock path. The inputs are
-pinned too, so a generator change is told apart from a ugap change. The
-same pins are checked with numpy's AVX-512 kernels disabled, in the child
-process of test_golden.
+quarters, and `simulate` over an 8000-quarter shock path. Each holds
+again when run a second time into the same directory, over the files of
+the first. The inputs are pinned too, so a generator change is told
+apart from a ugap change. The same pins are checked with numpy's AVX-512
+kernels disabled, in the child process of test_golden.
 """
 
 import contextlib
@@ -125,4 +126,6 @@ def scaled_runs(root: Path) -> tuple[dict[str, str], dict[str, str], dict[str, s
 def test_scaled_runs_hold_their_pins(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delenv("TOOLKIT_SEED", raising=False)
+    assert scaled_runs(tmp_path) == (SCALED_INPUTS, SCALED_FILES, SCALED_STDOUT)
+    # again into the same directories: each output is rewritten in place over the first run's
     assert scaled_runs(tmp_path) == (SCALED_INPUTS, SCALED_FILES, SCALED_STDOUT)
