@@ -17,15 +17,14 @@ from its start and truncated only when it was longer than its new text,
 because truncating it to zero first costs block frees on ext4 and a
 writeback that the next run waits on (`Run.write` gives the numbers). A
 reader or a crash during a write sees the new bytes over the old tail
-rather than a short file; neither way was atomic. ingest, gap and
-sensitivity only record their sections of summary.json in the Run, and
-`main` writes the file once, at the end of the command, also when a
-later step fails, so it holds the section of every step that finished;
-`report --recompute` writes it before it reads the sections back for
-report.md. Exit codes are a stable contract for scripting: 0 success, 1
-a verified property failed, 2 bad input or configuration. All outputs
-are deterministic given the config and inputs, so repeated runs are
-byte-identical.
+rather than a short file; neither way was atomic. Only `Run.summary`
+reads summary.json: ingest, gap and sensitivity record their sections
+in it, `main` writes the file once, at the end of the command, also
+when a later step fails, so it holds the section of every step that
+finished, and report renders report.md from it. Exit codes are a stable
+contract for scripting: 0 success, 1 a verified property failed, 2 bad
+input or configuration. All outputs are deterministic given the config
+and inputs, so repeated runs are byte-identical.
 
 At module level this imports only the standard library, config, errors
 and quarters; each layer is imported by the command or the Run property
@@ -121,7 +120,7 @@ def _round_floats(obj):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _fit_figure(label: str) -> str:
@@ -143,21 +142,6 @@ def _nesting(obj) -> int:
         depth += 1
         level = [v for o in level for v in (o.values() if isinstance(o, dict) else o)]
     return depth
-
-
-def _read_summary(path: Path) -> dict:
-    """The sections of an existing summary.json, or none when there is no such file."""
-    if not path.is_file():
-        return {}
-    try:
-        summary = json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested deeper than the decoder recurses
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(summary, dict):
-        raise InputError(f"{path} is not a JSON object")
-    if _nesting(summary) > 100:  # ugap's own sections nest 3 deep; writing it back recurses once or twice a level
-        raise InputError(f"{path} nests deeper than 100 levels")
-    return summary
 
 
 def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int, int]]:
@@ -256,18 +240,29 @@ class Run:
 
     @cached_property
     def summary(self) -> dict:
-        """The sections of the output directory's summary.json, which ingest, gap and sensitivity add to.
+        """The sections of the output directory's summary.json (none without one), which report renders.
 
-        Each of them reads it before it writes anything, so a bad file
-        stops the command with no artifact written. A step only records
-        its section here; the command writes the file once, at its end
-        (`write_summary`), with the section of every step that finished,
-        also when a later step fails.
+        ingest, gap and sensitivity read it before they write anything,
+        so a bad file stops the command with no artifact written. A step
+        only records its section here, floats rounded to 10 digits; the
+        command writes the file once, at its end (`write_summary`), also
+        when a later step fails. Other sections are written back as read.
         """
-        return _read_summary(Path(self.cfg.out_dir) / "summary.json")
+        path = Path(self.cfg.out_dir) / "summary.json"
+        if not path.is_file():
+            return {}
+        try:
+            summary = json.loads(read_text(path))
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested deeper than the decoder recurses
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
+        if not isinstance(summary, dict):
+            raise InputError(f"{path} is not a JSON object")
+        if _nesting(summary) > 100:  # ugap's own sections nest 3 deep; writing it back recurses once or twice a level
+            raise InputError(f"{path} nests deeper than 100 levels")
+        return summary
 
     def update_summary(self, section: str, payload: dict) -> None:
-        self.summary[section] = payload
+        self.summary[section] = _round_floats(payload)
         self._summary_pending = True
 
     def write_summary(self) -> None:
@@ -570,7 +565,7 @@ def cmd_simulate(run: Run) -> int:
     }
     # written only once every input error has had its chance to stop the run
     csv = run.write("synthetic_panel.csv", panel.to_csv())
-    run.write("simulation_report.json", _json_text(report))
+    run.write("simulation_report.json", _json_text(_round_floats(report)))
     print(f"synthetic panel ({len(panel)} quarters) -> {csv}")
     print(
         "round trip: max |u* error| = {:.3g} (tol {:g}, {})".format(
@@ -642,7 +637,7 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
         cmd_fit(run)
         cmd_gap(run)
         cmd_sensitivity(run)
-        run.write_summary()  # the sections report.md reads back
+        run.write_summary()  # before the artifact check, which asks for the file
 
     estimates = out / "estimates.csv"
     rows = _estimate_rows(estimates) if estimates.is_file() else []
@@ -667,7 +662,7 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
 
     path = out / "summary.json"
     try:
-        summary_lines = _summary_lines(_read_summary(path))
+        summary_lines = _summary_lines(run.summary)
         "".join(summary_lines).encode("utf-8")  # UnicodeEncodeError for a lone surrogate the JSON escapes
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         detail = str(exc)  # clipped as an input field is, when it is long

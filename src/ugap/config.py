@@ -17,7 +17,6 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass, fields, replace
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -148,7 +147,7 @@ class RunConfig:
 
 
 def bundled_data_dir() -> Path:
-    return Path(str(resources.files("ugap").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def default_config_path() -> Path:

@@ -270,24 +270,24 @@ def _compensated_v0(base_v0: float, target: float, new_epsilon: float, zeta: flo
 
     Maximized welfare is strictly decreasing in v0, so interval halving
     on v0 is safe. Mirrors a compensated price change: elasticity rises,
-    location adjusts to stay on the original isowelfare line. A search
-    that halves or doubles v0 out of the positive finite floats raises
-    InputError.
+    location adjusts to stay on the original isowelfare line. At base_v0
+    the steeper curve lies above the base curve on (0, 1), so its peak
+    is below target and base_v0 is the upper end of the bracket; the
+    lower end halves v0 until the peak reaches target. A search that
+    halves v0 to zero raises InputError.
     """
 
     def peak(v0: float) -> float:
-        if not 0.0 < v0 < math.inf:
+        if v0 == 0.0:
             raise InputError(
                 f"the compensated search for the v0 of the curve with epsilon {new_epsilon:g} reached v0 = {v0:g}"
             )
         return solve_planner_numeric(IsoelasticCurve(v0, new_epsilon), zeta, kappa).welfare
 
-    lo, hi = base_v0, base_v0
+    lo = base_v0
     while peak(lo) < target:
         lo /= 2.0
-    while peak(hi) > target:
-        hi *= 2.0
-    return _halve(lambda v0: peak(v0) > target, lo, hi, 1e-10)
+    return _halve(lambda v0: peak(v0) > target, lo, base_v0, 1e-10)
 
 
 def comparative_statics_check(curve: IsoelasticCurve, zeta: float, kappa: float) -> tuple[dict, ...]:

@@ -45,6 +45,14 @@ def bundled_text(name: str) -> str:
     return resources.files("ugap").joinpath(f"data/{name}").read_text()
 
 
+@pytest.fixture(scope="session", autouse=True)
+def bundled_data_left_alone():
+    """Fails the session when a test leaves a file in the package's data directory, whatever the test order."""
+    before = sorted(bundled_data_dir().rglob("*"))
+    yield
+    assert sorted(bundled_data_dir().rglob("*")) == before
+
+
 @pytest.fixture(scope="session")
 def panel():
     u_q, _ = to_quarterly(parse_series_csv(bundled_text("unemployment_monthly.csv"), "percent"))

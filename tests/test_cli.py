@@ -554,6 +554,17 @@ class TestReport:
         assert run("report", "--out", tmp_path) == 0
         assert (tmp_path / "report.md").read_bytes() == first
 
+    def test_recompute_reads_an_existing_summary_once(self, tmp_path, monkeypatch):
+        from ugap import cli
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text("{}")
+        reads, read_text = [], cli.read_text
+        monkeypatch.setattr(cli, "read_text", lambda path: reads.append(path) or read_text(path))
+        assert run("report", "--recompute", "--out", out) == 0
+        assert reads.count(out / "summary.json") == 1
+
     def test_plain_report_reads_no_regimes_file(self, config_copy, tmp_path):
         # the fit figure it links is named by the last regime in estimates.csv
         out = tmp_path / "out"
@@ -576,6 +587,32 @@ def test_repeated_runs_are_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     for svg in sorted(p.name for p in (a / "figures").glob("*.svg")):
         assert (a / "figures" / svg).read_bytes() == (b / "figures" / svg).read_bytes(), svg
+
+
+@pytest.mark.parametrize(
+    "argv", [["gap"], ["sensitivity", "--implied-zeta"], ["report", "--recompute"]], ids=" ".join
+)
+def test_a_section_ugap_does_not_write_is_written_back_as_read(tmp_path, argv):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text('{"notes": {"x": 0.12345678901234567, "n": [1, 2.5e-300]}}')
+    assert run(*argv, "--out", out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["notes"] == {"x": 0.12345678901234567, "n": [1, 2.5e-300]}
+
+
+def test_default_output_directory_is_out_in_the_working_directory(tmp_path, monkeypatch):
+    data = bundled_data_dir()
+    before = sorted(data.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    try:
+        assert main(["ingest"]) == 0
+        assert (tmp_path / "out" / "panel.csv").is_file()
+    finally:
+        stray = sorted(set(data.rglob("*")) - set(before))
+        for path in reversed(stray):  # files before the directories that hold them
+            path.rmdir() if path.is_dir() else path.unlink()
+    assert stray == []
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -1124,6 +1161,13 @@ def test_import_loads_no_network_modules():
     )
     out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_default_config_loads_without_importlib_resources():
+    """Under -S no site hook loads importlib.resources, so only ugap itself could."""
+    code = "import sys; from ugap.config import load_config; load_config(None); print('importlib.resources' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class Fresh(NamedTuple):

@@ -318,6 +318,19 @@ class TestComparativeStatics:
         with pytest.raises(InputError, match="zeta_shift pushes zeta to 1 or above"):
             comparative_statics_check(IsoelasticCurve(0.0016, 1.0), 0.8, 0.72)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(
+        st.floats(0.1, 10.0),
+        st.floats(0.0, 0.9),
+        st.floats(math.log(1e-3), math.log(10.0)).map(math.exp),
+        st.floats(math.log(1e-6), math.log(10.0)).map(math.exp),
+    )
+    def test_the_steeper_curve_peaks_no_higher_at_the_same_v0(self, epsilon, zeta, kappa, v0):
+        # the compensated search takes the base v0 as the upper end of its bracket on this
+        base = solve_planner_numeric(IsoelasticCurve(v0, epsilon), zeta, kappa)
+        steeper = solve_planner_numeric(IsoelasticCurve(v0, epsilon * planner._EPSILON_FACTOR), zeta, kappa)
+        assert steeper.welfare <= base.welfare
+
     def test_returns_for_a_large_v0(self):
         # beyond v0 ~ 5e5 adjacent floats are more than the compensated-v0
         # bisection's 1e-10 width apart, so only a midpoint that stops moving can end it

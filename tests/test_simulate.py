@@ -23,6 +23,7 @@ from ugap.fitting import fit_elasticity
 from ugap.ingest import LaborMarketPanel
 from ugap.planner import (
     _BRACKET,
+    _EPSILON_FACTOR,
     _MAX_EXP,
     DmpEconomy,
     IsoelasticCurve,
@@ -244,8 +245,8 @@ def test_round_trip_error_is_the_scalar_loops(scenario, monkeypatch):
 # -- one optimum per run -----------------------------------------------------------
 
 
-def test_simulate_solves_the_economy_once(tmp_path, monkeypatch):
-    """simulate builds its panel and its round trip on the one optimum synth_panel solves.
+def solved_curves(tmp_path, monkeypatch) -> list:
+    """The curve or economy of every solve a bundled simulate makes, in order.
 
     Every solve is counted where the planner calls it and where the CLI
     binds it. The CLI's binding is counted without passing through the
@@ -264,6 +265,21 @@ def test_simulate_solves_the_economy_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_planner_numeric", counted)
     monkeypatch.delenv("TOOLKIT_SEED", raising=False)
     assert main(["simulate", "--out", str(tmp_path)]) == 0
+    return curves
+
+
+def test_simulate_solves_the_economy_once(tmp_path, monkeypatch):
+    """simulate builds its panel and its round trip on the one optimum synth_panel solves."""
+    curves = solved_curves(tmp_path, monkeypatch)
     economies = [c for c in curves if not isinstance(c, IsoelasticCurve)]
     assert len(economies) == 1
     assert economies == [BASE_ECON]  # the bundled scenario's
+
+
+def test_compensated_search_solves_the_steeper_curve_at_the_base_v0_once(tmp_path, monkeypatch):
+    """At the base curve's v0 the steeper curve peaks below the base curve, so the search solves it there once."""
+    curves = solved_curves(tmp_path, monkeypatch)
+    base = curves[1]  # the fitted curve, first solved by comparative_statics_check
+    steeper = IsoelasticCurve(base.v0, base.epsilon * _EPSILON_FACTOR)
+    assert curves.count(steeper) == 1
+    assert len(curves) == 33
