@@ -65,7 +65,7 @@ from .config import (
     parse_zeta_list,
     read_text,
 )
-from .errors import FirstFault, InputError, PropertyViolation, quoted
+from .errors import InputError, PropertyViolation, quoted
 from .quarters import parse_quarter, parse_quarters, quarter_label
 
 if TYPE_CHECKING:
@@ -150,11 +150,10 @@ def _recession_bands(path: Path | None, quarters: np.ndarray) -> list[tuple[int,
         return []
     import numpy as np
 
-    faults = FirstFault()
-    linenos, (first, last) = parse_table(read_text(path), ("start", "end"), "recessions", faults)
-    starts = parse_quarters(first, linenos, "recessions", faults)
-    ends = parse_quarters(last, linenos, "recessions", faults)
-    faults.check(ends < starts, lambda i: InputError(f"recessions line {linenos[i]}: ends before it starts"))
+    (first, last), faults = parse_table(read_text(path), ("start", "end"), "recessions")
+    starts = parse_quarters(first, faults)
+    ends = parse_quarters(last, faults)
+    faults.check(ends < starts, lambda i: "ends before it starts")
     faults.raise_first()
     lo = np.searchsorted(quarters, starts, side="left")
     hi = np.searchsorted(quarters, ends, side="right")
@@ -305,26 +304,16 @@ class Run:
         """Per-regime recruiting-cost overrides for robustness runs, from the kappa file."""
         if self.cfg.kappa_file is None:
             return {}
-        faults = FirstFault()
-        text = read_text(self.cfg.kappa_file)
-        linenos, (labels, raw) = parse_table(text, ("regime", "kappa"), "kappa file", faults)
-        values = parse_floats(
-            raw, faults, lambda i: InputError(f"kappa file line {linenos[i]}: bad kappa {quoted(raw[i])}")
-        )
+        (labels, raw), faults = parse_table(read_text(self.cfg.kappa_file), ("regime", "kappa"), "kappa file")
+        values = parse_floats(raw, faults, lambda i: f"bad kappa {quoted(raw[i])}")
         known = {regime.label for regime in self.table}
-        faults.check(
-            [label not in known for label in labels],
-            lambda i: InputError(f"kappa file line {linenos[i]}: unknown regime {quoted(labels[i])}"),
-        )
+        faults.check([label not in known for label in labels], lambda i: f"unknown regime {quoted(labels[i])}")
         first: dict[str, int] = {}
         faults.check(
             [first.setdefault(label, i) != i for i, label in enumerate(labels)],
-            lambda i: InputError(f"kappa file line {linenos[i]}: regime {quoted(labels[i])} is listed twice"),
+            lambda i: f"regime {quoted(labels[i])} is listed twice",
         )
-        faults.check(
-            ~((0.0 < values) & (values < math.inf)),
-            lambda i: InputError(f"kappa file line {linenos[i]}: kappa must be positive and finite"),
-        )
+        faults.check(~((0.0 < values) & (values < math.inf)), lambda i: "kappa must be positive and finite")
         faults.raise_first()
         return dict(zip(labels, values.tolist()))
 
@@ -472,22 +461,17 @@ def _shock_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The quarter, s_multiplier and mu_multiplier columns of a shocks table; quarters must increase."""
     import numpy as np
 
-    faults = FirstFault()
-    columns = ("quarter", "s_multiplier", "mu_multiplier")
-    linenos, (labels, s, mu) = parse_table(text, columns, "shock", faults)
-    quarters = parse_quarters(labels, linenos, "shock", faults)
+    (labels, s, mu), faults = parse_table(text, ("quarter", "s_multiplier", "mu_multiplier"), "shock")
+    quarters = parse_quarters(labels, faults)
 
-    def bad_multiplier(i: int) -> InputError:
-        row = ",".join((labels[i], s[i], mu[i]))
-        return InputError(f"shock line {linenos[i]}: bad multiplier in {quoted(row)}")
+    def bad_multiplier(i: int) -> str:
+        return f"bad multiplier in {quoted(','.join((labels[i], s[i], mu[i])))}"
 
     s_mult = parse_floats(s, faults, bad_multiplier)
     mu_mult = parse_floats(mu, faults, bad_multiplier)
     faults.check(
         np.diff(quarters, prepend=quarters[:1] - 1) <= 0,
-        lambda i: InputError(
-            f"shock line {linenos[i]}: quarters must increase, {labels[i]} follows {labels[i - 1]}"
-        ),
+        lambda i: f"quarters must increase, {labels[i]} follows {labels[i - 1]}",
     )
     faults.raise_first()
     return quarters, s_mult, mu_mult
@@ -582,8 +566,8 @@ def cmd_simulate(run: Run) -> int:
 def _estimate_rows(path: Path) -> list[list[str]]:
     """The header and the regime rows of estimates.csv; InputError for a malformed row or when it lists no regime."""
     header = ["regime", "start", "end", "epsilon", "se", "log_v0", "r2", "n_obs"]  # as fitting writes it
-    text, faults = read_text(path), FirstFault()
-    _linenos, columns = parse_table(text, header, str(path), faults)
+    text = read_text(path)
+    columns, faults = parse_table(text, header, str(path))
     faults.raise_first()
     if not columns[0]:
         raise InputError(f"{path} is {'without a regime row' if text.strip() else 'empty'}; run fit or pass --recompute")
@@ -674,8 +658,9 @@ def cmd_report(run: Run, recompute: bool = False) -> int:
 
     lines = ["# Unemployment gap report", ""]
     lines += ["## Beveridge-curve estimates", ""]
-    lines += ["| " + " | ".join(rows[0]) + " |", "|" + "---|" * len(rows[0])]
-    lines += ["| " + " | ".join(row) + " |" for row in rows[1:]]
+    # a regime label may hold a |, which would split its cell
+    table = ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
+    lines += [table[0], "|" + "---|" * len(rows[0]), *table[1:]]
     lines += summary_lines
     lines += ["", "## Figures", ""]
     lines += [

@@ -55,17 +55,19 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return values
 
 
-def parse_table(text: str, columns: Sequence[str], what: str, faults: FirstFault) -> tuple[array, list[list[str]]]:
-    """The line numbers and the columns of the data rows of a small comma-separated table.
+def parse_table(text: str, columns: Sequence[str], what: str) -> tuple[list[list[str]], FirstFault]:
+    """The columns of the data rows of a small comma-separated table, and the FirstFault that names its rows.
 
     This is the grammar of every CSV file ugap reads: blank lines and
     lines starting with `#` are skipped; the first remaining line is the
     header, and skipped, when its first field, stripped and in any case,
     is columns[0]; every other line has exactly len(columns) fields,
-    comma-separated, each stripped of blanks; nothing is quoted. For the
-    first row that does not, an InputError naming its line goes to
-    faults, and the columns stop before the row. It loads no numpy, so a
-    command that reads only tables starts without it.
+    comma-separated, each stripped of blanks; nothing is quoted. The
+    FirstFault names data row i by its line, "<what> line N", so the
+    caller's column checks state only what is wrong. The first row that
+    does not have the fields goes to it as the first fault, and the
+    columns stop before the row. It loads no numpy, so a command that
+    reads only tables starts without it.
     """
     lines = ["", *map(str.strip, text.splitlines())]  # a blank line 0, so each index is a line number
     kept = [i for i, line in enumerate(lines) if line and line[0] != "#"]
@@ -73,21 +75,21 @@ def parse_table(text: str, columns: Sequence[str], what: str, faults: FirstFault
         del kept[0]
     rows = list(map(lines.__getitem__, kept))
     linenos = array("q", kept)  # 8 bytes a line, as a numpy column would take
+    faults = FirstFault(lambda i: f"{what} line {linenos[i]}")
     commas = list(map(str.count, rows, repeat(",")))
     if commas.count(len(columns) - 1) < len(rows):
         first = next(i for i, n in enumerate(commas) if n != len(columns) - 1)
-        faults.at(first, lambda i: InputError(f"{what} line {linenos[i]}: expected '{','.join(columns)}'"))
-    linenos = linenos[: faults.rows]
+        faults.at(first, lambda i: f"expected '{','.join(columns)}'")
     # every row left has exactly len(columns) fields, so one split cuts them
     # all; the line strings go first, so that they and the fields never coexist
     joined = ",".join(rows[: faults.rows])
     del lines, rows
-    fields = list(map(str.strip, joined.split(","))) if len(linenos) else []
-    return linenos, [fields[j :: len(columns)] for j in range(len(columns))]
+    fields = list(map(str.strip, joined.split(","))) if joined else []  # a kept line is never blank
+    return [fields[j :: len(columns)] for j in range(len(columns))], faults
 
 
-def parse_floats(texts: Sequence[str], faults: FirstFault, error) -> np.ndarray:
-    """float() of each text, in one pass; at the first that is not a number, error(i) goes to faults.
+def parse_floats(texts: Sequence[str], faults: FirstFault, message) -> np.ndarray:
+    """float() of each text, in one pass; at the first that is not a number, message(i) goes to faults.
 
     The values stop before that text.
     """
@@ -97,7 +99,7 @@ def parse_floats(texts: Sequence[str], faults: FirstFault, error) -> np.ndarray:
     try:
         values.extend(map(float, texts))  # a failing extend keeps what it appended
     except ValueError:
-        faults.at(len(values), error)
+        faults.at(len(values), message)
     return np.array(values, dtype=np.float64)
 
 

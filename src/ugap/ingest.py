@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import parse_floats, parse_table
-from .errors import FirstFault, InputError, quoted
+from .errors import InputError, quoted
 from .quarters import quarter_label, write_quarter_rows, year_month
 
 
@@ -106,41 +106,24 @@ def parse_series_csv(text: str, value_unit: str = "fraction") -> Series:
     """
     if value_unit not in ("fraction", "percent"):
         raise InputError(f"unknown value unit {value_unit!r}")
-    faults = FirstFault()
-    linenos, (dates, raw) = parse_table(text, ("date", "value"), "series", faults)
+    (dates, raw), faults = parse_table(text, ("date", "value"), "series")
     year, month, bad_date = year_month(dates)
-    faults.check(
-        bad_date, lambda i: InputError(f"series line {linenos[i]}: bad date {quoted(dates[i])}, expected YYYY-MM")
-    )
-    faults.check(
-        (month < 1) | (month > 12),
-        lambda i: InputError(f"series line {linenos[i]}: month out of range in {quoted(dates[i])}"),
-    )
-    values = parse_floats(
-        raw[: faults.rows], faults, lambda i: InputError(f"series line {linenos[i]}: bad value {quoted(raw[i])}")
-    )
-    faults.check(
-        ~np.isfinite(values), lambda i: InputError(f"series line {linenos[i]}: non-finite value {quoted(raw[i])}")
-    )
-    faults.check(
-        values < 0,
-        lambda i: InputError(
-            f"series line {linenos[i]}: negative rate {float(values[i])} at {year[i]}-{month[i]:02d}"
-        ),
-    )
+    faults.check(bad_date, lambda i: f"bad date {quoted(dates[i])}, expected YYYY-MM")
+    faults.check((month < 1) | (month > 12), lambda i: f"month out of range in {quoted(dates[i])}")
+    values = parse_floats(raw[: faults.rows], faults, lambda i: f"bad value {quoted(raw[i])}")
+    faults.check(~np.isfinite(values), lambda i: f"non-finite value {quoted(raw[i])}")
+    faults.check(values < 0, lambda i: f"negative rate {float(values[i])} at {year[i]:04d}-{month[i]:02d}")
     faults.raise_first()
 
     index = 12 * year + month - 1
     order = np.argsort(index, kind="stable")
     index = index[order]
-    # the stable sort keeps the lines of one date in file order, so the
-    # line reported is the first that repeats an earlier date
+    # the stable sort keeps the rows of one date in file order, so repeats
+    # holds each row that repeats an earlier date, and the earliest is reported
     repeats = np.flatnonzero(index[1:] == index[:-1]) + 1
     if repeats.size:
-        linenos_sorted = np.array(linenos)[order]
-        i = repeats[np.argmin(linenos_sorted[repeats])]
-        year, month = divmod(int(index[i]), 12)
-        raise InputError(f"series line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
+        faults.at(int(order[repeats].min()), lambda i: f"duplicate date {year[i]:04d}-{month[i]:02d}")
+        faults.raise_first()
     column = values[order]
     if value_unit == "percent":
         column /= 100.0

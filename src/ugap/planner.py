@@ -368,34 +368,27 @@ def synth_panel(
         )
     finding = econ.mu * ref.theta_star ** (1.0 - econ.alpha)
 
-    faults = FirstFault()
-
-    def fault(message: Callable[[int], str]) -> Callable[[int], InputError]:
-        return lambda i: InputError(f"{quarter_label(quarters[i])}: {message(i)}")
-
-    faults.check((s_mult <= 0.0) | (mu_mult <= 0.0), fault(lambda i: "shock multipliers must be positive"))
+    faults = FirstFault(lambda i: quarter_label(quarters[i]))
+    faults.check((s_mult <= 0.0) | (mu_mult <= 0.0), lambda i: "shock multipliers must be positive")
     s_t = econ.s * s_mult
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = s_t / (s_t + finding * mu_mult)
-    faults.check(~((0.0 < u) & (u < 1.0)), fault(lambda i: f"shock drives unemployment to {u[i].item()}"))
+    faults.check(~((0.0 < u) & (u < 1.0)), lambda i: f"shock drives unemployment to {u[i].item()}")
     # the later checks only look at quarters before the first fault found so far
     u = u[: faults.rows]
     v = econ.value(u)
-    faults.check(v == np.inf, fault(lambda i: f"the vacancy rate on the curve overflows at u={u[i]:g}"))
+    faults.check(v == np.inf, lambda i: f"the vacancy rate on the curve overflows at u={u[i]:g}")
     if noise_scale > 0.0:
         shocks = np.random.default_rng(seed).normal(0.0, noise_scale, size=len(quarters))[: len(v)]
         small = shocks <= _MAX_EXP
         growth = np.fromiter(map(math.exp, np.where(small, shocks, 0.0).tolist()), np.float64, len(v))
         with np.errstate(over="ignore", invalid="ignore"):
             v = np.where(small, v * growth, np.inf)
-        faults.check(
-            ~(v < np.inf),
-            fault(lambda i: f"the noisy vacancy rate is not finite (log shock {shocks[i]:g})"),
-        )
+        faults.check(~(v < np.inf), lambda i: f"the noisy vacancy rate is not finite (log shock {shocks[i]:g})")
     with np.errstate(over="ignore"):
         overflow = ~(v / u < np.inf)
-    faults.check(overflow, fault(lambda i: f"the tightness v/u overflows at u={u[i]:g}, v={v[i]:g}"))
-    faults.check(~((0.0 < v) & (v < 1.0)), fault(lambda i: f"the vacancy rate {v[i]:g} is not a fraction"))
+    faults.check(overflow, lambda i: f"the tightness v/u overflows at u={u[i]:g}, v={v[i]:g}")
+    faults.check(~((0.0 < v) & (v < 1.0)), lambda i: f"the vacancy rate {v[i]:g} is not a fraction")
     faults.raise_first()
     return LaborMarketPanel(quarters, u, v), ref
 

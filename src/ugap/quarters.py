@@ -61,18 +61,15 @@ def parse_quarter(text: str) -> int:
     return 4 * int(t[:4]) + int(t[5]) - 1
 
 
-def parse_quarters(labels: Sequence[str], linenos: Sequence[int], what: str, faults: FirstFault) -> np.ndarray:
+def parse_quarters(labels: Sequence[str], faults: FirstFault) -> np.ndarray:
     """The int64 index of every YYYYQn label of a column, in one pass.
 
-    For the first bad label, an InputError naming its line from linenos
-    goes to faults, so that a table can check its other columns before
-    it raises; the indices of bad labels are meaningless.
+    The first bad label goes to faults, which names its row, so that a
+    table can check its other columns before it raises; the indices of
+    bad labels are meaningless.
     """
     index, bad = _quarters(labels)
-    faults.check(
-        bad,
-        lambda i: InputError(f"{what} line {linenos[i]}: bad quarter label {quoted(labels[i])}, expected YYYYQn"),
-    )
+    faults.check(bad, lambda i: f"bad quarter label {quoted(labels[i])}, expected YYYYQn")
     return index
 
 
@@ -87,7 +84,7 @@ def year_month(dates: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def quarter_label(index: int) -> str:
     """The YYYYQn label of a quarter index."""
     year, q = divmod(int(index), 4)
-    return f"{year}Q{q + 1}"
+    return f"{year:04d}Q{q + 1}"
 
 
 def write_quarter_rows(header: str, quarters: np.ndarray, template: str, columns: Sequence[np.ndarray]) -> str:
@@ -96,5 +93,5 @@ def write_quarter_rows(header: str, quarters: np.ndarray, template: str, columns
     for i in range(0, len(quarters), 1024):  # a block at a time bounds the memory of the Python row values
         year, q = divmod(quarters[i : i + 1024], 4)
         rows = zip(year.tolist(), (q + 1).tolist(), *(c[i : i + 1024].tolist() for c in columns))
-        blocks.append("".join(map(f"%dQ%d,{template}\n".__mod__, rows)))
+        blocks.append("".join(map(f"%04dQ%d,{template}\n".__mod__, rows)))
     return "".join(blocks)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import parse_table, read_text
-from .errors import FirstFault, InputError
+from .errors import InputError
 from .fitting import ElasticityEstimate
 from .quarters import parse_quarters
 
@@ -55,10 +55,9 @@ class RegimeTable:
     @classmethod
     def from_text(cls, text: str) -> RegimeTable:
         """Parse `label,start,end` lines with quarters as YYYYQn."""
-        faults = FirstFault()
-        linenos, (labels, start, end) = parse_table(text, ("label", "start", "end"), "regime", faults)
-        starts = parse_quarters(start, linenos, "regime", faults).tolist()
-        ends = parse_quarters(end, linenos, "regime", faults).tolist()
+        (labels, start, end), faults = parse_table(text, ("label", "start", "end"), "regime")
+        starts = parse_quarters(start, faults).tolist()
+        ends = parse_quarters(end, faults).tolist()
         # Regime raises for a row that ends before it starts; only rows
         # before the first other fault are built, so the earliest row wins
         regimes = [Regime(*row) for row in zip(labels[: faults.rows], starts, ends)]

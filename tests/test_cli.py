@@ -15,8 +15,9 @@ import pytest
 
 from conftest import bundled_text, child_env
 from ugap.cli import Run, main
-from ugap.config import bundled_data_dir
+from ugap.config import bundled_data_dir, parse_table
 from ugap.errors import InputError
+from ugap.quarters import parse_quarters
 from ugap.regimes import RegimeTable
 
 
@@ -105,6 +106,20 @@ class TestIngest:
         series.write_text(bundled_text("unemployment_monthly.csv").rstrip("\n") + "\n2020-01,3.6\n2020-02,3.5\n")
         assert run("ingest", "--u-series", series, "--out", tmp_path / "out") == 0
         assert "dropped incomplete quarter in u: 2020Q1 (2 months)\n" in capsys.readouterr().out
+
+    def test_a_year_below_1000_reads_back_from_panel_csv(self, tmp_path, capsys):
+        rows = "".join(f"0999-{m:02d},{4 + m / 10}\n" for m in range(1, 13))
+        for name in ("u", "v_pre", "v_post"):
+            (tmp_path / f"{name}.csv").write_text("date,value\n" + rows)
+        series = ("--u-series", tmp_path / "u.csv", "--v-pre", tmp_path / "v_pre.csv", "--v-post", tmp_path / "v_post.csv")
+        out = tmp_path / "out"
+        assert run("ingest", *series, "--cutover", "0999Q3", "--out", out) == 0
+        assert "panel: 4 quarters 0999Q1..0999Q4" in capsys.readouterr().out
+        (labels, *_), faults = parse_table((out / "panel.csv").read_text(), ("quarter", "u", "v", "theta", "n"), "panel")
+        quarters = parse_quarters(labels, faults)
+        faults.raise_first()
+        assert labels == ["0999Q1", "0999Q2", "0999Q3", "0999Q4"]
+        assert quarters.tolist() == [4 * 999 + q for q in range(4)]
 
     def test_percent_flag_equivalent_to_prescaled_fractions(self, tmp_path):
         frac = tmp_path / "fraction_inputs"
@@ -547,6 +562,15 @@ class TestReport:
         assert sorted(json.loads((tmp_path / "summary.json").read_text())) == ["gap", "ingest"]
         assert all((tmp_path / name).is_file() for name in ("panel.csv", "estimates.csv", "gap.csv"))
         assert not (tmp_path / "sensitivity.csv").exists()
+
+    def test_a_regime_label_with_a_bar_keeps_the_estimates_table_8_columns_wide(self, tmp_path):
+        regimes = tmp_path / "regimes.csv"
+        regimes.write_text(bundled_text("regimes_default.csv").replace("1951Q1-1959Q2,", "a|b,"))
+        assert run("report", "--out", tmp_path / "out", "--regimes", regimes, "--recompute") == 0
+        table = [line for line in (tmp_path / "out" / "report.md").read_text().splitlines() if line.startswith("|")]
+        assert len(table) == 9  # the header, its rule and one row per regime
+        assert [len(re.split(r"(?<!\\)\|", line)) - 2 for line in table] == [8] * 9
+        assert table[2].startswith("| a\\|b | 1951Q1 | 1959Q2 |")
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         assert run("report", "--out", tmp_path, "--recompute") == 0

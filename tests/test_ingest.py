@@ -2,7 +2,7 @@ from statistics import mean
 
 import pytest
 
-from ugap.errors import FirstFault, InputError
+from ugap.errors import InputError
 from ugap.config import parse_table
 from ugap.ingest import (
     LaborMarketPanel,
@@ -47,6 +47,8 @@ class TestParseSeries:
         text = "date,value\n1951-03,1\n1951-02,1\n1951-01,1\n1951-02,1\n1951-03,1\n"
         with pytest.raises(InputError, match="line 5: duplicate date 1951-02"):
             parse_series_csv(text, "percent")
+        with pytest.raises(InputError, match="^series line 3: duplicate date 0999-01$"):
+            parse_series_csv("date,value\n0999-01,3.7\n0999-01,3.8\n", "percent")
 
     def test_rows_sorted_ascending(self):
         text = "date,value\n1951-03,3.0\n1951-01,1.0\n1951-02,2.0\n"
@@ -61,6 +63,8 @@ class TestParseSeries:
     def test_negative_value_rejected(self):
         with pytest.raises(InputError, match="^series line 2: negative rate -3.7 at 1951-01$"):
             parse_series_csv("date,value\n1951-01,-3.7\n", "percent")
+        with pytest.raises(InputError, match="^series line 2: negative rate -3.7 at 0999-01$"):
+            parse_series_csv("date,value\n0999-01,-3.7\n", "percent")
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -211,9 +215,8 @@ def test_bundled_panel_identities(panel):
 
 
 def test_panel_csv_roundtrip(panel):
-    faults = FirstFault()
-    linenos, (quarters, u, v, _, _) = parse_table(panel.to_csv(), ("quarter", "u", "v", "theta", "n"), "panel", faults)
-    index = parse_quarters(quarters, linenos, "panel", faults)
+    (quarters, u, v, _, _), faults = parse_table(panel.to_csv(), ("quarter", "u", "v", "theta", "n"), "panel")
+    index = parse_quarters(quarters, faults)
     faults.raise_first()
     again = LaborMarketPanel(index, [float(x) for x in u], [float(x) for x in v])
     assert again.quarters.tolist() == panel.quarters.tolist()

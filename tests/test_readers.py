@@ -178,7 +178,7 @@ def reference_series(text, value_unit="fraction"):
         if not math.isfinite(value):
             raise InputError(f"series line {lineno}: non-finite value {quoted(raw)}")
         if value < 0:
-            raise InputError(f"series line {lineno}: negative rate {value} at {year}-{month:02d}")
+            raise InputError(f"series line {lineno}: negative rate {value} at {year:04d}-{month:02d}")
         months.append(12 * year + month - 1)
         values.append(value)
         linenos.append(lineno)
@@ -191,7 +191,7 @@ def reference_series(text, value_unit="fraction"):
         linenos_sorted = np.array(linenos)[order]
         i = repeats[np.argmin(linenos_sorted[repeats])]
         year, month = divmod(int(index[i]), 12)
-        raise InputError(f"series line {linenos_sorted[i]}: duplicate date {year}-{month + 1:02d}")
+        raise InputError(f"series line {linenos_sorted[i]}: duplicate date {year:04d}-{month + 1:02d}")
     column = np.array(values, dtype=np.float64)[order]
     if value_unit == "percent":
         column /= 100.0
@@ -245,18 +245,21 @@ def as_bits(result):
     return result
 
 
-def table_rows(linenos, columns):
-    return list(zip(linenos, map(list, zip(*columns))))
+def table_rows(text, columns, what):
+    """parse_table's rows as (name, fields) pairs, each row named by its FirstFault, which is raised first."""
+    columns, faults = parse_table(text, columns, what)
+    faults.raise_first()
+    return [(faults.where(i), list(row)) for i, row in enumerate(zip(*columns))]
 
 
 # -- properties ----------------------------------------------------------------
 
 
 def raising(read):
-    """read, called with a FirstFault of its own that is raised before it returns."""
+    """read, called with a FirstFault of its own that names row i "label line i + 1" and is raised before it returns."""
 
     def call(*args):
-        faults = FirstFault()
+        faults = FirstFault(lambda i: f"label line {i + 1}")
         result = read(*args, faults)
         faults.raise_first()
         return result
@@ -266,7 +269,7 @@ def raising(read):
 
 def one_quarter(label):
     """parse_quarters on label alone, as parse_quarter answers: the index, or the message less its line prefix."""
-    got = outcome(raising(parse_quarters), [label], [1], "label")
+    got = outcome(raising(parse_quarters), [label])
     if isinstance(got[0], type):
         return got[0], got[1].removeprefix("label line 1: ")
     return int(got[0])
@@ -285,12 +288,12 @@ def test_readers_raise_only_input_errors(text, unit, near):
     lines = text.splitlines()
     only_input_errors(parse_series_csv, "date,value\n" + text, unit)
     only_input_errors(parse_series_csv, text, unit)
-    only_input_errors(raising(parse_table), text, ("label", "start", "end"), "regime")
+    only_input_errors(table_rows, text, ("label", "start", "end"), "regime")
     only_input_errors(RegimeTable.from_text, text)
     only_input_errors(shock_path, text)
     only_input_errors(parse_kv_text, text)
     fields = [f for line in lines for f in line.split(",")]
-    only_input_errors(raising(parse_quarters), fields, list(range(len(fields))), "label")
+    only_input_errors(raising(parse_quarters), fields)
     for label in [text, *fields, near]:
         assert outcome(parse_quarter, label) == one_quarter(label)
 
@@ -305,10 +308,10 @@ def test_series_reader_matches_per_line_reference(text, unit):
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
 @given(table_text, st.sampled_from([("label", "start", "end"), SHOCK_COLUMNS, ("start", "end"), ("regime", "kappa")]))
 def test_table_reader_matches_per_line_reference(text, columns):
-    got = outcome(raising(parse_table), text, columns, "table")
-    if not isinstance(got[0], type):
-        got = table_rows(*got)
-    assert got == outcome(lambda: list(reference_table(text, columns, "table")))
+    def reference():
+        return [(f"table line {lineno}", fields) for lineno, fields in reference_table(text, columns, "table")]
+
+    assert outcome(table_rows, text, columns, "table") == outcome(reference)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)
